@@ -1,0 +1,175 @@
+"""Every observer's view is pinned by a digest taken before the event-log engine.
+
+One fixed config per CLI protocol, plus a secure sum over Z_5 on two
+disjoint cycles, is run through ``execute_config``; the SHA-256 of each
+party's view entries and of the eavesdropper's view must equal the
+recorded digest.  Any change to what the engine shows an observer, or in
+what order, changes a digest.
+"""
+
+import hashlib
+
+import pytest
+
+from ringmpc.cli import execute_config
+from ringmpc.engine import EAVESDROPPER, eavesdropper_view, extract_view
+
+CONFIGS = {
+    "card_deal": {"protocol": "card_deal", "inputs": [], "seed": 11,
+                  "params": {"N": 3, "k": 3, "r": 8, "with_labels": True}},
+    "commit2_dummy": {"protocol": "commit2_dummy", "inputs": [1, 2], "seed": 11,
+                      "ring": {"ring": "Zm", "m": 3}},
+    "commit3": {"protocol": "commit3", "inputs": [1, 0, 1], "seed": 11,
+                "ring": {"ring": "Zm", "m": 2}},
+    "distribute_shares": {"protocol": "distribute_shares", "inputs": [100], "seed": 11,
+                          "params": {"initiator": 1, "k": 4}},
+    "example_f1": {"protocol": "example_f1", "inputs": [2, 3, 4], "seed": 11},
+    "example_f2": {"protocol": "example_f2", "inputs": [2, 3, 4], "seed": 11,
+                   "params": {"g": "square"}, "ring": {"ring": "Zm", "m": 11}},
+    "millionaires_bitwise": {"protocol": "millionaires_bitwise", "inputs": [5, 3], "seed": 11,
+                             "params": {"bit_width": 4}},
+    "millionaires_compare": {"protocol": "millionaires_compare", "inputs": [7, 3], "seed": 11},
+    "ot_dummy": {"protocol": "ot_dummy", "seed": 11,
+                 "inputs": {"messages": [10, 20, 30], "indices": [1, 3]}},
+    "secure_product": {"protocol": "secure_product", "inputs": [2, 3, 4], "seed": 11,
+                       "ring": {"ring": "Zm", "m": 101}},
+    "secure_rating": {"protocol": "secure_rating", "inputs": [2, 4, 6, 8], "seed": 11},
+    "secure_sum": {"protocol": "secure_sum", "inputs": [3, 5, 7, 11], "seed": 11},
+    "share_secret_kk": {"protocol": "share_secret_kk", "inputs": [100], "seed": 11,
+                        "params": {"k": 3}},
+    "sum_of_powers": {"protocol": "sum_of_powers", "inputs": [1, 2, 3], "seed": 11,
+                      "params": {"exponent": 3}},
+    "secure_sum/Z_5/two cycles": {
+        "protocol": "secure_sum", "inputs": [1, 2, 3, 4, 0, 2], "seed": 5,
+        "ring": {"ring": "Zm", "m": 5},
+        "topology": {"k": 6, "edges": [[0, 1, "secure"], [1, 2, "secure"], [0, 2, "secure"],
+                                       [3, 4, "secure"], [4, 5, "secure"], [3, 5, "secure"]]},
+    },
+}
+
+
+def _digest(entries) -> str:
+    return hashlib.sha256(repr(entries).encode()).hexdigest()
+
+
+def view_digests(config) -> dict:
+    """SHA-256 of repr(view entries) for every party of the run and the eavesdropper."""
+    _, t = execute_config(config)
+    out = {p["name"]: _digest(extract_view(t, p["name"]).entries)
+           for p in t.topology["parties"]}
+    out[EAVESDROPPER] = _digest(eavesdropper_view(t).entries)
+    return out
+
+
+# Recorded on the engine with per-party view lists, before the event log.
+DIGESTS = {
+    "card_deal": {
+        "P1": "e6d7ee575b4844bec0678e56c6edeaade6bbcbd36a4974cac4a6e87356156cb6",
+        "P2": "b0d0aac8f64ad95071fee9234ee250ab4b7fdbbd2ccc3f8b28c46a1273cff797",
+        "P3": "735f607db7f3bd61a7dd14f709d2566b6df5d137997c078cb1644bd8f21a4a9e",
+        "eavesdropper": "abdb862067f79eb16749037fedafe7177758987a4ed1365911156fa30255520e",
+    },
+    "commit2_dummy": {
+        "A": "b483bd64d54de5c4ce5ac419583c708ceed77020826a70108ef5cb58ea931c21",
+        "B": "3f764681194ad27f7ac0d00e4472d3b012960ce8eb8b1b83f83d0e0cb3aaf62e",
+        "D": "7f0dbfe3e25f3aa727cf6ab472a80c30eec742614bf445ed8e205a1502dc4ab3",
+        "eavesdropper": "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+    },
+    "commit3": {
+        "P1": "5ffcd121d45ae40ce8659ce991e758d2ca88f1c687c84d2d27e2fdb692fd59eb",
+        "P2": "9f9e54a6e60fc1b472f118560f22e76e95b9a2569d341c41ecdd297ab3e89d48",
+        "P3": "bee9df9459b32f6f9273f8f1799bbe1927e159873d96bc0f129a6bad9380ef8b",
+        "eavesdropper": "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+    },
+    "distribute_shares": {
+        "P1": "47ca3ac36d9d5acc5554317dcd81028334c986db988607ac1652ac86525e399f",
+        "P2": "6a06574986734df9a4f5de99ca3ed7b36ae503f570495c34426c7f21b5edab7b",
+        "P3": "e4bb48d806d6c8e78411a99ab86918f81fc9814e35def774bafbacd19e144421",
+        "P4": "34a15bfcd719d7661ffba20e5557f6c1aa142b40a1803508fce696c636d0d163",
+        "eavesdropper": "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+    },
+    "example_f1": {
+        "P1": "a31d991f455e944bc52fd163e3aceee64e0dba3110f9614d5caaa6f5ea699b09",
+        "P2": "f8717f67d5379ba7b5ef6e8154a157d49eb21b48f8b5806a723aae52a024801e",
+        "P3": "18532fcbc3ad4bd65cb2d0fe0517f4d6df25cfeed20273a810c01b71ac69368f",
+        "eavesdropper": "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+    },
+    "example_f2": {
+        "P1": "1aaa26f57d105b26dcc8a086e8f280c1db4e71b1015d6bb7ef58b0a29298aeec",
+        "P2": "ecebda779421561cccd44924cb416ef5a372c3ff6483a45fa312f53359dc87f4",
+        "P3": "67d492ba5c4ee5076206420d73009302160625700a82ab31ab3d759a4795bfd7",
+        "eavesdropper": "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+    },
+    "millionaires_bitwise": {
+        "A": "314b630d02b1ccae4b0e4a27ae6ff1077870ebee9b7e30f4a1a4679e2e2ab674",
+        "B": "d7b2014316d3b70e16ba7c08a58179ff217f15bcf38073bb5e0c114a41c66631",
+        "D": "19cdf8e6408148ca5a728f6490dd83982bc5fe15af367244706613732535160c",
+        "eavesdropper": "38346c97c9eb4633395bf1b3cfdb5b80ff7d06fcadde3580bdca985e214e5243",
+    },
+    "millionaires_compare": {
+        "A": "a973cf07a574136f3e39d7953ce07bd619c7ed4613bf394ac716094c25a3ad5c",
+        "B": "304461924f3eee71c81a4ba3a83ea702bde70180a8d8d730e3d1840b866b8cc3",
+        "D": "31df82f051de345c70d5f33b165bfea7adcde3d451b7e5f0f7b6f718891d95e8",
+        "eavesdropper": "8af27d37613e6aa2ab21670a746a889ab88e49448af8feb90290d056f3ac9282",
+    },
+    "ot_dummy": {
+        "A": "63b255ff87965cb43c301c72b21b3c4cdcef515fdb66097435eb5a82074054a8",
+        "B": "b49342e1d8afb6785372b31d99df4320bfa5e0d40dc020aa1550ac569585513c",
+        "D": "c5ef249482eaa375eaea84111c832a0bd796379bddee5f2a870245228dd11ff0",
+        "eavesdropper": "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+    },
+    "secure_product": {
+        "P1": "0c05964ac31634cc9c36ed12df6a5cebb08025f6f9a73bb1656996527a1f39ef",
+        "P2": "fd649554ce3f7870108d9d2c0335644916c8e4d149d48a7a829c76aff23e339a",
+        "P3": "ea8f57db00e2cd7dac0b9d806a519253ee3914015d483e1118c1febcafd05761",
+        "eavesdropper": "03603e8e19116686cb930341886859b0306d3343bb0ad2f3fe5a9a2eb89ca4bc",
+    },
+    "secure_rating": {
+        "B": "1fe91c634f18ad67940e2bc99cb0f44bd678d8fdd99bf25f73ac2e1a202598a3",
+        "P1": "71728bcbbc502916e9f3c99b5a456d2267bd0220dc96ab98c4d94e06aa10fd58",
+        "P2": "768bc408073b092542c3a86a001101849ba0bacfeeec86772fa10a9ff006f8ba",
+        "P3": "99a70e49b7ebee364fc0cefb450be30058e1aa9b6fc91c8194b85330856571e9",
+        "P4": "14174f405401eefac1fca03d82a818cb500673fddb135c9bed378b0bb64fc0d3",
+        "eavesdropper": "c521df05c19e58e03f5426417d4957800180b85dbd1193b9694c84cae77494ec",
+    },
+    "secure_sum": {
+        "P1": "db0395de10adc7627154da3806bc69ce459dc701c78f468af1d7b97e22b198a7",
+        "P2": "14ad370699a63646289085ebd78870c7a5806ee660e053e246e268e619d8cf6f",
+        "P3": "773e15a11ca364c262830fc77f5df08146db2627e6082890e0a3359623fbee35",
+        "P4": "25a372033bc60318874c45cba4e8b44d94f30a10d14840db3737cbc756c81ebc",
+        "eavesdropper": "be759f726ab28abcf5059834d4181703e7aa9d5f08c29366eec42d58baad4a0f",
+    },
+    "secure_sum/Z_5/two cycles": {
+        "P1": "fb7df84f47ed4e8dee1c7dfbbcc88a9aa323c1ea80efcb0ae414a20d469d01e8",
+        "P2": "f0fad502b737fac1c868b9c9999e78974d9c19e95a0eb70de5b34dddfecda207",
+        "P3": "70c870dd8732d9f97ec181fa71f55e42e89a057da64faabd374b2866dd1fd9d6",
+        "P4": "686fb866bf4f872e298d7130e8f2de7594b85315e6758ac8160564e80cc75a0d",
+        "P5": "3493d8328bd7ab682c0a5220125efbef6f7bc9016514c6814d821eedfecfabce",
+        "P6": "ec05ff828a7989df9c9a5ee7fe1f3f16f3e6d4e54b4a23f66fd31394b12a6312",
+        "eavesdropper": "f5e455bb7c8f17049fe61c3a6047ee4d86479891219e7362984c2fb3d2704322",
+    },
+    "share_secret_kk": {
+        "D": "09bf307a2e68364483822e53a078dc0039986fadd335eabdbfe641ba4ae66bb2",
+        "P1": "b099ba34a109564149015c58848413fa8e04dc49a3fad8a5e2cc20a664e997f5",
+        "P2": "7e5b1e8904d91721824e521db2ee62d1ff8603882ef66cf850d643e0b925866e",
+        "P3": "22569f9ac48069dc2f250cba8bb03f361ad085468944992490a494c7792c68c2",
+        "eavesdropper": "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+    },
+    "sum_of_powers": {
+        "P1": "ed4811895307dc53a4ffc9b53001046f375daf33b58db9a9fd9d6e8de0d8d11d",
+        "P2": "c990e9d3de94d025495977a6b93b32301eec3bdba2f6e23160f0211910c7451f",
+        "P3": "101426e3abd27308a35bcf17c0d26fd211ca6bf0ffb308d2ea35370284d966f6",
+        "eavesdropper": "4cc45ab3e6d8f7a922ae073fd7d36a6fe7fba48fc371d4d04a60e7efa5140bcb",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_views_match_recorded_digests(name):
+    assert view_digests(CONFIGS[name]) == DIGESTS[name]
+
+
+def test_every_cli_protocol_is_covered():
+    from ringmpc.cli import RUNNERS
+
+    assert set(RUNNERS) <= {cfg["protocol"] for cfg in CONFIGS.values()}
