@@ -110,6 +110,7 @@ def discover_draw_sites(spec: SecrecySpec):
 def enumerate_runs(spec: SecrecySpec):
     """Yield (inputs, outcome, transcript) over all inputs x all randomness."""
     sites = discover_draw_sites(spec)
+    graph = spec.graph if spec.graph is not None else spec.protocol.default_graph()
     total = prod(len(d) for d in spec.input_domains) * prod(n for _, n in sites)
     if total > spec.budget:
         raise BudgetExceeded(
@@ -123,7 +124,7 @@ def enumerate_runs(spec: SecrecySpec):
                 per_party.setdefault(party, []).append(value)
             sources = {p: ScriptedSource(vals) for p, vals in per_party.items()}
             outcome, transcript = run(
-                spec.protocol, spec.graph, inputs, seed=0, sources=sources, record=False
+                spec.protocol, graph, inputs, seed=0, sources=sources, record=False
             )
             yield inputs, outcome, transcript
 

@@ -157,9 +157,11 @@ def rating_graph(k: int) -> ChannelGraph:
 
 
 def _subgraph_without(g: ChannelGraph, drop: int) -> ChannelGraph:
-    parties = [p for p in g.parties if p.index != drop]
-    edges = [(i, j, sec) for i, j, sec in g.edges() if drop not in (i, j)]
-    return ChannelGraph(parties, edges)
+    def build(g):
+        parties = [p for p in g.parties if p.index != drop]
+        return ChannelGraph(parties, [(i, j, sec) for i, j, sec in g.edges() if drop not in (i, j)])
+
+    return g.memo(("without", drop), build)
 
 
 class SecureProduct(Protocol):

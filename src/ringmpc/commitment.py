@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import ring as ring_mod
-from .engine import Protocol, Run, run
+from .engine import Protocol, Run, run, start
 from .errors import CheatDetected, PhaseError, ProtocolError, TopologyError
 from .ring import RingSpec
 from .topology import SECURE, build_cycle, dummy_triangle
@@ -163,9 +163,7 @@ def commit3(values, m=None, seed=0, ring=None, sources=None) -> Commit3Session:
     """Commit three values; returns the session used to decommit later."""
     R = ring if ring is not None else ring_mod.mod_ring(m if m is not None else 2)
     proto = Commit3(R)
-    g = proto.default_graph()
-    proto.check_graph(g)
-    r = Run(proto, g, tuple(values), seed, sources=sources)
+    r = start(proto, None, tuple(values), seed, sources=sources)
     ledgers = proto.program(r)
     return Commit3Session(R, tuple(R.normalize(v) for v in values), ledgers, r)
 
@@ -299,9 +297,7 @@ def commit_k(values, m=None, seed=0, ring=None, sources=None) -> CommitKSession:
             return tuple(r), tuple(s)
 
     proto = _CommitK(R)
-    g = proto.default_graph()
-    proto.check_graph(g)
-    r = Run(proto, g, tuple(values), seed, sources=sources)
+    r = start(proto, None, tuple(values), seed, sources=sources)
     r_parts, s_parts = proto.program(r)
     return CommitKSession(R, tuple(R.normalize(v) for v in values), r_parts, s_parts, r)
 
@@ -427,9 +423,7 @@ class Commit2Session:
 def commit2_dummy(n1, n2, m=None, seed=0, ring=None, sources=None) -> Commit2Session:
     R = ring if ring is not None else ring_mod.mod_ring(m if m is not None else 2)
     proto = Commit2Dummy(R)
-    g = proto.default_graph()
-    proto.check_graph(g)
-    r = Run(proto, g, (n1, n2), seed, sources=sources)
+    r = start(proto, None, (n1, n2), seed, sources=sources)
     ledgers = proto.program(r)
     return Commit2Session(R, tuple(R.normalize(v) for v in (n1, n2)), ledgers, r)
 

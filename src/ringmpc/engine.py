@@ -10,9 +10,12 @@ discipline and evidence:
 * each full party owns a deterministic random generator forked from the
   run seed by party index, while a dummy owns none and any draw attempt
   raises ``DummyRandomnessError``;
-* everything a party sends, receives, generates, or sees broadcast is
-  accumulated into its view, and everything on insecure channels or
-  broadcast into the eavesdropper's view.
+* every note, send and broadcast is appended once to an event log,
+  tagged with its audience: one party, a sender/receiver pair (plus the
+  eavesdropper on an insecure channel), or everyone.  A party's view is
+  the log filtered to the events it is in the audience of, computed only
+  when someone asks for it, so a broadcast to k parties costs one entry,
+  not k.
 
 Randomness goes through a single ``randrange``-shaped interface, so a
 test can replace a party's generator with a scripted source and
@@ -23,7 +26,9 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, NamedTuple
 
 from .errors import DummyRandomnessError, ReplayError, TopologyError
@@ -32,6 +37,11 @@ from .topology import ChannelGraph, INSECURE, validate_topology
 
 BROADCAST = "*"
 EAVESDROPPER = "eavesdropper"
+
+# Audience tags of log events: a tuple of party indices, with TAPPED added
+# when the event crossed an insecure channel, or EVERYONE for a broadcast.
+EVERYONE = None
+TAPPED = -1
 
 
 class Message(NamedTuple):
@@ -76,7 +86,7 @@ def merge_views(*views: View) -> View:
 
 @dataclass
 class Transcript:
-    """Ordered message log plus run metadata; the ground truth for views and metrics."""
+    """Ordered messages, the run's event log and its metadata; views are read from the log."""
 
     protocol: str
     ring: dict
@@ -85,10 +95,14 @@ class Transcript:
     inputs: Any
     params: dict
     messages: tuple
-    views: dict  # party name -> tuple of (label, value)
-    eavesdropped: tuple
+    log: tuple  # (audience, (label, value)) events, as of the moment the transcript was taken
     draw_counts: dict  # party name -> number of randomness draws
     draw_sites: tuple = ()  # ordered (party index, domain size) per draw
+
+    @cached_property
+    def views(self) -> Mapping:
+        """Party name -> tuple of (label, value), filtered from the log on first access."""
+        return _LogViews(self.log, [p["name"] for p in self.topology["parties"]])
 
     def serialize(self) -> str:
         head = {
@@ -118,6 +132,33 @@ class Transcript:
                 )
             )
         return "\n".join(lines) + "\n"
+
+
+def _entries_for(log, who: int) -> tuple:
+    """The (label, value) entries of the log events whose audience includes ``who``."""
+    return tuple(entry for audience, entry in log if audience is EVERYONE or who in audience)
+
+
+class _LogViews(Mapping):
+    """Read-only party name -> view entries; each party's view is built when first read."""
+
+    def __init__(self, log: tuple, names):
+        self._log = log
+        self._index = {name: i for i, name in enumerate(names)}
+        self._built: dict[str, tuple] = {}
+
+    def __getitem__(self, name: str) -> tuple:
+        try:
+            return self._built[name]
+        except KeyError:
+            entries = self._built[name] = _entries_for(self._log, self._index[name])
+            return entries
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
 
 
 def _encode(value):
@@ -190,7 +231,9 @@ class Protocol:
     ``program(run)`` drives the run object through the protocol's steps
     and returns the outcome.  Subclasses override ``default_graph`` and,
     when they need something other than a plain cycle cover,
-    ``check_graph``.
+    ``check_graph``.  The verdict of ``check_graph`` may depend only on
+    the graph and on attributes fixed at construction, because ``start``
+    remembers each (protocol, graph) pair it has accepted.
     """
 
     name = "?"
@@ -225,8 +268,7 @@ class Run:
         self.record = record
         self.messages: list[Message] = []
         self.seq = 0
-        self._views: dict[str, list] = {p.name: [] for p in graph.parties}
-        self._eavesdropped: list = []
+        self.log: list[tuple] = []  # (audience, (label, value)) per note, send and broadcast
         self.draw_counts: dict[str, int] = {p.name: 0 for p in graph.parties}
         self.draw_sites: list[tuple[int, int]] = []  # (party index, domain size)
         self._sources = {}
@@ -253,35 +295,28 @@ class Run:
 
     # -- randomness ----------------------------------------------------
 
-    def randrange(self, party: int, n: int, label: str) -> int:
+    def _draw_source(self, party: int, n: int):
+        """The party's source, with one draw over range(n) counted against it."""
         src = self.source(party)
         self.draw_sites.append((party, n))
         self.draw_counts[self.name(party)] += 1
-        v = src.randrange(n)
+        return src
+
+    def randrange(self, party: int, n: int, label: str) -> int:
+        v = self._draw_source(party, n).randrange(n)
         self.note(party, label, v)
         return v
 
     def rand_int(self, party: int, lo: int, hi: int, label: str) -> int:
         """Uniform integer in [lo, hi]."""
-        src = self.source(party)
-        self.draw_sites.append((party, hi - lo + 1))
-        self.draw_counts[self.name(party)] += 1
-        v = lo + src.randrange(hi - lo + 1)
+        n = hi - lo + 1
+        v = lo + self._draw_source(party, n).randrange(n)
         self.note(party, label, v)
         return v
 
     def noise(self, party: int, label: str, require_unit: bool = False) -> int:
         """Draw ring noise for ``party`` and record it in the party's view."""
-        src = self.source(party)
-        n = len(self.ring.units()) if (self.ring.modular and require_unit) else None
-        if n is None:
-            if self.ring.modular:
-                n = self.ring.modulus
-            else:
-                b = self.ring.noise_bound
-                n = 2 * b if require_unit else 2 * b + 1
-        self.draw_sites.append((party, n))
-        self.draw_counts[self.name(party)] += 1
+        src = self._draw_source(party, self.ring.noise_domain(require_unit))
         v = self.ring.sample_noise(src, require_unit=require_unit)
         self.note(party, label, v)
         return v
@@ -290,7 +325,7 @@ class Run:
 
     def note(self, party: int, label: str, value) -> None:
         """Record a privately held value (input, noise, local result) in a view."""
-        self._views[self.name(party)].append((label, _hashable(value)))
+        self.log.append(((party,), (label, _hashable(value))))
 
     def send(self, frm: int, to: int, value, label: str, kind: str = "elem") -> None:
         security = self.graph.security(frm, to)  # raises if not a channel
@@ -300,10 +335,8 @@ class Run:
                 Message(self.seq, self.name(frm), self.name(to), security, kind, payload, label)
             )
         self.seq += 1
-        self._views[self.name(frm)].append((label, payload))
-        self._views[self.name(to)].append((label, payload))
-        if security == INSECURE:
-            self._eavesdropped.append((label, payload))
+        audience = (frm, to, TAPPED) if security == INSECURE else (frm, to)
+        self.log.append((audience, (label, payload)))
 
     def broadcast(self, frm: int, value, label: str, kind: str = "elem") -> None:
         """One message visible to every party and to the eavesdropper."""
@@ -313,13 +346,12 @@ class Run:
                 Message(self.seq, self.name(frm), BROADCAST, INSECURE, kind, payload, label)
             )
         self.seq += 1
-        for p in self.graph.parties:
-            self._views[p.name].append((label, payload))
-        self._eavesdropped.append((label, payload))
+        self.log.append((EVERYONE, (label, payload)))
 
     # -- packaging -------------------------------------------------------
 
     def transcript(self, inputs_meta=None) -> Transcript:
+        """A snapshot: events logged after this call do not show in it."""
         return Transcript(
             protocol=self.protocol.name,
             ring=self.ring.to_config(),
@@ -328,8 +360,7 @@ class Run:
             inputs=self.inputs if inputs_meta is None else inputs_meta,
             params=self.protocol.params(),
             messages=tuple(self.messages),
-            views={name: tuple(entries) for name, entries in self._views.items()},
-            eavesdropped=tuple(self._eavesdropped),
+            log=tuple(self.log),
             draw_counts=dict(self.draw_counts),
             draw_sites=tuple(self.draw_sites),
         )
@@ -349,20 +380,36 @@ def run(protocol: Protocol, graph: ChannelGraph | None = None, inputs=(), seed: 
     transcript.  ``sources`` optionally overrides per-party randomness
     with scripted sources, keyed by party index.
     """
-    g = graph if graph is not None else protocol.default_graph()
-    protocol.check_graph(g)
-    r = Run(protocol, g, inputs, seed, sources=sources, record=record)
+    r = start(protocol, graph, inputs, seed, sources=sources, record=record)
     outcome = protocol.program(r)
     return outcome, r.transcript()
 
 
+def start(protocol: Protocol, graph: ChannelGraph | None = None, inputs=(), seed: int = 0,
+          sources=None, record: bool = True) -> Run:
+    """A fresh ``Run`` of ``protocol`` on ``graph`` (default: the protocol's own).
+
+    ``check_graph`` runs once per (protocol, graph) pair: an accepted pair
+    is remembered on the graph until its next ``add_edge``.
+    """
+    g = graph if graph is not None else protocol.default_graph()
+
+    def accept(g):
+        protocol.check_graph(g)
+        return protocol  # held, so that id(protocol) is not reused while remembered
+
+    g.memo(("accepted", id(protocol)), accept)
+    return Run(protocol, g, inputs, seed, sources=sources, record=record)
+
+
 def extract_view(t: Transcript, party: str) -> View:
     """The named party's knowledge: inputs, own noise, incident messages, broadcasts."""
-    if party not in t.views:
-        raise KeyError(f"{party!r} did not participate in this run")
-    return View(party, t.views[party])
+    try:
+        return View(party, t.views[party])
+    except KeyError:
+        raise KeyError(f"{party!r} did not participate in this run") from None
 
 
 def eavesdropper_view(t: Transcript) -> View:
     """Everything that crossed an insecure channel or was broadcast."""
-    return View(EAVESDROPPER, t.eavesdropped)
+    return View(EAVESDROPPER, _entries_for(t.log, TAPPED))

@@ -108,27 +108,28 @@ class RingSpec:
             raise RingError(f"{r} is not divisible by {a}: corrupted value")
         return r // a
 
+    def noise_domain(self, require_unit: bool = False) -> int:
+        """Size of the candidate set one noise draw indexes: its ``randrange`` bound."""
+        if self.modular:
+            return len(self.units()) if require_unit else self.modulus
+        return 2 * self.noise_bound if require_unit else 2 * self.noise_bound + 1
+
     def sample_noise(self, source, require_unit: bool = False) -> int:
         """Draw one noise element from ``source``.
 
         ``source`` needs a ``randrange(n)`` method (``random.Random``
         qualifies, as does the scripted source used for exhaustive
-        enumeration).  Exactly one ``randrange`` call is made per sample,
-        drawn over the candidate set directly, so an enumerator can cover
-        the noise space by indexing it.
+        enumeration).  Exactly one ``randrange(noise_domain(...))`` call
+        is made per sample, drawn over the candidate set directly, so an
+        enumerator can cover the noise space by indexing it.
         """
+        idx = source.randrange(self.noise_domain(require_unit))
         if self.modular:
-            if require_unit:
-                units = _units(self.modulus)
-                if not units:
-                    raise RingError(f"no units modulo {self.modulus}")
-                return units[source.randrange(len(units))]
-            return source.randrange(self.modulus)
+            return _units(self.modulus)[idx] if require_unit else idx
         b = self.noise_bound
-        if require_unit:
-            idx = source.randrange(2 * b)  # nonzero values of [-b, b]
+        if require_unit:  # nonzero values of [-b, b]
             return idx - b if idx < b else idx - b + 1
-        return source.randrange(2 * b + 1) - b
+        return idx - b
 
     def elements(self) -> range:
         """Enumerable element domain (modular rings only)."""

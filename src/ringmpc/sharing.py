@@ -34,9 +34,11 @@ def _cycle_order(g: ChannelGraph, k: int):
 
 
 def _players_subgraph(g: ChannelGraph, k: int) -> ChannelGraph:
-    parties = [p for p in g.parties if p.index < k]
-    edges = [(i, j, sec) for i, j, sec in g.edges() if i < k and j < k]
-    return ChannelGraph(parties, edges)
+    def build(g):
+        parties = [p for p in g.parties if p.index < k]
+        return ChannelGraph(parties, [(i, j, sec) for i, j, sec in g.edges() if i < k and j < k])
+
+    return g.memo(("players", k), build)
 
 
 def masked_split_subroutine(run: Run, ring: RingSpec, cycle, initiator_pos: int, value: int,
@@ -105,7 +107,7 @@ def distribute_shares_subroutine(value, initiator=0, k=3, graph=None, seed=0, ri
     """Split ``value`` into k summands, one per player, summing to value."""
     R = ring if ring is not None else ring_mod.integers()
     g = graph if graph is not None else build_cycle(k)
-    outcome, _ = run(DistributeShares(R, initiator), g, (value,), seed)
+    outcome, _ = run(DistributeShares(R, initiator, k), g, (value,), seed)
     return outcome
 
 

@@ -8,6 +8,10 @@ disjoint union of cycles.  Cycles of length 1 or 2 cannot occur in a
 simple graph, so "2-regular" is the whole acceptance condition; the
 protocols that use a star around a dummy declare their own channel sets
 and are checked against those instead.
+
+Everything derived from a graph's edges (the sorted edge list, the
+validation verdict, the cycle walk, subgraphs) is computed once and
+memoised on the graph; ``add_edge`` forgets it all.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ class ChannelGraph:
         if len({p.name for p in self.parties}) != len(self.parties):
             raise TopologyError("duplicate party names")
         self._security: dict[frozenset, str] = {}
+        self._memo: dict = {}
         for i, j, security in edges:
             self.add_edge(i, j, security)
 
@@ -66,6 +71,15 @@ class ChannelGraph:
         if key in self._security:
             raise TopologyError(f"duplicate edge ({i},{j})")
         self._security[key] = security
+        self._memo.clear()
+
+    def memo(self, key, compute):
+        """``compute(self)``, evaluated once per ``key`` until the next ``add_edge``."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute(self)
+            return value
 
     def has_edge(self, i: int, j: int) -> bool:
         return frozenset((i, j)) in self._security
@@ -76,13 +90,10 @@ class ChannelGraph:
         except KeyError:
             raise TopologyError(f"no channel between {i} and {j}") from None
 
-    def edges(self):
+    def edges(self) -> tuple:
         """Edges as sorted (i, j, security) triples, deterministic order."""
-        out = []
-        for key, sec in self._security.items():
-            i, j = sorted(key)
-            out.append((i, j, sec))
-        return sorted(out)
+        return self.memo("edges", lambda g: tuple(sorted(
+            (*sorted(key), sec) for key, sec in g._security.items())))
 
     def secure_pairs(self):
         return [(i, j) for i, j, sec in self.edges() if sec == SECURE]
@@ -153,8 +164,8 @@ def validate_secure_edges(k: int, pairs) -> tuple[bool, str | None]:
 
 def validate_topology(g: ChannelGraph) -> ValidationResult:
     """Accept iff the secure subgraph is a disjoint union of cycles of length >= 3."""
-    ok, reason = validate_secure_edges(g.k, [(i, j) for i, j in g.secure_pairs()])
-    return ValidationResult(ok, reason)
+    return g.memo("validation", lambda g: ValidationResult(
+        *validate_secure_edges(g.k, g.secure_pairs())))
 
 
 def secure_cycles(g: ChannelGraph) -> list[list[int]]:
@@ -165,6 +176,10 @@ def secure_cycles(g: ChannelGraph) -> list[list[int]]:
     orientation.  Raises TopologyError if the graph is not a valid cycle
     cover.
     """
+    return [list(cycle) for cycle in g.memo("cycles", _walk_cycles)]
+
+
+def _walk_cycles(g: ChannelGraph) -> tuple:
     result = validate_topology(g)
     if not result:
         raise TopologyError(result.reason)
@@ -187,5 +202,5 @@ def secure_cycles(g: ChannelGraph) -> list[list[int]]:
             seen.add(cur)
             nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
             prev, cur = cur, nxt
-        cycles.append(cycle)
-    return cycles
+        cycles.append(tuple(cycle))
+    return tuple(cycles)

@@ -1,14 +1,19 @@
+import random
+
 import pytest
 
 import ringmpc.ring as rr
-from ringmpc.arithmetic import SecureSum
+from ringmpc import commitment
+from ringmpc.arithmetic import MillionairesCompare, SecureSum
 from ringmpc.commitment import Commit3
 from ringmpc.engine import (
+    EVERYONE,
     ScriptedSource,
     eavesdropper_view,
     extract_view,
     parse_transcript,
     run,
+    start,
 )
 from ringmpc.errors import DummyRandomnessError, ReplayError, TopologyError
 from ringmpc.topology import ChannelGraph, Party, build_cycle, default_parties
@@ -149,3 +154,76 @@ def test_draw_counts_and_sites_recorded():
     _, t = run(proto, build_cycle(3), (1, 2, 3), seed=0)
     assert t.draw_counts == {"P1": 1, "P2": 1, "P3": 1}
     assert t.draw_sites == ((0, 5), (1, 5), (2, 5))
+
+
+def _view_sizes(t, names):
+    return [len(extract_view(t, name).entries) for name in names]
+
+
+@pytest.mark.parametrize("open_, close, names, before, after", [
+    (lambda: commitment.commit3((1, 0, 1), m=2, seed=3), commitment.decommit3,
+     ("P1", "P2", "P3"), [7, 7, 7], [11, 11, 12]),
+    (lambda: commitment.commit2_dummy(1, 0, m=2, seed=3), commitment.decommit2_dummy,
+     ("A", "B", "D"), [6, 6, 2], [8, 8, 4]),
+    (lambda: commitment.commit_k((1, 0, 1, 1), m=2, seed=3), commitment.decommit_k,
+     ("P1", "P2", "P3", "P4"), [7, 7, 7, 7], [15, 15, 15, 15]),
+], ids=["commit3", "commit2_dummy", "commit_k"])
+def test_session_transcript_is_a_snapshot(open_, close, names, before, after):
+    # The sizes are those of the engine that copied every view eagerly.
+    session = open_()
+    committed = session.transcript
+    n_messages = len(committed.messages)
+    eavesdropped = eavesdropper_view(committed).entries
+    close(session)
+    assert _view_sizes(committed, names) == before
+    assert len(committed.messages) == n_messages
+    assert eavesdropper_view(committed).entries == eavesdropped
+    assert _view_sizes(session.transcript, names) == after
+
+
+def test_transcript_ignores_events_logged_after_it():
+    proto = MillionairesCompare(rr.mod_ring(11))
+    _, reference = run(proto, None, (7, 3), seed=2)
+    r = start(proto, None, (7, 3), seed=2)
+    proto.program(r)
+    t = r.transcript()
+    r.broadcast(2, 1, "late announcement")
+    r.note(0, "late note", 5)
+    names = ("A", "B", "D")
+    a, b, d = _view_sizes(reference, names)
+    assert _view_sizes(t, names) == [a, b, d]
+    assert eavesdropper_view(t) == eavesdropper_view(reference)
+    assert _view_sizes(r.transcript(), names) == [a + 2, b + 1, d + 1]
+
+
+def test_ten_thousand_party_sum_keeps_a_linear_log():
+    k = 10_000
+    inputs = list(range(-k // 2, k // 2))
+    total, t = run(SecureSum(rr.integers()), build_cycle(k), inputs, seed=1)
+    assert total == sum(inputs)
+    # per party: its input and its noise noted, one send, one broadcast
+    assert len(t.log) == 4 * k
+    assert sum(audience is EVERYONE for audience, _ in t.log) == k
+    # P2 holds its two notes, the partial sums in and out, and all k broadcasts
+    assert len(extract_view(t, "P2").entries) == k + 4
+
+
+class _RecordingSource:
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.bounds = []
+
+    def randrange(self, n):
+        self.bounds.append(n)
+        return self.rng.randrange(n)
+
+
+@pytest.mark.parametrize("ring", [rr.integers(5), rr.mod_ring(7), rr.mod_ring(12)],
+                         ids=["Z", "Z_7", "Z_12"])
+@pytest.mark.parametrize("require_unit", [False, True])
+def test_recorded_draw_bound_is_the_bound_drawn(ring, require_unit):
+    src = _RecordingSource(4)
+    r = start(SecureSum(ring), build_cycle(3), (0, 0, 0), sources={0: src})
+    for n in range(20):
+        r.noise(0, f"noise {n}", require_unit=require_unit)
+    assert [n for _, n in r.draw_sites] == src.bounds == [ring.noise_domain(require_unit)] * 20

@@ -58,6 +58,20 @@ class TestSubroutine:
         # the initiator's summand never travels; other summands only as masked remainders
         assert len(t.messages) == 3
 
+    def test_subroutine_records_its_party_count(self, monkeypatch):
+        import ringmpc.sharing as sharing
+
+        seen = []
+
+        def spy(proto, *args, **kwargs):
+            seen.append(proto.params())
+            return run(proto, *args, **kwargs)
+
+        monkeypatch.setattr(sharing, "run", spy)
+        summands = distribute_shares_subroutine(50, initiator=2, k=5, seed=1)
+        assert sum(summands) == 50 and len(summands) == 5
+        assert seen == [{"initiator": 2, "k": 5}]
+
 
 class TestShareSecret:
     def test_reconstruct_100(self):

@@ -1,5 +1,8 @@
 import pytest
 
+import ringmpc.ring as rr
+from ringmpc.arithmetic import SecureSum
+from ringmpc.engine import run
 from ringmpc.errors import TopologyError
 from ringmpc.topology import (
     ChannelGraph,
@@ -110,3 +113,44 @@ def test_config_roundtrip():
 def test_unknown_party_lookup():
     with pytest.raises(TopologyError):
         build_cycle(3).party("Q7")
+
+
+def test_add_edge_forgets_an_accepted_graph():
+    proto = SecureSum(rr.mod_ring(5))
+    g = build_cycle(4)
+    assert secure_cycles(g) == [[0, 1, 2, 3]]
+    run(proto, g, (1, 2, 3, 4), seed=0)
+    g.add_edge(0, 2, "secure")
+    assert (0, 2, "secure") in g.edges()
+    assert not validate_topology(g)
+    with pytest.raises(TopologyError):
+        run(proto, g, (1, 2, 3, 4), seed=0)
+    with pytest.raises(TopologyError):
+        secure_cycles(g)
+
+
+def test_add_edge_can_complete_a_rejected_graph():
+    proto = SecureSum(rr.mod_ring(5))
+    g = ChannelGraph(default_parties(3), [(0, 1, "secure"), (1, 2, "secure")])
+    with pytest.raises(TopologyError):
+        run(proto, g, (1, 2, 3), seed=0)
+    with pytest.raises(TopologyError):
+        secure_cycles(g)
+    g.add_edge(0, 2, "secure")
+    assert secure_cycles(g) == [[0, 1, 2]]
+    total, _ = run(proto, g, (1, 2, 3), seed=0)
+    assert total == 1
+
+
+def test_add_insecure_edge_shows_in_the_edge_list():
+    g = build_cycle(4)
+    before = g.to_config()["edges"]
+    g.add_edge(0, 2, "insecure")
+    assert g.to_config()["edges"] == sorted(before + [[0, 2, "insecure"]])
+    assert validate_topology(g)
+
+
+def test_secure_cycles_returns_fresh_lists():
+    g = build_cycle(3)
+    secure_cycles(g)[0].append(99)
+    assert secure_cycles(g) == [[0, 1, 2]]
