@@ -29,8 +29,8 @@ from .engine import (
     merge_views,
     run,
 )
-from .errors import BudgetExceeded, ProtocolError, TopologyError
-from .topology import ChannelGraph, build_cycle, secure_cycles
+from .errors import BudgetExceeded, ProtocolError
+from .topology import ChannelGraph, build_cycle, single_cycle
 
 INDEPENDENT = "independent"
 INDEPENDENT_UNIFORM = "independent_uniform"
@@ -110,7 +110,7 @@ def discover_draw_sites(spec: SecrecySpec):
 def enumerate_runs(spec: SecrecySpec):
     """Yield (inputs, outcome, transcript) over all inputs x all randomness."""
     sites = discover_draw_sites(spec)
-    graph = spec.graph if spec.graph is not None else spec.protocol.default_graph()
+    graph = spec.graph or spec.protocol.default_graph(len(spec.input_domains))
     total = prod(len(d) for d in spec.input_domains) * prod(n for _, n in sites)
     if total > spec.budget:
         raise BudgetExceeded(
@@ -346,10 +346,7 @@ def coalition_closure(g: ChannelGraph, coalition, protocol: str = "secure_sum") 
     """
     if protocol != "secure_sum":
         raise ProtocolError(f"coalition analysis covers secure_sum, not {protocol!r}")
-    cycles = secure_cycles(g)
-    if len(cycles) != 1:
-        raise TopologyError("coalition analysis runs on a single cycle")
-    cycle = cycles[0]
+    cycle = single_cycle("coalition analysis", g)
     k = len(cycle)
     members = sorted(set(coalition))
     if not 0 < len(members) < k:

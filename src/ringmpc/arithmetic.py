@@ -21,11 +21,12 @@ from .topology import (
     INSECURE,
     Party,
     SECURE,
-    build_cycle,
+    check_dummy_triangle,
     default_parties,
     dummy_triangle,
+    players_subgraph,
     secure_cycles,
-    validate_topology,
+    single_cycle,
 )
 
 
@@ -44,9 +45,7 @@ class SecureSum(Protocol):
     """
 
     name = "secure_sum"
-
-    def default_graph(self):
-        raise TopologyError("secure_sum needs an explicit cycle graph")
+    result = "sum"
 
     def program(self, run: Run):
         R = self.ring
@@ -93,26 +92,27 @@ class SecureRating(Protocol):
     """
 
     name = "secure_rating"
+    result = "total"
 
     def __init__(self, ring: RingSpec, k: int):
         super().__init__(ring)
         self.k = k
 
+    @classmethod
+    def from_params(cls, ring, params, inputs):
+        return cls(ring, len(inputs))
+
     def params(self):
         return {"k": self.k}
 
-    def default_graph(self):
+    def default_graph(self, k):
         return rating_graph(self.k)
 
     def check_graph(self, g):
         k = self.k
         if g.k != k + 1:
             raise TopologyError(f"secure_rating with k={k} needs {k + 1} parties (incl. the aggregator)")
-        ok = validate_topology(_subgraph_without(g, k))
-        if not ok:
-            raise TopologyError(f"secure_rating: {ok.reason}")
-        if len(secure_cycles(_subgraph_without(g, k))) != 1:
-            raise TopologyError("secure_rating needs a single cycle of parties")
+        single_cycle(self.name, players_subgraph(g, k))
         for endpoint in (0, k - 1):
             if not g.has_edge(endpoint, k):
                 raise TopologyError(f"secure_rating: aggregator unreachable from party {endpoint}")
@@ -156,18 +156,11 @@ def rating_graph(k: int) -> ChannelGraph:
     return ChannelGraph(parties, edges)
 
 
-def _subgraph_without(g: ChannelGraph, drop: int) -> ChannelGraph:
-    def build(g):
-        parties = [p for p in g.parties if p.index != drop]
-        return ChannelGraph(parties, [(i, j, sec) for i, j, sec in g.edges() if drop not in (i, j)])
-
-    return g.memo(("without", drop), build)
-
-
 class SecureProduct(Protocol):
     """Multiplicative analogue of the sum: masks are units so they divide out."""
 
     name = "secure_product"
+    result = "product"
 
     def program(self, run: Run):
         R = self.ring
@@ -210,8 +203,9 @@ class SumOfPowers(Protocol):
     """Sum of r-th powers behind a single random mask held by the initiator."""
 
     name = "sum_of_powers"
+    result = "power_sum"
 
-    def __init__(self, ring: RingSpec, exponent: int):
+    def __init__(self, ring: RingSpec, exponent: int = 1):
         if exponent < 1:
             raise ProtocolError("exponent must be >= 1")
         super().__init__(ring)
@@ -223,10 +217,7 @@ class SumOfPowers(Protocol):
     def program(self, run: Run):
         R = self.ring
         r = self.exponent
-        cycles = _cycles_or_raise(self.name, run.graph)
-        if len(cycles) != 1:
-            raise TopologyError("sum_of_powers runs on a single cycle")
-        cycle = cycles[0]
+        cycle = single_cycle(self.name, run.graph)
         values = [R.normalize(v) for v in run.inputs]
         for i, v in enumerate(values):
             run.note(i, f"n{i + 1}", v)
@@ -281,14 +272,10 @@ class ExampleF1(Protocol):
     """
 
     name = "example_f1"
-
-    def default_graph(self):
-        return build_cycle(3)
+    arity = 3
 
     def program(self, run: Run):
         R = self.ring
-        if len(run.inputs) != 3:
-            raise ProtocolError("example_f1 takes exactly three inputs")
         n1, n2, n3 = (R.normalize(v) for v in run.inputs)
         for i, v in enumerate((n1, n2, n3)):
             run.note(i, f"n{i + 1}", v)
@@ -303,30 +290,46 @@ class ExampleF1(Protocol):
         return result
 
 
+# The g functions a config or a transcript header can name.
+G_FUNCS = {
+    "identity": lambda x: x,
+    "square": lambda x: x * x,
+    "cube": lambda x: x * x * x,
+    "zero": lambda x: 0,
+}
+
+
 class ExampleF2(Protocol):
     """f(n1,n2,n3) = n1*n2 + g(n3): multiplicative masking, two directions.
 
     Both masks are sampled invertible so the two exact divisions always
-    succeed.  ``g_name`` tags the function for transcript metadata.
+    succeed.  ``g_name`` tags the function for transcript metadata; only a
+    run whose g is one of ``G_FUNCS`` can be rebuilt from its params.
     """
 
     name = "example_f2"
+    arity = 3
 
     def __init__(self, ring: RingSpec, g_func, g_name: str = "custom"):
         super().__init__(ring)
         self.g_func = g_func
         self.g_name = g_name
 
+    @classmethod
+    def from_params(cls, ring, params, inputs):
+        g_name = params.get("g", "identity")
+        if g_name not in G_FUNCS:
+            raise ProtocolError(
+                f"unknown g function {g_name!r}; choose from {sorted(G_FUNCS)} (a run that "
+                "used a caller-supplied g records only its name and cannot be re-executed)"
+            )
+        return cls(ring, G_FUNCS[g_name], g_name)
+
     def params(self):
         return {"g": self.g_name}
 
-    def default_graph(self):
-        return build_cycle(3)
-
     def program(self, run: Run):
         R = self.ring
-        if len(run.inputs) != 3:
-            raise ProtocolError("example_f2 takes exactly three inputs")
         n1, n2, n3 = (R.normalize(v) for v in run.inputs)
         for i, v in enumerate((n1, n2, n3)):
             run.note(i, f"n{i + 1}", v)
@@ -366,16 +369,17 @@ class MillionairesCompare(Protocol):
     """
 
     name = "millionaires_compare"
+    arity = 2
 
-    def default_graph(self):
+    @classmethod
+    def encode(cls, outcome):
+        return {"verdict": outcome.verdict}
+
+    def default_graph(self, k):
         return dummy_triangle()
 
     def check_graph(self, g):
-        if g.k != 3:
-            raise TopologyError("millionaires runs between A, B and a dummy")
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            if not (g.has_edge(i, j) and g.security(i, j) == SECURE):
-                raise TopologyError(f"millionaires needs a secure link between parties {i} and {j}")
+        check_dummy_triangle(self.name, g)
 
     def program(self, run: Run):
         R = self.ring
@@ -433,6 +437,7 @@ class MillionairesBitwise(Protocol):
     """
 
     name = "millionaires_bitwise"
+    arity = 2
 
     def __init__(self, bit_width: int):
         if bit_width < 1:
@@ -440,13 +445,22 @@ class MillionairesBitwise(Protocol):
         super().__init__(ring_mod.mod_ring(3))
         self.bit_width = bit_width
 
+    @classmethod
+    def from_params(cls, ring, params, inputs):
+        return cls(int(params.get("bit_width", 8)))
+
     def params(self):
         return {"bit_width": self.bit_width}
 
-    def default_graph(self):
+    @classmethod
+    def encode(cls, outcome):
+        return {"verdict": outcome.verdict, "decided_bit": outcome.decided_bit}
+
+    def default_graph(self, k):
         return dummy_triangle()
 
-    check_graph = MillionairesCompare.check_graph
+    def check_graph(self, g):
+        check_dummy_triangle(self.name, g)
 
     def program(self, run: Run):
         R = self.ring
@@ -478,48 +492,37 @@ class MillionairesBitwise(Protocol):
 
 
 def secure_sum(inputs, graph=None, seed=0, ring=None):
-    R = ring if ring is not None else ring_mod.integers()
-    g = graph if graph is not None else build_cycle(len(inputs))
-    outcome, _ = run(SecureSum(R), g, inputs, seed)
+    outcome, _ = run(SecureSum(ring), graph, inputs, seed)
     return outcome
 
 
 def secure_rating(inputs, graph=None, seed=0, ring=None):
-    R = ring if ring is not None else ring_mod.integers()
-    proto = SecureRating(R, len(inputs))
-    outcome, _ = run(proto, graph, inputs, seed)
+    outcome, _ = run(SecureRating(ring, len(inputs)), graph, inputs, seed)
     return outcome
 
 
 def secure_product(inputs, graph=None, seed=0, ring=None):
-    R = ring if ring is not None else ring_mod.integers()
-    g = graph if graph is not None else build_cycle(len(inputs))
-    outcome, _ = run(SecureProduct(R), g, inputs, seed)
+    outcome, _ = run(SecureProduct(ring), graph, inputs, seed)
     return outcome
 
 
 def sum_of_powers(inputs, exponent, graph=None, seed=0, ring=None):
-    R = ring if ring is not None else ring_mod.integers()
-    g = graph if graph is not None else build_cycle(len(inputs))
-    outcome, _ = run(SumOfPowers(R, exponent), g, inputs, seed)
+    outcome, _ = run(SumOfPowers(ring, exponent), graph, inputs, seed)
     return outcome
 
 
 def example_f1(n1, n2, n3, seed=0, ring=None):
-    R = ring if ring is not None else ring_mod.integers()
-    outcome, _ = run(ExampleF1(R), None, (n1, n2, n3), seed)
+    outcome, _ = run(ExampleF1(ring), None, (n1, n2, n3), seed)
     return outcome
 
 
 def example_f2(n1, n2, n3, g_func, seed=0, ring=None, g_name="custom"):
-    R = ring if ring is not None else ring_mod.integers()
-    outcome, _ = run(ExampleF2(R, g_func, g_name), None, (n1, n2, n3), seed)
+    outcome, _ = run(ExampleF2(ring, g_func, g_name), None, (n1, n2, n3), seed)
     return outcome
 
 
 def millionaires_compare(n1, n2, seed=0, ring=None):
-    R = ring if ring is not None else ring_mod.integers()
-    outcome, _ = run(MillionairesCompare(R), None, (n1, n2), seed)
+    outcome, _ = run(MillionairesCompare(ring), None, (n1, n2), seed)
     return outcome.verdict
 
 

@@ -2,268 +2,111 @@
 
 Exit codes: 0 success, 2 config/schema problem, 3 topology rejection,
 4 cheat detection or replay divergence, 1 anything else.
+
+``run`` and ``replay`` name no protocol: ``RUNNERS`` maps each protocol
+name to its ``Protocol`` class, whose hooks decode the config and encode
+the outcome.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
 
 from . import analysis, arithmetic, commitment, poker, sharing
 from . import ring as ring_mod
-from .engine import parse_transcript, run
-from .errors import (
-    CheatDetected,
-    ProtocolError,
-    ReplayError,
-    RingError,
-    TopologyError,
-)
-from .topology import ChannelGraph, build_cycle
+from .commitment import COMMIT2_CHECKS, COMMIT3_CHECKS, Commit2Dummy, Commit3, ObliviousTransfer
+from .engine import commit, parse_transcript, run
+from .errors import CheatDetected, ProtocolError, ReplayError, TopologyError
+from .poker import CardDeal
+from .topology import ChannelGraph
 
 EXIT_SCHEMA = 2
 EXIT_TOPOLOGY = 3
 EXIT_CHEAT = 4
 
-G_FUNCS = {
-    "identity": lambda x: x,
-    "square": lambda x: x * x,
-    "cube": lambda x: x * x * x,
-    "zero": lambda x: 0,
-}
-
-
-def _int(x):
-    return int(x)
-
-
-def _ints(xs):
-    return tuple(int(x) for x in xs)
-
-
-def _ring_of(config):
-    cfg = config.get("ring", {"ring": "Z"})
-    return ring_mod.RingSpec.from_config(cfg)
-
-
-def _graph_of(config):
-    topo = config.get("topology")
-    return ChannelGraph.from_config(topo) if topo is not None else None
-
-
-def _run_secure_sum(config):
-    R = _ring_of(config)
-    inputs = _ints(config["inputs"])
-    proto = arithmetic.SecureSum(R)
-    g = _graph_of(config) or build_cycle(len(inputs))
-    outcome, t = run(proto, g, inputs, _int(config.get("seed", 0)))
-    return {"sum": str(outcome)}, t
-
-
-def _run_secure_rating(config):
-    R = _ring_of(config)
-    inputs = _ints(config["inputs"])
-    proto = arithmetic.SecureRating(R, len(inputs))
-    outcome, t = run(proto, _graph_of(config), inputs, _int(config.get("seed", 0)))
-    return {"total": str(outcome)}, t
-
-
-def _run_secure_product(config):
-    R = _ring_of(config)
-    inputs = _ints(config["inputs"])
-    proto = arithmetic.SecureProduct(R)
-    g = _graph_of(config) or build_cycle(len(inputs))
-    outcome, t = run(proto, g, inputs, _int(config.get("seed", 0)))
-    return {"product": str(outcome)}, t
-
-
-def _run_sum_of_powers(config):
-    R = _ring_of(config)
-    inputs = _ints(config["inputs"])
-    exponent = _int(config.get("params", {}).get("exponent", 1))
-    proto = arithmetic.SumOfPowers(R, exponent)
-    g = _graph_of(config) or build_cycle(len(inputs))
-    outcome, t = run(proto, g, inputs, _int(config.get("seed", 0)))
-    return {"power_sum": str(outcome)}, t
-
-
-def _run_example_f1(config):
-    R = _ring_of(config)
-    inputs = _ints(config["inputs"])
-    proto = arithmetic.ExampleF1(R)
-    outcome, t = run(proto, _graph_of(config), inputs, _int(config.get("seed", 0)))
-    return {"value": str(outcome)}, t
-
-
-def _run_example_f2(config):
-    R = _ring_of(config)
-    inputs = _ints(config["inputs"])
-    g_name = config.get("params", {}).get("g", "identity")
-    if g_name not in G_FUNCS:
-        raise ProtocolError(f"unknown g function {g_name!r}; choose from {sorted(G_FUNCS)}")
-    proto = arithmetic.ExampleF2(R, G_FUNCS[g_name], g_name)
-    outcome, t = run(proto, _graph_of(config), inputs, _int(config.get("seed", 0)))
-    return {"value": str(outcome)}, t
-
-
-def _run_millionaires(config):
-    R = _ring_of(config)
-    inputs = _ints(config["inputs"])
-    proto = arithmetic.MillionairesCompare(R)
-    outcome, t = run(proto, _graph_of(config), inputs, _int(config.get("seed", 0)))
-    return {"verdict": outcome.verdict}, t
-
-
-def _run_millionaires_bitwise(config):
-    inputs = _ints(config["inputs"])
-    width = _int(config.get("params", {}).get("bit_width", 8))
-    proto = arithmetic.MillionairesBitwise(width)
-    outcome, t = run(proto, _graph_of(config), inputs, _int(config.get("seed", 0)))
-    return {"verdict": outcome.verdict, "decided_bit": outcome.decided_bit}, t
-
-
-def _run_commit3(config):
-    R = _ring_of(config)
-    if not R.modular:
-        raise ProtocolError("commit3 needs a modular ring config")
-    inputs = _ints(config["inputs"])
-    session = commitment.commit3(inputs, ring=R, seed=_int(config.get("seed", 0)))
-    recovered = commitment.decommit3(session)
-    return (
-        {name: [str(v) for v in triple] for name, triple in recovered.items()},
-        session.transcript,
-    )
-
-
-def _run_commit2(config):
-    R = _ring_of(config)
-    if not R.modular:
-        raise ProtocolError("commit2 needs a modular ring config")
-    n1, n2 = _ints(config["inputs"])
-    session = commitment.commit2_dummy(n1, n2, ring=R, seed=_int(config.get("seed", 0)))
-    a_learns, b_learns = commitment.decommit2_dummy(session)
-    return {"A learns n2": str(a_learns), "B learns n1": str(b_learns)}, session.transcript
-
-
-def _run_ot(config):
-    R = _ring_of(config)
-    messages = _ints(config["inputs"]["messages"])
-    indices = _ints(config["inputs"]["indices"])
-    proto = commitment.ObliviousTransfer(R)
-    outcome, t = run(proto, _graph_of(config), (messages, indices), _int(config.get("seed", 0)))
-    return {"retrieved": [str(v) for v in outcome.retrieved]}, t
-
-
-def _card_deal_from_params(params):
-    quotas = params.get("quotas")
-    cfg = poker.DealConfig(
-        _int(params["r"]), _int(params["k"]), _int(params["N"]),
-        tuple(_int(q) for q in quotas) if quotas is not None else None,
-    )
-    cc = params.get("counter_contributors")
-    return poker.CardDeal(
-        cfg,
-        with_labels=bool(params.get("with_labels", False)),
-        counter_contributors=tuple(_int(c) for c in cc) if cc else None,
-        consolidate_to=_int(params["consolidate_to"]) if params.get("consolidate_to") is not None else None,
-        post_draws=[( _int(a), _int(b)) for a, b in params.get("post_draws", [])],
-    )
-
-
-def _run_card_deal(config):
-    params = config.get("params", {})
-    proto = _card_deal_from_params(params)
-    g = _graph_of(config) or proto.default_graph()
-    outcome, t = run(proto, g, (), _int(config.get("seed", 0)))
-    return _deal_outcome_json(outcome), t
-
-
-def _deal_outcome_json(outcome):
-    if isinstance(outcome, poker.DealerOutcome):
-        body = _deal_outcome_json(outcome.deal)
-        body["residual"] = [str(c) for c in outcome.residual]
-        body["served"] = [[name, str(card)] for name, card in outcome.served]
-        return body
-    body = {
-        "hands": [[str(c) for c in hand] for hand in outcome.hands],
-        "zero_keeper": outcome.zero_keeper,
-        "quotas": [str(q) for q in outcome.quotas],
-    }
-    if outcome.permutation is not None:
-        body["labels"] = [str(v) for v in outcome.permutation]
-        body["labeled_hands"] = [[str(c) for c in hand] for hand in outcome.labeled_hands()]
-    return body
-
-
-def _run_share(config):
-    R = _ring_of(config)
-    (secret,) = _ints(config["inputs"])
-    k = _int(config.get("params", {}).get("k", 3))
-    proto = sharing.ShareSecret(R, k)
-    outcome, t = run(proto, _graph_of(config), (secret,), _int(config.get("seed", 0)))
-    return {"shares": [str(s) for s in outcome.shares]}, t
-
-
-def _run_distribute(config):
-    R = _ring_of(config)
-    (value,) = _ints(config["inputs"])
-    params = config.get("params", {})
-    k = _int(params.get("k", 3))
-    initiator = _int(params.get("initiator", 0))
-    proto = sharing.DistributeShares(R, initiator, k)
-    g = _graph_of(config) or build_cycle(k)
-    outcome, t = run(proto, g, (value,), _int(config.get("seed", 0)))
-    return {"summands": [str(s) for s in outcome]}, t
-
-
 RUNNERS = {
-    "secure_sum": _run_secure_sum,
-    "secure_rating": _run_secure_rating,
-    "secure_product": _run_secure_product,
-    "sum_of_powers": _run_sum_of_powers,
-    "example_f1": _run_example_f1,
-    "example_f2": _run_example_f2,
-    "millionaires_compare": _run_millionaires,
-    "millionaires_bitwise": _run_millionaires_bitwise,
-    "commit3": _run_commit3,
-    "commit2_dummy": _run_commit2,
-    "ot_dummy": _run_ot,
-    "card_deal": _run_card_deal,
-    "share_secret_kk": _run_share,
-    "distribute_shares": _run_distribute,
+    cls.name: cls
+    for cls in (
+        arithmetic.SecureSum, arithmetic.SecureRating, arithmetic.SecureProduct,
+        arithmetic.SumOfPowers, arithmetic.ExampleF1, arithmetic.ExampleF2,
+        arithmetic.MillionairesCompare, arithmetic.MillionairesBitwise,
+        Commit3, Commit2Dummy, ObliviousTransfer, CardDeal,
+        sharing.ShareSecret, sharing.DistributeShares,
+    )
 }
+
+_REQUIRED = object()
+
+
+def _field(config: dict, key: str, decode, default=_REQUIRED):
+    """``decode`` of field ``key`` of ``config``, or of ``default`` if it is absent or null.
+
+    A None default leaves an absent field None.  Any fault in the value is
+    raised as a ProtocolError that names the field.
+    """
+    raw = config.get(key)
+    if raw is None:
+        if default is _REQUIRED:
+            raise ProtocolError(f"{key!r} is missing")
+        if default is None:
+            return None
+        raw = default
+    try:
+        return decode(raw)
+    except KeyError as e:
+        raise ProtocolError(f"{key!r} is missing {e}") from None
+    except (IndexError, ValueError, TypeError, AttributeError) as e:
+        raise ProtocolError(f"bad {key!r}: {e}") from None
+
+
+def decode_config(config):
+    """(protocol, graph, inputs, seed) from a run config or a transcript header."""
+    if not isinstance(config, dict):
+        raise ProtocolError(f"a config is a JSON object, not {type(config).__name__}")
+    name = config.get("protocol")
+    cls = RUNNERS.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise ProtocolError(f"unknown protocol {name!r}; choose from {sorted(RUNNERS)}")
+    inputs = _field(config, "inputs", cls.decode_inputs, [] if cls.arity == 0 else _REQUIRED)
+    ring = _field(config, "ring", ring_mod.RingSpec.from_config, {"ring": "Z"})
+    protocol = _field(config, "params", lambda params: cls.from_params(ring, params, inputs), {})
+    graph = _field(config, "topology", ChannelGraph.from_config, None)
+    return protocol, graph, inputs, _field(config, "seed", int, 0)
 
 
 def execute_config(config):
-    name = config.get("protocol")
-    if name not in RUNNERS:
-        raise ProtocolError(f"unknown protocol {name!r}; choose from {sorted(RUNNERS)}")
-    if "inputs" not in config and name not in ("card_deal",):
-        raise ProtocolError("config is missing 'inputs'")
-    return RUNNERS[name](config)
+    """Run a config; returns (outcome JSON, transcript).
+
+    A protocol with a reveal phase is committed and revealed at once, and
+    its transcript holds both phases.
+    """
+    protocol, graph, inputs, seed = decode_config(config)
+    if protocol.reveal is None:
+        outcome, transcript = run(protocol, graph, inputs, seed)
+    else:
+        session = commit(protocol, graph, inputs, seed)
+        outcome, transcript = session.reveal(), session.transcript
+    return protocol.encode(outcome), transcript
 
 
 def replay_transcript(text: str):
     """Re-execute a transcript's run and compare byte-for-byte.
 
-    Returns (ok, divergence_seq, detail).
+    Returns (ok, divergence_seq, detail).  A header that does not describe
+    a run this package can re-execute raises ReplayError.
     """
-    meta, records = parse_transcript(text)
-    config = {
-        "protocol": meta["protocol"],
-        "ring": meta["ring"],
-        "seed": int(meta["seed"]),
-        "topology": meta["topology"],
-        "inputs": meta["inputs"],
-        "params": meta.get("params", {}),
-    }
-    if meta["protocol"] == "ot_dummy":
-        messages, indices = meta["inputs"]
-        config["inputs"] = {"messages": messages, "indices": indices}
-    _, transcript = execute_config(config)
+    meta, _ = parse_transcript(text)
+    try:
+        _, transcript = execute_config(meta)
+    except TopologyError:
+        raise
+    except ProtocolError as e:
+        raise ReplayError(f"the transcript header cannot be re-executed: {e}") from None
     expected_lines = transcript.serialize().strip().split("\n")
     got_lines = text.strip().split("\n")
     # Compare message lines; the header was consumed to rebuild the run.
@@ -288,6 +131,67 @@ def _fail(code, message):
     sys.exit(code)
 
 
+@contextmanager
+def _exit_codes():
+    """Exit 3 on a rejected topology, 4 on detected cheating, 2 on any other package error."""
+    try:
+        yield
+    except TopologyError as e:
+        _fail(EXIT_TOPOLOGY, str(e))
+    except CheatDetected as e:
+        _fail(EXIT_CHEAT, str(e))
+    except ProtocolError as e:
+        _fail(EXIT_SCHEMA, str(e))
+
+
+def _load(path, what: str) -> dict:
+    """The JSON object in the file at ``path``; exits 2 if the file holds none."""
+    try:
+        body = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        _fail(EXIT_SCHEMA, f"{what} is not valid JSON: {e}")
+    if not isinstance(body, dict):
+        _fail(EXIT_SCHEMA, f"{what} must be a JSON object, not {type(body).__name__}")
+    return body
+
+
+def _int_list(ctx, param, value):
+    """Click callback: the option's comma-separated integers as a tuple."""
+    try:
+        return tuple(int(v) for v in value.split(","))
+    except ValueError:
+        raise click.BadParameter(f"expected comma-separated integers, got {value!r}") from None
+
+
+def _tamper_option(checks):
+    """``--tamper label=value``: one reveal payload substituted, its label one of ``checks``."""
+    labels = [label for label, _ in checks]
+
+    def parse(ctx, param, value):
+        if value is None:
+            return None
+        label, _, number = value.partition("=")
+        if label not in labels or not number.lstrip("-").isdigit():
+            raise click.BadParameter(f"expected label=integer with a label from {labels}")
+        return {label: int(number)}
+
+    return click.option("--tamper", default=None, callback=parse,
+                        help="label=value substitution injected into one reveal message.")
+
+
+def _emit(body, transcript, out, indent=None):
+    """Print ``body`` as JSON; write the transcript to the file ``out`` if one is named."""
+    if out:
+        Path(out).write_text(transcript.serialize())
+    click.echo(json.dumps(body, indent=indent))
+
+
+def _reveal(session, tamper, out, indent=None):
+    with _exit_codes():
+        outcome = session.reveal(tamper)
+    _emit(session.protocol.encode(outcome), session.transcript, out, indent)
+
+
 @click.group()
 def main():
     """Unconditionally secure multi-party protocols on cycle topologies."""
@@ -300,38 +204,20 @@ def main():
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 def cmd_run(config_path, out, seed):
     """Run a protocol described by a JSON config file."""
-    try:
-        config = json.loads(Path(config_path).read_text())
-    except json.JSONDecodeError as e:
-        _fail(EXIT_SCHEMA, f"config is not valid JSON: {e}")
+    config = _load(config_path, "config")
     if seed is not None:
         config["seed"] = seed
-    try:
+    with _exit_codes():
         outcome, transcript = execute_config(config)
-    except TopologyError as e:
-        _fail(EXIT_TOPOLOGY, str(e))
-    except CheatDetected as e:
-        _fail(EXIT_CHEAT, str(e))
-    except (ProtocolError, RingError, KeyError, ValueError, TypeError) as e:
-        _fail(EXIT_SCHEMA, str(e))
-    if out:
-        Path(out).write_text(transcript.serialize())
-    click.echo(json.dumps({"protocol": config["protocol"], "outcome": outcome}, indent=2))
+    _emit({"protocol": config["protocol"], "outcome": outcome}, transcript, out, indent=2)
 
 
 @main.command("replay")
 @click.argument("transcript_path", type=click.Path(exists=True, dir_okay=False))
 def cmd_replay(transcript_path):
     """Re-run a recorded transcript and verify it byte-for-byte."""
-    text = Path(transcript_path).read_text()
-    try:
-        ok, seq, detail = replay_transcript(text)
-    except ReplayError as e:
-        _fail(EXIT_SCHEMA, str(e))
-    except TopologyError as e:
-        _fail(EXIT_TOPOLOGY, str(e))
-    except (ProtocolError, RingError, KeyError, ValueError) as e:
-        _fail(EXIT_SCHEMA, str(e))
+    with _exit_codes():
+        ok, seq, detail = replay_transcript(Path(transcript_path).read_text())
     if ok:
         click.echo("verified")
     else:
@@ -348,20 +234,16 @@ def cmd_verify(spec_path, budget, list_only):
     """Run the exhaustive secrecy-claim suite and report pass/fail."""
     names = None
     if spec_path:
-        try:
-            spec_cfg = json.loads(Path(spec_path).read_text())
-        except json.JSONDecodeError as e:
-            _fail(EXIT_SCHEMA, f"spec file is not valid JSON: {e}")
-        names = spec_cfg.get("checks")
-        budget = int(spec_cfg.get("budget", budget))
+        spec_cfg = _load(spec_path, "spec file")
+        with _exit_codes():
+            names = _field(spec_cfg, "checks", list, None)
+            budget = _field(spec_cfg, "budget", int, budget)
     if list_only:
         for s in analysis.standard_suite(budget):
             click.echo(s.name)
         return
-    try:
+    with _exit_codes():
         specs = analysis.suite_by_name(names, budget)
-    except ProtocolError as e:
-        _fail(EXIT_SCHEMA, str(e))
     failures = 0
     for spec in specs:
         report = analysis.secrecy_enumeration_check(spec)
@@ -390,33 +272,27 @@ def cmd_verify(spec_path, budget, list_only):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cmd_deal(m, k, n_bound, seed, dummies, per_player, out):
     """Deal an m-card deck to k players over a secure cycle."""
-    try:
+    extra = {}
+    with _exit_codes():
         if dummies == "two-player":
             real_hands, discarded, outcome, transcript = poker.dummy_deal_two_players(
                 m, n_bound, seed
             )
-            body = _deal_outcome_json(outcome)
-            body["real_hands"] = [[str(c) for c in hand] for hand in real_hands]
-            body["discarded"] = [str(c) for c in discarded]
+            extra = {
+                "real_hands": [[str(c) for c in hand] for hand in real_hands],
+                "discarded": [str(c) for c in discarded],
+            }
         elif per_player is not None:
             outcome, transcript = poker.dummy_dealer_fixed_hands(
                 m, k, per_player, N=n_bound, seed=seed
             )
-            body = _deal_outcome_json(outcome)
         else:
             outcome, transcript = poker.deal_deck(m, k, n_bound, seed)
-            body = _deal_outcome_json(outcome)
-    except TopologyError as e:
-        _fail(EXIT_TOPOLOGY, str(e))
-    except (ProtocolError, RingError) as e:
-        _fail(EXIT_SCHEMA, str(e))
-    if out:
-        Path(out).write_text(transcript.serialize())
-    click.echo(json.dumps(body, indent=2))
+    _emit({**CardDeal.encode(outcome), **extra}, transcript, out, indent=2)
 
 
 @main.command("share")
-@click.option("--secret", type=str, required=True)
+@click.option("--secret", type=int, required=True)
 @click.option("--players", "k", type=int, default=3, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--modulus", type=int, default=None, help="Share over Z_m instead of Z.")
@@ -424,13 +300,9 @@ def cmd_deal(m, k, n_bound, seed, dummies, per_player, out):
               help="Write the shares to a JSON file for later reconstruction.")
 def cmd_share(secret, k, seed, modulus, out):
     """Split a secret into k shares that only all k together can recombine."""
-    R = ring_mod.mod_ring(modulus) if modulus else ring_mod.integers()
-    try:
-        shares = sharing.share_secret_kk(int(secret), k, seed=seed, ring=R)
-    except TopologyError as e:
-        _fail(EXIT_TOPOLOGY, str(e))
-    except (ProtocolError, RingError, ValueError) as e:
-        _fail(EXIT_SCHEMA, str(e))
+    with _exit_codes():
+        R = ring_mod.mod_ring(modulus) if modulus else ring_mod.integers()
+        shares = sharing.share_secret_kk(secret, k, seed=seed, ring=R)
     body = {"shares": [str(s) for s in shares.shares], "ring": R.to_config()}
     if out:
         Path(out).write_text(json.dumps(body))
@@ -442,30 +314,23 @@ def cmd_share(secret, k, seed, modulus, out):
               required=True)
 def cmd_reconstruct(shares_path):
     """Recombine a shares file produced by 'share'."""
-    try:
-        body = json.loads(Path(shares_path).read_text())
-        R = ring_mod.RingSpec.from_config(body.get("ring", {"ring": "Z"}))
-        secret = sharing.reconstruct([int(s) for s in body["shares"]], ring=R)
-    except (json.JSONDecodeError, KeyError, ValueError) as e:
-        _fail(EXIT_SCHEMA, f"bad shares file: {e}")
-    except ProtocolError as e:
-        _fail(EXIT_SCHEMA, str(e))
+    body = _load(shares_path, "shares file")
+    with _exit_codes():
+        R = _field(body, "ring", ring_mod.RingSpec.from_config, {"ring": "Z"})
+        secret = sharing.reconstruct(_field(body, "shares", lambda v: [int(s) for s in v]), ring=R)
     click.echo(json.dumps({"secret": str(secret)}))
 
 
 @main.command("commit3")
-@click.option("--values", required=True, help="Three comma-separated integers.")
+@click.option("--values", required=True, callback=_int_list, help="Three comma-separated integers.")
 @click.option("--modulus", type=int, default=2, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--state", "state_path", type=click.Path(dir_okay=False), required=True,
               help="Where to store the committed session for decommit3.")
 def cmd_commit3(values, modulus, seed, state_path):
     """Commit three parties to values; reveal later with decommit3."""
-    try:
-        triple = tuple(int(v) for v in values.split(","))
-        session = commitment.commit3(triple, m=modulus, seed=seed)
-    except (ProtocolError, RingError, ValueError) as e:
-        _fail(EXIT_SCHEMA, str(e))
+    with _exit_codes():
+        session = commitment.commit3(values, m=modulus, seed=seed)
     state = {
         "values": [str(v) for v in session.values],
         "modulus": modulus,
@@ -483,82 +348,48 @@ def cmd_commit3(values, modulus, seed, state_path):
 @main.command("decommit3")
 @click.option("--state", "state_path", type=click.Path(exists=True, dir_okay=False),
               required=True)
-@click.option("--tamper", default=None,
-              help="label=value substitution injected into one reveal message.")
+@_tamper_option(COMMIT3_CHECKS)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the full (commit + reveal) transcript here.")
 def cmd_decommit3(state_path, tamper, out):
     """Reveal a commit3 session; corroboration failures exit with code 4."""
-    try:
-        state = json.loads(Path(state_path).read_text())
-        values = tuple(int(v) for v in state["values"])
-        session = commitment.commit3(values, m=int(state["modulus"]), seed=int(state["seed"]))
-        if session.transcript.serialize() != state["commit_transcript"]:
-            _fail(EXIT_SCHEMA, "state file does not match a faithful commit run")
-    except (json.JSONDecodeError, KeyError, ValueError) as e:
-        _fail(EXIT_SCHEMA, f"bad state file: {e}")
-    tamper_map = None
-    if tamper:
-        label, _, value = tamper.partition("=")
-        tamper_map = {label: int(value)}
-    try:
-        recovered = commitment.decommit3(session, tamper=tamper_map)
-    except CheatDetected as e:
-        _fail(EXIT_CHEAT, str(e))
-    if out:
-        Path(out).write_text(session.transcript.serialize())
-    click.echo(json.dumps(
-        {name: [str(v) for v in triple] for name, triple in recovered.items()}, indent=2
-    ))
+    state = _load(state_path, "state file")
+    with _exit_codes():
+        session = commitment.commit3(_field(state, "values", Commit3.decode_inputs),
+                                     m=_field(state, "modulus", int),
+                                     seed=_field(state, "seed", int))
+    if session.transcript.serialize() != state.get("commit_transcript"):
+        _fail(EXIT_SCHEMA, "state file does not match a faithful commit run")
+    _reveal(session, tamper, out, indent=2)
 
 
 @main.command("commit2")
-@click.option("--values", required=True, help="Two comma-separated integers.")
+@click.option("--values", required=True, callback=_int_list, help="Two comma-separated integers.")
 @click.option("--modulus", type=int, default=2, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--tamper", default=None, help="label=value substitution in the reveal.")
+@_tamper_option(COMMIT2_CHECKS)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cmd_commit2(values, modulus, seed, tamper, out):
     """Two-party commitment via a dummy: commit, then reveal immediately."""
-    try:
-        n1, n2 = (int(v) for v in values.split(","))
-        session = commitment.commit2_dummy(n1, n2, m=modulus, seed=seed)
-    except (ProtocolError, RingError, ValueError) as e:
-        _fail(EXIT_SCHEMA, str(e))
-    tamper_map = None
-    if tamper:
-        label, _, value = tamper.partition("=")
-        tamper_map = {label: int(value)}
-    try:
-        a_learns, b_learns = commitment.decommit2_dummy(session, tamper=tamper_map)
-    except CheatDetected as e:
-        _fail(EXIT_CHEAT, str(e))
-    if out:
-        Path(out).write_text(session.transcript.serialize())
-    click.echo(json.dumps({"A learns n2": str(a_learns), "B learns n1": str(b_learns)}))
+    with _exit_codes():
+        session = commit(Commit2Dummy(ring_mod.mod_ring(modulus)), None, values, seed)
+    _reveal(session, tamper, out)
 
 
 @main.command("ot")
-@click.option("--messages", required=True, help="Comma-separated integers held by A.")
-@click.option("--indices", required=True, help="Comma-separated 1-based indices B wants.")
+@click.option("--messages", required=True, callback=_int_list,
+              help="Comma-separated integers held by A.")
+@click.option("--indices", required=True, callback=_int_list,
+              help="Comma-separated 1-based indices B wants.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--modulus", type=int, default=None, help="Run over Z_m instead of Z.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cmd_ot(messages, indices, seed, modulus, out):
     """k-of-n oblivious transfer through a dummy."""
-    R = ring_mod.mod_ring(modulus) if modulus else ring_mod.integers()
-    try:
-        msg_values = tuple(int(v) for v in messages.split(","))
-        idx_values = tuple(int(v) for v in indices.split(","))
-        proto = commitment.ObliviousTransfer(R)
-        outcome, transcript = run(proto, None, (msg_values, idx_values), seed)
-    except TopologyError as e:
-        _fail(EXIT_TOPOLOGY, str(e))
-    except (ProtocolError, RingError, ValueError) as e:
-        _fail(EXIT_SCHEMA, str(e))
-    if out:
-        Path(out).write_text(transcript.serialize())
-    click.echo(json.dumps({"retrieved": [str(v) for v in outcome.retrieved]}))
+    with _exit_codes():
+        R = ring_mod.mod_ring(modulus) if modulus else ring_mod.integers()
+        outcome, transcript = run(ObliviousTransfer(R), None, (messages, indices), seed)
+    _emit(ObliviousTransfer.encode(outcome), transcript, out)
 
 
 if __name__ == "__main__":

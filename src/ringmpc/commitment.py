@@ -20,13 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import ring as ring_mod
-from .engine import Protocol, Run, run, start
-from .errors import CheatDetected, PhaseError, ProtocolError, TopologyError
+from .engine import COMMITTED, REVEALED, Protocol, Run, Session, commit, run
+from .errors import CheatDetected, ProtocolError
 from .ring import RingSpec
-from .topology import SECURE, build_cycle, dummy_triangle
-
-COMMITTED = "committed"
-REVEALED = "revealed"
+from .topology import check_dummy_triangle, dummy_triangle
 
 BIT = "bit"
 INTEGER = "integer"
@@ -85,23 +82,32 @@ COMMIT3_CHECKS = [
 ]
 
 
-class Commit3(Protocol):
-    """Commit phase of the 3-party scheme over Z_m."""
-
-    name = "commit3"
+class _Commitment(Protocol):
+    """A two-phase commitment: ``program`` is the commit phase, ``reveal`` the reveal."""
 
     def __init__(self, ring: RingSpec):
         if not ring.modular:
-            raise ProtocolError("commitment runs modulo a fixed m >= 2")
+            raise ProtocolError(f"{self.name} runs modulo a fixed m >= 2")
         super().__init__(ring)
 
-    def default_graph(self):
-        return build_cycle(3)
+
+def _mark_revealed(ledgers: dict) -> None:
+    for ledger in ledgers.values():
+        ledger.phase = REVEALED
+
+
+class Commit3(_Commitment):
+    """The 3-party scheme over Z_m."""
+
+    name = "commit3"
+    arity = 3
+
+    @classmethod
+    def encode(cls, recovered):
+        return {name: [str(v) for v in triple] for name, triple in recovered.items()}
 
     def program(self, run: Run):
         R = self.ring
-        if len(run.inputs) != 3:
-            raise ProtocolError("commit3 takes exactly three values")
         n = [R.normalize(v) for v in run.inputs]
         r = []
         s = []
@@ -143,115 +149,83 @@ class Commit3(Protocol):
         }
         return ledgers
 
+    def reveal(self, session: Session, tamper: dict):
+        """Every party recovers both other values, with corroboration.
 
-@dataclass
-class Commit3Session:
-    """Open commitment: ledgers plus the live run, awaiting the reveal phase."""
+        ``tamper`` substitutes reveal-message payloads by label (fault
+        injection for binding tests).  Any corroboration failure raises
+        CheatDetected naming the message; on success returns the
+        per-party recovered triples.
+        """
+        R = self.ring
+        r = session.run
+        led = session.ledgers
 
-    ring: RingSpec
-    values: tuple
-    ledgers: dict
-    run: Run
-    phase: str = COMMITTED
+        def value_of(label, honest):
+            return R.normalize(tamper[label]) if label in tamper else honest
 
-    @property
-    def transcript(self):
-        return self.run.transcript()
+        n1, n2, n3 = session.values
+        # P3 forms n1+n2 from its committed sums and sends it to both peers.
+        honest_n1n2 = R.add(led["P3"]["r1+r2"], R.sub(led["P3"]["s1+s2+s3"], led["P3"]["s3"]))
+        v_a = value_of("n1+n2 to P1", honest_n1n2)
+        v_b = value_of("n1+n2 to P2", honest_n1n2)
+        r.send(2, 0, v_a, "n1+n2 to P1")
+        r.send(2, 1, v_b, "n1+n2 to P2")
+        if v_a != v_b:
+            raise CheatDetected("n1+n2", "the two announced copies disagree")
+        if v_a != R.add(n1, n2):
+            raise CheatDetected("n1+n2", "announced sum fails the owners' corroboration")
+        p1_n2 = R.sub(v_a, n1)
+        p1_n3 = R.sub(
+            R.add(R.sub(led["P1"]["r1+r2+r3"], led["P1"]["r1"]), led["P1"]["s2+s3"]), p1_n2
+        )
+        p2_n1 = R.sub(v_b, n2)
+        # P2 reveals r1 to P3, corroborated by P1 who generated it.
+        w = value_of("r1 reveal", led["P2"]["r1"])
+        r.send(1, 2, w, "r1 reveal")
+        if w != led["P1"]["r1"]:
+            raise CheatDetected("r1 reveal", "does not match P1's committed r1")
+        p3_r2 = R.sub(led["P3"]["r1+r2"], w)
+        # P1 reveals s2+s3 to P3, corroborated by P2 who committed both parts.
+        x = value_of("s2+s3 reveal", led["P1"]["s2+s3"])
+        r.send(0, 2, x, "s2+s3 reveal")
+        if x != R.add(led["P2"]["s2"], led["P2"]["s3"]):
+            raise CheatDetected("s2+s3 reveal", "does not match P2's committed s2+s3")
+        p3_n2 = R.add(p3_r2, R.sub(x, led["P3"]["s3"]))
+        p3_n1 = R.sub(v_a, p3_n2)
+        # P1 reveals r1+r2+r3 to P2, corroborated by P3.
+        y = value_of("r1+r2+r3 reveal", led["P1"]["r1+r2+r3"])
+        r.send(0, 1, y, "r1+r2+r3 reveal")
+        if y != R.add(led["P3"]["r1+r2"], led["P3"]["r3"]):
+            raise CheatDetected("r1+r2+r3 reveal", "does not match P3's committed r-chain")
+        p2_r3 = R.sub(R.sub(y, led["P2"]["r1"]), led["P2"]["r2"])
+        p2_n3 = R.add(p2_r3, led["P2"]["s3"])
+        _mark_revealed(led)
+        recovered = {
+            "P1": (n1, p1_n2, p1_n3),
+            "P2": (p2_n1, n2, p2_n3),
+            "P3": (p3_n1, p3_n2, n3),
+        }
+        for name, triple in recovered.items():
+            r.note(r.graph.party(name).index, "recovered values", triple)
+        return recovered
 
 
-def commit3(values, m=None, seed=0, ring=None, sources=None) -> Commit3Session:
+def _ring(m, ring) -> RingSpec:
+    return ring if ring is not None else ring_mod.mod_ring(m if m is not None else 2)
+
+
+def commit3(values, m=None, seed=0, ring=None, sources=None) -> Session:
     """Commit three values; returns the session used to decommit later."""
-    R = ring if ring is not None else ring_mod.mod_ring(m if m is not None else 2)
-    proto = Commit3(R)
-    r = start(proto, None, tuple(values), seed, sources=sources)
-    ledgers = proto.program(r)
-    return Commit3Session(R, tuple(R.normalize(v) for v in values), ledgers, r)
+    return commit(Commit3(_ring(m, ring)), None, tuple(values), seed, sources)
 
 
-def decommit3(session: Commit3Session, tamper: dict | None = None):
-    """Reveal phase: every party recovers both other values, with corroboration.
-
-    ``tamper`` optionally substitutes reveal-message payloads by label
-    (fault injection for binding tests).  Any corroboration failure
-    raises CheatDetected naming the message; on success returns the
-    per-party recovered triples.
-    """
-    if session.phase != COMMITTED:
-        raise PhaseError(f"decommit3 requires phase {COMMITTED!r}, session is {session.phase!r}")
-    R = session.ring
-    r = session.run
-    led = session.ledgers
-    tamper = tamper or {}
-
-    def value_of(label, honest):
-        return R.normalize(tamper[label]) if label in tamper else honest
-
-    n1, n2, n3 = session.values
-    # P3 forms n1+n2 from its committed sums and sends it to both peers.
-    honest_n1n2 = R.add(led["P3"]["r1+r2"], R.sub(led["P3"]["s1+s2+s3"], led["P3"]["s3"]))
-    v_a = value_of("n1+n2 to P1", honest_n1n2)
-    v_b = value_of("n1+n2 to P2", honest_n1n2)
-    r.send(2, 0, v_a, "n1+n2 to P1")
-    r.send(2, 1, v_b, "n1+n2 to P2")
-    if v_a != v_b:
-        raise CheatDetected("n1+n2", "the two announced copies disagree")
-    if v_a != R.add(n1, n2):
-        raise CheatDetected("n1+n2", "announced sum fails the owners' corroboration")
-    p1_n2 = R.sub(v_a, n1)
-    p1_n3 = R.sub(
-        R.add(R.sub(led["P1"]["r1+r2+r3"], led["P1"]["r1"]), led["P1"]["s2+s3"]), p1_n2
-    )
-    p2_n1 = R.sub(v_b, n2)
-    # P2 reveals r1 to P3, corroborated by P1 who generated it.
-    w = value_of("r1 reveal", led["P2"]["r1"])
-    r.send(1, 2, w, "r1 reveal")
-    if w != led["P1"]["r1"]:
-        raise CheatDetected("r1 reveal", "does not match P1's committed r1")
-    p3_r2 = R.sub(led["P3"]["r1+r2"], w)
-    # P1 reveals s2+s3 to P3, corroborated by P2 who committed both parts.
-    x = value_of("s2+s3 reveal", led["P1"]["s2+s3"])
-    r.send(0, 2, x, "s2+s3 reveal")
-    if x != R.add(led["P2"]["s2"], led["P2"]["s3"]):
-        raise CheatDetected("s2+s3 reveal", "does not match P2's committed s2+s3")
-    p3_n2 = R.add(p3_r2, R.sub(x, led["P3"]["s3"]))
-    p3_n1 = R.sub(v_a, p3_n2)
-    # P1 reveals r1+r2+r3 to P2, corroborated by P3.
-    y = value_of("r1+r2+r3 reveal", led["P1"]["r1+r2+r3"])
-    r.send(0, 1, y, "r1+r2+r3 reveal")
-    if y != R.add(led["P3"]["r1+r2"], led["P3"]["r3"]):
-        raise CheatDetected("r1+r2+r3 reveal", "does not match P3's committed r-chain")
-    p2_r3 = R.sub(R.sub(y, led["P2"]["r1"]), led["P2"]["r2"])
-    p2_n3 = R.add(p2_r3, led["P2"]["s3"])
-    session.phase = REVEALED
-    for ledger in led.values():
-        ledger.phase = REVEALED
-    recovered = {
-        "P1": (n1, p1_n2, p1_n3),
-        "P2": (p2_n1, n2, p2_n3),
-        "P3": (p3_n1, p3_n2, n3),
-    }
-    for name, triple in recovered.items():
-        r.note(r.graph.party(name).index, "recovered values", triple)
-    return recovered
+def decommit3(session: Session, tamper: dict | None = None):
+    """Reveal a ``commit3`` session (see ``Commit3.reveal``)."""
+    return session.reveal(tamper)
 
 
-@dataclass
-class CommitKSession:
-    """Experimental k-party commitment state (see ``commit_k``)."""
-
-    ring: RingSpec
-    values: tuple
-    r_parts: tuple
-    s_parts: tuple
-    run: Run
-    phase: str = COMMITTED
-
-    @property
-    def transcript(self):
-        return self.run.transcript()
-
-
-def commit_k(values, m=None, seed=0, ring=None, sources=None) -> CommitKSession:
+class CommitK(_Commitment):
     """Experimental: the natural k-cycle extension of the 3-party commitment.
 
     r-shares accumulate forward around the cycle, s-shares backward, so
@@ -260,97 +234,89 @@ def commit_k(values, m=None, seed=0, ring=None, sources=None) -> CommitKSession:
     end parties can form the sum of all other values and nothing finer.
     Not part of the acceptance surface.
     """
-    R = ring if ring is not None else ring_mod.mod_ring(m if m is not None else 2)
-    if not R.modular:
-        raise ProtocolError("commitment runs modulo a fixed m >= 2")
-    k = len(values)
-    if k < 3:
-        raise ProtocolError("the cycle commitment needs k >= 3 parties")
 
-    class _CommitK(Protocol):
-        name = "commit_k"
+    name = "commit_k"
 
-        def default_graph(self):
-            return build_cycle(k)
+    def program(self, run: Run):
+        R = self.ring
+        k = len(run.inputs)
+        n = [R.normalize(v) for v in run.inputs]
+        r = []
+        s = []
+        for i in range(k):
+            run.note(i, f"n{i + 1}", n[i])
+            r.append(run.noise(i, f"r{i + 1}"))
+            s.append(R.sub(n[i], r[i]))
+            run.note(i, f"s{i + 1}", s[i])
+        acc = 0
+        for i in range(k - 1):
+            acc = R.add(acc, r[i])
+            run.send(i, i + 1, acc, f"r prefix {i + 1}")
+        acc = R.add(acc, r[k - 1])
+        run.send(k - 1, 0, acc, f"r prefix {k}")
+        acc = 0
+        for i in range(k - 1, 0, -1):
+            acc = R.add(acc, s[i])
+            run.send(i, i - 1, acc, f"s suffix {i + 1}")
+        acc = R.add(acc, s[0])
+        run.send(0, k - 1, acc, "s suffix 1")
+        return tuple(r), tuple(s)
 
-        def program(self, run: Run):
-            n = [R.normalize(v) for v in run.inputs]
-            r = []
-            s = []
-            for i in range(k):
-                run.note(i, f"n{i + 1}", n[i])
-                r.append(run.noise(i, f"r{i + 1}"))
-                s.append(R.sub(n[i], r[i]))
-                run.note(i, f"s{i + 1}", s[i])
-            acc = 0
-            for i in range(k - 1):
-                acc = R.add(acc, r[i])
-                run.send(i, i + 1, acc, f"r prefix {i + 1}")
-            acc = R.add(acc, r[k - 1])
-            run.send(k - 1, 0, acc, f"r prefix {k}")
-            acc = 0
-            for i in range(k - 1, 0, -1):
-                acc = R.add(acc, s[i])
-                run.send(i, i - 1, acc, f"s suffix {i + 1}")
-            acc = R.add(acc, s[0])
-            run.send(0, k - 1, acc, "s suffix 1")
-            return tuple(r), tuple(s)
+    def reveal(self, session: Session, tamper: dict):
+        """Every committed prefix and suffix is re-announced and corroborated.
 
-    proto = _CommitK(R)
-    r = start(proto, None, tuple(values), seed, sources=sources)
-    r_parts, s_parts = proto.program(r)
-    return CommitKSession(R, tuple(R.normalize(v) for v in values), r_parts, s_parts, r)
+        Each is re-announced by its commit-phase receiver and checked
+        against its commit-phase sender's value, so a single cheater
+        cannot substitute anything silently; the share chain then opens
+        every value to every party.
+        """
+        R = self.ring
+        run = session.run
+        k = len(session.values)
+        r, s = session.ledgers
+        r_prefix = []
+        acc = 0
+        for i in range(k):
+            acc = R.add(acc, r[i])
+            r_prefix.append(acc)
+        s_suffix = [None] * k  # s_suffix[i] = s_{i+1} + ... + s_k  (1-based tail)
+        acc = 0
+        for i in range(k - 1, -1, -1):
+            acc = R.add(acc, s[i])
+            s_suffix[i] = acc
+        # commit-phase receivers re-announce; commit-phase senders corroborate
+        announced_r = []
+        for j in range(1, k + 1):
+            label = f"r prefix {j} reveal"
+            value = R.normalize(tamper.get(label, r_prefix[j - 1]))
+            run.broadcast(j % k, value, label)  # prefix j was received by P_{j+1}
+            if value != r_prefix[j - 1]:
+                raise CheatDetected(label, "does not match the committed prefix")
+            announced_r.append(value)
+        announced_s = [None] * k
+        for j in range(k, 0, -1):
+            label = f"s suffix {j} reveal"
+            value = R.normalize(tamper.get(label, s_suffix[j - 1]))
+            run.broadcast((j - 2) % k, value, label)  # suffix j was received by P_{j-1}
+            if value != s_suffix[j - 1]:
+                raise CheatDetected(label, "does not match the committed suffix")
+            announced_s[j - 1] = value
+        recovered = []
+        for i in range(k):
+            r_i = R.sub(announced_r[i], announced_r[i - 1] if i > 0 else 0)
+            s_i = R.sub(announced_s[i], announced_s[i + 1] if i < k - 1 else 0)
+            recovered.append(R.add(r_i, s_i))
+        return tuple(recovered)
 
 
-def decommit_k(session: CommitKSession, tamper: dict | None = None):
-    """Experimental reveal for ``commit_k``.
+def commit_k(values, m=None, seed=0, ring=None, sources=None) -> Session:
+    """Experimental k-party commitment on a k-cycle (see ``CommitK``)."""
+    return commit(CommitK(_ring(m, ring)), None, tuple(values), seed, sources)
 
-    Every committed prefix and suffix is re-announced by its commit-phase
-    receiver and checked against its commit-phase sender's value, so a
-    single cheater cannot substitute anything silently; the share chain
-    then opens every value to every party.
-    """
-    if session.phase != COMMITTED:
-        raise PhaseError(f"decommit_k requires phase {COMMITTED!r}")
-    R = session.ring
-    run = session.run
-    k = len(session.values)
-    tamper = tamper or {}
-    r, s = session.r_parts, session.s_parts
-    r_prefix = []
-    acc = 0
-    for i in range(k):
-        acc = R.add(acc, r[i])
-        r_prefix.append(acc)
-    s_suffix = [None] * k  # s_suffix[i] = s_{i+1} + ... + s_k  (1-based tail)
-    acc = 0
-    for i in range(k - 1, -1, -1):
-        acc = R.add(acc, s[i])
-        s_suffix[i] = acc
-    # commit-phase receivers re-announce; commit-phase senders corroborate
-    announced_r = []
-    for j in range(1, k + 1):
-        label = f"r prefix {j} reveal"
-        value = R.normalize(tamper.get(label, r_prefix[j - 1]))
-        run.broadcast(j % k, value, label)  # prefix j was received by P_{j+1}
-        if value != r_prefix[j - 1]:
-            raise CheatDetected(label, "does not match the committed prefix")
-        announced_r.append(value)
-    announced_s = [None] * k
-    for j in range(k, 0, -1):
-        label = f"s suffix {j} reveal"
-        value = R.normalize(tamper.get(label, s_suffix[j - 1]))
-        run.broadcast((j - 2) % k, value, label)  # suffix j was received by P_{j-1}
-        if value != s_suffix[j - 1]:
-            raise CheatDetected(label, "does not match the committed suffix")
-        announced_s[j - 1] = value
-    session.phase = REVEALED
-    recovered = []
-    for i in range(k):
-        r_i = R.sub(announced_r[i], announced_r[i - 1] if i > 0 else 0)
-        s_i = R.sub(announced_s[i], announced_s[i + 1] if i < k - 1 else 0)
-        recovered.append(R.add(r_i, s_i))
-    return tuple(recovered)
+
+def decommit_k(session: Session, tamper: dict | None = None):
+    """Experimental reveal for ``commit_k`` (see ``CommitK.reveal``)."""
+    return session.reveal(tamper)
 
 
 COMMIT2_CHECKS = [
@@ -359,34 +325,29 @@ COMMIT2_CHECKS = [
 ]
 
 
-class Commit2Dummy(Protocol):
-    """Commit phase of the two-party scheme mediated by a dummy.
+class Commit2Dummy(_Commitment):
+    """The two-party scheme mediated by a dummy.
 
     The dummy only ever holds r1+r2 and s1+s2, whose sum it reveals; it
     never sees n1 or n2 individually and draws no randomness.
     """
 
     name = "commit2_dummy"
+    arity = 2
 
-    def __init__(self, ring: RingSpec):
-        if not ring.modular:
-            raise ProtocolError("commitment runs modulo a fixed m >= 2")
-        super().__init__(ring)
+    @classmethod
+    def encode(cls, learned):
+        a_learns, b_learns = learned
+        return {"A learns n2": str(a_learns), "B learns n1": str(b_learns)}
 
-    def default_graph(self):
+    def default_graph(self, k):
         return dummy_triangle()
 
     def check_graph(self, g):
-        if g.k != 3:
-            raise TopologyError("commit2_dummy runs between A, B and a dummy")
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            if not (g.has_edge(i, j) and g.security(i, j) == SECURE):
-                raise TopologyError(f"commit2_dummy needs a secure link between parties {i} and {j}")
+        check_dummy_triangle(self.name, g)
 
     def program(self, run: Run):
         R = self.ring
-        if len(run.inputs) != 2:
-            raise ProtocolError("commit2_dummy takes exactly two values")
         n1, n2 = (R.normalize(v) for v in run.inputs)
         run.note(0, "n1", n1)
         run.note(1, "n2", n2)
@@ -406,54 +367,37 @@ class Commit2Dummy(Protocol):
             "D": CommitmentLedger("D", {"r1+r2": R.add(r1, r2), "s1+s2": R.add(s1, s2)}),
         }
 
+    def reveal(self, session: Session, tamper: dict):
+        """The dummy reveals n1+n2 to both parties; each recovers the other's value."""
+        R = self.ring
+        r = session.run
+        led = session.ledgers
+        honest = R.add(led["D"]["r1+r2"], led["D"]["s1+s2"])
+        v_a = R.normalize(tamper.get("n1+n2 to A", honest))
+        v_b = R.normalize(tamper.get("n1+n2 to B", honest))
+        r.send(2, 0, v_a, "n1+n2 to A")
+        r.send(2, 1, v_b, "n1+n2 to B")
+        if v_a != v_b:
+            raise CheatDetected("n1+n2", "the two revealed copies disagree")
+        n1, n2 = session.values
+        if v_a != R.add(n1, n2):
+            raise CheatDetected("n1+n2", "revealed sum fails the owners' corroboration")
+        a_learns = R.sub(v_a, n1)
+        b_learns = R.sub(v_b, n2)
+        r.note(0, "recovered n2", a_learns)
+        r.note(1, "recovered n1", b_learns)
+        _mark_revealed(led)
+        return a_learns, b_learns
 
-@dataclass
-class Commit2Session:
-    ring: RingSpec
-    values: tuple
-    ledgers: dict
-    run: Run
-    phase: str = COMMITTED
 
-    @property
-    def transcript(self):
-        return self.run.transcript()
+def commit2_dummy(n1, n2, m=None, seed=0, ring=None, sources=None) -> Session:
+    """Commit two values through a dummy; returns the session used to decommit later."""
+    return commit(Commit2Dummy(_ring(m, ring)), None, (n1, n2), seed, sources)
 
 
-def commit2_dummy(n1, n2, m=None, seed=0, ring=None, sources=None) -> Commit2Session:
-    R = ring if ring is not None else ring_mod.mod_ring(m if m is not None else 2)
-    proto = Commit2Dummy(R)
-    r = start(proto, None, (n1, n2), seed, sources=sources)
-    ledgers = proto.program(r)
-    return Commit2Session(R, tuple(R.normalize(v) for v in (n1, n2)), ledgers, r)
-
-
-def decommit2_dummy(session: Commit2Session, tamper: dict | None = None):
-    """The dummy reveals n1+n2 to both parties; each recovers the other's value."""
-    if session.phase != COMMITTED:
-        raise PhaseError(f"decommit2 requires phase {COMMITTED!r}, session is {session.phase!r}")
-    R = session.ring
-    r = session.run
-    led = session.ledgers
-    tamper = tamper or {}
-    honest = R.add(led["D"]["r1+r2"], led["D"]["s1+s2"])
-    v_a = R.normalize(tamper.get("n1+n2 to A", honest))
-    v_b = R.normalize(tamper.get("n1+n2 to B", honest))
-    r.send(2, 0, v_a, "n1+n2 to A")
-    r.send(2, 1, v_b, "n1+n2 to B")
-    if v_a != v_b:
-        raise CheatDetected("n1+n2", "the two revealed copies disagree")
-    n1, n2 = session.values
-    if v_a != R.add(n1, n2):
-        raise CheatDetected("n1+n2", "revealed sum fails the owners' corroboration")
-    a_learns = R.sub(v_a, n1)
-    b_learns = R.sub(v_b, n2)
-    r.note(0, "recovered n2", a_learns)
-    r.note(1, "recovered n1", b_learns)
-    session.phase = REVEALED
-    for ledger in led.values():
-        ledger.phase = REVEALED
-    return a_learns, b_learns
+def decommit2_dummy(session: Session, tamper: dict | None = None):
+    """Reveal a ``commit2_dummy`` session (see ``Commit2Dummy.reveal``)."""
+    return session.reveal(tamper)
 
 
 @dataclass(frozen=True)
@@ -471,14 +415,23 @@ class ObliviousTransfer(Protocol):
     """
 
     name = "ot_dummy"
+    arity = 2
 
-    def __init__(self, ring: RingSpec):
-        super().__init__(ring)
+    @classmethod
+    def decode_inputs(cls, raw):
+        # {"messages": [...], "indices": [...]} in a config, [messages, indices] in a header
+        messages, indices = (raw["messages"], raw["indices"]) if isinstance(raw, dict) else raw
+        return tuple(int(v) for v in messages), tuple(int(v) for v in indices)
 
-    def default_graph(self):
+    @classmethod
+    def encode(cls, outcome):
+        return {"retrieved": [str(v) for v in outcome.retrieved]}
+
+    def default_graph(self, k):
         return dummy_triangle()
 
-    check_graph = Commit2Dummy.check_graph
+    def check_graph(self, g):
+        check_dummy_triangle(self.name, g)
 
     def program(self, run: Run):
         R = self.ring
@@ -510,6 +463,5 @@ class ObliviousTransfer(Protocol):
 
 def ot_dummy(messages, indices, seed=0, ring=None):
     """Retrieve messages[j-1] for each requested index j via the dummy."""
-    R = ring if ring is not None else ring_mod.integers()
-    outcome, _ = run(ObliviousTransfer(R), None, (tuple(messages), tuple(indices)), seed)
+    outcome, _ = run(ObliviousTransfer(ring), None, (tuple(messages), tuple(indices)), seed)
     return outcome.retrieved

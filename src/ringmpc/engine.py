@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, NamedTuple
 
-from .errors import DummyRandomnessError, ReplayError, TopologyError
-from .ring import RingSpec
-from .topology import ChannelGraph, INSECURE, validate_topology
+from .errors import DummyRandomnessError, PhaseError, ProtocolError, ReplayError, TopologyError
+from .ring import RingSpec, integers
+from .topology import ChannelGraph, INSECURE, build_cycle, validate_topology
 
 BROADCAST = "*"
 EAVESDROPPER = "eavesdropper"
@@ -42,6 +42,12 @@ EAVESDROPPER = "eavesdropper"
 # when the event crossed an insecure channel, or EVERYONE for a broadcast.
 EVERYONE = None
 TAPPED = -1
+
+COMMITTED = "committed"
+REVEALED = "revealed"
+
+# One encoder for every transcript line: json.dumps would build a new one per call.
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class Message(NamedTuple):
@@ -115,10 +121,10 @@ class Transcript:
                 "params": _encode(self.params),
             }
         }
-        lines = [json.dumps(head, sort_keys=True, separators=(",", ":"))]
+        lines = [_JSON.encode(head)]
         for m in self.messages:
             lines.append(
-                json.dumps(
+                _JSON.encode(
                     {
                         "seq": m.seq,
                         "from": m.frm,
@@ -126,9 +132,7 @@ class Transcript:
                         "security": m.security,
                         "kind": m.kind,
                         "payload": _encode(m.payload),
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
+                    }
                 )
             )
         return "\n".join(lines) + "\n"
@@ -228,24 +232,43 @@ class ScriptedSource:
 class Protocol:
     """One runnable protocol: a name, a ring, a topology contract, and a program.
 
-    ``program(run)`` drives the run object through the protocol's steps
-    and returns the outcome.  Subclasses override ``default_graph`` and,
-    when they need something other than a plain cycle cover,
-    ``check_graph``.  The verdict of ``check_graph`` may depend only on
-    the graph and on attributes fixed at construction, because ``start``
-    remembers each (protocol, graph) pair it has accepted.
+    ``program(run)`` drives the run through the protocol's steps and
+    returns the outcome.  The class is the protocol's whole description;
+    the CLI's ``run`` and ``replay`` use only its hooks.  ``from_params``
+    inverts ``params``; ``arity`` and ``decode_inputs`` check and decode
+    the inputs; ``default_graph(k)``, a secure k-cycle unless overridden,
+    serves when no graph is given; ``encode`` gives the outcome as JSON; a
+    two-phase protocol defines ``reveal(session, tamper)``, which follows
+    ``program`` as its commit phase.  The verdict of ``check_graph`` may
+    depend only on the graph and on attributes fixed at construction,
+    because ``start`` remembers each (protocol, graph) pair it accepted.
     """
 
     name = "?"
+    result = "value"
+    arity: int | None = None
+    reveal = None
 
-    def __init__(self, ring: RingSpec):
-        self.ring = ring
+    def __init__(self, ring: RingSpec | None = None):
+        self.ring = ring if ring is not None else integers()
+
+    @classmethod
+    def from_params(cls, ring: RingSpec, params: dict, inputs: tuple) -> "Protocol":
+        return cls(ring, **{key: int(value) for key, value in params.items()})
 
     def params(self) -> dict:
         return {}
 
-    def default_graph(self) -> ChannelGraph:
-        raise TopologyError(f"{self.name} needs an explicit channel graph")
+    @classmethod
+    def decode_inputs(cls, raw) -> tuple:
+        return tuple(int(v) for v in raw)
+
+    @classmethod
+    def encode(cls, outcome) -> dict:
+        return {cls.result: str(outcome)}
+
+    def default_graph(self, k: int) -> ChannelGraph:
+        return build_cycle(k)
 
     def check_graph(self, g: ChannelGraph) -> None:
         result = validate_topology(g)
@@ -392,7 +415,9 @@ def start(protocol: Protocol, graph: ChannelGraph | None = None, inputs=(), seed
     ``check_graph`` runs once per (protocol, graph) pair: an accepted pair
     is remembered on the graph until its next ``add_edge``.
     """
-    g = graph if graph is not None else protocol.default_graph()
+    if protocol.arity is not None and len(inputs) != protocol.arity:
+        raise ProtocolError(f"{protocol.name} takes {protocol.arity} inputs, got {len(inputs)}")
+    g = graph if graph is not None else protocol.default_graph(len(inputs))
 
     def accept(g):
         protocol.check_graph(g)
@@ -400,6 +425,43 @@ def start(protocol: Protocol, graph: ChannelGraph | None = None, inputs=(), seed
 
     g.memo(("accepted", id(protocol)), accept)
     return Run(protocol, g, inputs, seed, sources=sources, record=record)
+
+
+@dataclass
+class Session:
+    """An open two-phase run: the commit phase has run, the reveal has not.
+
+    ``ledgers`` is what the commit phase's ``program`` returned; the
+    protocol's ``reveal`` reads it and sends the reveal messages on ``run``.
+    """
+
+    protocol: Protocol
+    values: tuple
+    ledgers: Any
+    run: Run
+    phase: str = COMMITTED
+
+    @property
+    def transcript(self) -> Transcript:
+        return self.run.transcript()
+
+    def reveal(self, tamper: dict | None = None):
+        """Run the reveal phase; ``tamper`` substitutes reveal payloads by message label."""
+        if self.phase != COMMITTED:
+            raise PhaseError(
+                f"{self.protocol.name} reveal needs phase {COMMITTED!r}, session is {self.phase!r}"
+            )
+        outcome = self.protocol.reveal(self, tamper or {})
+        self.phase = REVEALED
+        return outcome
+
+
+def commit(protocol: Protocol, graph: ChannelGraph | None = None, inputs=(), seed: int = 0,
+           sources=None) -> Session:
+    """Run the commit phase of a two-phase ``protocol``; the session reveals later."""
+    r = start(protocol, graph, inputs, seed, sources=sources)
+    ledgers = protocol.program(r)
+    return Session(protocol, tuple(protocol.ring.normalize(v) for v in r.inputs), ledgers, r)
 
 
 def extract_view(t: Transcript, party: str) -> View:

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import ring as ring_mod
 from .engine import Protocol, Run, run
 from .errors import ProtocolError, TopologyError
 from .topology import ChannelGraph, Party, SECURE, build_cycle, default_parties
@@ -88,9 +87,10 @@ class CollectiveRandom(Protocol):
     """Standalone three-party collective randomness (one value mod M)."""
 
     name = "protocol2_random"
+    arity = 0
 
     def __init__(self, M: int, receiver: int = 0, contributors=(1, 2)):
-        super().__init__(ring_mod.integers())
+        super().__init__()
         if len(contributors) != 2 or receiver in contributors:
             raise ProtocolError("one receiver and two distinct contributors required")
         self.M = M
@@ -100,7 +100,7 @@ class CollectiveRandom(Protocol):
     def params(self):
         return {"M": self.M, "receiver": self.receiver, "contributors": list(self.contributors)}
 
-    def default_graph(self):
+    def default_graph(self, k):
         return build_cycle(3)
 
     def check_graph(self, g):
@@ -195,15 +195,33 @@ class CardDeal(Protocol):
     """
 
     name = "card_deal"
+    arity = 0
 
     def __init__(self, cfg: DealConfig, with_labels: bool = False,
                  counter_contributors=None, consolidate_to=None, post_draws=()):
-        super().__init__(ring_mod.integers())
+        super().__init__()
         self.cfg = cfg
         self.with_labels = with_labels
         self.counter_contributors = counter_contributors
         self.consolidate_to = consolidate_to
         self.post_draws = tuple(post_draws)
+
+    @classmethod
+    def from_params(cls, ring, params, inputs):
+        quotas = params.get("quotas")
+        cfg = DealConfig(
+            int(params["r"]), int(params["k"]), int(params["N"]),
+            tuple(int(q) for q in quotas) if quotas is not None else None,
+        )
+        cc = params.get("counter_contributors")
+        consolidate_to = params.get("consolidate_to")
+        return cls(
+            cfg,
+            with_labels=bool(params.get("with_labels", False)),
+            counter_contributors=tuple(int(c) for c in cc) if cc else None,
+            consolidate_to=int(consolidate_to) if consolidate_to is not None else None,
+            post_draws=[(int(a), int(b)) for a, b in params.get("post_draws", [])],
+        )
 
     def params(self):
         return {
@@ -219,7 +237,24 @@ class CardDeal(Protocol):
             "post_draws": [list(d) for d in self.post_draws],
         }
 
-    def default_graph(self):
+    @classmethod
+    def encode(cls, outcome):
+        if isinstance(outcome, DealerOutcome):
+            body = cls.encode(outcome.deal)
+            body["residual"] = [str(c) for c in outcome.residual]
+            body["served"] = [[name, str(card)] for name, card in outcome.served]
+            return body
+        body = {
+            "hands": [[str(c) for c in hand] for hand in outcome.hands],
+            "zero_keeper": outcome.zero_keeper,
+            "quotas": [str(q) for q in outcome.quotas],
+        }
+        if outcome.permutation is not None:
+            body["labels"] = [str(v) for v in outcome.permutation]
+            body["labeled_hands"] = [[str(c) for c in hand] for hand in outcome.labeled_hands()]
+        return body
+
+    def default_graph(self, k):
         return build_cycle(self.cfg.k)
 
     def check_graph(self, g):
@@ -231,6 +266,8 @@ class CardDeal(Protocol):
             if not (g.has_edge(i, j) and g.security(i, j) == SECURE):
                 raise TopologyError(f"dealing needs the secure cycle edge ({i},{j})")
         dummies = [p.index for p in g.parties if not p.full]
+        if self.consolidate_to is not None and self.consolidate_to not in dummies:
+            raise TopologyError(f"consolidate_to={self.consolidate_to} is not a dummy party")
         if dummies:
             cc = self.counter_contributors
             if cc is None or len(cc) != 2:
@@ -407,18 +444,12 @@ def dealer_graph(k: int, d: int) -> ChannelGraph:
 
 def protocol1_distribute(cfg: DealConfig, graph=None, seed=0, sources=None, record=True):
     """Distribute card indices 1..r into disjoint hands; no labels attached."""
-    proto = CardDeal(cfg)
-    g = graph if graph is not None else build_cycle(cfg.k)
-    outcome, transcript = run(proto, g, (), seed, sources=sources, record=record)
-    return outcome, transcript
+    return run(CardDeal(cfg), graph, (), seed, sources=sources, record=record)
 
 
 def deal_deck(m: int, k: int, N: int, seed=0, graph=None, record=True):
     """Full deal of an m-card deck to k players: indices, then public labels."""
-    proto = CardDeal(DealConfig(m, k, N), with_labels=True)
-    g = graph if graph is not None else build_cycle(k)
-    outcome, transcript = run(proto, g, (), seed, record=record)
-    return outcome, transcript
+    return run(CardDeal(DealConfig(m, k, N), with_labels=True), graph, (), seed, record=record)
 
 
 def dummy_deal_two_players(m: int, N: int, seed=0, record=True):
@@ -465,5 +496,4 @@ def dummy_dealer_fixed_hands(m: int, k: int, s: int, N: int = 10, seed=0,
         consolidate_to=k,
         post_draws=post_draws,
     )
-    outcome, transcript = run(proto, dealer_graph(k, d), (), seed, record=record)
-    return outcome, transcript
+    return run(proto, dealer_graph(k, d), (), seed, record=record)

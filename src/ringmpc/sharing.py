@@ -16,7 +16,8 @@ from . import ring as ring_mod
 from .engine import Protocol, Run, run
 from .errors import ProtocolError, TopologyError
 from .ring import RingSpec
-from .topology import ChannelGraph, Party, SECURE, build_cycle, default_parties, secure_cycles, validate_topology
+from .topology import (ChannelGraph, Party, SECURE, build_cycle, default_parties,
+                       players_subgraph, single_cycle, validate_topology)
 
 
 @dataclass(frozen=True)
@@ -24,21 +25,6 @@ class ShareVector:
     """Final per-player shares; their sum is the shared secret."""
 
     shares: tuple
-
-
-def _cycle_order(g: ChannelGraph, k: int):
-    cycles = secure_cycles(_players_subgraph(g, k))
-    if len(cycles) != 1:
-        raise TopologyError("secret sharing needs the players on a single cycle")
-    return cycles[0]
-
-
-def _players_subgraph(g: ChannelGraph, k: int) -> ChannelGraph:
-    def build(g):
-        parties = [p for p in g.parties if p.index < k]
-        return ChannelGraph(parties, [(i, j, sec) for i, j, sec in g.edges() if i < k and j < k])
-
-    return g.memo(("players", k), build)
 
 
 def masked_split_subroutine(run: Run, ring: RingSpec, cycle, initiator_pos: int, value: int,
@@ -74,6 +60,7 @@ class DistributeShares(Protocol):
     """Standalone run of the masking subroutine for one value."""
 
     name = "distribute_shares"
+    arity = 1
 
     def __init__(self, ring: RingSpec, initiator: int = 0, k: int = 3):
         super().__init__(ring)
@@ -83,17 +70,18 @@ class DistributeShares(Protocol):
     def params(self):
         return {"initiator": self.initiator, "k": self.k}
 
-    def default_graph(self):
+    @classmethod
+    def encode(cls, summands):
+        return {"summands": [str(s) for s in summands]}
+
+    def default_graph(self, k):
         return build_cycle(self.k)
 
     def program(self, run: Run):
         R = self.ring
         (value,) = run.inputs
         value = R.normalize(value)
-        cycles = secure_cycles(run.graph)
-        if len(cycles) != 1:
-            raise TopologyError("share distribution needs a single cycle")
-        cycle = cycles[0]
+        cycle = single_cycle(self.name, run.graph)
         if self.initiator not in cycle:
             raise ProtocolError(f"initiator {self.initiator} is not on the cycle")
         run.note(self.initiator, "value to split", value)
@@ -105,9 +93,7 @@ class DistributeShares(Protocol):
 
 def distribute_shares_subroutine(value, initiator=0, k=3, graph=None, seed=0, ring=None):
     """Split ``value`` into k summands, one per player, summing to value."""
-    R = ring if ring is not None else ring_mod.integers()
-    g = graph if graph is not None else build_cycle(k)
-    outcome, _ = run(DistributeShares(R, initiator, k), g, (value,), seed)
+    outcome, _ = run(DistributeShares(ring, initiator, k), graph, (value,), seed)
     return outcome
 
 
@@ -115,8 +101,9 @@ class ShareSecret(Protocol):
     """The full (k,k) scheme: dealer splits, every piece is re-split on the cycle."""
 
     name = "share_secret_kk"
+    arity = 1
 
-    def __init__(self, ring: RingSpec, k: int):
+    def __init__(self, ring: RingSpec, k: int = 3):
         if k < 3:
             raise ProtocolError("the sharing cycle needs k >= 3 players")
         super().__init__(ring)
@@ -125,14 +112,18 @@ class ShareSecret(Protocol):
     def params(self):
         return {"k": self.k}
 
-    def default_graph(self):
+    @classmethod
+    def encode(cls, outcome):
+        return {"shares": [str(s) for s in outcome.shares]}
+
+    def default_graph(self, k):
         return sharing_graph(self.k)
 
     def check_graph(self, g):
         k = self.k
         if g.k != k + 1:
             raise TopologyError(f"share_secret_kk with k={k} needs {k + 1} parties (incl. dealer)")
-        ok = validate_topology(_players_subgraph(g, k))
+        ok = validate_topology(players_subgraph(g, k))
         if not ok:
             raise TopologyError(f"share_secret_kk: {ok.reason}")
         for i in range(k):
@@ -155,7 +146,7 @@ class ShareSecret(Protocol):
             rest = R.sub(rest, piece)
         pieces.append(rest)
         run.note(dealer, f"dealer piece {k}", rest)
-        cycle = _cycle_order(run.graph, k)
+        cycle = single_cycle(self.name, players_subgraph(run.graph, k))
         totals = {i: 0 for i in range(k)}
         # Loop: piece i goes to player i, who re-splits it around the cycle.
         for i in range(k):
@@ -179,8 +170,7 @@ def sharing_graph(k: int) -> ChannelGraph:
 
 
 def share_secret_kk(secret, k, graph=None, seed=0, ring=None) -> ShareVector:
-    R = ring if ring is not None else ring_mod.integers()
-    outcome, _ = run(ShareSecret(R, k), graph, (secret,), seed)
+    outcome, _ = run(ShareSecret(ring, k), graph, (secret,), seed)
     return outcome
 
 

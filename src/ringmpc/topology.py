@@ -145,6 +145,35 @@ def dummy_triangle(a: str = "A", b: str = "B", dummy: str = "D") -> ChannelGraph
     return ChannelGraph(parties, [(0, 1, SECURE), (0, 2, SECURE), (1, 2, SECURE)])
 
 
+def check_dummy_triangle(name: str, g: ChannelGraph) -> None:
+    """Reject ``g`` for protocol ``name`` unless it is three parties pairwise linked securely."""
+    if g.k != 3:
+        raise TopologyError(f"{name} runs between A, B and a dummy")
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        if not (g.has_edge(i, j) and g.security(i, j) == SECURE):
+            raise TopologyError(f"{name} needs a secure link between parties {i} and {j}")
+
+
+def players_subgraph(g: ChannelGraph, k: int) -> ChannelGraph:
+    """The subgraph on parties 0..k-1: the players without the hub (dealer, aggregator) at k."""
+    def build(g):
+        parties = [p for p in g.parties if p.index < k]
+        return ChannelGraph(parties, [(i, j, sec) for i, j, sec in g.edges() if i < k and j < k])
+
+    return g.memo(("players", k), build)
+
+
+def single_cycle(name: str, g: ChannelGraph) -> list[int]:
+    """The one secure cycle of ``g``; TopologyError naming ``name`` unless there is exactly one."""
+    result = validate_topology(g)
+    if not result:
+        raise TopologyError(f"{name}: {result.reason}")
+    cycles = secure_cycles(g)
+    if len(cycles) != 1:
+        raise TopologyError(f"{name} runs on a single cycle")
+    return cycles[0]
+
+
 def validate_secure_edges(k: int, pairs) -> tuple[bool, str | None]:
     """Core acceptance test: is the secure subgraph a disjoint cycle union?
 

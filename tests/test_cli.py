@@ -239,3 +239,61 @@ class TestOT:
     def test_bad_index_exits_2(self, runner):
         result = runner.invoke(main, ["ot", "--messages", "10,20", "--indices", "5"])
         assert result.exit_code == 2
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("body, field", [
+        ([1, 2], "JSON object"),
+        ({"protocol": "secure_sum", "inputs": [1, 2, 3], "ring": "Z"}, "'ring'"),
+        ({"protocol": "card_deal", "inputs": [], "params": {"r": 8, "k": 3}},
+         "'params' is missing 'N'"),
+        ({"protocol": "ot_dummy", "inputs": [10, 20]}, "'inputs'"),
+    ], ids=["not an object", "ring string", "card_deal without N", "ot_dummy list inputs"])
+    def test_exit_2_naming_the_field(self, runner, tmp_path, body, field):
+        result = runner.invoke(main, ["run", write_config(tmp_path, "bad.json", body)])
+        assert result.exit_code == 2
+        assert field in result.output
+
+    def test_consolidation_at_a_real_player_exits_3(self, runner, tmp_path):
+        cfg = write_config(tmp_path, "deal.json", {
+            "protocol": "card_deal", "inputs": [],
+            "params": {"r": 8, "k": 3, "N": 3, "consolidate_to": 1},
+        })
+        assert runner.invoke(main, ["run", cfg]).exit_code == 3
+
+    def test_replaying_a_custom_g_run_exits_2(self, runner, tmp_path):
+        from ringmpc.arithmetic import ExampleF2
+        from ringmpc.engine import run
+        from ringmpc.ring import mod_ring
+
+        _, t = run(ExampleF2(mod_ring(11), lambda x: x + 1), None, (2, 3, 4), seed=1)
+        path = tmp_path / "custom.jsonl"
+        path.write_text(t.serialize())
+        result = runner.invoke(main, ["replay", str(path)])
+        assert result.exit_code == 2
+        assert "caller-supplied g" in result.output
+
+
+class TestCommandInputErrors:
+    def test_verify_budget_that_is_not_an_integer(self, runner, tmp_path):
+        spec = write_config(tmp_path, "spec.json", {"checks": [], "budget": "x"})
+        result = runner.invoke(main, ["verify", "--spec", spec])
+        assert result.exit_code == 2
+        assert "'budget'" in result.output
+
+    def test_shares_that_are_not_a_list(self, runner, tmp_path):
+        path = write_config(tmp_path, "shares.json", {"shares": 5})
+        result = runner.invoke(main, ["reconstruct", "--shares", path])
+        assert result.exit_code == 2
+        assert "'shares'" in result.output
+
+    def test_tamper_without_a_value(self, runner, tmp_path):
+        state = str(tmp_path / "c3.json")
+        runner.invoke(main, ["commit3", "--values", "1,0,1", "--state", state])
+        result = runner.invoke(main, ["decommit3", "--state", state, "--tamper", "r1 reveal"])
+        assert result.exit_code == 2
+
+    def test_tamper_with_an_unknown_label(self, runner):
+        result = runner.invoke(main, ["commit2", "--values", "1,0", "--tamper", "bogus=1"])
+        assert result.exit_code == 2
+        assert "n1+n2 to A" in result.output
