@@ -20,7 +20,7 @@ import click
 from . import analysis, arithmetic, commitment, poker, sharing
 from . import ring as ring_mod
 from .commitment import COMMIT2_CHECKS, COMMIT3_CHECKS, Commit2Dummy, Commit3, ObliviousTransfer
-from .engine import commit, parse_transcript, run
+from .engine import commit, parse_header, parse_transcript, run
 from .errors import CheatDetected, ProtocolError, ReplayError, TopologyError
 from .poker import CardDeal
 from .topology import ChannelGraph
@@ -98,16 +98,23 @@ def replay_transcript(text: str):
     """Re-execute a transcript's run and compare byte-for-byte.
 
     Returns (ok, divergence_seq, detail).  A header that does not describe
-    a run this package can re-execute raises ReplayError.
+    a run this package can re-execute raises ReplayError.  Only the header
+    is decoded unless the text differs from the re-executed run's; the body
+    is then parsed, so a structural fault is a ReplayError, not a divergence.
     """
-    meta, _ = parse_transcript(text)
+    meta = parse_header(text)
     try:
         _, transcript = execute_config(meta)
-    except TopologyError:
-        raise
     except ProtocolError as e:
+        parse_transcript(text)  # a corrupt body is reported before the header's fault
+        if isinstance(e, TopologyError):
+            raise
         raise ReplayError(f"the transcript header cannot be re-executed: {e}") from None
-    expected_lines = transcript.serialize().strip().split("\n")
+    expected = transcript.serialize()
+    if expected == text:
+        return True, None, "verified"
+    parse_transcript(text)
+    expected_lines = expected.strip().split("\n")
     got_lines = text.strip().split("\n")
     # Compare message lines; the header was consumed to rebuild the run.
     for i in range(1, max(len(expected_lines), len(got_lines))):
@@ -301,7 +308,7 @@ def cmd_deal(m, k, n_bound, seed, dummies, per_player, out):
 def cmd_share(secret, k, seed, modulus, out):
     """Split a secret into k shares that only all k together can recombine."""
     with _exit_codes():
-        R = ring_mod.mod_ring(modulus) if modulus else ring_mod.integers()
+        R = ring_mod.mod_ring(modulus) if modulus is not None else ring_mod.integers()
         shares = sharing.share_secret_kk(secret, k, seed=seed, ring=R)
     body = {"shares": [str(s) for s in shares.shares], "ring": R.to_config()}
     if out:
@@ -387,7 +394,7 @@ def cmd_commit2(values, modulus, seed, tamper, out):
 def cmd_ot(messages, indices, seed, modulus, out):
     """k-of-n oblivious transfer through a dummy."""
     with _exit_codes():
-        R = ring_mod.mod_ring(modulus) if modulus else ring_mod.integers()
+        R = ring_mod.mod_ring(modulus) if modulus is not None else ring_mod.integers()
         outcome, transcript = run(ObliviousTransfer(R), None, (messages, indices), seed)
     _emit(ObliviousTransfer.encode(outcome), transcript, out)
 

@@ -29,6 +29,7 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Any, NamedTuple
 
 from .errors import DummyRandomnessError, PhaseError, ProtocolError, ReplayError, TopologyError
@@ -48,6 +49,10 @@ REVEALED = "revealed"
 
 # One encoder for every transcript line: json.dumps would build a new one per call.
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# A message line: what _JSON gives for the message's fields, keys already in sorted order.
+_LINE = '{"from":%s,"kind":%s,"payload":%s,"security":%s,"seq":%d,"to":%s}'
+_RAW_DECODE = json.JSONDecoder().raw_decode
+_FIELDS = frozenset(("seq", "from", "to", "security", "kind", "payload"))
 
 
 class Message(NamedTuple):
@@ -121,20 +126,17 @@ class Transcript:
                 "params": _encode(self.params),
             }
         }
-        lines = [_JSON.encode(head)]
-        for m in self.messages:
-            lines.append(
-                _JSON.encode(
-                    {
-                        "seq": m.seq,
-                        "from": m.frm,
-                        "to": m.to,
-                        "security": m.security,
-                        "kind": m.kind,
-                        "payload": _encode(m.payload),
-                    }
-                )
-            )
+        # A config may name a party with any JSON value, not only a string, so
+        # each name is encoded once here rather than quoted on every line.
+        parties = self.topology["parties"]
+        names = {n: _JSON.encode(n) for n in (BROADCAST, *(p["name"] for p in parties))}
+        quote, encode = encode_basestring_ascii, _JSON.encode
+        lines = [encode(head)]
+        lines += [
+            _LINE % (names[m.frm], quote(m.kind), encode(_encode(m.payload)), quote(m.security),
+                     m.seq, names[m.to])
+            for m in self.messages
+        ]
         return "\n".join(lines) + "\n"
 
 
@@ -180,31 +182,72 @@ def _encode(value):
     raise TypeError(f"cannot encode {value!r}")
 
 
+def _loads(line: str):
+    """``json.loads(line)``: one ``raw_decode`` unless the line is padded or malformed.
+
+    Any line the fast path does not take whole goes to ``json.loads``, so
+    exactly its lines are accepted, and its messages name the faults.
+    """
+    try:
+        value, end = _RAW_DECODE(line)
+        if end == len(line):
+            return value
+    except json.JSONDecodeError:
+        pass
+    return json.loads(line)
+
+
+def _meta(line: str) -> dict:
+    """The metadata of a transcript header line."""
+    try:
+        head = _loads(line)
+    except json.JSONDecodeError as e:
+        raise ReplayError(f"unreadable transcript header: {e}") from None
+    if not isinstance(head, dict):
+        raise ReplayError(f"transcript header at line 1 is a JSON {type(head).__name__}, "
+                          "not an object")
+    if "meta" not in head:
+        raise ReplayError("transcript header has no metadata")
+    return head["meta"]
+
+
+def parse_header(text: str) -> dict:
+    """The metadata of the header, the first non-blank line; the lines after it are not read."""
+    start = 0
+    while True:
+        end = text.find("\n", start)
+        line = text[start:] if end < 0 else text[start:end]
+        if line.strip():
+            return _meta(line)
+        if end < 0:
+            raise ReplayError("empty transcript")
+        start = end + 1
+
+
 def parse_transcript(text: str) -> tuple[dict, list[dict]]:
     """Split serialized transcript text into (meta, message dicts).
 
     Raises ReplayError for anything structurally unusable; tampered but
     well-formed payloads are left for the replay comparison to flag.
+    Line numbers in the errors count non-blank lines.
     """
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines:
         raise ReplayError("empty transcript")
-    try:
-        head = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise ReplayError(f"unreadable transcript header: {e}") from None
-    if "meta" not in head:
-        raise ReplayError("transcript header has no metadata")
+    meta = _meta(lines[0])
     records = []
     for n, ln in enumerate(lines[1:], start=2):
         try:
-            rec = json.loads(ln)
+            rec = _loads(ln)
         except json.JSONDecodeError as e:
             raise ReplayError(f"truncated or corrupt transcript at line {n}: {e}") from None
-        if not {"seq", "from", "to", "security", "kind", "payload"} <= rec.keys():
+        if not isinstance(rec, dict):
+            raise ReplayError(f"message record at line {n} is a JSON {type(rec).__name__}, "
+                              "not an object")
+        if not _FIELDS <= rec.keys():
             raise ReplayError(f"message record at line {n} is missing fields")
         records.append(rec)
-    return head["meta"], records
+    return meta, records
 
 
 class ScriptedSource:

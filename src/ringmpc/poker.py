@@ -140,6 +140,10 @@ def protocol2_random_k(M, i, k, graph=None, seed=0, sources=None):
     return outcome
 
 
+# The most token hops a deal config may ask for: about 5 s of hops at ~4 µs each.
+MAX_DEAL_HOPS = 10**6
+
+
 @dataclass(frozen=True)
 class DealConfig:
     """Parameters of one token-passing deal.
@@ -161,11 +165,21 @@ class DealConfig:
             raise ProtocolError("dealing needs k >= 3 players")
         if self.N < 1:
             raise ProtocolError("counter bound N must be >= 1")
+        if self.max_hops > MAX_DEAL_HOPS:
+            raise ProtocolError(
+                f"a deal with N={self.N}, k={self.k}, r={self.r} may take more than "
+                f"{MAX_DEAL_HOPS} token hops"
+            )
         if self.quotas is not None:
             if len(self.quotas) != self.k or any(q < 0 for q in self.quotas):
                 raise ProtocolError("quotas must list one non-negative size per player")
             if sum(self.quotas) != self.r:
                 raise ProtocolError("quotas must sum to the number of cards")
+
+    @property
+    def max_hops(self) -> int:
+        """Token hops after which the deal is abandoned as non-terminating."""
+        return (self.N + 2) * self.k * (self.r + 2) + 64
 
 
 @dataclass(frozen=True)
@@ -333,7 +347,7 @@ class CardDeal(Protocol):
         run.send(0, 1 % k, 0, "token", kind="token")
         receiver, value = 1 % k, 0
         final_passes = [0] * k
-        hops, hop_guard = 1, (N + 2) * k * (final + 2) + 64
+        hops, max_hops = 1, cfg.max_hops
         while True:
             p, v = receiver, value
             cnt = seen[p].get(v, 0) + 1
@@ -359,7 +373,7 @@ class CardDeal(Protocol):
             run.send(p, nxt, value, "token", kind="token")
             receiver = nxt
             hops += 1
-            if hops >= hop_guard:
+            if hops >= max_hops:
                 raise ProtocolError("deal failed to terminate within the hop bound")
         hands = tuple(tuple(sorted(h)) for h in kept)
         permutation = self._draw_permutation(run) if self.with_labels else None

@@ -1,4 +1,6 @@
+import copy
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -87,6 +89,14 @@ class TestReplay:
         result = runner.invoke(main, ["replay", out])
         assert result.exit_code == 4
         assert f"seq {record['seq']}" in result.output
+
+    def test_line_that_is_not_an_object_exits_2(self, runner, tmp_path):
+        out = self.make_transcript(runner, tmp_path)
+        with open(out, "a") as f:
+            f.write("5\n")
+        result = runner.invoke(main, ["replay", out])
+        assert result.exit_code == 2
+        assert "line" in result.output and "not an object" in result.output
 
     def test_truncated_file_is_an_error_not_a_divergence(self, runner, tmp_path):
         out = self.make_transcript(runner, tmp_path)
@@ -261,6 +271,17 @@ class TestConfigErrors:
         })
         assert runner.invoke(main, ["run", cfg]).exit_code == 3
 
+    def test_deal_with_a_huge_counter_bound_exits_2_at_once(self, runner, tmp_path):
+        from test_view_digests import CONFIGS
+
+        body = copy.deepcopy(CONFIGS["card_deal"])
+        body["params"]["N"] = 10**30
+        start = time.perf_counter()
+        result = runner.invoke(main, ["run", write_config(tmp_path, "deal.json", body)])
+        assert result.exit_code == 2
+        assert time.perf_counter() - start < 1
+        assert "N=" in result.output and "k=3" in result.output and "r=8" in result.output
+
     def test_replaying_a_custom_g_run_exits_2(self, runner, tmp_path):
         from ringmpc.arithmetic import ExampleF2
         from ringmpc.engine import run
@@ -292,6 +313,17 @@ class TestCommandInputErrors:
         runner.invoke(main, ["commit3", "--values", "1,0,1", "--state", state])
         result = runner.invoke(main, ["decommit3", "--state", state, "--tamper", "r1 reveal"])
         assert result.exit_code == 2
+
+    def test_share_modulus_0_is_not_the_integers(self, runner):
+        result = runner.invoke(main, ["share", "--secret", "5", "--modulus", "0"])
+        assert result.exit_code == 2
+        assert "modulus" in result.output
+
+    def test_ot_modulus_0_is_not_the_integers(self, runner):
+        result = runner.invoke(main, ["ot", "--messages", "10,20,30", "--indices", "1",
+                                      "--modulus", "0"])
+        assert result.exit_code == 2
+        assert "modulus" in result.output
 
     def test_tamper_with_an_unknown_label(self, runner):
         result = runner.invoke(main, ["commit2", "--values", "1,0", "--tamper", "bogus=1"])

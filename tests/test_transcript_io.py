@@ -1,0 +1,244 @@
+"""Transcript I/O keeps every byte, verdict and error of the straightforward code.
+
+``reference_serialize``, ``reference_parse`` and ``reference_replay`` are
+the plain versions: one dict and one sorted-key encode per message line,
+``json.loads`` per line, and a replay that parses the whole text before
+it re-executes the run.  The package's versions must agree with them on
+every config whose views ``test_view_digests`` pins and on the damaged
+texts below.
+"""
+
+import dataclasses
+import json
+
+import pytest
+from test_view_digests import CONFIGS
+
+from ringmpc.cli import execute_config, replay_transcript
+from ringmpc.engine import Message, parse_header, parse_transcript
+from ringmpc.errors import ProtocolError, ReplayError, TopologyError
+
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _encode(value):
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return value
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    raise TypeError(f"cannot encode {value!r}")
+
+
+def reference_serialize(t) -> str:
+    head = {
+        "meta": {
+            "protocol": t.protocol,
+            "ring": t.ring,
+            "seed": t.seed,
+            "topology": t.topology,
+            "inputs": _encode(t.inputs),
+            "params": _encode(t.params),
+        }
+    }
+    lines = [_JSON.encode(head)]
+    for m in t.messages:
+        lines.append(
+            _JSON.encode(
+                {
+                    "seq": m.seq,
+                    "from": m.frm,
+                    "to": m.to,
+                    "security": m.security,
+                    "kind": m.kind,
+                    "payload": _encode(m.payload),
+                }
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def reference_parse(text: str):
+    lines = [ln for ln in text.split("\n") if ln.strip()]
+    if not lines:
+        raise ReplayError("empty transcript")
+    try:
+        head = json.loads(lines[0])
+    except json.JSONDecodeError as e:
+        raise ReplayError(f"unreadable transcript header: {e}") from None
+    if "meta" not in head:
+        raise ReplayError("transcript header has no metadata")
+    records = []
+    for n, ln in enumerate(lines[1:], start=2):
+        try:
+            rec = json.loads(ln)
+        except json.JSONDecodeError as e:
+            raise ReplayError(f"truncated or corrupt transcript at line {n}: {e}") from None
+        if not {"seq", "from", "to", "security", "kind", "payload"} <= rec.keys():
+            raise ReplayError(f"message record at line {n} is missing fields")
+        records.append(rec)
+    return head["meta"], records
+
+
+def reference_replay(text: str):
+    meta, _ = reference_parse(text)
+    try:
+        _, transcript = execute_config(meta)
+    except TopologyError:
+        raise
+    except ProtocolError as e:
+        raise ReplayError(f"the transcript header cannot be re-executed: {e}") from None
+    expected_lines = reference_serialize(transcript).strip().split("\n")
+    got_lines = text.strip().split("\n")
+    for i in range(1, max(len(expected_lines), len(got_lines))):
+        exp = expected_lines[i] if i < len(expected_lines) else None
+        got = got_lines[i] if i < len(got_lines) else None
+        if exp != got:
+            seq = None
+            for candidate in (got, exp):
+                if candidate:
+                    try:
+                        seq = json.loads(candidate).get("seq")
+                        break
+                    except json.JSONDecodeError:
+                        continue
+            return False, seq, f"first divergence at line {i + 1}"
+    return True, None, "verified"
+
+
+# The pinned configs, plus one whose party names are JSON values other than strings.
+ALL_CONFIGS = {
+    **CONFIGS,
+    "secure_sum/non-string names": {
+        "protocol": "secure_sum", "inputs": [1, 2, 3], "seed": 1,
+        "topology": {"k": 3, "parties": [{"name": 1}, {"name": 2.5}, {"name": None}],
+                     "edges": [[0, 1, "secure"], [1, 2, "secure"], [0, 2, "secure"]]},
+    },
+}
+
+
+def outcome(fn, text):
+    """What ``fn(text)`` returns, or the type and message of what it raises."""
+    try:
+        return "returned", fn(text)
+    except ProtocolError as e:
+        return "raised", type(e), str(e)
+
+
+def _edit(text, edit):
+    """``text`` with its lines replaced by ``edit(lines)``."""
+    return "\n".join(edit(text.split("\n")))
+
+
+def _altered_payload(lines):
+    record = json.loads(lines[len(lines) // 2])
+    record["payload"] = "tampered"
+    lines[len(lines) // 2] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return lines
+
+
+def _reordered_header(lines):
+    head = json.loads(lines[0])
+    lines[0] = json.dumps({"meta": dict(reversed(list(head["meta"].items())))})
+    return lines
+
+
+def _garbage_after_line_2(lines):
+    lines[1] += " x"
+    return lines
+
+
+def _corrupt_body_unrunnable_header(lines):
+    lines[0] = lines[0].replace('"protocol":"', '"protocol":"no such ', 1)
+    lines[1] = lines[1][:-1] + "]"
+    return lines
+
+
+DAMAGE = {
+    "untouched": lambda text: text,
+    "one altered payload": lambda text: _edit(text, _altered_payload),
+    "truncated last line": lambda text: text.rstrip("\n")[:-5],
+    "dropped line": lambda text: _edit(text, lambda lines: lines[:1] + lines[2:]),
+    "extra line": lambda text: text + text.split("\n")[1] + "\n",
+    "reordered header keys": lambda text: _edit(text, _reordered_header),
+    "leading blank lines": lambda text: "\n \n\t\n" + text,
+    "byte-order mark": lambda text: "\ufeff" + text,
+    "CRLF line endings": lambda text: text.replace("\n", "\r\n"),
+    "whitespace-padded lines": lambda text: _edit(
+        text, lambda lines: [f" \t{ln} \r" if ln else ln for ln in lines]),
+    "trailing garbage": lambda text: _edit(text, _garbage_after_line_2),
+    "corrupt body under an unrunnable header": lambda text: _edit(
+        text, _corrupt_body_unrunnable_header),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_CONFIGS))
+def test_serialize_is_byte_equal(name):
+    _, t = execute_config(ALL_CONFIGS[name])
+    assert t.serialize() == reference_serialize(t)
+
+
+def test_serialize_is_byte_equal_for_every_payload_shape():
+    _, t = execute_config(CONFIGS["secure_sum"])
+    payloads = [-7, 0, 10**40 + 1, -(10**40), (1, -2, 3), [[1, [2, -3]], (), []], None,
+                True, "text", ["aé\n", None]]
+    messages = tuple(
+        Message(seq, m.frm, m.to, m.security, m.kind, payload, m.label)
+        for seq, (m, payload) in enumerate(zip(t.messages * 3, payloads))
+    )
+    t = dataclasses.replace(t, messages=messages)
+    assert t.serialize() == reference_serialize(t)
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+@pytest.mark.parametrize("name", sorted(ALL_CONFIGS))
+def test_parse_and_replay_agree_with_the_reference(name, damage):
+    _, t = execute_config(ALL_CONFIGS[name])
+    text = DAMAGE[damage](t.serialize())
+    assert outcome(parse_transcript, text) == outcome(reference_parse, text)
+    assert outcome(replay_transcript, text) == outcome(reference_replay, text)
+
+
+def test_damage_reaches_each_verdict():
+    # The damaged texts cover verification, divergence and a ReplayError.
+    _, t = execute_config(CONFIGS["secure_sum"])
+    verdicts = {damage: outcome(replay_transcript, fn(t.serialize()))
+                for damage, fn in DAMAGE.items()}
+    assert verdicts["untouched"] == ("returned", (True, None, "verified"))
+    assert verdicts["leading blank lines"] == ("returned", (True, None, "verified"))
+    assert verdicts["one altered payload"][1][0] is False
+    assert verdicts["CRLF line endings"][1][0] is False
+    assert verdicts["reordered header keys"] == ("returned", (True, None, "verified"))
+    assert verdicts["trailing garbage"][1] is ReplayError
+    assert verdicts["trailing garbage"][2].startswith(
+        "truncated or corrupt transcript at line 2: Extra data")
+    assert verdicts["corrupt body under an unrunnable header"][1] is ReplayError
+    assert "at line 2" in verdicts["corrupt body under an unrunnable header"][2]
+
+
+def test_parse_header_reads_the_first_non_blank_line_only():
+    _, t = execute_config(CONFIGS["secure_sum"])
+    text = "\n  \n" + t.serialize() + "not json\n"
+    assert parse_header(text) == reference_parse(t.serialize())[0]
+    with pytest.raises(ReplayError, match="empty transcript"):
+        parse_header(" \n\t\n")
+
+
+@pytest.mark.parametrize("text, line", [
+    ('{"meta":{}}\n5\n', 2),
+    ("HEADER\n[]\n", 2),
+    ("5\n", 1),
+    ('"metameta"\n', 1),
+], ids=["number message", "array message", "number header", "string header"])
+def test_line_that_is_not_an_object_is_a_replay_error(text, line):
+    if text.startswith("HEADER"):
+        _, t = execute_config(CONFIGS["secure_sum"])
+        text = text.replace("HEADER", t.serialize().split("\n")[0])
+    for fn in (parse_transcript, replay_transcript):
+        with pytest.raises(ReplayError, match=f"line {line} is a JSON .*, not an object"):
+            fn(text)
