@@ -4,7 +4,8 @@ One fixed config per CLI protocol, plus a secure sum over Z_5 on two
 disjoint cycles, is run through ``execute_config``; the SHA-256 of each
 party's view entries and of the eavesdropper's view must equal the
 recorded digest.  Any change to what the engine shows an observer, or in
-what order, changes a digest.
+what order, changes a digest.  Runs at two composite moduli also pin the
+SHA-256 of their serialized transcript.
 """
 
 import hashlib
@@ -49,7 +50,11 @@ CONFIGS = {
 
 
 def _digest(entries) -> str:
-    return hashlib.sha256(repr(entries).encode()).hexdigest()
+    return _digest_text(repr(entries))
+
+
+def _digest_text(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def view_digests(config) -> dict:
@@ -167,6 +172,76 @@ DIGESTS = {
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_views_match_recorded_digests(name):
     assert view_digests(CONFIGS[name]) == DIGESTS[name]
+
+
+# Unit draws at composite moduli: 720720 = 2^4*3^2*5*7*11*13 and 995328 = 2^12*3^5.
+# The configs above use only prime moduli, where the i-th unit is simply i + 1.
+COMPOSITE_CONFIGS = {
+    f"{protocol}/Z_{m}": {"protocol": protocol, "seed": 11, "ring": {"ring": "Zm", "m": m}, **body}
+    for m, units, compare in ((720720, [17, 19, 23, 720719, 101], [300000, 12345]),
+                              (995328, [5, 7, 11, 995327, 1001], [12345, 400000]))
+    for protocol, body in (("secure_product", {"inputs": units}),
+                           ("millionaires_compare", {"inputs": compare}),
+                           ("example_f2", {"inputs": units[:3], "params": {"g": "cube"}}))
+}
+
+# Recorded on the engine whose unit draws indexed a table of every unit.
+COMPOSITE_DIGESTS = {
+    "example_f2/Z_720720": {
+        "P1": "a2157ea966474d205351a96858aa11741a63afb315b5d872d1530643804770ac",
+        "P2": "94abfebbe8ba680937e3bb40e415039a53e884dccbd86ad7906d230d758b20be",
+        "P3": "cf8922204cc5c74f800fe9f0fff240da4dcd073867e7468b36320b25dd45c977",
+        "eavesdropper": "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+        "transcript": "b527fa21f0bd7ae6f47cc93d479afe54ad9536336508d97d7f47a381d848d219",
+    },
+    "example_f2/Z_995328": {
+        "P1": "e0eccd50c8468803fa7a4ea42cb94724d4648b3b0d4e525bc047f5eed27f6232",
+        "P2": "5322f5a3d158003042968c826724fc5f4e73214f4a9260b9fa5e952d62686a54",
+        "P3": "f62113c0a531bc9f17bdee11cd240c9254030f54046d3fec8024a66615ab3340",
+        "eavesdropper": "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+        "transcript": "c4f2598dda81394921d3956ab4ce0a5c542dec1b2edd92bd0f9823434106467a",
+    },
+    "millionaires_compare/Z_720720": {
+        "A": "fe6103ae5304ba49343171a5381a95425b3477fddc6f239e1be779b537d4e647",
+        "B": "e69d2429e1e22750f74c460057ed4cc4c485d4d77c4cb873fc6a0f52fd38087e",
+        "D": "a4199487f724c44017e0aeca3ec2170e5a9044d3229011e64b6ea17d55f6617c",
+        "eavesdropper": "8af27d37613e6aa2ab21670a746a889ab88e49448af8feb90290d056f3ac9282",
+        "transcript": "898dc98b1cb8d739549032c19f50fc07e7df9d0c2fc325b55182656a57b634e3",
+    },
+    "millionaires_compare/Z_995328": {
+        "A": "6c95de4a375adfe04f4347ca7cfb01b77f27264a0aae40f3fa172bfd8d9899c7",
+        "B": "08910e638a791a3c43cb0bcb587ca067a09b9f2070bb86329f27b8b0ba78e3ee",
+        "D": "1cde435aff1187b1f72b09d94f298be3920cc53f474764b6b5756a0db48f8f7e",
+        "eavesdropper": "7dc3b12f3fabb6ef122e3fca631121c95a47f9669d199a2e96040ebfad3a1e1b",
+        "transcript": "2220e303a2161efe4e94be9f5434f7829bcff6d53c3bddc9d1d996371e6a05ec",
+    },
+    "secure_product/Z_720720": {
+        "P1": "2e46b676114a41af45180b038c4008c212262535f420bd4b6cda3e1b26d604e7",
+        "P2": "7c739879e9d35a3bd2d391f9c6e3109fb972d810ae2b26ae8ba76aa62c5bf0c1",
+        "P3": "cae7c5a25b10832277ff7fb633a07fe58c4e6de59ee1945bc50de52c7b9b7e1e",
+        "P4": "43dae3215a840948421d70a87176a5986665708df3cbc19b68a70f75bf53d73f",
+        "P5": "702073dc8f4c35aa2bf3ae6b45b9965c2a5d24e3284cfc8844c257674681fe00",
+        "eavesdropper": "75857deb80b8977607ad5aca100bbab655f66f33a501d6b6d439aa29db0ea665",
+        "transcript": "e42891cf95dd6e94a20cdb6ced550334f2bf30ec0d39a714a2a7ee6604a46721",
+    },
+    "secure_product/Z_995328": {
+        "P1": "b2ee6615ea7d088efddd7ccc5051360539b89ce4c78d5b293ab4fea08751e97d",
+        "P2": "39fd6742d3aa76eb22f15625054372c335efadbfd36751f4d054e1ab708a53dc",
+        "P3": "4ac1407e86e951f8facbc6db177c04509b247070a0ac9a9ae28345c91880eb21",
+        "P4": "cf38bde9aec9c06c68922866833fdf57893ab7c49e9a4e5c36c86112d3e97139",
+        "P5": "5762e6222246a50d42f41011e2f975851550ac581bf27dcfb1ed0ff7c00bcb8d",
+        "eavesdropper": "75b995e907a939147a1b2447b4a1a6518e950caecef02021d9218f00f2a1a5d1",
+        "transcript": "3afcbee458fd70216e358b961ee52431eae3940b05d7e2e238b20b5f9a75d722",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSITE_CONFIGS))
+def test_composite_modulus_runs_match_recorded_digests(name):
+    config = COMPOSITE_CONFIGS[name]
+    _, t = execute_config(config)
+    got = dict(view_digests(config), transcript=_digest_text(t.serialize()))
+    assert got == COMPOSITE_DIGESTS[name]
 
 
 def test_every_cli_protocol_is_covered():
