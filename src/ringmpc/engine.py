@@ -197,14 +197,14 @@ def _loads(line: str):
     return json.loads(line)
 
 
-def _meta(line: str) -> dict:
-    """The metadata of a transcript header line."""
+def _meta(line: str, n: int) -> dict:
+    """The metadata of a transcript header, line ``n`` of the text."""
     try:
         head = _loads(line)
     except json.JSONDecodeError as e:
         raise ReplayError(f"unreadable transcript header: {e}") from None
     if not isinstance(head, dict):
-        raise ReplayError(f"transcript header at line 1 is a JSON {type(head).__name__}, "
+        raise ReplayError(f"transcript header at line {n} is a JSON {type(head).__name__}, "
                           "not an object")
     if "meta" not in head:
         raise ReplayError("transcript header has no metadata")
@@ -213,15 +213,15 @@ def _meta(line: str) -> dict:
 
 def parse_header(text: str) -> dict:
     """The metadata of the header, the first non-blank line; the lines after it are not read."""
-    start = 0
+    start, n = 0, 1
     while True:
         end = text.find("\n", start)
         line = text[start:] if end < 0 else text[start:end]
         if line.strip():
-            return _meta(line)
+            return _meta(line, n)
         if end < 0:
             raise ReplayError("empty transcript")
-        start = end + 1
+        start, n = end + 1, n + 1
 
 
 def parse_transcript(text: str) -> tuple[dict, list[dict]]:
@@ -229,14 +229,14 @@ def parse_transcript(text: str) -> tuple[dict, list[dict]]:
 
     Raises ReplayError for anything structurally unusable; tampered but
     well-formed payloads are left for the replay comparison to flag.
-    Line numbers in the errors count non-blank lines.
+    Line numbers in the errors count every line of the text, blank or not.
     """
-    lines = [ln for ln in text.split("\n") if ln.strip()]
+    lines = [(n, ln) for n, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
     if not lines:
         raise ReplayError("empty transcript")
-    meta = _meta(lines[0])
+    meta = _meta(lines[0][1], lines[0][0])
     records = []
-    for n, ln in enumerate(lines[1:], start=2):
+    for n, ln in lines[1:]:
         try:
             rec = _loads(ln)
         except json.JSONDecodeError as e:

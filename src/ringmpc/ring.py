@@ -16,6 +16,18 @@ distribution does not exist; noise is uniform over a bounded symmetric
 interval [-noise_bound, noise_bound], which makes hiding over Z
 statistical rather than perfect.  All exhaustive secrecy checks in this
 package therefore run over Zm.
+
+A unit draw over Zm is one ``randrange(phi(m))`` whose index i selects the
+i-th unit of Zm in ascending order, so an enumerator indexes the units as
+it indexes the residues.  The select keeps no table: it needs only the
+primes dividing m, found once per modulus by trial division below 1000,
+Miller-Rabin with the first 13 prime bases (exact below FACTOR_BOUND,
+about 3.3e24) and Pollard-Brent rho, and it costs about 2^k steps for k
+distinct primes (one step when m is a prime power).  A unit draw raises
+RingError when the part of m free of primes below 1000 is at or above
+FACTOR_BOUND, as for m = 2^127 - 1, or when m has more than MAX_PRIMES
+distinct primes; no modulus below FACTOR_BOUND has that many.  Every
+other operation uses only ``gcd`` and ``pow`` and works for any m.
 """
 
 from __future__ import annotations
@@ -27,9 +39,136 @@ from functools import lru_cache
 from .errors import RingError
 
 
-@lru_cache(maxsize=None)
-def _units(m: int) -> tuple[int, ...]:
-    return tuple(v for v in range(m) if math.gcd(v, m) == 1)
+# Miller-Rabin with these bases is exact below FACTOR_BOUND (Sorenson and
+# Webster, 2015); a cofactor at or above it cannot be proven prime here.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+FACTOR_BOUND = 3_317_044_064_679_887_385_961_981
+_TRIAL_LIMIT = 1000
+# A unit select over k distinct primes counts up to 2^k terms.
+MAX_PRIMES = 18
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < FACTOR_BOUND."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the odd composite n (Pollard-Brent rho, one c after another)."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+@lru_cache(maxsize=1024)
+def _unit_basis(m: int) -> tuple[tuple[int, ...], int, int]:
+    """(the primes dividing m in ascending order, their product rad, phi(rad))."""
+    primes, n = set(), m
+    for d in (2, *range(3, _TRIAL_LIMIT, 2)):
+        if d * d > n:
+            break
+        if n % d == 0:
+            primes.add(d)
+            while n % d == 0:
+                n //= d
+    if n >= FACTOR_BOUND:
+        raise RingError(f"cannot draw a unit modulo {m}: its part {n} free of primes below "
+                        f"{_TRIAL_LIMIT} is not below {FACTOR_BOUND}, the bound up to which "
+                        "primality is decided exactly")
+    pending = [n] if n > 1 else []
+    while pending:
+        n = pending.pop()
+        if _is_prime(n):
+            primes.add(n)
+        else:
+            d = _rho(n)
+            pending += [d, n // d]
+    if len(primes) > MAX_PRIMES:
+        raise RingError(f"cannot draw a unit modulo {m}: it has {len(primes)} distinct prime "
+                        f"factors, more than the {MAX_PRIMES} a unit select allows")
+    primes = tuple(sorted(primes))
+    return primes, math.prod(primes), math.prod(p - 1 for p in primes)
+
+
+def _coprime_count(x: int, primes: tuple[int, ...], end: int) -> int:
+    """How many of 1..x are divisible by none of ``primes[:end]`` (ascending).
+
+    Legendre's recursion, one term per squarefree product of those primes
+    that is at most x: a multiple is counted under its smallest prime p_j
+    as p_j times a number up to x // p_j free of the primes below p_j.
+    """
+    n = x
+    for j in range(end):
+        p = primes[j]
+        if p > x:
+            break
+        n -= _coprime_count(x // p, primes, j)
+    return n
+
+
+def _unit(m: int, i: int) -> int:
+    """The i-th unit of Z_m in ascending order, counting from 0.
+
+    The units repeat with period rad(m), the product of the primes of m,
+    phi(rad) of them per period, so the i-th is q * rad + s, where
+    (q, r) = divmod(i, phi(rad)) and s is the (r + 1)-th number in 1..rad
+    coprime to rad.  For a prime power p^e, s is simply r + 1.
+    """
+    primes, rad, phi_rad = _unit_basis(m)
+    q, r = divmod(i, phi_rad)
+    if len(primes) == 1:
+        return q * rad + r + 1
+    # The count of coprimes in 1..x strays from x * phi(rad) / rad by less than
+    # 2^(len(primes) - 1): count there once, then step to the one with count r + 1.
+    x = (r + 1) * rad // phi_rad
+    c = _coprime_count(x, primes, len(primes))
+    while c <= r:
+        x += 1
+        c += math.gcd(x, rad) == 1
+    while c > r + 1 or math.gcd(x, rad) != 1:
+        c -= math.gcd(x, rad) == 1
+        x -= 1
+    return q * rad + x
 
 
 @dataclass(frozen=True)
@@ -111,7 +250,10 @@ class RingSpec:
     def noise_domain(self, require_unit: bool = False) -> int:
         """Size of the candidate set one noise draw indexes: its ``randrange`` bound."""
         if self.modular:
-            return len(self.units()) if require_unit else self.modulus
+            if require_unit:
+                _, rad, phi_rad = _unit_basis(self.modulus)
+                return self.modulus // rad * phi_rad
+            return self.modulus
         return 2 * self.noise_bound if require_unit else 2 * self.noise_bound + 1
 
     def sample_noise(self, source, require_unit: bool = False) -> int:
@@ -125,7 +267,7 @@ class RingSpec:
         """
         idx = source.randrange(self.noise_domain(require_unit))
         if self.modular:
-            return _units(self.modulus)[idx] if require_unit else idx
+            return _unit(self.modulus, idx) if require_unit else idx
         b = self.noise_bound
         if require_unit:  # nonzero values of [-b, b]
             return idx - b if idx < b else idx - b + 1
@@ -138,9 +280,10 @@ class RingSpec:
         return range(self.modulus)
 
     def units(self) -> tuple[int, ...]:
+        """Every unit of Z_m in ascending order: the candidates of a unit draw, in index order."""
         if not self.modular:
             raise RingError("over Z every nonzero element is a legal divisor")
-        return _units(self.modulus)
+        return tuple(_unit(self.modulus, i) for i in range(self.noise_domain(True)))
 
     def to_config(self) -> dict:
         if self.modular:

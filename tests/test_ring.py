@@ -1,10 +1,13 @@
+import math
 import random
+import time
+from itertools import combinations
 
 import pytest
 
 from ringmpc.engine import ScriptedSource
 from ringmpc.errors import RingError
-from ringmpc.ring import RingSpec, integers, mod_ring
+from ringmpc.ring import FACTOR_BOUND, MAX_PRIMES, RingSpec, integers, mod_ring
 
 
 def test_add_over_integers():
@@ -159,3 +162,70 @@ def test_is_unit():
     assert not mod_ring(6).is_unit(3)
     assert integers().is_unit(-7)
     assert not integers().is_unit(0)
+
+
+# -- the i-th unit of Z_m, selected from m's primes --------------------------
+
+
+def test_unit_select_matches_gcd_filter_for_every_small_modulus():
+    for m in range(2, 2001):
+        oracle = tuple(v for v in range(m) if math.gcd(v, m) == 1)
+        R = mod_ring(m)
+        assert R.noise_domain(True) == len(oracle), m
+        assert R.units() == oracle, m
+
+
+def _units_below(v, primes):
+    """How many of 1..v-1 are divisible by none of ``primes``: Mobius over every subset."""
+    return sum((-1) ** len(subset) * ((v - 1) // math.prod(subset))
+               for size in range(len(primes) + 1) for subset in combinations(primes, size))
+
+
+LARGE_COMPOSITES = {  # m: its distinct primes
+    2 * 3 * 5 * 7 * 11 * 13 * 17 * 19: (2, 3, 5, 7, 11, 13, 17, 19),
+    2**40 * 3: (2, 3),
+    720720: (2, 3, 5, 7, 11, 13),
+    1048571 * 1048573: (1048571, 1048573),  # found by Pollard-Brent rho
+    1000003**2 * 7: (7, 1000003),  # a square cofactor for rho
+}
+
+
+@pytest.mark.parametrize("m", sorted(LARGE_COMPOSITES))
+def test_unit_select_at_large_composites(m):
+    primes = LARGE_COMPOSITES[m]
+    R = mod_ring(m)
+    phi = m // math.prod(primes) * math.prod(p - 1 for p in primes)
+    assert R.noise_domain(True) == phi
+
+    def select(i):
+        return R.sample_noise(ScriptedSource([i]), require_unit=True)
+
+    rng = random.Random(m)
+    indices = [0, 1, phi - 2, phi - 1] + [rng.randrange(phi) for _ in range(200)]
+    for i in indices:
+        v = select(i)
+        assert math.gcd(v, m) == 1 and _units_below(v, primes) == i, (i, v)
+    assert select(0) == 1 and select(phi - 1) == m - 1
+
+
+# Primes, or a prime times 6, above the bound below which Miller-Rabin is exact.
+@pytest.mark.parametrize("m", [2**127 - 1, 6 * (2**89 - 1)])
+def test_unit_draw_above_the_factor_bound_raises_at_once(m):
+    assert m // 6 >= FACTOR_BOUND
+    R = mod_ring(m)
+    start = time.perf_counter()
+    for draw in (lambda: R.noise_domain(True),
+                 lambda: R.sample_noise(random.Random(0), require_unit=True)):
+        with pytest.raises(RingError, match=f"{m}.*{FACTOR_BOUND}"):
+            draw()
+    assert time.perf_counter() - start < 1
+    # Nothing else needs the factors.
+    assert R.exact_div(R.mul(5, 7), 5) == 7 and R.is_unit(5) and R.sample_noise(random.Random(0)) < m
+
+
+def test_unit_draw_with_too_many_distinct_primes_raises():
+    primes = [p for p in range(2, 100) if all(p % d for d in range(2, p))][:MAX_PRIMES + 1]
+    m = math.prod(primes)
+    with pytest.raises(RingError, match=f"{MAX_PRIMES + 1} distinct prime factors"):
+        mod_ring(m).noise_domain(True)
+    assert mod_ring(m // primes[-1]).noise_domain(True) == math.prod(p - 1 for p in primes[:-1])

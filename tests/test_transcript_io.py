@@ -242,3 +242,19 @@ def test_line_that_is_not_an_object_is_a_replay_error(text, line):
     for fn in (parse_transcript, replay_transcript):
         with pytest.raises(ReplayError, match=f"line {line} is a JSON .*, not an object"):
             fn(text)
+
+
+@pytest.mark.parametrize("text, line", [
+    ('\n{"meta":{}}\n\n  \n5\n', 5),
+    ('\n\t\n{"meta":{}}\n\n{"seq": 0,\n', 5),
+], ids=["number message", "corrupt message"])
+def test_message_error_line_numbers_count_blank_lines(text, line):
+    for fn in (parse_transcript, replay_transcript):
+        with pytest.raises(ReplayError, match=f" at line {line}[ :]"):
+            fn(text)
+
+
+def test_header_error_line_number_counts_blank_lines():
+    for fn in (parse_header, parse_transcript, replay_transcript):
+        with pytest.raises(ReplayError, match="header at line 3 is a JSON list"):
+            fn(" \n\n[]\n")
