@@ -4,8 +4,8 @@ One fixed config per CLI protocol, plus a secure sum over Z_5 on two
 disjoint cycles, is run through ``execute_config``; the SHA-256 of each
 party's view entries and of the eavesdropper's view must equal the
 recorded digest.  Any change to what the engine shows an observer, or in
-what order, changes a digest.  Runs at two composite moduli also pin the
-SHA-256 of their serialized transcript.
+what order, changes a digest.  The SHA-256 of every config's serialized
+transcript is pinned too, as is that of runs at two composite moduli.
 """
 
 import hashlib
@@ -172,6 +172,35 @@ DIGESTS = {
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_views_match_recorded_digests(name):
     assert view_digests(CONFIGS[name]) == DIGESTS[name]
+
+
+# SHA-256 of each config's serialized transcript, recorded on the engine that
+# kept every message a second time beside the event log.  A wrong seq, sender,
+# receiver, security or kind on any message line changes a digest.
+TRANSCRIPT_DIGESTS = {
+    "card_deal": "ab1504aa8b0d41195d3b147c8d61fdd89b3f9d052ee14b720e95c006463623af",
+    "commit2_dummy": "f9ac8238171cd33c9cc9ba5a822d502274fb14de7fcd77d33bf1e25b5ca690ed",
+    "commit3": "a762c113d8a381f3232985509edf6b6a97190e949cdc73127656e59c599cce05",
+    "distribute_shares": "84113d3de2a399bb61cd57d40948804ee2b10884ff6580674868bb6b464c5780",
+    "example_f1": "63b984fb046d04e4fe6137832d3f8306caa7dae9302ec0a21382c2a981815f5e",
+    "example_f2": "242d3add3a8765dcc382830d1afacdf0b9e88f9aa557bf122e357c4779914173",
+    "millionaires_bitwise": "30b8df7247009bbd32f5ff1fab75fa4c6d61abc9c748a6eebf5775362bf855cc",
+    "millionaires_compare": "4c588eb7ff42f6fe5fbcc833ae980096db5a601d3b4cf0af3930761e8e3025bf",
+    "ot_dummy": "e79b849604152a22747259ba761a72b90d981976ca98397fe43474a2ba710cd6",
+    "secure_product": "cf064e2d0a3c462f1e51ee48b54f67f5033c4834a435906c0dd1b4bc08933fb4",
+    "secure_rating": "e793942b8b5dced1e2cbfa7f493a1c2c5993b54f0a601cbde21db0e06e99091a",
+    "secure_sum": "4e9a3a53b1b3b808ccdbfca40565e0a9786b3fd7641ba8b08b7c54e032a8df34",
+    "secure_sum/Z_5/two cycles":
+        "9d62a3008a68887c085b9c70159d27352685445f1843b960d4afcb197c4e537b",
+    "share_secret_kk": "08b7f2ea8c8d2a20746e52eb32320e9d8b31a50ee6d8e4942908cecce5d7eb31",
+    "sum_of_powers": "00a60d081b4252c506a6c3011f59a8270f5b52838c44d6f9af6f9a8c0514baa7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_transcripts_match_recorded_digests(name):
+    _, t = execute_config(CONFIGS[name])
+    assert _digest_text(t.serialize()) == TRANSCRIPT_DIGESTS[name]
 
 
 # Unit draws at composite moduli: 720720 = 2^4*3^2*5*7*11*13 and 995328 = 2^12*3^5.
