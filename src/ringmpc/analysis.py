@@ -123,9 +123,7 @@ def enumerate_runs(spec: SecrecySpec):
             for (party, _), value in zip(sites, assignment):
                 per_party.setdefault(party, []).append(value)
             sources = {p: ScriptedSource(vals) for p, vals in per_party.items()}
-            outcome, transcript = run(
-                spec.protocol, graph, inputs, seed=0, sources=sources, record=False
-            )
+            outcome, transcript = run(spec.protocol, graph, inputs, seed=0, sources=sources)
             yield inputs, outcome, transcript
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager
+from itertools import zip_longest
 from pathlib import Path
 
 import click
@@ -95,12 +96,13 @@ def execute_config(config):
 
 
 def replay_transcript(text: str):
-    """Re-execute a transcript's run and compare byte-for-byte.
+    """Re-execute a transcript's run and compare its message records.
 
     Returns (ok, divergence_seq, detail).  A header that does not describe
     a run this package can re-execute raises ReplayError.  Only the header
     is decoded unless the text differs from the re-executed run's; the body
-    is then parsed, so a structural fault is a ReplayError, not a divergence.
+    is then parsed, so a structural fault is a ReplayError, not a divergence,
+    and records are compared, so line endings and padding are not either.
     """
     meta = parse_header(text)
     try:
@@ -113,23 +115,12 @@ def replay_transcript(text: str):
     expected = transcript.serialize()
     if expected == text:
         return True, None, "verified"
-    parse_transcript(text)
-    expected_lines = expected.strip().split("\n")
-    got_lines = text.strip().split("\n")
-    # Compare message lines; the header was consumed to rebuild the run.
-    for i in range(1, max(len(expected_lines), len(got_lines))):
-        exp = expected_lines[i] if i < len(expected_lines) else None
-        got = got_lines[i] if i < len(got_lines) else None
-        if exp != got:
-            seq = None
-            for candidate in (got, exp):
-                if candidate:
-                    try:
-                        seq = json.loads(candidate).get("seq")
-                        break
-                    except json.JSONDecodeError:
-                        continue
-            return False, seq, f"first divergence at line {i + 1}"
+    _, got = parse_transcript(text)
+    _, want = parse_transcript(expected)
+    # The header was consumed to rebuild the run; message i is line i + 2.
+    for i, (g, w) in enumerate(zip_longest(got, want)):
+        if g != w:
+            return False, (w if g is None else g)["seq"], f"first divergence at line {i + 2}"
     return True, None, "verified"
 
 

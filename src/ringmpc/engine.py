@@ -5,17 +5,23 @@ engine is a single logical thread that plays the protocol's steps in
 narrative order.  What the engine adds on top of the protocol code is
 discipline and evidence:
 
-* every transmission must traverse a declared channel and is recorded
-  in a global transcript with a strictly increasing sequence number;
+* every transmission must traverse a declared channel;
 * each full party owns a deterministic random generator forked from the
   run seed by party index, while a dummy owns none and any draw attempt
   raises ``DummyRandomnessError``;
 * every note, send and broadcast is appended once to an event log,
   tagged with its audience: one party, a sender/receiver pair (plus the
-  eavesdropper on an insecure channel), or everyone.  A party's view is
-  the log filtered to the events it is in the audience of, computed only
-  when someone asks for it, so a broadcast to k parties costs one entry,
-  not k.
+  eavesdropper on an insecure channel), or everyone.  A send or broadcast
+  also carries its route (sender, receiver, security, kind).  A party's
+  view is the log filtered to the events it is in the audience of,
+  computed only when someone asks for it, so a broadcast to k parties
+  costs one entry, not k;
+* every draw is appended once to a list of draw sites.
+
+The log and the draw sites are the only records of a run.  The
+transcript's messages, numbered by their order among the sends and
+broadcasts, its serialized text and its per-party draw counts are all
+derived from them.
 
 Randomness goes through a single ``randrange``-shaped interface, so a
 test can replace a party's generator with a scripted source and
@@ -40,7 +46,8 @@ BROADCAST = "*"
 EAVESDROPPER = "eavesdropper"
 
 # Audience tags of log events: a tuple of party indices, with TAPPED added
-# when the event crossed an insecure channel, or EVERYONE for a broadcast.
+# when the event crossed an insecure channel, or EVERYONE for a broadcast,
+# which is also a broadcast's receiver in its route.
 EVERYONE = None
 TAPPED = -1
 
@@ -97,7 +104,7 @@ def merge_views(*views: View) -> View:
 
 @dataclass
 class Transcript:
-    """Ordered messages, the run's event log and its metadata; views are read from the log."""
+    """A run's event log, draw sites and metadata; views and messages are read from the log."""
 
     protocol: str
     ring: dict
@@ -105,15 +112,33 @@ class Transcript:
     topology: dict
     inputs: Any
     params: dict
-    messages: tuple
-    log: tuple  # (audience, (label, value)) events, as of the moment the transcript was taken
-    draw_counts: dict  # party name -> number of randomness draws
+    log: tuple  # (audience, (label, value), route) events, as of when the transcript was taken
     draw_sites: tuple = ()  # ordered (party index, domain size) per draw
 
     @cached_property
     def views(self) -> Mapping:
         """Party name -> tuple of (label, value), filtered from the log on first access."""
         return _LogViews(self.log, [p["name"] for p in self.topology["parties"]])
+
+    @cached_property
+    def messages(self) -> tuple:
+        """The log's sends and broadcasts, numbered in log order."""
+        names = {i: p["name"] for i, p in enumerate(self.topology["parties"])}
+        names[EVERYONE] = BROADCAST
+        routed = [(route, entry) for _, entry, route in self.log if route is not None]
+        return tuple(
+            Message(seq, names[frm], names[to], security, kind, payload, label)
+            for seq, ((frm, to, security, kind), (label, payload)) in enumerate(routed)
+        )
+
+    @cached_property
+    def draw_counts(self) -> dict:
+        """Party name -> number of randomness draws."""
+        names = [p["name"] for p in self.topology["parties"]]
+        counts = dict.fromkeys(names, 0)
+        for party, _ in self.draw_sites:
+            counts[names[party]] += 1
+        return counts
 
     def serialize(self) -> str:
         head = {
@@ -126,15 +151,11 @@ class Transcript:
                 "params": _encode(self.params),
             }
         }
-        # A config may name a party with any JSON value, not only a string, so
-        # each name is encoded once here rather than quoted on every line.
-        parties = self.topology["parties"]
-        names = {n: _JSON.encode(n) for n in (BROADCAST, *(p["name"] for p in parties))}
         quote, encode = encode_basestring_ascii, _JSON.encode
         lines = [encode(head)]
         lines += [
-            _LINE % (names[m.frm], quote(m.kind), encode(_encode(m.payload)), quote(m.security),
-                     m.seq, names[m.to])
+            _LINE % (quote(m.frm), quote(m.kind), encode(_encode(m.payload)), quote(m.security),
+                     m.seq, quote(m.to))
             for m in self.messages
         ]
         return "\n".join(lines) + "\n"
@@ -142,7 +163,7 @@ class Transcript:
 
 def _entries_for(log, who: int) -> tuple:
     """The (label, value) entries of the log events whose audience includes ``who``."""
-    return tuple(entry for audience, entry in log if audience is EVERYONE or who in audience)
+    return tuple(entry for audience, entry, _ in log if audience is EVERYONE or who in audience)
 
 
 class _LogViews(Mapping):
@@ -325,17 +346,13 @@ class Protocol:
 class Run:
     """Mutable state of one protocol execution."""
 
-    def __init__(self, protocol, graph, inputs, seed, sources=None, record=True):
+    def __init__(self, protocol, graph, inputs, seed, sources=None):
         self.protocol = protocol
         self.graph = graph
         self.ring = protocol.ring
         self.inputs = tuple(inputs)
         self.seed = seed
-        self.record = record
-        self.messages: list[Message] = []
-        self.seq = 0
-        self.log: list[tuple] = []  # (audience, (label, value)) per note, send and broadcast
-        self.draw_counts: dict[str, int] = {p.name: 0 for p in graph.parties}
+        self.log: list[tuple] = []  # (audience, (label, value), route) per note, send, broadcast
         self.draw_sites: list[tuple[int, int]] = []  # (party index, domain size)
         self._sources = {}
         for p in graph.parties:
@@ -365,7 +382,6 @@ class Run:
         """The party's source, with one draw over range(n) counted against it."""
         src = self.source(party)
         self.draw_sites.append((party, n))
-        self.draw_counts[self.name(party)] += 1
         return src
 
     def randrange(self, party: int, n: int, label: str) -> int:
@@ -391,28 +407,16 @@ class Run:
 
     def note(self, party: int, label: str, value) -> None:
         """Record a privately held value (input, noise, local result) in a view."""
-        self.log.append(((party,), (label, _hashable(value))))
+        self.log.append(((party,), (label, _hashable(value)), None))
 
     def send(self, frm: int, to: int, value, label: str, kind: str = "elem") -> None:
         security = self.graph.security(frm, to)  # raises if not a channel
-        payload = _hashable(value)
-        if self.record:
-            self.messages.append(
-                Message(self.seq, self.name(frm), self.name(to), security, kind, payload, label)
-            )
-        self.seq += 1
         audience = (frm, to, TAPPED) if security == INSECURE else (frm, to)
-        self.log.append((audience, (label, payload)))
+        self.log.append((audience, (label, _hashable(value)), (frm, to, security, kind)))
 
     def broadcast(self, frm: int, value, label: str, kind: str = "elem") -> None:
         """One message visible to every party and to the eavesdropper."""
-        payload = _hashable(value)
-        if self.record:
-            self.messages.append(
-                Message(self.seq, self.name(frm), BROADCAST, INSECURE, kind, payload, label)
-            )
-        self.seq += 1
-        self.log.append((EVERYONE, (label, payload)))
+        self.log.append((EVERYONE, (label, _hashable(value)), (frm, EVERYONE, INSECURE, kind)))
 
     # -- packaging -------------------------------------------------------
 
@@ -425,9 +429,7 @@ class Run:
             topology=self.graph.to_config(),
             inputs=self.inputs if inputs_meta is None else inputs_meta,
             params=self.protocol.params(),
-            messages=tuple(self.messages),
             log=tuple(self.log),
-            draw_counts=dict(self.draw_counts),
             draw_sites=tuple(self.draw_sites),
         )
 
@@ -439,20 +441,20 @@ def _hashable(value):
 
 
 def run(protocol: Protocol, graph: ChannelGraph | None = None, inputs=(), seed: int = 0,
-        sources=None, record: bool = True):
+        sources=None):
     """Execute ``protocol`` and return (outcome, transcript).
 
     Same (protocol, graph, inputs, seed) always produces an identical
     transcript.  ``sources`` optionally overrides per-party randomness
     with scripted sources, keyed by party index.
     """
-    r = start(protocol, graph, inputs, seed, sources=sources, record=record)
+    r = start(protocol, graph, inputs, seed, sources=sources)
     outcome = protocol.program(r)
     return outcome, r.transcript()
 
 
 def start(protocol: Protocol, graph: ChannelGraph | None = None, inputs=(), seed: int = 0,
-          sources=None, record: bool = True) -> Run:
+          sources=None) -> Run:
     """A fresh ``Run`` of ``protocol`` on ``graph`` (default: the protocol's own).
 
     ``check_graph`` runs once per (protocol, graph) pair: an accepted pair
@@ -467,7 +469,7 @@ def start(protocol: Protocol, graph: ChannelGraph | None = None, inputs=(), seed
         return protocol  # held, so that id(protocol) is not reused while remembered
 
     g.memo(("accepted", id(protocol)), accept)
-    return Run(protocol, g, inputs, seed, sources=sources, record=record)
+    return Run(protocol, g, inputs, seed, sources=sources)
 
 
 @dataclass

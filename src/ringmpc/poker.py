@@ -456,17 +456,17 @@ def dealer_graph(k: int, d: int) -> ChannelGraph:
     return g
 
 
-def protocol1_distribute(cfg: DealConfig, graph=None, seed=0, sources=None, record=True):
+def protocol1_distribute(cfg: DealConfig, graph=None, seed=0, sources=None):
     """Distribute card indices 1..r into disjoint hands; no labels attached."""
-    return run(CardDeal(cfg), graph, (), seed, sources=sources, record=record)
+    return run(CardDeal(cfg), graph, (), seed, sources=sources)
 
 
-def deal_deck(m: int, k: int, N: int, seed=0, graph=None, record=True):
+def deal_deck(m: int, k: int, N: int, seed=0, graph=None):
     """Full deal of an m-card deck to k players: indices, then public labels."""
-    return run(CardDeal(DealConfig(m, k, N), with_labels=True), graph, (), seed, record=record)
+    return run(CardDeal(DealConfig(m, k, N), with_labels=True), graph, (), seed)
 
 
-def dummy_deal_two_players(m: int, N: int, seed=0, record=True):
+def dummy_deal_two_players(m: int, N: int, seed=0):
     """Deal to two real players via a dummy third whose hand goes back to the deck.
 
     Every dummy counter is synthesized from both reals' contributions;
@@ -474,7 +474,7 @@ def dummy_deal_two_players(m: int, N: int, seed=0, record=True):
     hand, full result, transcript).
     """
     proto = CardDeal(DealConfig(m, 3, N), with_labels=True, counter_contributors=(0, 1))
-    outcome, transcript = run(proto, dummy_deal_graph(), (), seed, record=record)
+    outcome, transcript = run(proto, dummy_deal_graph(), (), seed)
     real_hands = outcome.hands[:2]
     discarded = outcome.hands[2]
     return real_hands, discarded, outcome, transcript
@@ -485,8 +485,7 @@ def dummy_dealer_count(m: int, s: int, k: int) -> int:
     return max(1, round(m / s) - k)
 
 
-def dummy_dealer_fixed_hands(m: int, k: int, s: int, N: int = 10, seed=0,
-                             post_draws=(), record=True):
+def dummy_dealer_fixed_hands(m: int, k: int, s: int, N: int = 10, seed=0, post_draws=()):
     """Deal exactly s cards to each of k reals; dummies absorb the rest.
 
     The dummies' cards are consolidated at one dummy dealer, which then
@@ -510,4 +509,4 @@ def dummy_dealer_fixed_hands(m: int, k: int, s: int, N: int = 10, seed=0,
         consolidate_to=k,
         post_draws=post_draws,
     )
-    return run(proto, dealer_graph(k, d), (), seed, record=record)
+    return run(proto, dealer_graph(k, d), (), seed)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TopologyError
+from .errors import ProtocolError, TopologyError
 
 SECURE = "secure"
 INSECURE = "insecure"
@@ -121,10 +121,16 @@ class ChannelGraph:
             parties = default_parties(k)
         else:
             parties = [
-                Party(i, s.get("name", f"P{i + 1}"), bool(s.get("full", True)))
+                Party(i, _name(i, s.get("name", f"P{i + 1}")), bool(s.get("full", True)))
                 for i, s in enumerate(specs)
             ]
         return cls(parties, [(e[0], e[1], e[2]) for e in cfg.get("edges", [])])
+
+
+def _name(i: int, name) -> str:
+    if not isinstance(name, str):
+        raise ProtocolError(f"party {i} is named {name!r}; a party name is a string")
+    return name
 
 
 def default_parties(k: int, prefix: str = "P") -> list[Party]:

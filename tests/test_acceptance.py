@@ -267,7 +267,7 @@ def test_criterion_4_dealing_invariants():
         for N in (2, 10):
             counts = {}
             for i in range(DEAL_TRIALS):
-                res, _ = deal_deck(6, 3, N, seed=SEED_BASE + i, record=False)
+                res, _ = deal_deck(6, 3, N, seed=SEED_BASE + i)
                 indices = sorted(c for hand in res.hands for c in hand)
                 assert indices == [1, 2, 3, 4, 5, 6]
                 assert all(len(h) == q for h, q in zip(res.hands, res.quotas))
@@ -287,7 +287,7 @@ def test_criterion_4_dealing_invariants():
 def test_criterion_5_52_card_hand_sizes():
     with criterion(5, "52-card deal always yields hand sizes {18,17,17}"):
         for seed in range(20):
-            res, _ = deal_deck(52, 3, 10, seed=seed, record=False)
+            res, _ = deal_deck(52, 3, 10, seed=seed)
             assert sorted(len(h) for h in res.hands) == [17, 17, 18]
             assert sorted(len(h) for h in res.labeled_hands()) == [17, 17, 18]
 

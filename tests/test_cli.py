@@ -282,6 +282,31 @@ class TestConfigErrors:
         assert time.perf_counter() - start < 1
         assert "N=" in result.output and "k=3" in result.output and "r=8" in result.output
 
+    NAMES = {"protocol": "secure_sum", "inputs": [1, 2, 3], "seed": 1,
+             "topology": {"k": 3, "parties": [{"name": 1}, {"name": 2.5}, {"name": None}],
+                          "edges": [[0, 1, "secure"], [1, 2, "secure"], [0, 2, "secure"]]}}
+
+    def test_non_string_party_names_exit_2(self, runner, tmp_path):
+        result = runner.invoke(main, ["run", write_config(tmp_path, "names.json", self.NAMES)])
+        assert result.exit_code == 2
+        assert "party 0 is named 1" in result.output
+
+    def test_replaying_a_header_that_names_a_party_1_exits_2(self, runner, tmp_path):
+        body = copy.deepcopy(self.NAMES)
+        for i, party in enumerate(body["topology"]["parties"]):
+            party["name"] = f"P{i + 1}"
+        out = str(tmp_path / "t.jsonl")
+        assert runner.invoke(main, ["run", write_config(tmp_path, "sum.json", body),
+                                    "--out", out]).exit_code == 0
+        lines = open(out).read().split("\n")
+        head = json.loads(lines[0])
+        head["meta"]["topology"]["parties"][0]["name"] = 1
+        lines[0] = json.dumps(head, sort_keys=True, separators=(",", ":"))
+        open(out, "w").write("\n".join(lines))
+        result = runner.invoke(main, ["replay", out])
+        assert result.exit_code == 2
+        assert "party 0 is named 1" in result.output
+
     def test_replaying_a_custom_g_run_exits_2(self, runner, tmp_path):
         from ringmpc.arithmetic import ExampleF2
         from ringmpc.engine import run

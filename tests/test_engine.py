@@ -203,7 +203,7 @@ def test_ten_thousand_party_sum_keeps_a_linear_log():
     assert total == sum(inputs)
     # per party: its input and its noise noted, one send, one broadcast
     assert len(t.log) == 4 * k
-    assert sum(audience is EVERYONE for audience, _ in t.log) == k
+    assert sum(audience is EVERYONE for audience, _, _ in t.log) == k
     # P2 holds its two notes, the partial sums in and out, and all k broadcasts
     assert len(extract_view(t, "P2").entries) == k + 4
 
