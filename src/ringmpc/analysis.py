@@ -21,13 +21,15 @@ from .arithmetic import MillionairesCompare, SecureSum
 from .commitment import Commit2Dummy, Commit3
 from .engine import (
     EAVESDROPPER,
+    TAPPED,
     Protocol,
     ScriptedSource,
     Transcript,
-    eavesdropper_view,
-    extract_view,
+    View,
+    _entries_for,
     merge_views,
     run,
+    start,
 )
 from .errors import BudgetExceeded, ProtocolError
 from .topology import ChannelGraph, build_cycle, single_cycle
@@ -91,15 +93,6 @@ class SecrecyReport:
         return self.ok
 
 
-def _observer_view(spec, transcript: Transcript):
-    obs = spec.observer
-    if obs == EAVESDROPPER:
-        return eavesdropper_view(transcript)
-    if isinstance(obs, tuple):
-        return merge_views(*(extract_view(transcript, name) for name in obs))
-    return extract_view(transcript, obs)
-
-
 def discover_draw_sites(spec: SecrecySpec):
     """Dry-run the protocol once to learn its randomness sites in order."""
     inputs0 = tuple(domain[0] for domain in spec.input_domains)
@@ -108,7 +101,11 @@ def discover_draw_sites(spec: SecrecySpec):
 
 
 def enumerate_runs(spec: SecrecySpec):
-    """Yield (inputs, outcome, transcript) over all inputs x all randomness."""
+    """Yield (inputs, outcome, run) over all inputs x all randomness.
+
+    ``run`` is the finished ``engine.Run``: its ``log`` holds every event,
+    and ``run.transcript()`` packages it when a caller wants one.
+    """
     sites = discover_draw_sites(spec)
     graph = spec.graph or spec.protocol.default_graph(len(spec.input_domains))
     total = prod(len(d) for d in spec.input_domains) * prod(n for _, n in sites)
@@ -117,14 +114,41 @@ def enumerate_runs(spec: SecrecySpec):
             f"{spec.name}: enumeration needs {total} runs, budget is {spec.budget}"
         )
     site_domains = [range(n) for _, n in sites]
+    slots: dict[int, list] = {}  # party -> its positions in the draw-site list
+    for pos, (party, _) in enumerate(sites):
+        slots.setdefault(party, []).append(pos)
     for inputs in product(*spec.input_domains):
         for assignment in product(*site_domains):
-            per_party: dict[int, list] = {}
-            for (party, _), value in zip(sites, assignment):
-                per_party.setdefault(party, []).append(value)
-            sources = {p: ScriptedSource(vals) for p, vals in per_party.items()}
-            outcome, transcript = run(spec.protocol, graph, inputs, seed=0, sources=sources)
-            yield inputs, outcome, transcript
+            sources = {p: ScriptedSource([assignment[i] for i in positions])
+                       for p, positions in slots.items()}
+            r = start(spec.protocol, graph, inputs, seed=0, sources=sources)
+            outcome = spec.protocol.program(r)
+            yield inputs, outcome, r
+
+
+def _view_key(observer, graph: ChannelGraph):
+    """A function from a run's log to the observer's ``View.key()``.
+
+    The same filter as ``extract_view`` and ``eavesdropper_view`` on the
+    run's transcript, and the same ``merge_views`` for a coalition, with
+    the observer's party indices looked up once instead of once per run.
+    """
+    index = {p.name: i for i, p in enumerate(graph.parties)}
+
+    def party(name):
+        try:
+            return index[name]
+        except KeyError:
+            raise KeyError(f"{name!r} did not participate in this run") from None
+
+    if observer == EAVESDROPPER:
+        return lambda log: _entries_for(log, TAPPED)
+    if isinstance(observer, tuple):
+        members = [(name, party(name)) for name in observer]
+        return lambda log: merge_views(
+            *(View(name, _entries_for(log, i)) for name, i in members)).key()
+    i = party(observer)
+    return lambda log: _entries_for(log, i)
 
 
 def secrecy_enumeration_check(spec: SecrecySpec) -> SecrecyReport:
@@ -138,9 +162,14 @@ def secrecy_enumeration_check(spec: SecrecySpec) -> SecrecyReport:
     """
     tally: dict = {}
     runs_done = 0
-    for inputs, outcome, transcript in enumerate_runs(spec):
+    view_key = None
+    for inputs, outcome, r in enumerate_runs(spec):
+        # Looked up in the first run's graph: a budget or topology fault is
+        # still reported before an unknown observer.
+        if view_key is None:
+            view_key = _view_key(spec.observer, r.graph)
         runs_done += 1
-        view = _observer_view(spec, transcript)
+        vk = view_key(r.log)
         key = (
             tuple(inputs[i] for i in spec.observer_inputs),
             spec.given_of(inputs, outcome),
@@ -149,7 +178,6 @@ def secrecy_enumeration_check(spec: SecrecySpec) -> SecrecyReport:
         cells, view_totals, target_totals, group_total = tally.setdefault(
             key, ({}, {}, {}, [0])
         )
-        vk = view.key()
         cells[(vk, target)] = cells.get((vk, target), 0) + 1
         view_totals[vk] = view_totals.get(vk, 0) + 1
         target_totals[target] = target_totals.get(target, 0) + 1

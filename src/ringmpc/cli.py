@@ -103,6 +103,7 @@ def replay_transcript(text: str):
     is decoded unless the text differs from the re-executed run's; the body
     is then parsed, so a structural fault is a ReplayError, not a divergence,
     and records are compared, so line endings and padding are not either.
+    A record whose ``seq`` is not a JSON integer is a divergence.
     """
     meta = parse_header(text)
     try:
@@ -119,7 +120,8 @@ def replay_transcript(text: str):
     _, want = parse_transcript(expected)
     # The header was consumed to rebuild the run; message i is line i + 2.
     for i, (g, w) in enumerate(zip_longest(got, want)):
-        if g != w:
+        # 1 == 1.0 == True: a seq that is not a JSON integer differs, whatever its value.
+        if g != w or type(g["seq"]) is not int:
             return False, (w if g is None else g)["seq"], f"first divergence at line {i + 2}"
     return True, None, "verified"
 

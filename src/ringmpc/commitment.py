@@ -451,10 +451,10 @@ class ObliviousTransfer(Protocol):
             r = run.noise(0, f"r{i + 1}")
             r_parts.append(r)
             s_parts.append(R.sub(m, r))
-        run.send(0, 2, list(r_parts), "r parts", kind="elems")
-        run.send(0, 1, list(s_parts), "s parts", kind="elems")
-        run.send(1, 2, list(indices), "requested indices", kind="indices")
-        served = [r_parts[j - 1] for j in indices]
+        run.send(0, 2, tuple(r_parts), "r parts", kind="elems")
+        run.send(0, 1, tuple(s_parts), "s parts", kind="elems")
+        run.send(1, 2, indices, "requested indices", kind="indices")
+        served = tuple(r_parts[j - 1] for j in indices)
         run.send(2, 1, served, "served r parts", kind="elems")
         retrieved = tuple(R.add(served[t], s_parts[j - 1]) for t, j in enumerate(indices))
         run.note(1, "retrieved", retrieved)

@@ -15,7 +15,8 @@ discipline and evidence:
   also carries its route (sender, receiver, security, kind).  A party's
   view is the log filtered to the events it is in the audience of,
   computed only when someone asks for it, so a broadcast to k parties
-  costs one entry, not k;
+  costs one entry, not k.  A logged value is an int, a string or a
+  tuple of them, never a list, so that a view is hashable as it stands;
 * every draw is appended once to a list of draw sites.
 
 The log and the draw sites are the only records of a run.  The
@@ -25,7 +26,10 @@ derived from them.
 
 Randomness goes through a single ``randrange``-shaped interface, so a
 test can replace a party's generator with a scripted source and
-enumerate the entire noise space of a run exhaustively.
+enumerate the entire noise space of a run exhaustively.  The enumeration
+(``analysis.enumerate_runs``) calls ``start`` and the protocol's
+``program`` and yields the finished ``Run``, whose log the secrecy check
+reads; an enumerated run builds no transcript.
 """
 
 from __future__ import annotations
@@ -407,16 +411,16 @@ class Run:
 
     def note(self, party: int, label: str, value) -> None:
         """Record a privately held value (input, noise, local result) in a view."""
-        self.log.append(((party,), (label, _hashable(value)), None))
+        self.log.append(((party,), (label, value), None))
 
     def send(self, frm: int, to: int, value, label: str, kind: str = "elem") -> None:
         security = self.graph.security(frm, to)  # raises if not a channel
         audience = (frm, to, TAPPED) if security == INSECURE else (frm, to)
-        self.log.append((audience, (label, _hashable(value)), (frm, to, security, kind)))
+        self.log.append((audience, (label, value), (frm, to, security, kind)))
 
     def broadcast(self, frm: int, value, label: str, kind: str = "elem") -> None:
         """One message visible to every party and to the eavesdropper."""
-        self.log.append((EVERYONE, (label, _hashable(value)), (frm, EVERYONE, INSECURE, kind)))
+        self.log.append((EVERYONE, (label, value), (frm, EVERYONE, INSECURE, kind)))
 
     # -- packaging -------------------------------------------------------
 
@@ -432,12 +436,6 @@ class Run:
             log=tuple(self.log),
             draw_sites=tuple(self.draw_sites),
         )
-
-
-def _hashable(value):
-    if isinstance(value, list):
-        return tuple(value)
-    return value
 
 
 def run(protocol: Protocol, graph: ChannelGraph | None = None, inputs=(), seed: int = 0,

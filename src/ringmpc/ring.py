@@ -33,7 +33,7 @@ other operation uses only ``gcd`` and ``pow`` and works for any m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import RingError
@@ -182,6 +182,8 @@ class RingSpec:
     kind: str
     modulus: int | None = None
     noise_bound: int | None = None
+    # Derived from kind; a plain attribute because every ring op reads it.
+    modular: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "Zm":
@@ -196,10 +198,7 @@ class RingSpec:
                 raise RingError("Z needs a noise_bound >= 1")
         else:
             raise RingError(f"unknown ring kind {self.kind!r}")
-
-    @property
-    def modular(self) -> bool:
-        return self.kind == "Zm"
+        object.__setattr__(self, "modular", self.kind == "Zm")
 
     def normalize(self, v: int) -> int:
         return v % self.modulus if self.modular else v

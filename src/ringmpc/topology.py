@@ -51,7 +51,7 @@ class ChannelGraph:
             raise TopologyError("duplicate party indices")
         if len({p.name for p in self.parties}) != len(self.parties):
             raise TopologyError("duplicate party names")
-        self._security: dict[frozenset, str] = {}
+        self._security: dict[tuple[int, int], str] = {}  # both orientations of each edge
         self._memo: dict = {}
         for i, j, security in edges:
             self.add_edge(i, j, security)
@@ -67,10 +67,9 @@ class ChannelGraph:
             raise TopologyError(f"edge ({i},{j}) references an unknown vertex")
         if security not in (SECURE, INSECURE):
             raise TopologyError(f"bad channel security {security!r}")
-        key = frozenset((i, j))
-        if key in self._security:
+        if (i, j) in self._security:
             raise TopologyError(f"duplicate edge ({i},{j})")
-        self._security[key] = security
+        self._security[i, j] = self._security[j, i] = security
         self._memo.clear()
 
     def memo(self, key, compute):
@@ -82,18 +81,18 @@ class ChannelGraph:
             return value
 
     def has_edge(self, i: int, j: int) -> bool:
-        return frozenset((i, j)) in self._security
+        return (i, j) in self._security
 
     def security(self, i: int, j: int) -> str:
         try:
-            return self._security[frozenset((i, j))]
+            return self._security[i, j]
         except KeyError:
             raise TopologyError(f"no channel between {i} and {j}") from None
 
     def edges(self) -> tuple:
         """Edges as sorted (i, j, security) triples, deterministic order."""
         return self.memo("edges", lambda g: tuple(sorted(
-            (*sorted(key), sec) for key, sec in g._security.items())))
+            (i, j, sec) for (i, j), sec in g._security.items() if i < j)))
 
     def secure_pairs(self):
         return [(i, j) for i, j, sec in self.edges() if sec == SECURE]

@@ -1,4 +1,5 @@
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -20,6 +21,9 @@ from ringmpc.errors import BudgetExceeded, ProtocolError
 from ringmpc.poker import DealConfig, protocol1_distribute
 from ringmpc.sharing import ShareSecret
 from ringmpc.topology import build_cycle
+from ringmpc.analysis import _view_key, enumerate_runs
+from ringmpc.engine import Protocol, eavesdropper_view
+from ringmpc.topology import ChannelGraph, default_parties
 
 
 def sum_spec(m, k, observer_index, given=True):
@@ -237,3 +241,122 @@ class TestTransmissionStats:
         _, t = protocol1_distribute(DealConfig(7, 3, 3), seed=5)
         stats = transmission_stats(t)  # must not raise despite implicit quotas
         assert sum(1 for v in stats.keeper_of if v >= 1) == 6  # keeps of 1..6 visible
+
+
+# -- the check's view keys against the transcript's views ----------------------
+
+
+class InsecureRelay(Protocol):
+    """P1 sends its input masked by fresh noise to P2 over an insecure channel."""
+
+    name = "insecure_relay"
+    arity = 3
+
+    def default_graph(self, k):
+        return ChannelGraph(default_parties(3),
+                            [(0, 1, "insecure"), (1, 2, "secure"), (0, 2, "secure")])
+
+    def check_graph(self, g):
+        pass
+
+    def program(self, run):
+        R = self.ring
+        for i, v in enumerate(run.inputs):
+            run.note(i, f"n{i + 1}", v)
+        r = run.noise(0, "r")
+        run.send(0, 1, R.add(run.inputs[0], r), "masked n1")
+        run.send(0, 2, r, "r")
+        run.broadcast(2, R.add(run.inputs[2], r), "n3+r")
+        return None
+
+
+def _transcript_view(observer, t):
+    """The observer's view as the transcript gives it."""
+    if observer == EAVESDROPPER:
+        return eavesdropper_view(t)
+    if isinstance(observer, tuple):
+        return merge_views(*(extract_view(t, name) for name in observer))
+    return extract_view(t, observer)
+
+
+# protocol, its input domains, and one observer of each shape
+VIEW_KEY_CASES = {
+    "secure_sum Z_2 k=3": (SecureSum(rr.mod_ring(2)), (range(2),) * 3,
+                           ("P2", ("P1", "P3"), EAVESDROPPER)),
+    "commit3 Z_2": (Commit3(rr.mod_ring(2)), (range(2),) * 3,
+                    ("P1", ("P2", "P3"), EAVESDROPPER)),
+    "share_secret_kk Z_2 k=3": (ShareSecret(rr.mod_ring(2), 3), (range(2),),
+                                ("D", ("P1", "P2"), EAVESDROPPER)),
+    "insecure relay Z_2": (InsecureRelay(rr.mod_ring(2)), (range(2),) * 3,
+                           ("P2", ("P2", "P3"), EAVESDROPPER)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VIEW_KEY_CASES))
+def test_view_keys_equal_the_transcript_views(case):
+    protocol, domains, observers = VIEW_KEY_CASES[case]
+    spec = SecrecySpec(name=case, protocol=protocol, input_domains=domains, observer=None)
+    runs = 0
+    keys = None
+    for _inputs, _outcome, r in enumerate_runs(spec):
+        if keys is None:
+            keys = [(obs, _view_key(obs, r.graph)) for obs in observers]
+        t = r.transcript()
+        for obs, key in keys:
+            assert key(r.log) == _transcript_view(obs, t).key()
+        runs += 1
+    full = prod(len(d) for d in domains) * prod(n for _, n in r.draw_sites)
+    assert runs == full
+
+
+def test_insecure_relay_view_keys_see_the_tapped_messages():
+    spec = SecrecySpec(name="relay", protocol=InsecureRelay(rr.mod_ring(2)),
+                       input_domains=((1,), (0,), (1,)), observer=None)
+    [r] = [r for _, _, r in enumerate_runs(spec) if r.log[3][1] == ("r", 1)]
+    assert _view_key(EAVESDROPPER, r.graph)(r.log) == (("masked n1", 0), ("n3+r", 0))
+    assert _view_key(("P2", "P3"), r.graph)(r.log) == (
+        ("P2:n2", 0), ("P2:masked n1", 0), ("P2:n3+r", 0),
+        ("P3:n3", 1), ("P3:r", 1), ("P3:n3+r", 0))
+
+
+def _sum_eavesdropper_spec(given=True):
+    m, k = 2, 3
+    return SecrecySpec(
+        name="sum eavesdropper", protocol=SecureSum(rr.mod_ring(m)), graph=build_cycle(k),
+        input_domains=tuple(range(m) for _ in range(k)), observer=EAVESDROPPER,
+        protected=(0, 1, 2), given=(lambda inputs, _o: sum(inputs) % m) if given else None,
+    )
+
+
+def _share_coalition_spec(given=True):
+    return SecrecySpec(
+        name="sharing coalition determined", protocol=ShareSecret(rr.mod_ring(2), 3),
+        input_domains=(range(2),), observer=("P1", "P2"),
+        given=(lambda inputs, _o: inputs[0]) if given else None,
+        target=lambda _inputs, outcome: outcome.shares[2], claim=DETERMINED,
+    )
+
+
+PLANTED = {
+    "party": lambda given: sum_spec(2, 3, 1, given=given),
+    "coalition": _share_coalition_spec,
+    "eavesdropper": _sum_eavesdropper_spec,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PLANTED))
+def test_a_planted_leak_fails_for_every_observer_shape(shape):
+    assert secrecy_enumeration_check(PLANTED[shape](True)).ok
+    report = secrecy_enumeration_check(PLANTED[shape](False))
+    assert not report.ok
+    assert report.counterexample is not None
+    assert report.counterexample.target_a != report.counterexample.target_b
+
+
+@pytest.mark.parametrize("observer", ["Q9", ("P1", "Q9"), ("Q9", "P1")])
+def test_an_unknown_observer_raises_the_key_error(observer):
+    spec = sum_spec(2, 3, 0)
+    spec.observer = observer
+    with pytest.raises(KeyError) as caught:
+        secrecy_enumeration_check(spec)
+    assert caught.value.args == ("'Q9' did not participate in this run",)

@@ -90,6 +90,15 @@ class TestReplay:
         assert result.exit_code == 4
         assert f"seq {record['seq']}" in result.output
 
+    @pytest.mark.parametrize("seq", ["true", "1.0"])
+    def test_a_seq_that_is_not_an_integer_exits_4(self, runner, tmp_path, seq):
+        out = self.make_transcript(runner, tmp_path)
+        text = open(out).read()
+        open(out, "w").write(text.replace('"seq":1,', f'"seq":{seq},'))
+        result = runner.invoke(main, ["replay", out])
+        assert result.exit_code == 4
+        assert "first divergence at line 3" in result.output
+
     def test_line_that_is_not_an_object_exits_2(self, runner, tmp_path):
         out = self.make_transcript(runner, tmp_path)
         with open(out, "a") as f:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -229,3 +230,22 @@ def test_unit_draw_with_too_many_distinct_primes_raises():
     with pytest.raises(RingError, match=f"{MAX_PRIMES + 1} distinct prime factors"):
         mod_ring(m).noise_domain(True)
     assert mod_ring(m // primes[-1]).noise_domain(True) == math.prod(p - 1 for p in primes[:-1])
+
+
+def test_modular_is_derived_and_left_out_of_equality_hash_and_repr():
+    a, b = mod_ring(5), mod_ring(5)
+    assert a == b and hash(a) == hash(b) and a.modular
+    assert repr(a) == "RingSpec(kind='Zm', modulus=5, noise_bound=None)"
+    assert a.to_config() == {"ring": "Zm", "m": 5}
+    seven = dataclasses.replace(a, modulus=7)
+    assert seven.modular and seven == mod_ring(7) and seven != a
+    assert str(seven) == "Z_7" and seven.normalize(9) == 2
+    z = integers(10)
+    assert z == integers(10) and hash(z) == hash(integers(10)) and not z.modular
+    assert repr(z) == "RingSpec(kind='Z', modulus=None, noise_bound=10)"
+    assert z.to_config() == {"ring": "Z", "noise_bound": 10}
+    assert z != a and not dataclasses.replace(z, noise_bound=3).modular
+    assert dataclasses.replace(z, kind="Zm", modulus=4, noise_bound=None).modular
+    assert not dataclasses.replace(a, kind="Z", modulus=None, noise_bound=3).modular
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.modular = False

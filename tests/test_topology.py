@@ -154,3 +154,23 @@ def test_secure_cycles_returns_fresh_lists():
     g = build_cycle(3)
     secure_cycles(g)[0].append(99)
     assert secure_cycles(g) == [[0, 1, 2]]
+
+
+def test_an_edge_answers_in_both_orientations():
+    g = ChannelGraph(default_parties(4), [(0, 1, "secure")])
+    with pytest.raises(TopologyError, match="duplicate edge"):
+        g.add_edge(1, 0, "insecure")
+    g.add_edge(3, 1, "insecure")
+    with pytest.raises(TopologyError, match="duplicate edge"):
+        g.add_edge(1, 3)
+    assert g.has_edge(0, 1) and g.has_edge(1, 0) and g.has_edge(1, 3) and g.has_edge(3, 1)
+    assert not g.has_edge(0, 2) and not g.has_edge(2, 0) and not g.has_edge(0, 0)
+    assert g.security(0, 1) == g.security(1, 0) == "secure"
+    assert g.security(1, 3) == g.security(3, 1) == "insecure"
+    for i, j in ((0, 2), (2, 0), (1, 1)):
+        with pytest.raises(TopologyError, match=f"no channel between {i} and {j}"):
+            g.security(i, j)
+    assert g.edges() == ((0, 1, "secure"), (1, 3, "insecure"))
+    g.add_edge(2, 0, "secure")
+    assert g.edges() == ((0, 1, "secure"), (0, 2, "secure"), (1, 3, "insecure"))
+    assert g.to_config()["edges"] == [[0, 1, "secure"], [0, 2, "secure"], [1, 3, "insecure"]]

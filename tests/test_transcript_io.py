@@ -257,3 +257,34 @@ def test_header_error_line_number_counts_blank_lines():
     for fn in (parse_header, parse_transcript, replay_transcript):
         with pytest.raises(ReplayError, match="header at line 3 is a JSON list"):
             fn(" \n\n[]\n")
+
+
+# Under == a record's seq 1 equals 1.0 and true: the check is on the JSON type.
+SEQ_NOT_AN_INTEGER = [
+    ('"seq":1,', '"seq":true,', True, 3),
+    ('"seq":1,', '"seq":1.0,', 1.0, 3),
+    ('"seq":2,', '"seq":2.0,', 2.0, 4),
+    ('"seq":0,', '"seq":false,', False, 2),
+    ('"seq":2,', '"seq":"2",', "2", 4),
+]
+
+
+@pytest.mark.parametrize("old, new, seq, line", SEQ_NOT_AN_INTEGER,
+                         ids=["true for 1", "1.0 for 1", "2.0 for 2", "false for 0", "string 2"])
+def test_a_seq_that_is_not_a_json_integer_is_a_divergence(old, new, seq, line):
+    _, t = execute_config({"protocol": "secure_sum", "inputs": ["3", "5", "7"], "seed": 7})
+    text = t.serialize()
+    assert text.count(old) == 1
+    ok, got, detail = replay_transcript(text.replace(old, new))
+    assert (ok, got, type(got), detail) == (False, seq, type(seq), f"first divergence at line {line}")
+
+
+def test_an_untouched_replay_does_not_parse_the_body(monkeypatch):
+    import ringmpc.cli
+
+    def parse_transcript(text):
+        raise AssertionError("the body was parsed")
+
+    _, t = execute_config(CONFIGS["secure_sum"])
+    monkeypatch.setattr(ringmpc.cli, "parse_transcript", parse_transcript)
+    assert replay_transcript(t.serialize()) == (True, None, "verified")
