@@ -12,7 +12,8 @@ ring and comparing integer counts; no statistical slack is permitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter, defaultdict
+from dataclasses import dataclass, replace
 from itertools import product
 from math import prod
 
@@ -23,12 +24,12 @@ from .engine import (
     EAVESDROPPER,
     TAPPED,
     Protocol,
+    Run,
     ScriptedSource,
     Transcript,
     View,
     _entries_for,
     merge_views,
-    run,
     start,
 )
 from .errors import BudgetExceeded, ProtocolError
@@ -94,20 +95,22 @@ class SecrecyReport:
 
 
 def discover_draw_sites(spec: SecrecySpec):
-    """Dry-run the protocol once to learn its randomness sites in order."""
-    inputs0 = tuple(domain[0] for domain in spec.input_domains)
-    _, transcript = run(spec.protocol, spec.graph, inputs0, seed=0)
-    return transcript.draw_sites
+    """Dry-run the protocol once, on ``spec.graph`` unchecked, to learn its randomness sites."""
+    r = Run(spec.protocol, spec.graph, tuple(d[0] for d in spec.input_domains), seed=0)
+    spec.protocol.program(r)
+    return r.draw_sites
 
 
 def enumerate_runs(spec: SecrecySpec):
     """Yield (inputs, outcome, run) over all inputs x all randomness.
 
     ``run`` is the finished ``engine.Run``: its ``log`` holds every event,
-    and ``run.transcript()`` packages it when a caller wants one.
+    and ``run.transcript()`` packages it when a caller wants one.  The
+    inputs' arity and the graph are checked once, as ``engine.start``
+    checks them, on the graph that every run then uses.
     """
-    sites = discover_draw_sites(spec)
-    graph = spec.graph or spec.protocol.default_graph(len(spec.input_domains))
+    graph = start(spec.protocol, spec.graph, tuple(d[0] for d in spec.input_domains)).graph
+    sites = discover_draw_sites(replace(spec, graph=graph))
     total = prod(len(d) for d in spec.input_domains) * prod(n for _, n in sites)
     if total > spec.budget:
         raise BudgetExceeded(
@@ -121,7 +124,7 @@ def enumerate_runs(spec: SecrecySpec):
         for assignment in product(*site_domains):
             sources = {p: ScriptedSource([assignment[i] for i in positions])
                        for p, positions in slots.items()}
-            r = start(spec.protocol, graph, inputs, seed=0, sources=sources)
+            r = Run(spec.protocol, graph, inputs, seed=0, sources=sources)
             outcome = spec.protocol.program(r)
             yield inputs, outcome, r
 
@@ -160,31 +163,21 @@ def secrecy_enumeration_check(spec: SecrecySpec) -> SecrecyReport:
     P(view) P(target).  A counterexample names two target values whose
     conditional view distributions differ.
     """
-    tally: dict = {}
-    runs_done = 0
+    tally: dict = defaultdict(Counter)  # group -> count per (view key, target)
     view_key = None
     for inputs, outcome, r in enumerate_runs(spec):
         # Looked up in the first run's graph: a budget or topology fault is
         # still reported before an unknown observer.
         if view_key is None:
             view_key = _view_key(spec.observer, r.graph)
-        runs_done += 1
-        vk = view_key(r.log)
         key = (
             tuple(inputs[i] for i in spec.observer_inputs),
             spec.given_of(inputs, outcome),
         )
-        target = spec.target_of(inputs, outcome)
-        cells, view_totals, target_totals, group_total = tally.setdefault(
-            key, ({}, {}, {}, [0])
-        )
-        cells[(vk, target)] = cells.get((vk, target), 0) + 1
-        view_totals[vk] = view_totals.get(vk, 0) + 1
-        target_totals[target] = target_totals.get(target, 0) + 1
-        group_total[0] += 1
+        tally[key][view_key(r.log), spec.target_of(inputs, outcome)] += 1
 
-    for key, (cells, view_totals, target_totals, group_total) in tally.items():
-        total = group_total[0]
+    runs_done = sum(sum(cells.values()) for cells in tally.values())
+    for key, cells in tally.items():
         if spec.claim == DETERMINED:
             by_view: dict = {}
             for (vk, target), _ in cells.items():
@@ -198,10 +191,16 @@ def secrecy_enumeration_check(spec: SecrecySpec) -> SecrecyReport:
                                        "one view is compatible with several target values"),
                     )
             continue
+        # The marginals keep first-seen order, which decides the counterexample reported.
+        view_totals, target_totals = Counter(), Counter()
+        for (vk, target), c in cells.items():
+            view_totals[vk] += c
+            target_totals[target] += c
+        total = sum(cells.values())
         # independence: every (view, target) cell must factorize exactly
         for vk in view_totals:
             for target in target_totals:
-                c = cells.get((vk, target), 0)
+                c = cells[vk, target]
                 if c * total != view_totals[vk] * target_totals[target]:
                     other = next(t for t in target_totals if t != target) \
                         if len(target_totals) > 1 else target
@@ -359,7 +358,7 @@ class CoalitionReport:
     learns_complement_sum: bool
 
 
-def coalition_closure(g: ChannelGraph, coalition, protocol: str = "secure_sum") -> CoalitionReport:
+def coalition_closure(g: ChannelGraph, coalition) -> CoalitionReport:
     """Closure of a contiguous coalition's knowledge for the sum protocol.
 
     Members pooled, they always learn each other's inputs and (given the
@@ -370,8 +369,6 @@ def coalition_closure(g: ChannelGraph, coalition, protocol: str = "secure_sum") 
     with only cycle channels, members not adjacent along the cycle cannot
     pool knowledge undetected.
     """
-    if protocol != "secure_sum":
-        raise ProtocolError(f"coalition analysis covers secure_sum, not {protocol!r}")
     cycle = single_cycle("coalition analysis", g)
     k = len(cycle)
     members = sorted(set(coalition))
@@ -413,14 +410,13 @@ class TransmissionStats:
     keeper_of: dict
     active_players: dict
 
-    def circle_samples(self, full_participation_only: bool = True) -> list:
-        return [
-            c for v, c in sorted(self.circles.items())
-            if not full_participation_only or self.active_players[v] == self.players
-        ]
+    def circle_samples(self) -> list:
+        """Circle counts of the values that entered circulation with every player active."""
+        return [c for v, c in sorted(self.circles.items())
+                if self.active_players[v] == self.players]
 
-    def mean_circles(self, full_participation_only: bool = True) -> float:
-        samples = self.circle_samples(full_participation_only)
+    def mean_circles(self) -> float:
+        samples = self.circle_samples()
         if not samples:
             raise ProtocolError("no qualifying values in this transcript")
         return sum(samples) / len(samples)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ring as ring_mod
-from .engine import Protocol, Run, run
+from .engine import DummyTriangleProtocol, Protocol, Run, run
 from .errors import ProtocolError, RingError, TopologyError
 from .ring import RingSpec
 from .topology import (
@@ -21,9 +21,7 @@ from .topology import (
     INSECURE,
     Party,
     SECURE,
-    check_dummy_triangle,
     default_parties,
-    dummy_triangle,
     players_subgraph,
     secure_cycles,
     single_cycle,
@@ -358,7 +356,7 @@ class CompareOutcome:
     difference_holder: str = "D"
 
 
-class MillionairesCompare(Protocol):
+class MillionairesCompare(DummyTriangleProtocol):
     """Sign of n1 - n2 via a dummy that sees only the difference.
 
     Each real party splits its value into a random difference and hands
@@ -374,12 +372,6 @@ class MillionairesCompare(Protocol):
     @classmethod
     def encode(cls, outcome):
         return {"verdict": outcome.verdict}
-
-    def default_graph(self, k):
-        return dummy_triangle()
-
-    def check_graph(self, g):
-        check_dummy_triangle(self.name, g)
 
     def program(self, run: Run):
         R = self.ring
@@ -428,7 +420,7 @@ class BitwiseOutcome:
     decided_bit: int | None  # bit position (0 = least significant), None if equal
 
 
-class MillionairesBitwise(Protocol):
+class MillionairesBitwise(DummyTriangleProtocol):
     """Most-significant-bit-first comparison; stops at the first unequal bit.
 
     Each round compares one bit pair with the difference-split scheme
@@ -455,12 +447,6 @@ class MillionairesBitwise(Protocol):
     @classmethod
     def encode(cls, outcome):
         return {"verdict": outcome.verdict, "decided_bit": outcome.decided_bit}
-
-    def default_graph(self, k):
-        return dummy_triangle()
-
-    def check_graph(self, g):
-        check_dummy_triangle(self.name, g)
 
     def program(self, run: Run):
         R = self.ring

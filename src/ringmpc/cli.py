@@ -126,6 +126,13 @@ def replay_transcript(text: str):
     return True, None, "verified"
 
 
+def _check_names(raw) -> list:
+    """The ``checks`` of a verify spec file: a JSON list of check names."""
+    if not isinstance(raw, list) or not all(isinstance(name, str) for name in raw):
+        raise TypeError("it must be a list of strings")
+    return raw
+
+
 def _fail(code, message):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
@@ -236,26 +243,26 @@ def cmd_verify(spec_path, budget, list_only):
     if spec_path:
         spec_cfg = _load(spec_path, "spec file")
         with _exit_codes():
-            names = _field(spec_cfg, "checks", list, None)
+            names = _field(spec_cfg, "checks", _check_names, None)
             budget = _field(spec_cfg, "budget", int, budget)
     if list_only:
         for s in analysis.standard_suite(budget):
             click.echo(s.name)
         return
-    with _exit_codes():
-        specs = analysis.suite_by_name(names, budget)
     failures = 0
-    for spec in specs:
-        report = analysis.secrecy_enumeration_check(spec)
-        if report.ok:
-            click.echo(f"PASS  {report.name}  ({report.runs} runs)")
-        else:
-            failures += 1
-            ce = report.counterexample
-            click.echo(
-                f"FAIL  {report.name}  ({report.runs} runs): "
-                f"targets {ce.target_a!r} vs {ce.target_b!r} in group {ce.group!r}; {ce.detail}"
-            )
+    with _exit_codes():
+        for spec in analysis.suite_by_name(names, budget):
+            report = analysis.secrecy_enumeration_check(spec)
+            if report.ok:
+                click.echo(f"PASS  {report.name}  ({report.runs} runs)")
+            else:
+                failures += 1
+                ce = report.counterexample
+                click.echo(
+                    f"FAIL  {report.name}  ({report.runs} runs): "
+                    f"targets {ce.target_a!r} vs {ce.target_b!r} in group {ce.group!r}; "
+                    f"{ce.detail}"
+                )
     if failures:
         sys.exit(1)
 

@@ -20,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import ring as ring_mod
-from .engine import COMMITTED, REVEALED, Protocol, Run, Session, commit, run
+from .engine import COMMITTED, REVEALED, DummyTriangleProtocol, Protocol, Run, Session, commit, run
 from .errors import CheatDetected, ProtocolError
 from .ring import RingSpec
-from .topology import check_dummy_triangle, dummy_triangle
 
 BIT = "bit"
 INTEGER = "integer"
@@ -325,7 +324,7 @@ COMMIT2_CHECKS = [
 ]
 
 
-class Commit2Dummy(_Commitment):
+class Commit2Dummy(_Commitment, DummyTriangleProtocol):
     """The two-party scheme mediated by a dummy.
 
     The dummy only ever holds r1+r2 and s1+s2, whose sum it reveals; it
@@ -339,12 +338,6 @@ class Commit2Dummy(_Commitment):
     def encode(cls, learned):
         a_learns, b_learns = learned
         return {"A learns n2": str(a_learns), "B learns n1": str(b_learns)}
-
-    def default_graph(self, k):
-        return dummy_triangle()
-
-    def check_graph(self, g):
-        check_dummy_triangle(self.name, g)
 
     def program(self, run: Run):
         R = self.ring
@@ -406,7 +399,7 @@ class OTOutcome:
     indices: tuple
 
 
-class ObliviousTransfer(Protocol):
+class ObliviousTransfer(DummyTriangleProtocol):
     """k-of-n transfer: A splits every message, D serves the masked halves.
 
     After the two setup transmissions A receives nothing, so A cannot
@@ -426,12 +419,6 @@ class ObliviousTransfer(Protocol):
     @classmethod
     def encode(cls, outcome):
         return {"retrieved": [str(v) for v in outcome.retrieved]}
-
-    def default_graph(self, k):
-        return dummy_triangle()
-
-    def check_graph(self, g):
-        check_dummy_triangle(self.name, g)
 
     def program(self, run: Run):
         R = self.ring

@@ -27,8 +27,9 @@ derived from them.
 Randomness goes through a single ``randrange``-shaped interface, so a
 test can replace a party's generator with a scripted source and
 enumerate the entire noise space of a run exhaustively.  The enumeration
-(``analysis.enumerate_runs``) calls ``start`` and the protocol's
-``program`` and yields the finished ``Run``, whose log the secrecy check
+(``analysis.enumerate_runs``) checks the inputs' arity and the graph
+once, then builds each ``Run`` directly, calls the protocol's
+``program`` and yields the finished run, whose log the secrecy check
 reads; an enumerated run builds no transcript.
 """
 
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import json
 import random
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -44,7 +44,8 @@ from typing import Any, NamedTuple
 
 from .errors import DummyRandomnessError, PhaseError, ProtocolError, ReplayError, TopologyError
 from .ring import RingSpec, integers
-from .topology import ChannelGraph, INSECURE, build_cycle, validate_topology
+from .topology import (ChannelGraph, INSECURE, SECURE, build_cycle, dummy_triangle,
+                       validate_topology)
 
 BROADCAST = "*"
 EAVESDROPPER = "eavesdropper"
@@ -120,9 +121,10 @@ class Transcript:
     draw_sites: tuple = ()  # ordered (party index, domain size) per draw
 
     @cached_property
-    def views(self) -> Mapping:
+    def views(self) -> dict:
         """Party name -> tuple of (label, value), filtered from the log on first access."""
-        return _LogViews(self.log, [p["name"] for p in self.topology["parties"]])
+        parties = self.topology["parties"]
+        return {p["name"]: _entries_for(self.log, i) for i, p in enumerate(parties)}
 
     @cached_property
     def messages(self) -> tuple:
@@ -168,28 +170,6 @@ class Transcript:
 def _entries_for(log, who: int) -> tuple:
     """The (label, value) entries of the log events whose audience includes ``who``."""
     return tuple(entry for audience, entry, _ in log if audience is EVERYONE or who in audience)
-
-
-class _LogViews(Mapping):
-    """Read-only party name -> view entries; each party's view is built when first read."""
-
-    def __init__(self, log: tuple, names):
-        self._log = log
-        self._index = {name: i for i, name in enumerate(names)}
-        self._built: dict[str, tuple] = {}
-
-    def __getitem__(self, name: str) -> tuple:
-        try:
-            return self._built[name]
-        except KeyError:
-            entries = self._built[name] = _entries_for(self._log, self._index[name])
-            return entries
-
-    def __iter__(self):
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)
 
 
 def _encode(value):
@@ -307,9 +287,7 @@ class Protocol:
     the inputs; ``default_graph(k)``, a secure k-cycle unless overridden,
     serves when no graph is given; ``encode`` gives the outcome as JSON; a
     two-phase protocol defines ``reveal(session, tamper)``, which follows
-    ``program`` as its commit phase.  The verdict of ``check_graph`` may
-    depend only on the graph and on attributes fixed at construction,
-    because ``start`` remembers each (protocol, graph) pair it accepted.
+    ``program`` as its commit phase.
     """
 
     name = "?"
@@ -345,6 +323,20 @@ class Protocol:
 
     def program(self, run: "Run"):
         raise NotImplementedError
+
+
+class DummyTriangleProtocol(Protocol):
+    """A protocol between A, B and a dummy D, all three pairwise linked securely."""
+
+    def default_graph(self, k: int) -> ChannelGraph:
+        return dummy_triangle()
+
+    def check_graph(self, g: ChannelGraph) -> None:
+        if g.k != 3:
+            raise TopologyError(f"{self.name} runs between A, B and a dummy")
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            if not (g.has_edge(i, j) and g.security(i, j) == SECURE):
+                raise TopologyError(f"{self.name} needs a secure link between parties {i} and {j}")
 
 
 class Run:
@@ -388,11 +380,6 @@ class Run:
         self.draw_sites.append((party, n))
         return src
 
-    def randrange(self, party: int, n: int, label: str) -> int:
-        v = self._draw_source(party, n).randrange(n)
-        self.note(party, label, v)
-        return v
-
     def rand_int(self, party: int, lo: int, hi: int, label: str) -> int:
         """Uniform integer in [lo, hi]."""
         n = hi - lo + 1
@@ -424,14 +411,14 @@ class Run:
 
     # -- packaging -------------------------------------------------------
 
-    def transcript(self, inputs_meta=None) -> Transcript:
+    def transcript(self) -> Transcript:
         """A snapshot: events logged after this call do not show in it."""
         return Transcript(
             protocol=self.protocol.name,
             ring=self.ring.to_config(),
             seed=self.seed,
             topology=self.graph.to_config(),
-            inputs=self.inputs if inputs_meta is None else inputs_meta,
+            inputs=self.inputs,
             params=self.protocol.params(),
             log=tuple(self.log),
             draw_sites=tuple(self.draw_sites),
@@ -455,18 +442,12 @@ def start(protocol: Protocol, graph: ChannelGraph | None = None, inputs=(), seed
           sources=None) -> Run:
     """A fresh ``Run`` of ``protocol`` on ``graph`` (default: the protocol's own).
 
-    ``check_graph`` runs once per (protocol, graph) pair: an accepted pair
-    is remembered on the graph until its next ``add_edge``.
+    The number of inputs and the graph are checked first, in that order.
     """
     if protocol.arity is not None and len(inputs) != protocol.arity:
         raise ProtocolError(f"{protocol.name} takes {protocol.arity} inputs, got {len(inputs)}")
     g = graph if graph is not None else protocol.default_graph(len(inputs))
-
-    def accept(g):
-        protocol.check_graph(g)
-        return protocol  # held, so that id(protocol) is not reused while remembered
-
-    g.memo(("accepted", id(protocol)), accept)
+    protocol.check_graph(g)
     return Run(protocol, g, inputs, seed, sources=sources)
 
 
@@ -509,10 +490,10 @@ def commit(protocol: Protocol, graph: ChannelGraph | None = None, inputs=(), see
 
 def extract_view(t: Transcript, party: str) -> View:
     """The named party's knowledge: inputs, own noise, incident messages, broadcasts."""
-    try:
-        return View(party, t.views[party])
-    except KeyError:
-        raise KeyError(f"{party!r} did not participate in this run") from None
+    for i, p in enumerate(t.topology["parties"]):
+        if p["name"] == party:
+            return View(party, _entries_for(t.log, i))
+    raise KeyError(f"{party!r} did not participate in this run")
 
 
 def eavesdropper_view(t: Transcript) -> View:

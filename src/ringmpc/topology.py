@@ -132,8 +132,8 @@ def _name(i: int, name) -> str:
     return name
 
 
-def default_parties(k: int, prefix: str = "P") -> list[Party]:
-    return [Party(i, f"{prefix}{i + 1}") for i in range(k)]
+def default_parties(k: int) -> list[Party]:
+    return [Party(i, f"P{i + 1}") for i in range(k)]
 
 
 def build_cycle(k: int) -> ChannelGraph:
@@ -144,19 +144,10 @@ def build_cycle(k: int) -> ChannelGraph:
     return ChannelGraph(default_parties(k), edges)
 
 
-def dummy_triangle(a: str = "A", b: str = "B", dummy: str = "D") -> ChannelGraph:
-    """Two real parties plus a dummy, all three links secure."""
-    parties = [Party(0, a), Party(1, b), Party(2, dummy, full=False)]
+def dummy_triangle() -> ChannelGraph:
+    """Real parties A and B plus a dummy D, all three links secure."""
+    parties = [Party(0, "A"), Party(1, "B"), Party(2, "D", full=False)]
     return ChannelGraph(parties, [(0, 1, SECURE), (0, 2, SECURE), (1, 2, SECURE)])
-
-
-def check_dummy_triangle(name: str, g: ChannelGraph) -> None:
-    """Reject ``g`` for protocol ``name`` unless it is three parties pairwise linked securely."""
-    if g.k != 3:
-        raise TopologyError(f"{name} runs between A, B and a dummy")
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        if not (g.has_edge(i, j) and g.security(i, j) == SECURE):
-            raise TopologyError(f"{name} needs a secure link between parties {i} and {j}")
 
 
 def players_subgraph(g: ChannelGraph, k: int) -> ChannelGraph:

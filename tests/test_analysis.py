@@ -360,3 +360,28 @@ def test_an_unknown_observer_raises_the_key_error(observer):
     with pytest.raises(KeyError) as caught:
         secrecy_enumeration_check(spec)
     assert caught.value.args == ("'Q9' did not participate in this run",)
+
+
+class CountedSum(SecureSum):
+    """SecureSum that counts the graph checks made on it."""
+
+    def __init__(self, ring):
+        super().__init__(ring)
+        self.graph_checks = 0
+
+    def check_graph(self, g):
+        self.graph_checks += 1
+        super().check_graph(g)
+
+
+@pytest.mark.parametrize("given_graph", [True, False], ids=["spec.graph", "default graph"])
+def test_each_check_checks_the_graph_exactly_once(given_graph):
+    proto = CountedSum(rr.mod_ring(2))
+    spec = SecrecySpec(
+        name="counted sum", protocol=proto, graph=build_cycle(3) if given_graph else None,
+        input_domains=(range(2),) * 3, observer="P1", observer_inputs=(0,), protected=(1, 2),
+        given=lambda inputs, _o: (inputs[1] + inputs[2]) % 2,
+    )
+    for checks in (1, 2):
+        assert secrecy_enumeration_check(spec).ok
+        assert proto.graph_checks == checks

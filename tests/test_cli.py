@@ -155,6 +155,28 @@ class TestVerify:
         assert result.exit_code == 0
         assert len(result.output.strip().split("\n")) == 24
 
+    def test_budget_option_too_small_exits_2_naming_the_check(self, runner):
+        result = runner.invoke(main, ["verify", "--budget", "10"])
+        assert result.exit_code == 2, result.output
+        [error] = [ln for ln in result.output.split("\n") if ln.startswith("error:")]
+        assert "secure_sum/Z_2/k=3/P1 learns only the others' total" in error
+        assert "64 runs" in error
+
+    def test_budget_in_spec_file_too_small_exits_2(self, runner, tmp_path):
+        spec = write_config(tmp_path, "spec.json", {"budget": 5})
+        result = runner.invoke(main, ["verify", "--spec", spec])
+        assert result.exit_code == 2, result.output
+        [error] = [ln for ln in result.output.split("\n") if ln.startswith("error:")]
+        assert "64 runs" in error and "budget is 5" in error
+
+    @pytest.mark.parametrize("checks", [[["a"]], [{"x": 1}], "abc", 5, ["ok", 1]])
+    def test_checks_that_are_not_a_list_of_strings_exit_2(self, runner, tmp_path, checks):
+        spec = write_config(tmp_path, "spec.json", {"checks": checks})
+        result = runner.invoke(main, ["verify", "--spec", spec])
+        assert result.exit_code == 2, result.output
+        [error] = [ln for ln in result.output.split("\n") if ln.startswith("error:")]
+        assert "'checks'" in error and "list of strings" in error
+
 
 class TestDeal:
     def test_52_cards(self, runner):

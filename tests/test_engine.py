@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -227,3 +229,14 @@ def test_recorded_draw_bound_is_the_bound_drawn(ring, require_unit):
     for n in range(20):
         r.noise(0, f"noise {n}", require_unit=require_unit)
     assert [n for _, n in r.draw_sites] == src.bounds == [ring.noise_domain(require_unit)] * 20
+
+
+def test_a_run_on_a_reused_graph_does_not_keep_its_protocol_alive():
+    g = build_cycle(3)
+    run(SecureSum(rr.integers()), g, (1, 2, 3), seed=1)
+    proto = SecureSum(rr.integers())
+    alive = weakref.ref(proto)
+    assert run(proto, g, (1, 2, 3), seed=2)[0] == 6
+    del proto
+    gc.collect()
+    assert alive() is None
