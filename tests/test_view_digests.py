@@ -13,7 +13,9 @@ import hashlib
 import pytest
 
 from ringmpc.cli import execute_config
+from ringmpc.commitment import commit_k
 from ringmpc.engine import EAVESDROPPER, eavesdropper_view, extract_view
+from ringmpc.poker import dummy_dealer_fixed_hands
 
 CONFIGS = {
     "card_deal": {"protocol": "card_deal", "inputs": [], "seed": 11,
@@ -277,3 +279,73 @@ def test_every_cli_protocol_is_covered():
     from ringmpc.cli import RUNNERS
 
     assert set(RUNNERS) <= {cfg["protocol"] for cfg in CONFIGS.values()}
+
+
+# Runs that no pin above covers, recorded before the cycle pass, the input
+# notes and CommitK's ledgers were each written once: a commit_k session at
+# k = 4 and k = 5, committed then revealed, and a secure product over Z_101
+# on two disjoint triangles.
+TWO_TRIANGLES = {"k": 6, "edges": [[0, 1, "secure"], [1, 2, "secure"], [0, 2, "secure"],
+                                   [3, 4, "secure"], [4, 5, "secure"], [3, 5, "secure"]]}
+SESSION_DIGESTS = {
+    "commit_k/Z_7/k=4": {
+        "P1": "24f0f22c63afdc9052bdca7f0474f8bafe0372062dcb4ab49315aa8b4ff5f356",
+        "P2": "c5dd80923b84fe32e2c0dc22c6c7ae9e7379a4261926d4499ebd03009eb24fdf",
+        "P3": "093f3171d3cd74942d30b20235c82e60c677a57cb9abdf9b09e7516eaac0195b",
+        "P4": "55642184211359b7ccd3a882dc53cb93c48922897a55dfdf8e6dfaa47dc8ac15",
+        "eavesdropper": "635e4c164c384b5e09dfee707440afe6fd15ff8930006a8e32f0eecc86fedf77",
+        "transcript": "9da39788c0572580bfe932a4e989730160e0f77028f0a6ad4bcfa9871b2c33ae",
+    },
+    "commit_k/Z_7/k=5": {
+        "P1": "4e5f97d9e9a385b4c6c3fff4f5528d01c0f51f767e8d4a0a0f28f62ba492fee3",
+        "P2": "9b4790baeb355e9f966cf6251069c79bb7292c8d5a9c7447e058d7f5574bdf17",
+        "P3": "d486ae954b706fdcea8ff0116b160be0abfad035d034ce38bd13934b51645113",
+        "P4": "cbf7c4e96e5352ec2d1b91dd06a5f2f1766a21665eed02f9224044488734aee4",
+        "P5": "6bc29b4c012ab41207112dc321bf6b4a19b9652f506767a5cfae361645f1921c",
+        "eavesdropper": "f025061b5c94240ce92a4f9461151b463b511cbaf92a24b31abb749b40c0ca82",
+        "transcript": "1e694af1ce5ebcdfb23266e735d664f9888906f865b535e234b4119dfdde3acb",
+    },
+    "secure_product/Z_101/two cycles": {
+        "P1": "8440d1c5b8cdccc39ba70fb03d79b5a178fa2be715a4b9ee653081daa60f258c",
+        "P2": "b2efbec511c41e49d3e1a155ecd5d8e1ea117235a4bb380f3fbf0b7c55aa2ae6",
+        "P3": "e16fe8aa19876467cfdbe2f4086c1658540257ec18b6afd7e08cfab22c8d46a3",
+        "P4": "5bb4376c5d71b0f46dc8ba2b2dec933ad022052eb77b1a26d9bddd137cbab0cf",
+        "P5": "b9081c8a82d61bacf42b997919d7f8ee6d32e2c4d195ffc07760e8380854e4ac",
+        "P6": "4cff11e3faf7c86d01de645c561b99a2e0a82efaed975923f042c9a2dc767a3a",
+        "eavesdropper": "4f5db43e9db8e5e5ccffe8831ea6c97918992f650892c4e8d0b75b3bd0fdc1c2",
+        "transcript": "b94032f11a3c388564370158f6b3950a527bd98e3eadf5ab41c87d9aba4cc8c6",
+    },
+}
+
+
+def _session_transcript(name):
+    if name.startswith("commit_k/"):
+        values = {"k=4": [1, 0, 2, 1], "k=5": [3, 1, 4, 1, 5]}[name.rsplit("/", 1)[1]]
+        session = commit_k(values, m=7, seed=13)
+        assert session.reveal() == tuple(values)
+        return session.transcript
+    config = {"protocol": "secure_product", "inputs": [2, 3, 4, 5, 6, 7], "seed": 5,
+              "ring": {"ring": "Zm", "m": 101}, "topology": TWO_TRIANGLES}
+    outcome, t = execute_config(config)
+    assert outcome == {"product": "91"}  # 2*3*4 * 5*6*7 = 5040 = 91 mod 101
+    return t
+
+
+@pytest.mark.parametrize("name", sorted(SESSION_DIGESTS))
+def test_sessions_and_multi_cycle_products_match_recorded_digests(name):
+    t = _session_transcript(name)
+    got = {p["name"]: _digest(extract_view(t, p["name"]).entries) for p in t.topology["parties"]}
+    got[EAVESDROPPER] = _digest(eavesdropper_view(t).entries)
+    got["transcript"] = _digest_text(t.serialize())
+    assert got == SESSION_DIGESTS[name]
+
+
+def test_dummy_dealer_transcript_matches_recorded_digest():
+    """Two dummies, one consolidated load and one served draw; the transcript only.
+
+    The views are not pinned: a consolidated load was logged as a list,
+    and a list and a tuple of the same cards print differently.
+    """
+    _, t = dummy_dealer_fixed_hands(12, 2, 3, seed=7, post_draws=[(0, 1)])
+    assert _digest_text(t.serialize()) == (
+        "e6074068e5acbedc18a2bd1866b53313047c6eb5269ec1f1b1a53cfde732690f")
