@@ -33,6 +33,7 @@ from .engine import (
     start,
 )
 from .errors import BudgetExceeded, ProtocolError
+from .poker import even_quotas
 from .topology import ChannelGraph, build_cycle, single_cycle
 
 INDEPENDENT = "independent"
@@ -440,16 +441,14 @@ def transmission_stats(t: Transcript) -> TransmissionStats:
     r, k = int(params["r"]), int(params["k"])
     quotas = params.get("quotas")
     if quotas is None:
-        base, extra = divmod(r, k)
-        quotas = [base] * k
-        if extra:
-            lottery = [m.payload for m in t.messages if m.label == "quota lottery value"
-                       and m.to == "*"]
-            if len(lottery) != 1:
+        lottery = 0
+        if r % k:
+            values = [m.payload for m in t.messages if m.label == "quota lottery value"
+                      and m.to == "*"]
+            if len(values) != 1:
                 raise ProtocolError("cannot recover quotas: no lottery broadcast found")
-            v = int(lottery[0])
-            for step in range(extra):
-                quotas[(v + step) % k] += 1
+            lottery = int(values[0])
+        quotas = even_quotas(r, k, lottery)
     quotas = [int(q) for q in quotas]
 
     total_bits = sum(_payload_bits(m.payload) for m in t.messages)

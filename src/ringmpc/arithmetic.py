@@ -28,56 +28,68 @@ from .topology import (
 )
 
 
-def _cycles_or_raise(name, g):
-    try:
-        return secure_cycles(g)
-    except TopologyError as e:
-        raise TopologyError(f"{name}: {e}") from None
+class _CyclePass(Protocol):
+    """Noised forward pass around each secure cycle, masked total published, then unmasking.
 
-
-class SecureSum(Protocol):
-    """Noised forward pass, publication of the masked total, then unmasking.
-
-    Works on any disjoint union of secure cycles covering all parties;
-    each cycle publishes its own subtotal and the outcome is their sum.
+    Works on any disjoint union of secure cycles covering all parties; the
+    outcome combines the cycles' results.  A subclass supplies the operation
+    and its inverse (``ops``), the identity, unit noise or not, and the
+    labels ``partial_label`` and ``total_label``.
     """
+
+    identity = 0
+    unit_noise = False
+
+    def ops(self):
+        """(combine, undo) as bound ring methods."""
+        raise NotImplementedError
+
+    def check_inputs(self, values) -> None:
+        """Raise if the normalized inputs cannot be masked; any input can, by default."""
+
+    def program(self, run: Run):
+        values = run.note_inputs()
+        self.check_inputs(values)
+        combine, undo = self.ops()
+        total = self.identity
+        for cycle in secure_cycles(run.graph):
+            total = combine(total, self._one_cycle(run, cycle, values, combine, undo))
+        return total
+
+    def _one_cycle(self, run: Run, cycle, values, combine, undo):
+        k = len(cycle)
+        unit = self.unit_noise
+        first = cycle[0]
+        # Forward pass: each party folds in its value and fresh noise.
+        noises = {first: run.noise(first, f"n0{first + 1}", require_unit=unit)}
+        m = combine(values[first], noises[first])
+        run.send(first, cycle[1], m, self.partial_label)
+        for pos in range(1, k):
+            p = cycle[pos]
+            noises[p] = run.noise(p, f"n0{p + 1}", require_unit=unit)
+            m = combine(m, combine(values[p], noises[p]))
+            run.send(p, cycle[(pos + 1) % k], m, self.partial_label)
+        # The initiator removes its own noise and publishes.
+        masked_total = undo(m, noises[first])
+        run.broadcast(first, masked_total, self.total_label)
+        # Everyone else publishes their noise; all unmask.
+        noise_total = self.identity
+        for p in cycle[1:]:
+            run.broadcast(p, noises[p], f"noise n0{p + 1}")
+            noise_total = combine(noise_total, noises[p])
+        return undo(masked_total, noise_total)
+
+
+class SecureSum(_CyclePass):
+    """Masked sum around each cycle; the outcome is the sum of the cycles' subtotals."""
 
     name = "secure_sum"
     result = "sum"
+    partial_label = "masked partial sum"
+    total_label = "masked total"
 
-    def program(self, run: Run):
-        R = self.ring
-        values = [R.normalize(v) for v in run.inputs]
-        for i, v in enumerate(values):
-            run.note(i, f"n{i + 1}", v)
-        total = 0
-        for cycle in _cycles_or_raise(self.name, run.graph):
-            total = R.add(total, self._one_cycle(run, cycle, values))
-        return total
-
-    def _one_cycle(self, run: Run, cycle, values):
-        R = self.ring
-        k = len(cycle)
-        noises = {}
-        first = cycle[0]
-        # Forward pass: each party adds its value plus fresh noise.
-        noises[first] = run.noise(first, f"n0{first + 1}")
-        m = R.add(values[first], noises[first])
-        run.send(first, cycle[1], m, "masked partial sum")
-        for pos in range(1, k):
-            p = cycle[pos]
-            noises[p] = run.noise(p, f"n0{p + 1}")
-            m = R.add(m, R.add(values[p], noises[p]))
-            run.send(p, cycle[(pos + 1) % k], m, "masked partial sum")
-        # The initiator subtracts its own noise and publishes.
-        masked_total = R.sub(m, noises[first])
-        run.broadcast(first, masked_total, "masked total")
-        # Everyone else broadcasts their noise; all unmask.
-        noise_sum = 0
-        for p in cycle[1:]:
-            run.broadcast(p, noises[p], f"noise n0{p + 1}")
-            noise_sum = R.add(noise_sum, noises[p])
-        return R.sub(masked_total, noise_sum)
+    def ops(self):
+        return self.ring.add, self.ring.sub
 
 
 class SecureRating(Protocol):
@@ -119,9 +131,7 @@ class SecureRating(Protocol):
         R = self.ring
         k = self.k
         boss = k
-        values = [R.normalize(v) for v in run.inputs]
-        for i, v in enumerate(values):
-            run.note(i, f"n{i + 1}", v)
+        values = run.note_inputs()
         noises = []
         # Forward pass, every party masking with private noise.
         m = 0
@@ -154,47 +164,27 @@ def rating_graph(k: int) -> ChannelGraph:
     return ChannelGraph(parties, edges)
 
 
-class SecureProduct(Protocol):
+class SecureProduct(_CyclePass):
     """Multiplicative analogue of the sum: masks are units so they divide out."""
 
     name = "secure_product"
     result = "product"
+    identity = 1
+    unit_noise = True
+    partial_label = "masked partial product"
+    total_label = "masked product"
 
-    def program(self, run: Run):
+    def ops(self):
+        return self.ring.mul, self.ring.exact_div
+
+    def check_inputs(self, values):
         R = self.ring
-        values = [R.normalize(v) for v in run.inputs]
         for i, v in enumerate(values):
             if not R.is_unit(v):
                 raise RingError(
                     f"input {v} of party {i + 1} is not a legal factor in {R}; "
                     "the product protocol needs units (nonzero over Z)"
                 )
-            run.note(i, f"n{i + 1}", v)
-        total = 1
-        for cycle in _cycles_or_raise(self.name, run.graph):
-            total = R.mul(total, self._one_cycle(run, cycle, values))
-        return total
-
-    def _one_cycle(self, run: Run, cycle, values):
-        R = self.ring
-        k = len(cycle)
-        noises = {}
-        first = cycle[0]
-        noises[first] = run.noise(first, f"n0{first + 1}", require_unit=True)
-        m = R.mul(values[first], noises[first])
-        run.send(first, cycle[1], m, "masked partial product")
-        for pos in range(1, k):
-            p = cycle[pos]
-            noises[p] = run.noise(p, f"n0{p + 1}", require_unit=True)
-            m = R.mul(m, R.mul(values[p], noises[p]))
-            run.send(p, cycle[(pos + 1) % k], m, "masked partial product")
-        masked_total = R.exact_div(m, noises[first])
-        run.broadcast(first, masked_total, "masked product")
-        noise_prod = 1
-        for p in cycle[1:]:
-            run.broadcast(p, noises[p], f"noise n0{p + 1}")
-            noise_prod = R.mul(noise_prod, noises[p])
-        return R.exact_div(masked_total, noise_prod)
 
 
 class SumOfPowers(Protocol):
@@ -212,13 +202,14 @@ class SumOfPowers(Protocol):
     def params(self):
         return {"exponent": self.exponent}
 
+    def check_graph(self, g):
+        single_cycle(self.name, g)
+
     def program(self, run: Run):
         R = self.ring
         r = self.exponent
-        cycle = single_cycle(self.name, run.graph)
-        values = [R.normalize(v) for v in run.inputs]
-        for i, v in enumerate(values):
-            run.note(i, f"n{i + 1}", v)
+        cycle = secure_cycles(run.graph)[0]
+        values = run.note_inputs()
         first = cycle[0]
         mask = run.noise(first, "mask n0")
         m = mask
@@ -274,9 +265,7 @@ class ExampleF1(Protocol):
 
     def program(self, run: Run):
         R = self.ring
-        n1, n2, n3 = (R.normalize(v) for v in run.inputs)
-        for i, v in enumerate((n1, n2, n3)):
-            run.note(i, f"n{i + 1}", v)
+        n1, n2, n3 = run.note_inputs()
         mask = run.noise(1, "mask n0")
         run.send(1, 2, mask, "mask")
         m = R.add(n3, mask)
@@ -328,9 +317,7 @@ class ExampleF2(Protocol):
 
     def program(self, run: Run):
         R = self.ring
-        n1, n2, n3 = (R.normalize(v) for v in run.inputs)
-        for i, v in enumerate((n1, n2, n3)):
-            run.note(i, f"n{i + 1}", v)
+        n1, n2, n3 = run.note_inputs()
         a0 = run.noise(0, "mask a0", require_unit=True)
         run.send(0, 1, a0, "mask a0")
         m = R.mul(a0, n2)
@@ -377,9 +364,7 @@ class MillionairesCompare(DummyTriangleProtocol):
         R = self.ring
         if R.modular and R.modulus < 3:
             raise RingError("sign decoding needs a modulus >= 3")
-        n1, n2 = (R.normalize(v) for v in run.inputs)
-        run.note(0, "n1", n1)
-        run.note(1, "n2", n2)
+        n1, n2 = run.note_inputs()
         # Random difference splits: n = plus - minus.
         minus1 = run.noise(0, "n1 minus part")
         plus1 = R.add(n1, minus1)

@@ -133,6 +133,13 @@ def _check_names(raw) -> list:
     return raw
 
 
+def _json_int(raw) -> int:
+    """A JSON integer: not a bool, a float or a string of digits."""
+    if type(raw) is not int:
+        raise TypeError(f"{raw!r} is not a JSON integer")
+    return raw
+
+
 def _fail(code, message):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
@@ -244,7 +251,9 @@ def cmd_verify(spec_path, budget, list_only):
         spec_cfg = _load(spec_path, "spec file")
         with _exit_codes():
             names = _field(spec_cfg, "checks", _check_names, None)
-            budget = _field(spec_cfg, "budget", int, budget)
+            budget = _field(spec_cfg, "budget", _json_int, budget)
+            if names == []:
+                raise ProtocolError("'checks' is empty: the spec file selects no check")
     if list_only:
         for s in analysis.standard_suite(budget):
             click.echo(s.name)

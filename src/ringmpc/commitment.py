@@ -90,6 +90,18 @@ class _Commitment(Protocol):
         super().__init__(ring)
 
 
+def _split_inputs(run: Run):
+    """Each party's input noted, then split as n = r + s with r fresh noise; returns (n, r, s)."""
+    R = run.ring
+    n = run.note_inputs()
+    r, s = [], []
+    for i, v in enumerate(n):
+        r.append(run.noise(i, f"r{i + 1}"))
+        s.append(R.sub(v, r[i]))
+        run.note(i, f"s{i + 1}", s[i])
+    return n, r, s
+
+
 def _mark_revealed(ledgers: dict) -> None:
     for ledger in ledgers.values():
         ledger.phase = REVEALED
@@ -107,46 +119,24 @@ class Commit3(_Commitment):
 
     def program(self, run: Run):
         R = self.ring
-        n = [R.normalize(v) for v in run.inputs]
-        r = []
-        s = []
-        for i in range(3):
-            run.note(i, f"n{i + 1}", n[i])
-            r.append(run.noise(i, f"r{i + 1}"))
-            s.append(R.sub(n[i], r[i]))
-            run.note(i, f"s{i + 1}", s[i])
+        _, r, s = _split_inputs(run)
+        r12 = R.add(r[0], r[1])
+        r123 = R.add(r12, r[2])
+        s23 = R.add(s[1], s[2])
+        s123 = R.add(s[0], s23)
         # r-direction: P1 -> P2 -> P3 -> P1, accumulating.
         run.send(0, 1, r[0], "r1")
-        run.send(1, 2, R.add(r[0], r[1]), "r1+r2")
-        run.send(2, 0, R.add(R.add(r[0], r[1]), r[2]), "r1+r2+r3")
+        run.send(1, 2, r12, "r1+r2")
+        run.send(2, 0, r123, "r1+r2+r3")
         # s-direction: P3 -> P2 -> P1 -> P3, accumulating the other way.
         run.send(2, 1, s[2], "s3")
-        run.send(1, 0, R.add(s[1], s[2]), "s2+s3")
-        run.send(0, 2, R.add(R.add(s[0], s[1]), s[2]), "s1+s2+s3")
-        ledgers = {
-            "P1": CommitmentLedger(
-                "P1",
-                {
-                    "s1": s[0],
-                    "s2+s3": R.add(s[1], s[2]),
-                    "r1": r[0],
-                    "r1+r2+r3": R.add(R.add(r[0], r[1]), r[2]),
-                },
-            ),
-            "P2": CommitmentLedger(
-                "P2", {"s2": s[1], "s3": s[2], "r1": r[0], "r2": r[1]}
-            ),
-            "P3": CommitmentLedger(
-                "P3",
-                {
-                    "s3": s[2],
-                    "r3": r[2],
-                    "r1+r2": R.add(r[0], r[1]),
-                    "s1+s2+s3": R.add(R.add(s[0], s[1]), s[2]),
-                },
-            ),
+        run.send(1, 0, s23, "s2+s3")
+        run.send(0, 2, s123, "s1+s2+s3")
+        return {
+            "P1": CommitmentLedger("P1", {"s1": s[0], "s2+s3": s23, "r1": r[0], "r1+r2+r3": r123}),
+            "P2": CommitmentLedger("P2", {"s2": s[1], "s3": s[2], "r1": r[0], "r2": r[1]}),
+            "P3": CommitmentLedger("P3", {"s3": s[2], "r3": r[2], "r1+r2": r12, "s1+s2+s3": s123}),
         }
-        return ledgers
 
     def reveal(self, session: Session, tamper: dict):
         """Every party recovers both other values, with corroboration.
@@ -237,29 +227,24 @@ class CommitK(_Commitment):
     name = "commit_k"
 
     def program(self, run: Run):
+        """Send, and return as the ledgers, prefix j = r_1+...+r_j (P_j to P_{j+1})
+        and suffix j = s_j+...+s_k (P_j to P_{j-1}) for every j."""
         R = self.ring
         k = len(run.inputs)
-        n = [R.normalize(v) for v in run.inputs]
-        r = []
-        s = []
+        _, r, s = _split_inputs(run)
+        r_prefix = []
+        acc = 0
         for i in range(k):
-            run.note(i, f"n{i + 1}", n[i])
-            r.append(run.noise(i, f"r{i + 1}"))
-            s.append(R.sub(n[i], r[i]))
-            run.note(i, f"s{i + 1}", s[i])
-        acc = 0
-        for i in range(k - 1):
             acc = R.add(acc, r[i])
-            run.send(i, i + 1, acc, f"r prefix {i + 1}")
-        acc = R.add(acc, r[k - 1])
-        run.send(k - 1, 0, acc, f"r prefix {k}")
+            r_prefix.append(acc)
+            run.send(i, (i + 1) % k, acc, f"r prefix {i + 1}")
+        s_suffix = [None] * k
         acc = 0
-        for i in range(k - 1, 0, -1):
+        for i in range(k - 1, -1, -1):
             acc = R.add(acc, s[i])
-            run.send(i, i - 1, acc, f"s suffix {i + 1}")
-        acc = R.add(acc, s[0])
-        run.send(0, k - 1, acc, "s suffix 1")
-        return tuple(r), tuple(s)
+            s_suffix[i] = acc
+            run.send(i, (i - 1) % k, acc, f"s suffix {i + 1}")
+        return r_prefix, s_suffix
 
     def reveal(self, session: Session, tamper: dict):
         """Every committed prefix and suffix is re-announced and corroborated.
@@ -272,38 +257,24 @@ class CommitK(_Commitment):
         R = self.ring
         run = session.run
         k = len(session.values)
-        r, s = session.ledgers
-        r_prefix = []
-        acc = 0
-        for i in range(k):
-            acc = R.add(acc, r[i])
-            r_prefix.append(acc)
-        s_suffix = [None] * k  # s_suffix[i] = s_{i+1} + ... + s_k  (1-based tail)
-        acc = 0
-        for i in range(k - 1, -1, -1):
-            acc = R.add(acc, s[i])
-            s_suffix[i] = acc
+        r_prefix, s_suffix = session.ledgers
+
+        def announce(by, label, committed, what):
+            value = R.normalize(tamper.get(label, committed))
+            run.broadcast(by, value, label)
+            if value != committed:
+                raise CheatDetected(label, f"does not match the committed {what}")
+
         # commit-phase receivers re-announce; commit-phase senders corroborate
-        announced_r = []
-        for j in range(1, k + 1):
-            label = f"r prefix {j} reveal"
-            value = R.normalize(tamper.get(label, r_prefix[j - 1]))
-            run.broadcast(j % k, value, label)  # prefix j was received by P_{j+1}
-            if value != r_prefix[j - 1]:
-                raise CheatDetected(label, "does not match the committed prefix")
-            announced_r.append(value)
-        announced_s = [None] * k
-        for j in range(k, 0, -1):
-            label = f"s suffix {j} reveal"
-            value = R.normalize(tamper.get(label, s_suffix[j - 1]))
-            run.broadcast((j - 2) % k, value, label)  # suffix j was received by P_{j-1}
-            if value != s_suffix[j - 1]:
-                raise CheatDetected(label, "does not match the committed suffix")
-            announced_s[j - 1] = value
+        for j in range(1, k + 1):  # prefix j was received by P_{j+1}
+            announce(j % k, f"r prefix {j} reveal", r_prefix[j - 1], "prefix")
+        for j in range(k, 0, -1):  # suffix j was received by P_{j-1}
+            announce((j - 2) % k, f"s suffix {j} reveal", s_suffix[j - 1], "suffix")
+        # every announcement matched its committed sum, so the sums open every share
         recovered = []
         for i in range(k):
-            r_i = R.sub(announced_r[i], announced_r[i - 1] if i > 0 else 0)
-            s_i = R.sub(announced_s[i], announced_s[i + 1] if i < k - 1 else 0)
+            r_i = R.sub(r_prefix[i], r_prefix[i - 1] if i > 0 else 0)
+            s_i = R.sub(s_suffix[i], s_suffix[i + 1] if i < k - 1 else 0)
             recovered.append(R.add(r_i, s_i))
         return tuple(recovered)
 
@@ -341,23 +312,16 @@ class Commit2Dummy(_Commitment, DummyTriangleProtocol):
 
     def program(self, run: Run):
         R = self.ring
-        n1, n2 = (R.normalize(v) for v in run.inputs)
-        run.note(0, "n1", n1)
-        run.note(1, "n2", n2)
-        r1 = run.noise(0, "r1")
-        s1 = R.sub(n1, r1)
-        run.note(0, "s1", s1)
-        r2 = run.noise(1, "r2")
-        s2 = R.sub(n2, r2)
-        run.note(1, "s2", s2)
+        (n1, n2), (r1, r2), (s1, s2) = _split_inputs(run)
         run.send(0, 1, s1, "s1")
         run.send(1, 0, r2, "r2")
-        run.send(0, 2, R.add(r1, r2), "r1+r2")
-        run.send(1, 2, R.add(s1, s2), "s1+s2")
+        r12, s12 = R.add(r1, r2), R.add(s1, s2)
+        run.send(0, 2, r12, "r1+r2")
+        run.send(1, 2, s12, "s1+s2")
         return {
             "A": CommitmentLedger("A", {"n1": n1, "r1": r1, "s1": s1, "r2": r2}),
             "B": CommitmentLedger("B", {"n2": n2, "r2": r2, "s2": s2, "s1": s1}),
-            "D": CommitmentLedger("D", {"r1+r2": R.add(r1, r2), "s1+s2": R.add(s1, s2)}),
+            "D": CommitmentLedger("D", {"r1+r2": r12, "s1+s2": s12}),
         }
 
     def reveal(self, session: Session, tamper: dict):

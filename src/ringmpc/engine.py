@@ -281,13 +281,14 @@ class Protocol:
     """One runnable protocol: a name, a ring, a topology contract, and a program.
 
     ``program(run)`` drives the run through the protocol's steps and
-    returns the outcome.  The class is the protocol's whole description;
-    the CLI's ``run`` and ``replay`` use only its hooks.  ``from_params``
-    inverts ``params``; ``arity`` and ``decode_inputs`` check and decode
-    the inputs; ``default_graph(k)``, a secure k-cycle unless overridden,
-    serves when no graph is given; ``encode`` gives the outcome as JSON; a
-    two-phase protocol defines ``reveal(session, tamper)``, which follows
-    ``program`` as its commit phase.
+    returns the outcome; it reads the graph that ``check_graph`` accepted
+    and checks nothing more of it.  The class is the protocol's whole
+    description; the CLI's ``run`` and ``replay`` use only its hooks.
+    ``from_params`` inverts ``params``; ``arity`` and ``decode_inputs``
+    check and decode the inputs; ``default_graph(k)``, a secure k-cycle
+    unless overridden, serves when no graph is given; ``encode`` gives the
+    outcome as JSON; a two-phase protocol defines ``reveal(session,
+    tamper)``, which follows ``program`` as its commit phase.
     """
 
     name = "?"
@@ -399,6 +400,13 @@ class Run:
     def note(self, party: int, label: str, value) -> None:
         """Record a privately held value (input, noise, local result) in a view."""
         self.log.append(((party,), (label, value), None))
+
+    def note_inputs(self) -> list:
+        """Every input normalized in the ring, party i's noted as ``n{i+1}`` in its view."""
+        values = [self.ring.normalize(v) for v in self.inputs]
+        for i, v in enumerate(values):
+            self.note(i, f"n{i + 1}", v)
+        return values
 
     def send(self, frm: int, to: int, value, label: str, kind: str = "elem") -> None:
         security = self.graph.security(frm, to)  # raises if not a channel

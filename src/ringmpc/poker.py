@@ -140,6 +140,16 @@ def protocol2_random_k(M, i, k, graph=None, seed=0, sources=None):
     return outcome
 
 
+def even_quotas(r: int, k: int, lottery: int) -> tuple:
+    """Hand sizes for r cards among k players: r // k each, and one more for the
+    r % k players from ``lottery`` onwards around the cycle."""
+    base, extra = divmod(r, k)
+    quotas = [base] * k
+    for t in range(extra):
+        quotas[(lottery + t) % k] += 1
+    return tuple(quotas)
+
+
 # The most token hops a deal config may ask for: about 5 s of hops at ~4 µs each.
 MAX_DEAL_HOPS = 10**6
 
@@ -315,15 +325,12 @@ class CardDeal(Protocol):
         cfg = self.cfg
         if cfg.quotas is not None:
             return tuple(cfg.quotas)
-        base, extra = divmod(cfg.r, cfg.k)
-        quotas = [base] * cfg.k
-        if extra:
+        lottery = 0
+        if cfg.r % cfg.k:
             receiver, contributors = self._shuffle_roles(run, 0)
-            v = collective_round(run, cfg.k, receiver, contributors, "quota lottery",
-                                 announce=True)
-            for t in range(extra):
-                quotas[(v + t) % cfg.k] += 1
-        return tuple(quotas)
+            lottery = collective_round(run, cfg.k, receiver, contributors, "quota lottery",
+                                       announce=True)
+        return even_quotas(cfg.r, cfg.k, lottery)
 
     def _shuffle_roles(self, run: Run, round_index: int):
         dummies = [p.index for p in run.graph.parties if not p.full]
@@ -401,7 +408,7 @@ class CardDeal(Protocol):
         dummies = sorted(p.index for p in run.graph.parties if not p.full)
         carried: dict[int, list] = {d: list(result.hands[d]) for d in dummies}
         for d in sorted((d for d in dummies if d != dealer), reverse=True):
-            load = sorted(carried.pop(d))
+            load = tuple(sorted(carried.pop(d)))
             run.send(d, d - 1, load, "consolidated cards", kind="elems")
             carried[d - 1].extend(load)
         residual = sorted(carried[dealer])

@@ -17,7 +17,7 @@ from .engine import Protocol, Run, run
 from .errors import ProtocolError, TopologyError
 from .ring import RingSpec
 from .topology import (ChannelGraph, Party, SECURE, build_cycle, default_parties,
-                       players_subgraph, single_cycle, validate_topology)
+                       players_subgraph, secure_cycles, single_cycle)
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,15 @@ class DistributeShares(Protocol):
     def default_graph(self, k):
         return build_cycle(self.k)
 
+    def check_graph(self, g):
+        if self.initiator not in single_cycle(self.name, g):
+            raise ProtocolError(f"initiator {self.initiator} is not on the cycle")
+
     def program(self, run: Run):
         R = self.ring
         (value,) = run.inputs
         value = R.normalize(value)
-        cycle = single_cycle(self.name, run.graph)
-        if self.initiator not in cycle:
-            raise ProtocolError(f"initiator {self.initiator} is not on the cycle")
+        cycle = secure_cycles(run.graph)[0]
         run.note(self.initiator, "value to split", value)
         summands = masked_split_subroutine(
             run, R, cycle, cycle.index(self.initiator), value, "split"
@@ -123,9 +125,7 @@ class ShareSecret(Protocol):
         k = self.k
         if g.k != k + 1:
             raise TopologyError(f"share_secret_kk with k={k} needs {k + 1} parties (incl. dealer)")
-        ok = validate_topology(players_subgraph(g, k))
-        if not ok:
-            raise TopologyError(f"share_secret_kk: {ok.reason}")
+        single_cycle(self.name, players_subgraph(g, k))
         for i in range(k):
             if not (g.has_edge(i, k) and g.security(i, k) == SECURE):
                 raise TopologyError(f"share_secret_kk: dealer needs a secure link to player {i}")
@@ -146,7 +146,7 @@ class ShareSecret(Protocol):
             rest = R.sub(rest, piece)
         pieces.append(rest)
         run.note(dealer, f"dealer piece {k}", rest)
-        cycle = single_cycle(self.name, players_subgraph(run.graph, k))
+        cycle = secure_cycles(players_subgraph(run.graph, k))[0]
         totals = {i: 0 for i in range(k)}
         # Loop: piece i goes to player i, who re-splits it around the cycle.
         for i in range(k):

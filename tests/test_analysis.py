@@ -242,6 +242,18 @@ class TestTransmissionStats:
         stats = transmission_stats(t)  # must not raise despite implicit quotas
         assert sum(1 for v in stats.keeper_of if v >= 1) == 6  # keeps of 1..6 visible
 
+    def test_a_deal_with_two_dummies_is_sized(self):
+        # the consolidated load one dummy hands the other is sized card by card
+        from ringmpc.poker import dummy_dealer_fixed_hands
+
+        _, t = dummy_dealer_fixed_hands(12, 2, 3, seed=7)
+        [load] = [m.payload for m in t.messages if m.label == "consolidated cards"]
+        stats = transmission_stats(t)
+        assert stats.message_count == len(t.messages)
+        assert stats.total_bits == sum((c + 1).bit_length() for c in load) + sum(
+            (int(m.payload) + 1).bit_length() for m in t.messages
+            if m.label != "consolidated cards")
+
 
 # -- the check's view keys against the transcript's views ----------------------
 

@@ -36,6 +36,15 @@ class TestRun:
         assert result.exit_code == 0
         assert json.loads(result.output)["outcome"] == {"product": "3"}
 
+    def test_seed_option_overrides_the_config_seed(self, runner, tmp_path):
+        cfg = write_config(tmp_path, "sum.json",
+                           {"protocol": "secure_sum", "inputs": [3, 5, 7], "seed": 7})
+        out = str(tmp_path / "sum.jsonl")
+        result = runner.invoke(main, ["run", cfg, "--seed", "42", "--out", out])
+        assert result.exit_code == 0, result.output
+        header = json.loads(open(out).readline())
+        assert header["meta"]["seed"] == 42
+
     def test_path_topology_exits_3(self, runner, tmp_path):
         cfg = write_config(tmp_path, "bad.json", {
             "protocol": "secure_sum", "inputs": [1, 2, 3],
@@ -168,6 +177,37 @@ class TestVerify:
         assert result.exit_code == 2, result.output
         [error] = [ln for ln in result.output.split("\n") if ln.startswith("error:")]
         assert "64 runs" in error and "budget is 5" in error
+
+    @pytest.mark.parametrize("budget", [True, 16.9, "64"])
+    def test_budget_that_is_not_a_json_integer_exits_2(self, runner, tmp_path, budget):
+        spec = write_config(tmp_path, "spec.json", {
+            "checks": ["commit2_dummy/Z_2/D learns only n1+n2"], "budget": budget})
+        result = runner.invoke(main, ["verify", "--spec", spec])
+        assert result.exit_code == 2, result.output
+        [error] = [ln for ln in result.output.split("\n") if ln.startswith("error:")]
+        assert "'budget'" in error
+
+    def test_empty_selection_exits_2(self, runner, tmp_path):
+        spec = write_config(tmp_path, "spec.json", {"checks": []})
+        result = runner.invoke(main, ["verify", "--spec", spec])
+        assert result.exit_code == 2, result.output
+        [error] = [ln for ln in result.output.split("\n") if ln.startswith("error:")]
+        assert "'checks'" in error
+
+    def test_failed_check_exits_1_naming_both_targets(self, runner, monkeypatch):
+        from dataclasses import replace
+
+        from ringmpc import analysis
+
+        [spec] = analysis.suite_by_name(["commit2_dummy/Z_2/D learns only n1+n2"])
+        leak = replace(spec, given=None)  # D sees n1+n2, which the claim no longer concedes
+        ce = analysis.secrecy_enumeration_check(leak).counterexample
+        monkeypatch.setattr(analysis, "suite_by_name", lambda names, budget: [leak])
+        result = runner.invoke(main, ["verify"])
+        assert result.exit_code == 1, result.output
+        [line] = result.output.strip().split("\n")
+        assert line.startswith(f"FAIL  {spec.name}  (16 runs): ")
+        assert f"targets {ce.target_a!r} vs {ce.target_b!r}" in line
 
     @pytest.mark.parametrize("checks", [[["a"]], [{"x": 1}], "abc", 5, ["ok", 1]])
     def test_checks_that_are_not_a_list_of_strings_exit_2(self, runner, tmp_path, checks):

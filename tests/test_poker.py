@@ -14,10 +14,12 @@ from ringmpc.poker import (
     dummy_deal_two_players,
     dummy_dealer_count,
     dummy_dealer_fixed_hands,
+    even_quotas,
     expected_circles,
     knuth_shuffle,
     protocol1_distribute,
     protocol2_random3,
+    protocol2_random_k,
     protocol2_roles,
 )
 
@@ -63,6 +65,15 @@ class TestCollectiveRandomness:
     def test_trivial_modulus(self):
         assert protocol2_random3(1, seed=9) == 0
 
+    def test_even_quotas_give_the_extras_from_the_lottery_onwards(self):
+        assert even_quotas(9, 3, 1) == (3, 3, 3)
+        assert even_quotas(7, 3, 2) == (2, 2, 3)
+        assert even_quotas(8, 3, 2) == (3, 2, 3)
+        for seed in range(6):  # a deal's quotas follow its announced lottery value
+            outcome, t = protocol1_distribute(DealConfig(8, 3, 3), seed=seed)
+            [v] = [m.payload for m in t.messages if m.label == "quota lottery value"]
+            assert outcome.quotas == even_quotas(8, 3, v)
+
     def test_roles_follow_the_cycle(self):
         assert protocol2_roles(1, 3) == (1, (0, 2))  # receiver P2, contributors P1, P3
         assert protocol2_roles(5, 5) == (0, (4, 1))  # receiver P1, contributors P5, P2
@@ -72,6 +83,28 @@ class TestCollectiveRandomness:
         senders = {m.frm for m in t.messages}
         receivers = {m.to for m in t.messages}
         assert senders == {"P1", "P3"} and receivers == {"P2"}
+
+    @pytest.mark.parametrize("i, k", [(1, 3), (4, 5), (7, 6)])
+    def test_round_i_on_a_k_cycle(self, monkeypatch, i, k):
+        import ringmpc.poker as poker
+
+        transcripts = []
+
+        def traced(*args, **kwargs):
+            outcome, t = run(*args, **kwargs)
+            transcripts.append(t)
+            return outcome, t
+
+        monkeypatch.setattr(poker, "run", traced)
+        receiver, (a, b) = protocol2_roles(i, k)
+        sources = {p: ScriptedSource([]) for p in range(k)}  # a draw by anyone else fails
+        sources[a], sources[b] = ScriptedSource([5]), ScriptedSource([9])
+        assert protocol2_random_k(11, i, k, sources=sources) == (5 + 9) % 11
+        [t] = transcripts
+        to = f"P{receiver + 1}"
+        assert [(m.frm, m.to, m.payload) for m in t.messages] == [
+            (f"P{a + 1}", to, 5), (f"P{b + 1}", to, 9)]
+        assert extract_view(t, to).value("random value") == 3
 
     def test_masking_exhaustive_small_moduli(self):
         # with one contributor fixed adversarially, the other uniform:
@@ -250,6 +283,14 @@ class TestDummyDealer:
     def test_infeasible_request_rejected(self):
         with pytest.raises(ProtocolError):
             dummy_dealer_fixed_hands(5, 2, 3)
+
+    @pytest.mark.parametrize("m, k, s", [(12, 2, 3), (20, 3, 2), (52, 2, 5)])
+    def test_every_view_of_a_deal_with_several_dummies_is_hashable(self, m, k, s):
+        # the dummies' loads travel as tuples: a logged value is never a list
+        _, t = dummy_dealer_fixed_hands(m, k, s, seed=7)
+        assert sum(1 for p in t.topology["parties"] if not p["full"]) >= 2
+        for p in t.topology["parties"]:
+            hash(extract_view(t, p["name"]).key())
 
     def test_served_card_goes_over_a_private_channel(self):
         outcome, t = dummy_dealer_fixed_hands(6, 2, 2, seed=3, post_draws=[(1, 1)])

@@ -122,6 +122,21 @@ class TestShareSecret:
         with pytest.raises(TopologyError):
             run(ShareSecret(rr.integers(), 3), build_cycle(4), (1,), seed=0)
 
+    def test_two_triangles_are_refused_before_the_dealer_draws(self):
+        from ringmpc.engine import start
+        from ringmpc.topology import ChannelGraph, Party, SECURE, default_parties
+
+        triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+        spokes = [(i, 6) for i in range(6)]
+        g = ChannelGraph(default_parties(6) + [Party(6, "D")],
+                         [(i, j, SECURE) for i, j in triangles + spokes])
+        dealer = ScriptedSource([])  # any draw would exhaust it
+        with pytest.raises(TopologyError, match="share_secret_kk runs on a single cycle"):
+            start(ShareSecret(rr.mod_ring(5), 6), g, (3,), sources={6: dealer})
+        with pytest.raises(TopologyError, match="share_secret_kk runs on a single cycle"):
+            run(ShareSecret(rr.mod_ring(5), 6), g, (3,), sources={6: dealer})
+        assert dealer.pos == 0
+
 
 class TestReconstruct:
     def test_example(self):
