@@ -13,7 +13,7 @@ import hashlib
 import pytest
 
 from ringmpc.cli import execute_config
-from ringmpc.commitment import commit_k
+from ringmpc.commitment import commit2_dummy, commit3, commit_k
 from ringmpc.engine import EAVESDROPPER, eavesdropper_view, extract_view
 from ringmpc.poker import dummy_dealer_fixed_hands
 
@@ -349,3 +349,59 @@ def test_dummy_dealer_transcript_matches_recorded_digest():
     _, t = dummy_dealer_fixed_hands(12, 2, 3, seed=7, post_draws=[(0, 1)])
     assert _digest_text(t.serialize()) == (
         "e6074068e5acbedc18a2bd1866b53313047c6eb5269ec1f1b1a53cfde732690f")
+
+
+# Runs recorded before a session kept its inputs only in its ledgers: a
+# dummy dealer with three reals whose dealer serves cards along its spokes,
+# and two commitment sessions whose inputs lie outside 0..m-1, committed
+# then revealed.
+OUT_OF_RANGE_DIGESTS = {
+    "dummy_dealer/m=32/k=3/s=5": {
+        "P1": "49ece9b1eecc870906e9862217b7676db111633bede7e59e2a2e3ccaaa5a84e1",
+        "P2": "83a4311f7828f489aa5ab6872a11bc6047c12fcfc44fc39676db1a30a92a9def",
+        "P3": "c7709a55209ac91912a7ba23c611304b8f512a934204aa09f0356ebdf988857d",
+        "D1": "d2bda87eaadb563946b24007d3afdce2a2e23e2bbb8825b098b1b69289b01db8",
+        "D2": "d980476a67b10ce4378a1faa27b9342e2197ec49ec8c82634b5099a9b026b49b",
+        "D3": "ce806acaf96f2379f41c6775053ff053906ae279d9df3292b8521120c0d4256a",
+        "eavesdropper": "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+        "transcript": "8d32df270ab037f33c0b6dbb87684ed49e3512fe9a2bca5705e3a9b79062a53d",
+    },
+    "commit3/Z_10/(12,-1,5)": {
+        "P1": "6ad94e3d99419ccdf874198f5a6e1c0eb201a4213b626dc89c8ba9266710fe15",
+        "P2": "4095b353389401ee3c0d8d3f568c50569fd7b9627696669b07b25180e4b7fba1",
+        "P3": "a39475fe99c8591b9f28cf3f8548baa4bf3710b763ac228d2887c2787e9455f1",
+        "eavesdropper": "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+        "transcript": "2fd7718c208e88efa7356630e37c76d236b84107cad9817e914a4a62779e0a0c",
+    },
+    "commit2_dummy/Z_10/(13,-2)": {
+        "A": "70111a3a7a31f144cbd21366dcfd52f31710b662257f2a706bdc51255e23a07a",
+        "B": "2ea91d07234bacdcb198b2b334cb2097d768144844fc88a16356e700420921c8",
+        "D": "50941a4efccc92a867760c0663d1f20758c35bef701a3a18fd555228bc5d0833",
+        "eavesdropper": "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+        "transcript": "5de74a35aecc211c4df20a9faf3cf36dfcf093368b6de436ab74cac6f604a966",
+    },
+}
+
+
+def _out_of_range_transcript(name):
+    if name.startswith("dummy_dealer/"):
+        outcome, t = dummy_dealer_fixed_hands(32, 3, 5, seed=1, post_draws=[(2, 1), (0, 2)])
+        assert t.params["quotas"] == [5, 5, 5, 6, 6, 5]
+        assert [who for who, _ in outcome.served] == ["P3", "P1", "P1"]
+        return t
+    if name.startswith("commit3/"):
+        session = commit3((12, -1, 5), m=10, seed=7)
+        assert session.reveal() == {name: (2, 9, 5) for name in ("P1", "P2", "P3")}
+        return session.transcript
+    session = commit2_dummy(13, -2, m=10, seed=7)
+    assert session.reveal() == (8, 3)
+    return session.transcript
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE_DIGESTS))
+def test_dealer_spokes_and_out_of_range_sessions_match_recorded_digests(name):
+    t = _out_of_range_transcript(name)
+    got = {p["name"]: _digest(extract_view(t, p["name"]).entries) for p in t.topology["parties"]}
+    got[EAVESDROPPER] = _digest(eavesdropper_view(t).entries)
+    got["transcript"] = _digest_text(t.serialize())
+    assert got == OUT_OF_RANGE_DIGESTS[name]
