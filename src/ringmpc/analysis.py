@@ -108,7 +108,8 @@ def enumerate_runs(spec: SecrecySpec):
     ``run`` is the finished ``engine.Run``: its ``log`` holds every event,
     and ``run.transcript()`` packages it when a caller wants one.  The
     inputs' arity and the graph are checked once, as ``engine.start``
-    checks them, on the graph that every run then uses.
+    checks them, on the graph that every run then uses.  The parties share
+    one script, so a run that draws off the discovered sites is a ``ProtocolError``.
     """
     graph = start(spec.protocol, spec.graph, tuple(d[0] for d in spec.input_domains)).graph
     sites = discover_draw_sites(replace(spec, graph=graph))
@@ -117,16 +118,21 @@ def enumerate_runs(spec: SecrecySpec):
         raise BudgetExceeded(
             f"{spec.name}: enumeration needs {total} runs, budget is {spec.budget}"
         )
+    drawers = {party for party, _ in sites}
     site_domains = [range(n) for _, n in sites]
-    slots: dict[int, list] = {}  # party -> its positions in the draw-site list
-    for pos, (party, _) in enumerate(sites):
-        slots.setdefault(party, []).append(pos)
     for inputs in product(*spec.input_domains):
         for assignment in product(*site_domains):
-            sources = {p: ScriptedSource([assignment[i] for i in positions])
-                       for p, positions in slots.items()}
-            r = Run(spec.protocol, graph, inputs, seed=0, sources=sources)
-            outcome = spec.protocol.program(r)
+            r = Run(spec.protocol, graph, inputs, seed=0,
+                    sources=dict.fromkeys(drawers, ScriptedSource(assignment)))
+            try:
+                outcome = spec.protocol.program(r)
+            except (IndexError, ValueError):
+                # The protocol's own fault propagates; the script's is a draw off the sites.
+                if r.draw_sites == sites[:len(r.draw_sites)]:
+                    raise
+            if r.draw_sites != sites:
+                raise ProtocolError(f"{spec.name}: the run on inputs {inputs} draws at "
+                                    f"{r.draw_sites}, not at the discovered sites {sites}")
             yield inputs, outcome, r
 
 

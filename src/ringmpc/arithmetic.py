@@ -340,7 +340,6 @@ EQUAL = "equal"
 @dataclass(frozen=True)
 class CompareOutcome:
     verdict: str
-    difference_holder: str = "D"
 
 
 class MillionairesCompare(DummyTriangleProtocol):

@@ -348,7 +348,7 @@ def cmd_commit3(values, modulus, seed, state_path):
     with _exit_codes():
         session = commitment.commit3(values, m=modulus, seed=seed)
     state = {
-        "values": [str(v) for v in session.values],
+        "values": [str(v) for v in session.run.inputs],
         "modulus": modulus,
         "seed": seed,
         "commit_transcript": session.transcript.serialize(),

@@ -149,11 +149,12 @@ class Commit3(_Commitment):
         R = self.ring
         r = session.run
         led = session.ledgers
+        _mark_revealed(led)
 
         def value_of(label, honest):
             return R.normalize(tamper[label]) if label in tamper else honest
 
-        n1, n2, n3 = session.values
+        n1, n2, n3 = (R.add(led[f"P{i}"][f"r{i}"], led[f"P{i}"][f"s{i}"]) for i in (1, 2, 3))
         # P3 forms n1+n2 from its committed sums and sends it to both peers.
         honest_n1n2 = R.add(led["P3"]["r1+r2"], R.sub(led["P3"]["s1+s2+s3"], led["P3"]["s3"]))
         v_a = value_of("n1+n2 to P1", honest_n1n2)
@@ -189,7 +190,6 @@ class Commit3(_Commitment):
             raise CheatDetected("r1+r2+r3 reveal", "does not match P3's committed r-chain")
         p2_r3 = R.sub(R.sub(y, led["P2"]["r1"]), led["P2"]["r2"])
         p2_n3 = R.add(p2_r3, led["P2"]["s3"])
-        _mark_revealed(led)
         recovered = {
             "P1": (n1, p1_n2, p1_n3),
             "P2": (p2_n1, n2, p2_n3),
@@ -256,8 +256,8 @@ class CommitK(_Commitment):
         """
         R = self.ring
         run = session.run
-        k = len(session.values)
         r_prefix, s_suffix = session.ledgers
+        k = len(r_prefix)
 
         def announce(by, label, committed, what):
             value = R.normalize(tamper.get(label, committed))
@@ -329,6 +329,7 @@ class Commit2Dummy(_Commitment, DummyTriangleProtocol):
         R = self.ring
         r = session.run
         led = session.ledgers
+        _mark_revealed(led)
         honest = R.add(led["D"]["r1+r2"], led["D"]["s1+s2"])
         v_a = R.normalize(tamper.get("n1+n2 to A", honest))
         v_b = R.normalize(tamper.get("n1+n2 to B", honest))
@@ -336,14 +337,13 @@ class Commit2Dummy(_Commitment, DummyTriangleProtocol):
         r.send(2, 1, v_b, "n1+n2 to B")
         if v_a != v_b:
             raise CheatDetected("n1+n2", "the two revealed copies disagree")
-        n1, n2 = session.values
+        n1, n2 = led["A"]["n1"], led["B"]["n2"]
         if v_a != R.add(n1, n2):
             raise CheatDetected("n1+n2", "revealed sum fails the owners' corroboration")
         a_learns = R.sub(v_a, n1)
         b_learns = R.sub(v_b, n2)
         r.note(0, "recovered n2", a_learns)
         r.note(1, "recovered n1", b_learns)
-        _mark_revealed(led)
         return a_learns, b_learns
 
 
@@ -360,7 +360,6 @@ def decommit2_dummy(session: Session, tamper: dict | None = None):
 @dataclass(frozen=True)
 class OTOutcome:
     retrieved: tuple
-    indices: tuple
 
 
 class ObliviousTransfer(DummyTriangleProtocol):
@@ -409,7 +408,7 @@ class ObliviousTransfer(DummyTriangleProtocol):
         run.send(2, 1, served, "served r parts", kind="elems")
         retrieved = tuple(R.add(served[t], s_parts[j - 1]) for t, j in enumerate(indices))
         run.note(1, "retrieved", retrieved)
-        return OTOutcome(retrieved, indices)
+        return OTOutcome(retrieved)
 
 
 def ot_dummy(messages, indices, seed=0, ring=None):

@@ -365,19 +365,15 @@ class Run:
     def name(self, i: int) -> str:
         return self.graph.parties[i].name
 
-    def source(self, i: int):
-        src = self._sources[i]
-        if src is None:
-            raise DummyRandomnessError(
-                f"dummy party {self.name(i)} attempted to draw randomness"
-            )
-        return src
-
     # -- randomness ----------------------------------------------------
 
     def _draw_source(self, party: int, n: int):
         """The party's source, with one draw over range(n) counted against it."""
-        src = self.source(party)
+        src = self._sources[party]
+        if src is None:
+            raise DummyRandomnessError(
+                f"dummy party {self.name(party)} attempted to draw randomness"
+            )
         self.draw_sites.append((party, n))
         return src
 
@@ -465,10 +461,10 @@ class Session:
 
     ``ledgers`` is what the commit phase's ``program`` returned; the
     protocol's ``reveal`` reads it and sends the reveal messages on ``run``.
+    A reveal closes the session, also one that detects a cheat.
     """
 
     protocol: Protocol
-    values: tuple
     ledgers: Any
     run: Run
     phase: str = COMMITTED
@@ -483,17 +479,15 @@ class Session:
             raise PhaseError(
                 f"{self.protocol.name} reveal needs phase {COMMITTED!r}, session is {self.phase!r}"
             )
-        outcome = self.protocol.reveal(self, tamper or {})
         self.phase = REVEALED
-        return outcome
+        return self.protocol.reveal(self, tamper or {})
 
 
 def commit(protocol: Protocol, graph: ChannelGraph | None = None, inputs=(), seed: int = 0,
            sources=None) -> Session:
     """Run the commit phase of a two-phase ``protocol``; the session reveals later."""
     r = start(protocol, graph, inputs, seed, sources=sources)
-    ledgers = protocol.program(r)
-    return Session(protocol, tuple(protocol.ring.normalize(v) for v in r.inputs), ledgers, r)
+    return Session(protocol, protocol.program(r), r)
 
 
 def extract_view(t: Transcript, party: str) -> View:

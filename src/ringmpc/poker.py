@@ -504,9 +504,7 @@ def dummy_dealer_fixed_hands(m: int, k: int, s: int, N: int = 10, seed=0, post_d
     if m < k * s:
         raise ProtocolError(f"infeasible: {m} cards cannot give {k} players {s} each")
     d = dummy_dealer_count(m, s, k)
-    rest = m - k * s
-    base, extra = divmod(rest, d)
-    quotas = tuple([s] * k + [base + (1 if j < extra else 0) for j in range(d)])
+    quotas = (s,) * k + even_quotas(m - k * s, d, 0)
     for requester, _ in post_draws:
         if not 0 <= requester < k:
             raise ProtocolError("post draws must go to real players")

@@ -397,3 +397,69 @@ def test_each_check_checks_the_graph_exactly_once(given_graph):
     for checks in (1, 2):
         assert secrecy_enumeration_check(spec).ok
         assert proto.graph_checks == checks
+
+
+# -- the draw schedule of an enumeration ---------------------------------------
+
+
+class DrawsOnInput(Protocol):
+    """P1 draws once over each domain of ``domains[n1]`` and sends every draw to P2."""
+
+    name = "draws_on_input"
+    arity = 3
+
+    def __init__(self, ring, domains, fail_on=None):
+        super().__init__(ring)
+        self.domains = domains
+        self.fail_on = fail_on
+
+    def program(self, run):
+        n1 = run.note_inputs()[0]
+        for j, n in enumerate(self.domains[n1]):
+            run.send(0, 1, run.rand_int(0, 0, n - 1, f"draw {j}"), f"draw {j}")
+        if n1 == self.fail_on:
+            raise ValueError("the protocol's own fault")
+
+
+def _schedule_spec(domains, fail_on=None, m=2):
+    return SecrecySpec(
+        name="draws on input", protocol=DrawsOnInput(rr.mod_ring(m), domains, fail_on),
+        input_domains=(range(m), range(2), range(2)), observer="P2", observer_inputs=(1,),
+        protected=(0,),
+    )
+
+
+# The draw domains on input 0, then on input 1.
+SCHEDULE_FAULTS = {
+    "more draws": ((2,), (2, 2)),
+    "fewer draws": ((2, 2), (2,)),
+    "another domain": ((2,), (3,)),
+    "a smaller domain": ((3,), (2,)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SCHEDULE_FAULTS))
+def test_a_run_off_the_discovered_draw_sites_raises(fault):
+    domains = SCHEDULE_FAULTS[fault]
+    with pytest.raises(ProtocolError) as caught:
+        secrecy_enumeration_check(_schedule_spec(domains))
+    assert str(caught.value).startswith("draws on input: the run on inputs (1, 0, 0) draws at ")
+    assert str(caught.value).endswith(f"not at the discovered sites {[(0, n) for n in domains[0]]}")
+
+
+def test_the_protocols_own_value_error_on_the_schedule_propagates():
+    with pytest.raises(ValueError) as caught:
+        secrecy_enumeration_check(_schedule_spec(((2,), (2,)), fail_on=1))
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == "the protocol's own fault"
+
+
+def test_a_uniform_claim_on_a_skewed_target_fails():
+    # P2's view is independent of n1, but n1 * n1 over Z_3 is 0 once and 1 twice
+    spec = _schedule_spec(((2,),) * 3, m=3)
+    spec.protected, spec.claim = (), INDEPENDENT_UNIFORM
+    spec.target = lambda inputs, _o: inputs[0] * inputs[0] % 3
+    report = secrecy_enumeration_check(spec)
+    assert not report.ok
+    assert report.counterexample.detail == "target marginal is not uniform"
+    assert (report.counterexample.target_a, report.counterexample.target_b) == (0, 1)

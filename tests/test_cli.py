@@ -425,3 +425,32 @@ class TestCommandInputErrors:
         result = runner.invoke(main, ["commit2", "--values", "1,0", "--tamper", "bogus=1"])
         assert result.exit_code == 2
         assert "n1+n2 to A" in result.output
+
+
+@pytest.mark.parametrize("values, recovered", [
+    ("12,4,5", ["2", "4", "5"]),
+    ("-1,4,5", ["9", "4", "5"]),
+])
+def test_values_outside_the_ring_decommit(runner, tmp_path, values, recovered):
+    state = str(tmp_path / "c3.json")
+    result = runner.invoke(main, ["commit3", f"--values={values}", "--modulus", "10",
+                                  "--state", state])
+    assert result.exit_code == 0
+    assert json.loads(open(state).read())["values"] == values.split(",")
+    result = runner.invoke(main, ["decommit3", "--state", state])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["P1"] == recovered
+
+
+def test_replaying_a_header_whose_cycle_was_cut_exits_3(runner, tmp_path):
+    cfg = write_config(tmp_path, "sum.json", {"protocol": "secure_sum", "inputs": [3, 5, 7],
+                                              "seed": 7})
+    out = str(tmp_path / "t.jsonl")
+    assert runner.invoke(main, ["run", cfg, "--out", out]).exit_code == 0
+    head, body = open(out).read().split("\n", 1)
+    meta = json.loads(head)
+    meta["meta"]["topology"]["edges"] = meta["meta"]["topology"]["edges"][:2]
+    open(out, "w").write(json.dumps(meta) + "\n" + body)
+    result = runner.invoke(main, ["replay", out])
+    assert result.exit_code == 3
+    assert "error:" in result.output

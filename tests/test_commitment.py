@@ -289,3 +289,27 @@ class TestObliviousTransfer:
             assert ot_dummy(messages, indices, seed=rng.randint(0, 999)) == tuple(
                 messages[j - 1] for j in indices
             )
+
+
+# A tampered reveal of each commitment, and the honest value of that reveal message.
+CHEATS = {
+    "commit3": (lambda: commit3((1, 0, 1), m=2, seed=3), decommit3,
+                lambda s: {"r1 reveal": 1 - s.ledgers["P2"]["r1"]}),
+    "commit2_dummy": (lambda: commit2_dummy(1, 0, m=2, seed=3), decommit2_dummy,
+                      lambda s: {"n1+n2 to A": 0}),
+    "commit_k": (lambda: commit_k((1, 0, 1, 1), m=2, seed=3), decommit_k,
+                 lambda s: {"r prefix 1 reveal": 1 - s.ledgers[0][0]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHEATS))
+def test_a_detected_cheat_closes_the_session(name):
+    make, decommit, tamper = CHEATS[name]
+    session = make()
+    with pytest.raises(CheatDetected):
+        decommit(session, tamper=tamper(session))
+    cheated = len(session.transcript.messages)
+    assert session.phase == "revealed"
+    with pytest.raises(PhaseError):
+        decommit(session)
+    assert len(session.transcript.messages) == cheated
