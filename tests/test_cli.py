@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import time
 
@@ -454,3 +455,87 @@ def test_replaying_a_header_whose_cycle_was_cut_exits_3(runner, tmp_path):
     result = runner.invoke(main, ["replay", out])
     assert result.exit_code == 3
     assert "error:" in result.output
+
+
+# Each hand-written subcommand, run at fixed seeds: a list of steps, each an argv and
+# the files that step writes.  The pins are the SHA-256 of every step's stdout, then
+# of every file it wrote, in order.
+SUBCOMMAND_STEPS = {
+    "deal": [(["deal", "--cards", "52", "--players", "3", "--seed", "2", "--out", "d.jsonl"],
+              ["d.jsonl"])],
+    "deal --per-player": [(["deal", "--cards", "12", "--players", "2", "--per-player", "3",
+                            "--seed", "7", "--out", "d.jsonl"], ["d.jsonl"])],
+    "deal --dummies two-player": [(["deal", "--cards", "6", "--players", "2",
+                                    "--counter-bound", "4", "--seed", "1",
+                                    "--dummies", "two-player", "--out", "d.jsonl"],
+                                   ["d.jsonl"])],
+    "share": [(["share", "--secret", "12345", "--players", "4", "--seed", "3",
+                "--out", "s.json"], ["s.json"])],
+    "share --modulus 101": [(["share", "--secret", "57", "--players", "3", "--seed", "3",
+                              "--modulus", "101", "--out", "s.json"], ["s.json"])],
+    "commit3, decommit3": [
+        (["commit3", "--values", "3,4,5", "--modulus", "10", "--seed", "1",
+          "--state", "c3.json"], ["c3.json"]),
+        (["decommit3", "--state", "c3.json", "--out", "c3.jsonl"], ["c3.jsonl"]),
+    ],
+    "commit2": [(["commit2", "--values", "7,4", "--modulus", "10", "--seed", "3",
+                  "--out", "c2.jsonl"], ["c2.jsonl"])],
+    "ot": [(["ot", "--messages", "10,20,30", "--indices", "1,3", "--seed", "1",
+             "--out", "ot.jsonl"], ["ot.jsonl"])],
+    "ot --modulus 101": [(["ot", "--messages", "10,200,-3", "--indices", "3,2", "--seed", "1",
+                           "--modulus", "101", "--out", "ot.jsonl"], ["ot.jsonl"])],
+}
+
+SUBCOMMAND_PINS = {
+    "commit2": [
+        "e39af9fb112cc86b7bd793cf919705a6ddb94efff13512e2596d0d3b164bc877",
+        "05520261bdcb69dad2bde9cb0f64650bfd10b4897f455231133285d73cd48178",
+    ],
+    "commit3, decommit3": [
+        "894cac87a9c7fade1e925dd0f4115e518d353dbcd474760630134032d15563f5",
+        "f2ea1b6008fcdad11c3faf1390af3454246220ce9e41c2bc0a593df6175d1af6",
+        "55b6c61b0f1d4a59ff4c434895f20cf439c507b95afc08e71975b101a7bf312c",
+        "59b28486181aba8784d4fc27ac5b68adfa62891068ff60ffbb1453b4bd6089de",
+    ],
+    "deal": [
+        "2cbfa269656d076aa4cf25d6e7d4d7420a283e6a5ec56eea0ddb43a687ba1a61",
+        "9181c7fdb7338f4dd265a50d9f5e105c13ca2ceca610a8e19d13cd2613a49fb4",
+    ],
+    "deal --dummies two-player": [
+        "3d05311ccb1cc5e306a1780bc41268936fcdc2f36bd0dd1b04013fdee9372855",
+        "4b37fe9f01ddc516972154f9c39b557045815ea4bc594b367ea4bf82c0b9c885",
+    ],
+    "deal --per-player": [
+        "32c01988df5104befe082c8856c3d01c5997737dd481ab113bd094a048cdc2a5",
+        "1191daa26001f869de3b4d846a3325ca4a42ef707de778e4501338f4954c1bba",
+    ],
+    "ot": [
+        "890d7dc797c7d0b095b1acd187a0ffe0062a998f7fe912b987bc8efbe4e0d8c9",
+        "86098da7df0c07923d257da924cba44aaf2c7996c44791a1f7e70665608474fe",
+    ],
+    "ot --modulus 101": [
+        "541d1714e8fcaca04c5a62c4940c1554e12d074c3c56079a3ae4c1222aa5bbe6",
+        "6d75425777de7af92a6ee02bd16770787e95ec2e556a60775de8effb258d6162",
+    ],
+    "share": [
+        "2587fad241c6592e53818bdbc23244cc0434eed689649f364652467331b1af9e",
+        "705422c55cae2ef2c15beeb98212427ea885bffc8697152f8c700b82e472fcaf",
+    ],
+    "share --modulus 101": [
+        "be37e6f2bce74d019986693bab6a3fb332acccd9d656542287f889574805877f",
+        "890a8dd2c76b29881b4c73b4c8b7c65f2ae5b66afc8b1533840edaf4ab974863",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUBCOMMAND_STEPS))
+def test_subcommand_output_is_pinned(runner, tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    digests = []
+    for argv, written in SUBCOMMAND_STEPS[case]:
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        digests.append(hashlib.sha256(result.output.encode()).hexdigest())
+        digests += [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in written]
+    assert digests == SUBCOMMAND_PINS[case]

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -6,6 +7,8 @@ import pytest
 import ringmpc.ring as rr
 from ringmpc.commitment import (
     COMMIT3_CHECKS,
+    Commit2Dummy,
+    Commit3,
     ObliviousTransfer,
     commit2_dummy,
     commit3,
@@ -16,7 +19,7 @@ from ringmpc.commitment import (
     ot_dummy,
     split_value,
 )
-from ringmpc.engine import ScriptedSource, extract_view, run
+from ringmpc.engine import ScriptedSource, commit, extract_view, run
 from ringmpc.errors import CheatDetected, PhaseError, ProtocolError
 
 
@@ -48,6 +51,26 @@ class TestSplitValue:
             split_value(2, 2, mode="bit")
         with pytest.raises(ProtocolError):
             split_value(0, 3, mode="bit")
+
+
+@pytest.mark.parametrize("cls, m", [(Commit3, 2), (Commit3, 3), (Commit2Dummy, 2)])
+def test_each_split_sums_to_n_and_occurs_in_1_over_m_of_runs(cls, m):
+    """Over every input and every draw, party i notes r_i + s_i = n_i, and for each
+    n_i each split (r, n_i - r) occurs in exactly 1/m of the runs with that n_i."""
+    splits = Counter()
+    for values in product(range(m), repeat=cls.arity):
+        for draws in product(range(m), repeat=cls.arity):
+            sources = {i: ScriptedSource([d]) for i, d in enumerate(draws)}
+            session = commit(cls(rr.mod_ring(m)), None, values, sources=sources)
+            for i, n in enumerate(values):
+                noted = {label: v for audience, (label, v), _ in session.run.log
+                         if audience == (i,)}
+                r, s = noted[f"r{i + 1}"], noted[f"s{i + 1}"]
+                assert noted[f"n{i + 1}"] == n and (r + s) % m == n
+                splits[i, n, r] += 1
+    runs_per_split = m ** (2 * cls.arity - 2)  # the runs with n_i = n, divided by m
+    assert splits == {(i, n, r): runs_per_split
+                      for i in range(cls.arity) for n in range(m) for r in range(m)}
 
 
 PAPER_INVENTORY = {
