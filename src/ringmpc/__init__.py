@@ -25,27 +25,22 @@ from .arithmetic import (
     LESS,
     NEGATIVE,
     POSITIVE,
-    example_f1,
-    example_f2,
-    millionaires_bitwise,
-    millionaires_compare,
-    secure_product,
-    secure_rating,
-    secure_sum,
-    sum_of_powers,
+    ExampleF1,
+    ExampleF2,
+    MillionairesBitwise,
+    MillionairesCompare,
+    SecureProduct,
+    SecureRating,
+    SecureSum,
+    SumOfPowers,
     symmetric_from_power_sums,
 )
 from .commitment import (
-    CommitSplit,
     CommitmentLedger,
-    commit2_dummy,
-    commit3,
-    commit_k,
-    decommit2_dummy,
-    decommit3,
-    decommit_k,
-    ot_dummy,
-    split_value,
+    Commit2Dummy,
+    Commit3,
+    CommitK,
+    ObliviousTransfer,
 )
 from .engine import (
     Message,
@@ -57,6 +52,7 @@ from .engine import (
     extract_view,
     merge_views,
     run,
+    commit,
 )
 from .errors import (
     BudgetExceeded,
@@ -71,21 +67,19 @@ from .errors import (
 from .poker import (
     DealConfig,
     DealResult,
-    deal_deck,
+    CardDeal,
     dummy_deal_two_players,
     dummy_dealer_fixed_hands,
     expected_circles,
     knuth_shuffle,
-    protocol1_distribute,
-    protocol2_random3,
-    protocol2_random_k,
+    CollectiveRandom,
 )
 from .ring import RingSpec, integers, mod_ring
 from .sharing import (
     ShareVector,
-    distribute_shares_subroutine,
+    DistributeShares,
     reconstruct,
-    share_secret_kk,
+    ShareSecret,
 )
 from .topology import (
     ChannelGraph,

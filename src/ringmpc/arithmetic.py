@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ring as ring_mod
-from .engine import DummyTriangleProtocol, Protocol, Run, run
+from .engine import DummyTriangleProtocol, Protocol, Run
 from .errors import ProtocolError, RingError, TopologyError
 from .ring import RingSpec
 from .topology import (
@@ -457,45 +457,3 @@ class MillionairesBitwise(DummyTriangleProtocol):
                 return BitwiseOutcome(GREATER if verdict == POSITIVE else LESS, bit)
         return BitwiseOutcome(EQUAL, None)
 
-
-# -- plain-call wrappers -------------------------------------------------
-
-
-def secure_sum(inputs, graph=None, seed=0, ring=None):
-    outcome, _ = run(SecureSum(ring), graph, inputs, seed)
-    return outcome
-
-
-def secure_rating(inputs, graph=None, seed=0, ring=None):
-    outcome, _ = run(SecureRating(ring, len(inputs)), graph, inputs, seed)
-    return outcome
-
-
-def secure_product(inputs, graph=None, seed=0, ring=None):
-    outcome, _ = run(SecureProduct(ring), graph, inputs, seed)
-    return outcome
-
-
-def sum_of_powers(inputs, exponent, graph=None, seed=0, ring=None):
-    outcome, _ = run(SumOfPowers(ring, exponent), graph, inputs, seed)
-    return outcome
-
-
-def example_f1(n1, n2, n3, seed=0, ring=None):
-    outcome, _ = run(ExampleF1(ring), None, (n1, n2, n3), seed)
-    return outcome
-
-
-def example_f2(n1, n2, n3, g_func, seed=0, ring=None, g_name="custom"):
-    outcome, _ = run(ExampleF2(ring, g_func, g_name), None, (n1, n2, n3), seed)
-    return outcome
-
-
-def millionaires_compare(n1, n2, seed=0, ring=None):
-    outcome, _ = run(MillionairesCompare(ring), None, (n1, n2), seed)
-    return outcome.verdict
-
-
-def millionaires_bitwise(n1, n2, bit_width, seed=0):
-    outcome, _ = run(MillionairesBitwise(bit_width), None, (n1, n2), seed)
-    return outcome

@@ -18,12 +18,12 @@ from pathlib import Path
 
 import click
 
-from . import analysis, arithmetic, commitment, poker, sharing
+from . import analysis, arithmetic, poker, sharing
 from . import ring as ring_mod
 from .commitment import COMMIT2_CHECKS, COMMIT3_CHECKS, Commit2Dummy, Commit3, ObliviousTransfer
 from .engine import commit, parse_header, parse_transcript, run
 from .errors import CheatDetected, ProtocolError, ReplayError, TopologyError
-from .poker import CardDeal
+from .poker import CardDeal, DealConfig
 from .topology import ChannelGraph
 
 EXIT_SCHEMA = 2
@@ -193,6 +193,11 @@ def _tamper_option(checks):
                         help="label=value substitution injected into one reveal message.")
 
 
+def _modulus_ring(modulus):
+    """Z_modulus, or Z when no modulus is given."""
+    return ring_mod.integers() if modulus is None else ring_mod.mod_ring(modulus)
+
+
 def _emit(body, transcript, out, indent=None):
     """Print ``body`` as JSON; write the transcript to the file ``out`` if one is named."""
     if out:
@@ -303,7 +308,8 @@ def cmd_deal(m, k, n_bound, seed, dummies, per_player, out):
                 m, k, per_player, N=n_bound, seed=seed
             )
         else:
-            outcome, transcript = poker.deal_deck(m, k, n_bound, seed)
+            deal = CardDeal(DealConfig(m, k, n_bound), with_labels=True)
+            outcome, transcript = run(deal, None, (), seed)
     _emit({**CardDeal.encode(outcome), **extra}, transcript, out, indent=2)
 
 
@@ -317,8 +323,8 @@ def cmd_deal(m, k, n_bound, seed, dummies, per_player, out):
 def cmd_share(secret, k, seed, modulus, out):
     """Split a secret into k shares that only all k together can recombine."""
     with _exit_codes():
-        R = ring_mod.mod_ring(modulus) if modulus is not None else ring_mod.integers()
-        shares = sharing.share_secret_kk(secret, k, seed=seed, ring=R)
+        R = _modulus_ring(modulus)
+        shares, _ = run(sharing.ShareSecret(R, k), None, (secret,), seed)
     body = {"shares": [str(s) for s in shares.shares], "ring": R.to_config()}
     if out:
         Path(out).write_text(json.dumps(body))
@@ -346,7 +352,7 @@ def cmd_reconstruct(shares_path):
 def cmd_commit3(values, modulus, seed, state_path):
     """Commit three parties to values; reveal later with decommit3."""
     with _exit_codes():
-        session = commitment.commit3(values, m=modulus, seed=seed)
+        session = commit(Commit3(ring_mod.mod_ring(modulus)), None, values, seed)
     state = {
         "values": [str(v) for v in session.run.inputs],
         "modulus": modulus,
@@ -371,9 +377,9 @@ def cmd_decommit3(state_path, tamper, out):
     """Reveal a commit3 session; corroboration failures exit with code 4."""
     state = _load(state_path, "state file")
     with _exit_codes():
-        session = commitment.commit3(_field(state, "values", Commit3.decode_inputs),
-                                     m=_field(state, "modulus", int),
-                                     seed=_field(state, "seed", int))
+        values = _field(state, "values", Commit3.decode_inputs)
+        modulus, seed = _field(state, "modulus", int), _field(state, "seed", int)
+        session = commit(Commit3(ring_mod.mod_ring(modulus)), None, values, seed)
     if session.transcript.serialize() != state.get("commit_transcript"):
         _fail(EXIT_SCHEMA, "state file does not match a faithful commit run")
     _reveal(session, tamper, out, indent=2)
@@ -403,8 +409,8 @@ def cmd_commit2(values, modulus, seed, tamper, out):
 def cmd_ot(messages, indices, seed, modulus, out):
     """k-of-n oblivious transfer through a dummy."""
     with _exit_codes():
-        R = ring_mod.mod_ring(modulus) if modulus is not None else ring_mod.integers()
-        outcome, transcript = run(ObliviousTransfer(R), None, (messages, indices), seed)
+        protocol = ObliviousTransfer(_modulus_ring(modulus))
+        outcome, transcript = run(protocol, None, (messages, indices), seed)
     _emit(ObliviousTransfer.encode(outcome), transcript, out)
 
 

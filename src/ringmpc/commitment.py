@@ -19,43 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import ring as ring_mod
-from .engine import COMMITTED, REVEALED, DummyTriangleProtocol, Protocol, Run, Session, commit, run
+from .engine import DummyTriangleProtocol, Protocol, Run, Session
 from .errors import CheatDetected, ProtocolError
 from .ring import RingSpec
-
-BIT = "bit"
-INTEGER = "integer"
-
-
-@dataclass(frozen=True)
-class CommitSplit:
-    """One committed value split as committed = r + s (mod m)."""
-
-    r: int
-    s: int
-    committed: int
-
-
-def split_value(n: int, m: int, mode: str = INTEGER, rng=None) -> CommitSplit:
-    """Randomly split n into r + s mod m; r is uniform.
-
-    In bit mode (m = 2, n in {0,1}) this yields exactly the two-way
-    splits 0 = 0+0 = 1+1 and 1 = 0+1 = 1+0, each with probability 1/2.
-    """
-    if mode == BIT:
-        if m != 2 or n not in (0, 1):
-            raise ProtocolError("bit mode needs m = 2 and n in {0, 1}")
-    elif mode != INTEGER:
-        raise ProtocolError(f"unknown split mode {mode!r}")
-    if rng is None:
-        import random as _random
-
-        rng = _random.Random()
-    R = ring_mod.mod_ring(m)
-    r = R.sample_noise(rng)
-    return CommitSplit(r, R.sub(n, r), R.normalize(n))
-
 
 @dataclass
 class CommitmentLedger:
@@ -63,7 +29,6 @@ class CommitmentLedger:
 
     party: str
     holdings: dict = field(default_factory=dict)
-    phase: str = COMMITTED
 
     def __getitem__(self, label):
         return self.holdings[label]
@@ -100,11 +65,6 @@ def _split_inputs(run: Run):
         s.append(R.sub(v, r[i]))
         run.note(i, f"s{i + 1}", s[i])
     return n, r, s
-
-
-def _mark_revealed(ledgers: dict) -> None:
-    for ledger in ledgers.values():
-        ledger.phase = REVEALED
 
 
 class Commit3(_Commitment):
@@ -149,7 +109,6 @@ class Commit3(_Commitment):
         R = self.ring
         r = session.run
         led = session.ledgers
-        _mark_revealed(led)
 
         def value_of(label, honest):
             return R.normalize(tamper[label]) if label in tamper else honest
@@ -198,20 +157,6 @@ class Commit3(_Commitment):
         for name, triple in recovered.items():
             r.note(r.graph.party(name).index, "recovered values", triple)
         return recovered
-
-
-def _ring(m, ring) -> RingSpec:
-    return ring if ring is not None else ring_mod.mod_ring(m if m is not None else 2)
-
-
-def commit3(values, m=None, seed=0, ring=None, sources=None) -> Session:
-    """Commit three values; returns the session used to decommit later."""
-    return commit(Commit3(_ring(m, ring)), None, tuple(values), seed, sources)
-
-
-def decommit3(session: Session, tamper: dict | None = None):
-    """Reveal a ``commit3`` session (see ``Commit3.reveal``)."""
-    return session.reveal(tamper)
 
 
 class CommitK(_Commitment):
@@ -279,16 +224,6 @@ class CommitK(_Commitment):
         return tuple(recovered)
 
 
-def commit_k(values, m=None, seed=0, ring=None, sources=None) -> Session:
-    """Experimental k-party commitment on a k-cycle (see ``CommitK``)."""
-    return commit(CommitK(_ring(m, ring)), None, tuple(values), seed, sources)
-
-
-def decommit_k(session: Session, tamper: dict | None = None):
-    """Experimental reveal for ``commit_k`` (see ``CommitK.reveal``)."""
-    return session.reveal(tamper)
-
-
 COMMIT2_CHECKS = [
     ("n1+n2 to A", "both revealed copies must agree (A and B compare)"),
     ("n1+n2 to B", "value must equal A's n1 plus B's n2"),
@@ -329,7 +264,6 @@ class Commit2Dummy(_Commitment, DummyTriangleProtocol):
         R = self.ring
         r = session.run
         led = session.ledgers
-        _mark_revealed(led)
         honest = R.add(led["D"]["r1+r2"], led["D"]["s1+s2"])
         v_a = R.normalize(tamper.get("n1+n2 to A", honest))
         v_b = R.normalize(tamper.get("n1+n2 to B", honest))
@@ -345,16 +279,6 @@ class Commit2Dummy(_Commitment, DummyTriangleProtocol):
         r.note(0, "recovered n2", a_learns)
         r.note(1, "recovered n1", b_learns)
         return a_learns, b_learns
-
-
-def commit2_dummy(n1, n2, m=None, seed=0, ring=None, sources=None) -> Session:
-    """Commit two values through a dummy; returns the session used to decommit later."""
-    return commit(Commit2Dummy(_ring(m, ring)), None, (n1, n2), seed, sources)
-
-
-def decommit2_dummy(session: Session, tamper: dict | None = None):
-    """Reveal a ``commit2_dummy`` session (see ``Commit2Dummy.reveal``)."""
-    return session.reveal(tamper)
 
 
 @dataclass(frozen=True)
@@ -409,9 +333,3 @@ class ObliviousTransfer(DummyTriangleProtocol):
         retrieved = tuple(R.add(served[t], s_parts[j - 1]) for t, j in enumerate(indices))
         run.note(1, "retrieved", retrieved)
         return OTOutcome(retrieved)
-
-
-def ot_dummy(messages, indices, seed=0, ring=None):
-    """Retrieve messages[j-1] for each requested index j via the dummy."""
-    outcome, _ = run(ObliviousTransfer(ring), None, (tuple(messages), tuple(indices)), seed)
-    return outcome.retrieved

@@ -114,12 +114,6 @@ class CollectiveRandom(Protocol):
         return collective_round(run, self.M, self.receiver, self.contributors, "random")
 
 
-def protocol2_random3(M, receiver=0, contributors=(1, 2), graph=None, seed=0, sources=None):
-    """Collective uniform value mod M at the receiver (default: P1 from P2, P3)."""
-    outcome, _ = run(CollectiveRandom(M, receiver, contributors), graph, (), seed, sources=sources)
-    return outcome
-
-
 def protocol2_roles(i: int, k: int) -> tuple[int, tuple[int, int]]:
     """Receiver and contributors for round i (1-based) on a k-cycle.
 
@@ -130,14 +124,6 @@ def protocol2_roles(i: int, k: int) -> tuple[int, tuple[int, int]]:
     if k < 3:
         raise ProtocolError("needs k >= 3")
     return i % k, ((i - 1) % k, (i + 1) % k)
-
-
-def protocol2_random_k(M, i, k, graph=None, seed=0, sources=None):
-    """Round i of collective randomness on a k-cycle, using adjacent channels only."""
-    receiver, contributors = protocol2_roles(i, k)
-    g = graph if graph is not None else build_cycle(k)
-    outcome, _ = run(CollectiveRandom(M, receiver, contributors), g, (), seed, sources=sources)
-    return outcome
 
 
 def even_quotas(r: int, k: int, lottery: int) -> tuple:
@@ -434,7 +420,7 @@ class DealerOutcome:
     served: tuple
 
 
-# -- graphs and wrappers ---------------------------------------------------
+# -- graphs and constructions ----------------------------------------------
 
 
 def dummy_deal_graph() -> ChannelGraph:
@@ -461,16 +447,6 @@ def dealer_graph(k: int, d: int) -> ChannelGraph:
         if not g.has_edge(real, k):
             g.add_edge(real, k, SECURE)
     return g
-
-
-def protocol1_distribute(cfg: DealConfig, graph=None, seed=0, sources=None):
-    """Distribute card indices 1..r into disjoint hands; no labels attached."""
-    return run(CardDeal(cfg), graph, (), seed, sources=sources)
-
-
-def deal_deck(m: int, k: int, N: int, seed=0, graph=None):
-    """Full deal of an m-card deck to k players: indices, then public labels."""
-    return run(CardDeal(DealConfig(m, k, N), with_labels=True), graph, (), seed)
 
 
 def dummy_deal_two_players(m: int, N: int, seed=0):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ring as ring_mod
-from .engine import Protocol, Run, run
+from .engine import Protocol, Run
 from .errors import ProtocolError, TopologyError
 from .ring import RingSpec
 from .topology import (ChannelGraph, Party, SECURE, build_cycle, default_parties,
@@ -93,12 +93,6 @@ class DistributeShares(Protocol):
         return tuple(summands[i] for i in sorted(summands))
 
 
-def distribute_shares_subroutine(value, initiator=0, k=3, graph=None, seed=0, ring=None):
-    """Split ``value`` into k summands, one per player, summing to value."""
-    outcome, _ = run(DistributeShares(ring, initiator, k), graph, (value,), seed)
-    return outcome
-
-
 class ShareSecret(Protocol):
     """The full (k,k) scheme: dealer splits, every piece is re-split on the cycle."""
 
@@ -167,11 +161,6 @@ def sharing_graph(k: int) -> ChannelGraph:
     edges = [(i, (i + 1) % k, SECURE) for i in range(k)]
     edges += [(i, k, SECURE) for i in range(k)]
     return ChannelGraph(parties, edges)
-
-
-def share_secret_kk(secret, k, graph=None, seed=0, ring=None) -> ShareVector:
-    outcome, _ = run(ShareSecret(ring, k), graph, (secret,), seed)
-    return outcome
 
 
 def reconstruct(shares, ring=None):

@@ -17,44 +17,35 @@ import ringmpc.ring as rr
 from ringmpc import analysis
 from ringmpc.arithmetic import (
     EQUAL,
+    ExampleF1,
+    ExampleF2,
     GREATER,
     LESS,
+    MillionairesBitwise,
     MillionairesCompare,
     NEGATIVE,
     POSITIVE,
-    example_f1,
-    example_f2,
-    millionaires_bitwise,
-    millionaires_compare,
-    secure_product,
-    secure_rating,
-    secure_sum,
-    sum_of_powers,
+    SecureProduct,
+    SecureRating,
+    SecureSum,
+    SumOfPowers,
 )
 from ringmpc.cli import execute_config, replay_transcript
-from ringmpc.commitment import (
-    ObliviousTransfer,
-    commit2_dummy,
-    commit3,
-    decommit2_dummy,
-    decommit3,
-    ot_dummy,
-)
-from ringmpc.engine import ScriptedSource, run
+from ringmpc.commitment import Commit2Dummy, Commit3, ObliviousTransfer
+from ringmpc.engine import ScriptedSource, commit, run
 from ringmpc.errors import CheatDetected, DummyRandomnessError
 from ringmpc.poker import (
+    CardDeal,
+    CollectiveRandom,
     DealConfig,
-    deal_deck,
     dummy_deal_graph,
     dummy_deal_two_players,
     dummy_dealer_fixed_hands,
     dealer_graph,
     expected_circles,
     knuth_shuffle,
-    protocol1_distribute,
-    protocol2_random3,
 )
-from ringmpc.sharing import reconstruct, share_secret_kk
+from ringmpc.sharing import ShareSecret, reconstruct
 from ringmpc.topology import (
     ChannelGraph,
     Party,
@@ -105,27 +96,27 @@ def _check_op(R, rng, mismatches):
     seed = rng.randint(0, 10**6)
     k = rng.randint(3, 6)
     values = [_rand_elem(R, rng) for _ in range(k)]
-    if secure_sum(values, seed=seed, ring=R) != R.normalize(sum(values)):
+    if run(SecureSum(R), None, values, seed)[0] != R.normalize(sum(values)):
         mismatches.append(("secure_sum", R, values))
-    if secure_rating(values, seed=seed, ring=R) != R.normalize(sum(values)):
+    if run(SecureRating(R, k), None, values, seed)[0] != R.normalize(sum(values)):
         mismatches.append(("secure_rating", R, values))
 
     units = [_rand_unit(R, rng) for _ in range(rng.randint(3, 5))]
     prod = 1
     for u in units:
         prod *= u
-    if secure_product(units, seed=seed, ring=R) != R.normalize(prod):
+    if run(SecureProduct(R), None, units, seed)[0] != R.normalize(prod):
         mismatches.append(("secure_product", R, units))
 
     r = rng.randint(1, 3)
     powers = [_rand_elem(R, rng) for _ in range(rng.randint(3, 5))]
-    if sum_of_powers(powers, r, seed=seed, ring=R) != R.normalize(sum(v**r for v in powers)):
+    if run(SumOfPowers(R, r), None, powers, seed)[0] != R.normalize(sum(v**r for v in powers)):
         mismatches.append(("sum_of_powers", R, (r, powers)))
 
     a, b, c = (_rand_elem(R, rng) for _ in range(3))
-    if example_f1(a, b, c, seed=seed, ring=R) != R.normalize(a * b + b * c):
+    if run(ExampleF1(R), None, (a, b, c), seed)[0] != R.normalize(a * b + b * c):
         mismatches.append(("example_f1", R, (a, b, c)))
-    if example_f2(a, b, c, lambda x: x * x, seed=seed, ring=R) != R.normalize(a * b + c * c):
+    if run(ExampleF2(R, lambda x: x * x), None, (a, b, c), seed)[0] != R.normalize(a * b + c * c):
         mismatches.append(("example_f2", R, (a, b, c)))
 
     # millionaires: over a modular ring the difference must sit inside the
@@ -137,35 +128,33 @@ def _check_op(R, rng, mismatches):
     else:
         x, y = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
     cmp_ring = R if (R.modular and R.modulus >= 3) else rr.integers()
-    if millionaires_compare(x, y, seed=seed, ring=cmp_ring) != _sign(x - y):
+    if run(MillionairesCompare(cmp_ring), None, (x, y), seed)[0].verdict != _sign(x - y):
         mismatches.append(("millionaires_compare", R, (x, y)))
 
     width = rng.randint(1, 10)
     x, y = rng.randrange(2**width), rng.randrange(2**width)
     expected = GREATER if x > y else LESS if x < y else EQUAL
-    if millionaires_bitwise(x, y, width, seed=seed).verdict != expected:
+    if run(MillionairesBitwise(width), None, (x, y), seed)[0].verdict != expected:
         mismatches.append(("millionaires_bitwise", R, (x, y, width)))
 
     secret = _rand_elem(R, rng)
     k_share = rng.choice([3, 4, 5])
-    shares = share_secret_kk(secret, k_share, seed=seed, ring=R)
+    shares, _ = run(ShareSecret(R, k_share), None, (secret,), seed)
     if reconstruct(shares, ring=R) != R.normalize(secret):
         mismatches.append(("share_secret_kk", R, secret))
 
     n = rng.randint(1, 6)
     messages = tuple(_rand_elem(R, rng) for _ in range(n))
     indices = tuple(rng.sample(range(1, n + 1), rng.randint(1, n)))
-    if ot_dummy(messages, indices, seed=seed, ring=R) != tuple(
-        R.normalize(messages[j - 1]) for j in indices
-    ):
+    outcome, _ = run(ObliviousTransfer(R), None, (messages, indices), seed)
+    if outcome.retrieved != tuple(R.normalize(messages[j - 1]) for j in indices):
         mismatches.append(("ot_dummy", R, (messages, indices)))
 
     # commitment is inherently modular; the integer section uses a modulus
     # wide enough to hold every |input| <= 10^6 uniquely
     commit_ring = R if R.modular else rr.mod_ring(2_000_003)
     triple = tuple(_rand_elem(R, rng) for _ in range(3))
-    session = commit3(triple, ring=commit_ring, seed=seed)
-    recovered = decommit3(session)
+    recovered = commit(Commit3(commit_ring), None, triple, seed).reveal()
     expected_triple = tuple(commit_ring.normalize(v) for v in triple)
     if any(recovered[p] != expected_triple for p in ("P1", "P2", "P3")):
         mismatches.append(("commit3", R, triple))
@@ -222,9 +211,9 @@ def test_criterion_3_binding_fault_injection():
                 tamper_cases.append(both)  # a cheating P3 lies consistently
                 for tamper in tamper_cases:
                     sources = {i: ScriptedSource([splits[i]]) for i in range(3)}
-                    session = commit3(values, m=2, sources=sources)
+                    session = commit(Commit3(rr.mod_ring(2)), None, values, sources=sources)
                     try:
-                        recovered = decommit3(session, tamper=tamper)
+                        recovered = session.reveal(tamper)
                     except CheatDetected:
                         caught += 1
                         continue
@@ -241,9 +230,9 @@ def test_criterion_3_binding_fault_injection():
                                {"n1+n2 to A": 1 - honest, "n1+n2 to B": 1 - honest}):
                     sources = {0: ScriptedSource([splits[0]]),
                                1: ScriptedSource([splits[1]])}
-                    session = commit2_dummy(*values, m=2, sources=sources)
+                    session = commit(Commit2Dummy(rr.mod_ring(2)), None, values, sources=sources)
                     try:
-                        a_learns, b_learns = decommit2_dummy(session, tamper=tamper)
+                        a_learns, b_learns = session.reveal(tamper)
                     except CheatDetected:
                         caught += 1
                         continue
@@ -266,8 +255,9 @@ def test_criterion_4_dealing_invariants():
     with criterion(4, f"dealing: partition/quotas always, card frequencies within {bound:.4f} of 1/3"):
         for N in (2, 10):
             counts = {}
+            deal = CardDeal(DealConfig(6, 3, N), with_labels=True)
             for i in range(DEAL_TRIALS):
-                res, _ = deal_deck(6, 3, N, seed=SEED_BASE + i)
+                res, _ = run(deal, None, (), seed=SEED_BASE + i)
                 indices = sorted(c for hand in res.hands for c in hand)
                 assert indices == [1, 2, 3, 4, 5, 6]
                 assert all(len(h) == q for h, q in zip(res.hands, res.quotas))
@@ -286,8 +276,9 @@ def test_criterion_4_dealing_invariants():
 
 def test_criterion_5_52_card_hand_sizes():
     with criterion(5, "52-card deal always yields hand sizes {18,17,17}"):
+        deal = CardDeal(DealConfig(52, 3, 10), with_labels=True)
         for seed in range(20):
-            res, _ = deal_deck(52, 3, 10, seed=seed)
+            res, _ = run(deal, None, (), seed=seed)
             assert sorted(len(h) for h in res.hands) == [17, 17, 18]
             assert sorted(len(h) for h in res.labeled_hands()) == [17, 17, 18]
 
@@ -309,7 +300,7 @@ def test_criterion_6_transmission_formula():
         # Monte Carlo over values with all k players still following counters
         samples = []
         for seed in range(2000):
-            _, t = protocol1_distribute(DealConfig(30, 3, 10), seed=seed)
+            _, t = run(CardDeal(DealConfig(30, 3, 10)), None, (), seed=seed)
             samples.extend(analysis.transmission_stats(t).circle_samples())
         mean = sum(samples) / len(samples)
         expectation = Fraction(3025, 1000)
@@ -478,25 +469,20 @@ def test_criterion_9_determinism_and_replay():
 def test_criterion_10_dummy_discipline():
     with criterion(10, "dummy draw attempts fault loudly; dummy suite draws zero randomness"):
         # a dummy planted in the sum cycle faults at its first noise draw
-        from ringmpc.arithmetic import SecureSum
-
         parties = [Party(0, "P1"), Party(1, "P2", full=False), Party(2, "P3")]
         g = ChannelGraph(parties, [(0, 1, "secure"), (1, 2, "secure"), (0, 2, "secure")])
         with pytest.raises(DummyRandomnessError):
             run(SecureSum(rr.integers()), g, (1, 2, 3), seed=0)
         with pytest.raises(DummyRandomnessError):
-            protocol2_random3(5, receiver=0, contributors=(1, 2),
-                              graph=dummy_deal_graph(), seed=0)
+            run(CollectiveRandom(5), dummy_deal_graph(), (), seed=0)
 
         audits = []
         _, t = run(MillionairesCompare(rr.integers()), None, (5, 3), seed=1)
         audits.append(t.draw_counts["D"])
-        from ringmpc.arithmetic import MillionairesBitwise
-
         _, t = run(MillionairesBitwise(4), None, (9, 4), seed=1)
         audits.append(t.draw_counts["D"])
-        session = commit2_dummy(1, 0, m=2, seed=1)
-        decommit2_dummy(session)
+        session = commit(Commit2Dummy(rr.mod_ring(2)), None, (1, 0), seed=1)
+        session.reveal()
         audits.append(session.transcript.draw_counts["D"])
         _, t = run(ObliviousTransfer(rr.integers()), None, ((10, 20, 30), (1, 3)), seed=1)
         audits.append(t.draw_counts["D"])

@@ -18,7 +18,7 @@ from ringmpc.arithmetic import SecureSum
 from ringmpc.commitment import Commit3
 from ringmpc.engine import EAVESDROPPER, ScriptedSource, extract_view, merge_views, run
 from ringmpc.errors import BudgetExceeded, ProtocolError
-from ringmpc.poker import DealConfig, protocol1_distribute
+from ringmpc.poker import CardDeal, DealConfig
 from ringmpc.sharing import ShareSecret
 from ringmpc.topology import build_cycle
 from ringmpc.analysis import _view_key, enumerate_runs
@@ -207,7 +207,7 @@ class TestTransmissionStats:
         # keeper of 0 introduces 1, and the halt comes on the introducer's
         # second receipt -- ten token messages in all (hand-checked)
         cfg = DealConfig(1, 3, 1, quotas=(1, 0, 0))
-        _, t = protocol1_distribute(cfg, seed=0)
+        _, t = run(CardDeal(cfg), None, (), seed=0)
         stats = transmission_stats(t)
         assert stats.message_count == 10
         assert stats.circles == {0: 1}
@@ -225,20 +225,20 @@ class TestTransmissionStats:
         for r in (10, 20, 40):
             total = 0
             for seed in range(40):
-                _, t = protocol1_distribute(DealConfig(r, 3, 10), seed=seed)
+                _, t = run(CardDeal(DealConfig(r, 3, 10)), None, (), seed=seed)
                 total += len(t.messages)
             counts.append(total / 40)
         assert counts[0] < counts[1] < counts[2]
 
     def test_active_player_counts_never_increase(self):
-        _, t = protocol1_distribute(DealConfig(12, 3, 4), seed=3)
+        _, t = run(CardDeal(DealConfig(12, 3, 4)), None, (), seed=3)
         stats = transmission_stats(t)
         actives = [stats.active_players[v] for v in sorted(stats.active_players)]
         assert all(a >= b for a, b in zip(actives, actives[1:]))
         assert actives[0] == 3
 
     def test_quota_recovery_from_lottery_broadcast(self):
-        _, t = protocol1_distribute(DealConfig(7, 3, 3), seed=5)
+        _, t = run(CardDeal(DealConfig(7, 3, 3)), None, (), seed=5)
         stats = transmission_stats(t)  # must not raise despite implicit quotas
         assert sum(1 for v in stats.keeper_of if v >= 1) == 6  # keeps of 1..6 visible
 

@@ -10,18 +10,14 @@ from ringmpc.arithmetic import (
     ExampleF2,
     GREATER,
     LESS,
+    MillionairesBitwise,
     MillionairesCompare,
     NEGATIVE,
     POSITIVE,
+    SecureProduct,
     SecureRating,
-    example_f1,
-    example_f2,
-    millionaires_bitwise,
-    millionaires_compare,
-    secure_product,
-    secure_rating,
-    secure_sum,
-    sum_of_powers,
+    SecureSum,
+    SumOfPowers,
     symmetric_from_power_sums,
 )
 from ringmpc.engine import ScriptedSource, eavesdropper_view, extract_view, run
@@ -33,35 +29,35 @@ B = rr.DEFAULT_NOISE_BOUND  # scripted integer noise value v sits at index v + B
 
 class TestSecureSum:
     def test_zeros(self):
-        assert secure_sum([0, 0, 0]) == 0
+        assert run(SecureSum(), None, (0, 0, 0))[0] == 0
 
     def test_example(self):
         values = [3, 5, 7]
-        assert secure_sum(values) == sum(values)
+        assert run(SecureSum(), None, values)[0] == sum(values)
 
     def test_mod_two(self):
         values = [1, 1, 1, 1]
-        assert secure_sum(values, ring=rr.mod_ring(2)) == sum(values) % 2
+        assert run(SecureSum(rr.mod_ring(2)), None, values)[0] == sum(values) % 2
 
     def test_random_against_oracle(self):
         rng = random.Random(11)
         for _ in range(50):
             k = rng.randint(3, 6)
             values = [rng.randint(-10**6, 10**6) for _ in range(k)]
-            assert secure_sum(values, seed=rng.randint(0, 999)) == sum(values)
-            assert secure_sum(values, ring=rr.mod_ring(7)) == sum(values) % 7
+            assert run(SecureSum(), None, values, rng.randint(0, 999))[0] == sum(values)
+            assert run(SecureSum(rr.mod_ring(7)), None, values)[0] == sum(values) % 7
 
     def test_disjoint_cycle_union(self):
         edges = [(0, 1, "secure"), (1, 2, "secure"), (0, 2, "secure"),
                  (3, 4, "secure"), (4, 5, "secure"), (3, 5, "secure")]
         g = ChannelGraph(default_parties(6), edges)
         values = [1, 2, 3, 10, 20, 30]
-        assert secure_sum(values, graph=g) == 66
+        assert run(SecureSum(), g, values)[0] == 66
 
     def test_path_rejected(self):
         path = ChannelGraph(default_parties(3), [(0, 1, "secure"), (1, 2, "secure")])
         with pytest.raises(TopologyError):
-            secure_sum([1, 2, 3], graph=path)
+            run(SecureSum(), path, (1, 2, 3))
 
 
 class TestSecureRating:
@@ -77,7 +73,7 @@ class TestSecureRating:
         assert to_boss == [21, 6]
 
     def test_all_zero(self):
-        assert secure_rating([0, 0, 0, 0]) == 0
+        assert run(SecureRating(rr.integers(), 4), None, (0, 0, 0, 0))[0] == 0
 
     def test_eavesdropper_sees_two_values_differing_by_total(self):
         proto = SecureRating(rr.integers(), 4)
@@ -92,30 +88,31 @@ class TestSecureRating:
         for _ in range(30):
             k = rng.randint(3, 6)
             values = [rng.randint(0, 10) for _ in range(k)]
-            assert secure_rating(values, seed=rng.randint(0, 999)) == sum(values)
+            outcome, _ = run(SecureRating(rr.integers(), k), None, values, rng.randint(0, 999))
+            assert outcome == sum(values)
 
 
 class TestSecureProduct:
     def test_identity(self):
-        assert secure_product([1, 1, 1]) == 1
+        assert run(SecureProduct(), None, (1, 1, 1))[0] == 1
 
     def test_example(self):
         values = [2, 3, 5]
         expected = 1
         for v in values:
             expected *= v
-        assert secure_product(values) == expected
+        assert run(SecureProduct(), None, values)[0] == expected
 
     def test_mod_seven(self):
-        assert secure_product([2, 3, 4], ring=rr.mod_ring(7)) == (2 * 3 * 4) % 7
+        assert run(SecureProduct(rr.mod_ring(7)), None, (2, 3, 4))[0] == (2 * 3 * 4) % 7
 
     def test_zero_input_rejected(self):
         with pytest.raises(RingError):
-            secure_product([2, 0, 5])
+            run(SecureProduct(), None, (2, 0, 5))
 
     def test_non_unit_rejected_in_modular_mode(self):
         with pytest.raises(RingError):
-            secure_product([2, 3, 4], ring=rr.mod_ring(6))  # 2, 3, 4 not units mod 6
+            run(SecureProduct(rr.mod_ring(6)), None, (2, 3, 4))  # 2, 3, 4 not units mod 6
 
     def test_random_against_oracle(self):
         rng = random.Random(17)
@@ -125,14 +122,12 @@ class TestSecureProduct:
             expected = 1
             for v in values:
                 expected *= v
-            assert secure_product(values, seed=rng.randint(0, 999)) == expected
+            assert run(SecureProduct(), None, values, rng.randint(0, 999))[0] == expected
 
     def test_pre_broadcast_views_independent_of_other_inputs(self):
         # exhaustive over the units of Z_5, k = 3: what any single party has
         # seen before the unmasking broadcasts is identically distributed for
         # every choice of the other parties' inputs
-        from ringmpc.arithmetic import SecureProduct
-
         R = rr.mod_ring(5)
         proto = SecureProduct(R)
         g = build_cycle(3)
@@ -163,21 +158,18 @@ class TestSecureProduct:
 
 class TestSumOfPowers:
     def test_reduces_to_sum_at_exponent_one(self):
-        assert sum_of_powers([3, 5, 7], 1) == 15
+        assert run(SumOfPowers(rr.integers(), 1), None, (3, 5, 7))[0] == 15
 
     def test_squares(self):
         values = [1, 2, 3]
-        assert sum_of_powers(values, 2) == sum(v**2 for v in values)
+        assert run(SumOfPowers(rr.integers(), 2), None, values)[0] == sum(v**2 for v in values)
 
     def test_zeros(self):
-        assert sum_of_powers([0, 0, 0], 3) == 0
+        assert run(SumOfPowers(rr.integers(), 3), None, (0, 0, 0))[0] == 0
 
     def test_single_mask_only(self):
         # the protocol draws exactly one random element, the initiator's mask
-        proto_ring = rr.mod_ring(5)
-        from ringmpc.arithmetic import SumOfPowers
-
-        _, t = run(SumOfPowers(proto_ring, 2), build_cycle(4), (1, 2, 3, 4), seed=1)
+        _, t = run(SumOfPowers(rr.mod_ring(5), 2), build_cycle(4), (1, 2, 3, 4), seed=1)
         assert sum(t.draw_counts.values()) == 1
 
     def test_random_against_oracle(self):
@@ -186,7 +178,8 @@ class TestSumOfPowers:
             k = rng.randint(3, 5)
             r = rng.randint(1, 3)
             values = [rng.randint(-100, 100) for _ in range(k)]
-            assert sum_of_powers(values, r, seed=rng.randint(0, 999)) == sum(v**r for v in values)
+            outcome, _ = run(SumOfPowers(rr.integers(), r), None, values, rng.randint(0, 999))
+            assert outcome == sum(v**r for v in values)
 
 
 class TestSymmetricFunctions:
@@ -229,15 +222,15 @@ class TestSymmetricFunctions:
 class TestExampleF1:
     def test_values(self):
         oracle = lambda a, b, c: a * b + b * c
-        assert example_f1(1, 1, 1) == oracle(1, 1, 1) == 2
-        assert example_f1(5, 0, 7) == 0
-        assert example_f1(2, 3, 4) == oracle(2, 3, 4) == 18
+        assert run(ExampleF1(), None, (1, 1, 1))[0] == oracle(1, 1, 1) == 2
+        assert run(ExampleF1(), None, (5, 0, 7))[0] == 0
+        assert run(ExampleF1(), None, (2, 3, 4))[0] == oracle(2, 3, 4) == 18
 
     def test_random_against_oracle(self):
         rng = random.Random(29)
         for _ in range(50):
             a, b, c = (rng.randint(-10**6, 10**6) for _ in range(3))
-            assert example_f1(a, b, c, seed=rng.randint(0, 999)) == a * b + b * c
+            assert run(ExampleF1(), None, (a, b, c), rng.randint(0, 999))[0] == a * b + b * c
 
     def test_products_never_determined_by_any_message(self):
         # exhaustive over Z_5 with nonzero mask: every message position still
@@ -257,20 +250,22 @@ class TestExampleF1:
 
 class TestExampleF2:
     def test_values(self):
-        assert example_f2(2, 3, 4, lambda x: x * x) == 2 * 3 + 16 == 22
-        assert example_f2(0, 0, 5, lambda x: x) == 5
-        assert example_f2(2, 3, 0, lambda x: 0) == 6
+        Z = rr.integers()
+        assert run(ExampleF2(Z, lambda x: x * x), None, (2, 3, 4))[0] == 2 * 3 + 16 == 22
+        assert run(ExampleF2(Z, lambda x: x), None, (0, 0, 5))[0] == 5
+        assert run(ExampleF2(Z, lambda x: 0), None, (2, 3, 0))[0] == 6
 
     def test_random_against_oracle(self):
         rng = random.Random(31)
         g = lambda x: x * x + 1
         for _ in range(50):
             a, b, c = (rng.randint(-1000, 1000) for _ in range(3))
-            assert example_f2(a, b, c, g, seed=rng.randint(0, 999)) == a * b + g(c)
+            outcome, _ = run(ExampleF2(rr.integers(), g), None, (a, b, c), rng.randint(0, 999))
+            assert outcome == a * b + g(c)
 
     def test_modular_run(self):
         R = rr.mod_ring(7)
-        assert example_f2(2, 3, 4, lambda x: x * x, ring=R) == (6 + 16) % 7
+        assert run(ExampleF2(R, lambda x: x * x), None, (2, 3, 4))[0] == (6 + 16) % 7
 
     def test_product_never_determined_by_any_message(self):
         # exhaustive over Z_5, nonzero n1 and n2 (multiplicative masking can
@@ -306,10 +301,10 @@ class TestMillionaires:
         assert to_dummy == [8, 6]
 
     def test_equal(self):
-        assert millionaires_compare(4, 4) == EQUAL
+        assert run(MillionairesCompare(), None, (4, 4))[0].verdict == EQUAL
 
     def test_negative(self):
-        assert millionaires_compare(1, 9) == NEGATIVE
+        assert run(MillionairesCompare(), None, (1, 9))[0].verdict == NEGATIVE
 
     def test_random_against_oracle(self):
         rng = random.Random(37)
@@ -317,7 +312,8 @@ class TestMillionaires:
             a = rng.randint(-10**6, 10**6)
             b = rng.randint(-10**6, 10**6)
             expected = POSITIVE if a > b else NEGATIVE if a < b else EQUAL
-            assert millionaires_compare(a, b, seed=rng.randint(0, 999)) == expected
+            outcome, _ = run(MillionairesCompare(), None, (a, b), rng.randint(0, 999))
+            assert outcome.verdict == expected
 
     def test_views_hold_only_the_prescribed_values(self):
         proto = MillionairesCompare(rr.integers())
@@ -334,9 +330,9 @@ class TestMillionaires:
 
     def test_modular_window_decoding(self):
         R = rr.mod_ring(11)
-        assert millionaires_compare(7, 4, ring=R) == POSITIVE
-        assert millionaires_compare(1, 4, ring=R) == NEGATIVE
-        assert millionaires_compare(5, 5, ring=R) == EQUAL
+        assert run(MillionairesCompare(R), None, (7, 4))[0].verdict == POSITIVE
+        assert run(MillionairesCompare(R), None, (1, 4))[0].verdict == NEGATIVE
+        assert run(MillionairesCompare(R), None, (5, 5))[0].verdict == EQUAL
 
     def test_dummy_draws_nothing(self):
         proto = MillionairesCompare(rr.integers())
@@ -346,15 +342,15 @@ class TestMillionaires:
 
 class TestMillionairesBitwise:
     def test_decided_at_high_bit(self):
-        outcome = millionaires_bitwise(0b101, 0b011, 3)
+        outcome, _ = run(MillionairesBitwise(3), None, (0b101, 0b011))
         assert outcome.verdict == GREATER and outcome.decided_bit == 2
 
     def test_equal_runs_all_rounds(self):
-        outcome = millionaires_bitwise(0b110, 0b110, 3)
+        outcome, _ = run(MillionairesBitwise(3), None, (0b110, 0b110))
         assert outcome.verdict == EQUAL and outcome.decided_bit is None
 
     def test_decided_at_low_bit(self):
-        outcome = millionaires_bitwise(0b100, 0b101, 3)
+        outcome, _ = run(MillionairesBitwise(3), None, (0b100, 0b101))
         assert outcome.verdict == LESS and outcome.decided_bit == 0
 
     def test_random_against_oracle(self):
@@ -364,15 +360,13 @@ class TestMillionairesBitwise:
             a = rng.randrange(2**width)
             b = rng.randrange(2**width)
             expected = GREATER if a > b else LESS if a < b else EQUAL
-            outcome = millionaires_bitwise(a, b, width, seed=rng.randint(0, 999))
+            outcome, _ = run(MillionairesBitwise(width), None, (a, b), rng.randint(0, 999))
             assert outcome.verdict == expected
             if a != b:
                 # oracle: position of the highest differing bit
                 assert outcome.decided_bit == (a ^ b).bit_length() - 1
 
     def test_stops_at_first_difference(self):
-        from ringmpc.arithmetic import MillionairesBitwise
-
         _, t = run(MillionairesBitwise(4), None, (0b1000, 0b0000), seed=0)
         verdicts = [m for m in t.messages if m.kind == "token"]
         assert len(verdicts) == 1  # decided at the top bit, no further rounds
@@ -381,4 +375,4 @@ class TestMillionairesBitwise:
         from ringmpc.errors import ProtocolError
 
         with pytest.raises(ProtocolError):
-            millionaires_bitwise(8, 1, 3)
+            run(MillionairesBitwise(3), None, (8, 1))

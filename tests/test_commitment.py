@@ -9,48 +9,11 @@ from ringmpc.commitment import (
     COMMIT3_CHECKS,
     Commit2Dummy,
     Commit3,
+    CommitK,
     ObliviousTransfer,
-    commit2_dummy,
-    commit3,
-    commit_k,
-    decommit2_dummy,
-    decommit3,
-    decommit_k,
-    ot_dummy,
-    split_value,
 )
 from ringmpc.engine import ScriptedSource, commit, extract_view, run
 from ringmpc.errors import CheatDetected, PhaseError, ProtocolError
-
-
-class TestSplitValue:
-    def test_bit_zero_splits(self):
-        rng = random.Random(1)
-        counts = {(0, 0): 0, (1, 1): 0}
-        for _ in range(10_000):
-            s = split_value(0, 2, mode="bit", rng=rng)
-            assert (s.r + s.s) % 2 == 0
-            counts[(s.r, s.s)] += 1
-        # each split with probability 1/2, binomial 3 sigma = 0.015
-        assert abs(counts[(0, 0)] / 10_000 - 0.5) < 0.015
-
-    def test_bit_one_splits(self):
-        rng = random.Random(2)
-        for _ in range(200):
-            s = split_value(1, 2, mode="bit", rng=rng)
-            assert (s.r, s.s) in ((0, 1), (1, 0))
-
-    def test_integer_mode_identity(self):
-        rng = random.Random(3)
-        for _ in range(200):
-            s = split_value(7, 10, rng=rng)
-            assert (s.r + s.s) % 10 == 7
-
-    def test_bit_mode_domain_violations(self):
-        with pytest.raises(ProtocolError):
-            split_value(2, 2, mode="bit")
-        with pytest.raises(ProtocolError):
-            split_value(0, 3, mode="bit")
 
 
 @pytest.mark.parametrize("cls, m", [(Commit3, 2), (Commit3, 3), (Commit2Dummy, 2)])
@@ -83,14 +46,14 @@ PAPER_INVENTORY = {
 class TestCommit3:
     def test_all_zero_bits(self):
         sources = {i: ScriptedSource([0]) for i in range(3)}
-        session = commit3((0, 0, 0), m=2, sources=sources)
+        session = commit(Commit3(rr.mod_ring(2)), None, (0, 0, 0), sources=sources)
         for ledger in session.ledgers.values():
             assert set(ledger.holdings.values()) == {0}
 
     def test_hand_trace_m10(self):
         # n = (3,4,5) with r = (1,2,3) forced: s = (2,2,2)
         sources = {i: ScriptedSource([i + 1]) for i in range(3)}
-        session = commit3((3, 4, 5), m=10, sources=sources)
+        session = commit(Commit3(rr.mod_ring(10)), None, (3, 4, 5), sources=sources)
         assert session.ledgers["P2"].holdings == {"s2": 2, "s3": 2, "r1": 1, "r2": 2}
         assert session.ledgers["P1"].holdings == {
             "s1": 2, "s2+s3": 4, "r1": 1, "r1+r2+r3": 6,
@@ -101,38 +64,38 @@ class TestCommit3:
         for _ in range(200):
             m = rng.choice([2, 3, 5, 10, 251])
             values = tuple(rng.randrange(m) for _ in range(3))
-            session = commit3(values, m=m, seed=rng.randint(0, 10**6))
+            session = commit(Commit3(rr.mod_ring(m)), None, values, seed=rng.randint(0, 10**6))
             for name, expected in PAPER_INVENTORY.items():
                 assert set(session.ledgers[name].holdings) == expected
 
     def test_honest_decommit_recovers_everything(self):
-        session = commit3((3, 4, 5), m=10, seed=9)
-        recovered = decommit3(session)
+        session = commit(Commit3(rr.mod_ring(10)), None, (3, 4, 5), seed=9)
+        recovered = session.reveal()
         assert recovered == {name: (3, 4, 5) for name in ("P1", "P2", "P3")}
 
     def test_honest_decommit_bits_exhaustive(self):
         for bits in product(range(2), repeat=3):
             for splits in product(range(2), repeat=3):
                 sources = {i: ScriptedSource([splits[i]]) for i in range(3)}
-                session = commit3(bits, m=2, sources=sources)
-                assert decommit3(session) == {n: bits for n in ("P1", "P2", "P3")}
+                session = commit(Commit3(rr.mod_ring(2)), None, bits, sources=sources)
+                assert session.reveal() == {n: bits for n in ("P1", "P2", "P3")}
 
     def test_lying_about_n1_plus_n2_is_caught(self):
-        session = commit3((3, 4, 5), m=10, seed=1)
+        session = commit(Commit3(rr.mod_ring(10)), None, (3, 4, 5), seed=1)
         truth = (3 + 4) % 10
         with pytest.raises(CheatDetected) as exc:
-            decommit3(session, tamper={"n1+n2 to P1": truth + 1, "n1+n2 to P2": truth + 1})
+            session.reveal({"n1+n2 to P1": truth + 1, "n1+n2 to P2": truth + 1})
         assert exc.value.message_label == "n1+n2"
 
     def test_inconsistent_copies_are_caught(self):
-        session = commit3((1, 0, 1), m=2, seed=2)
+        session = commit(Commit3(rr.mod_ring(2)), None, (1, 0, 1), seed=2)
         with pytest.raises(CheatDetected):
-            decommit3(session, tamper={"n1+n2 to P1": 0, "n1+n2 to P2": 1})
+            session.reveal({"n1+n2 to P1": 0, "n1+n2 to P2": 1})
 
     @pytest.mark.parametrize("label", ["r1 reveal", "s2+s3 reveal", "r1+r2+r3 reveal"])
     def test_each_reveal_message_is_corroborated(self, label):
-        session = commit3((3, 4, 5), m=10, seed=3)
-        honest = decommit3(commit3((3, 4, 5), m=10, seed=3))
+        session = commit(Commit3(rr.mod_ring(10)), None, (3, 4, 5), seed=3)
+        honest = commit(Commit3(rr.mod_ring(10)), None, (3, 4, 5), seed=3).reveal()
         assert honest["P3"] == (3, 4, 5)
         honest_value = {
             "r1 reveal": session.ledgers["P2"]["r1"],
@@ -140,14 +103,14 @@ class TestCommit3:
             "r1+r2+r3 reveal": session.ledgers["P1"]["r1+r2+r3"],
         }[label]
         with pytest.raises(CheatDetected):
-            decommit3(session, tamper={label: (honest_value + 1) % 10})
+            session.reveal({label: (honest_value + 1) % 10})
 
     def test_phase_discipline(self):
-        session = commit3((1, 1, 0), m=2, seed=4)
-        decommit3(session)
+        session = commit(Commit3(rr.mod_ring(2)), None, (1, 1, 0), seed=4)
+        session.reveal()
         with pytest.raises(PhaseError):
-            decommit3(session)
-        assert all(led.phase == "revealed" for led in session.ledgers.values())
+            session.reveal()
+        assert session.phase == "revealed"
 
     def test_check_table_is_published(self):
         assert len(COMMIT3_CHECKS) == 5
@@ -157,26 +120,26 @@ class TestCommit2Dummy:
     def test_hand_trace(self):
         # n = (3,4), r1 = 1, r2 = 2:  D holds r1+r2 = 3 and s1+s2 = 4, reveals 7
         sources = {0: ScriptedSource([1]), 1: ScriptedSource([2])}
-        session = commit2_dummy(3, 4, m=10, sources=sources)
+        session = commit(Commit2Dummy(rr.mod_ring(10)), None, (3, 4), sources=sources)
         assert session.ledgers["D"].holdings == {"r1+r2": 3, "s1+s2": 4}
-        a_learns, b_learns = decommit2_dummy(session)
+        a_learns, b_learns = session.reveal()
         assert (a_learns, b_learns) == (4, 3)
 
     def test_zero_case(self):
-        session = commit2_dummy(0, 0, m=2, seed=1)
-        assert decommit2_dummy(session) == (0, 0)
+        session = commit(Commit2Dummy(rr.mod_ring(2)), None, (0, 0), seed=1)
+        assert session.reveal() == (0, 0)
 
     def test_dummy_never_holds_an_individual_value(self):
         for n1, n2 in product(range(2), repeat=2):
             for r1, r2 in product(range(2), repeat=2):
                 sources = {0: ScriptedSource([r1]), 1: ScriptedSource([r2])}
-                session = commit2_dummy(n1, n2, m=2, sources=sources)
+                session = commit(Commit2Dummy(rr.mod_ring(2)), None, (n1, n2), sources=sources)
                 d_labels = set(session.ledgers["D"].holdings)
                 assert d_labels == {"r1+r2", "s1+s2"}
-                assert decommit2_dummy(session) == (n2, n1)
+                assert session.reveal() == (n2, n1)
 
     def test_commit_phase_views(self):
-        session = commit2_dummy(3, 4, m=10, seed=7)
+        session = commit(Commit2Dummy(rr.mod_ring(10)), None, (3, 4), seed=7)
         t = session.transcript
         a_view = extract_view(t, "A")
         assert {"n1", "r1", "s1", "r2", "r1+r2"} <= set(a_view.labels())
@@ -187,18 +150,18 @@ class TestCommit2Dummy:
         assert t.draw_counts["D"] == 0
 
     def test_reveal_tampering_caught(self):
-        session = commit2_dummy(1, 0, m=2, seed=2)
+        session = commit(Commit2Dummy(rr.mod_ring(2)), None, (1, 0), seed=2)
         with pytest.raises(CheatDetected):
-            decommit2_dummy(session, tamper={"n1+n2 to A": 0})
-        session = commit2_dummy(1, 0, m=2, seed=2)
+            session.reveal({"n1+n2 to A": 0})
+        session = commit(Commit2Dummy(rr.mod_ring(2)), None, (1, 0), seed=2)
         with pytest.raises(CheatDetected):
-            decommit2_dummy(session, tamper={"n1+n2 to A": 0, "n1+n2 to B": 0})
+            session.reveal({"n1+n2 to A": 0, "n1+n2 to B": 0})
 
     def test_phase_discipline(self):
-        session = commit2_dummy(1, 1, m=2, seed=3)
-        decommit2_dummy(session)
+        session = commit(Commit2Dummy(rr.mod_ring(2)), None, (1, 1), seed=3)
+        session.reveal()
         with pytest.raises(PhaseError):
-            decommit2_dummy(session)
+            session.reveal()
 
 
 class TestCommitKExperimental:
@@ -207,18 +170,18 @@ class TestCommitKExperimental:
         for k in (3, 4, 5, 7):
             m = rng.choice([2, 5, 11])
             values = tuple(rng.randrange(m) for _ in range(k))
-            session = commit_k(values, m=m, seed=rng.randint(0, 10**6))
-            assert decommit_k(session) == values
+            session = commit(CommitK(rr.mod_ring(m)), None, values, seed=rng.randint(0, 10**6))
+            assert session.reveal() == values
 
     def test_substituted_reveal_caught(self):
         values = (1, 0, 1, 1)
-        assert decommit_k(commit_k(values, m=2, seed=2)) == values
+        assert commit(CommitK(rr.mod_ring(2)), None, values, seed=2).reveal() == values
         for label in ("r prefix 1 reveal", "r prefix 4 reveal", "s suffix 2 reveal"):
             outcomes = []
             for candidate in (0, 1):  # one of the bits is the dishonest one
-                session = commit_k(values, m=2, seed=2)
+                session = commit(CommitK(rr.mod_ring(2)), None, values, seed=2)
                 try:
-                    result = decommit_k(session, tamper={label: candidate})
+                    result = session.reveal({label: candidate})
                 except CheatDetected:
                     outcomes.append("caught")
                 else:
@@ -233,7 +196,7 @@ class TestCommitKExperimental:
         for values in product(range(2), repeat=4):
             for splits in product(range(2), repeat=4):
                 sources = {i: ScriptedSource([splits[i]]) for i in range(4)}
-                session = commit_k(values, m=2, sources=sources)
+                session = commit(CommitK(rr.mod_ring(2)), None, values, sources=sources)
                 view = extract_view(session.transcript, "P2").entries
                 others = tuple(v for j, v in enumerate(values) if j != 1)
                 tallies.setdefault(values[1], {}).setdefault(others, []).append(view)
@@ -242,10 +205,10 @@ class TestCommitKExperimental:
             assert all(sorted(v) == baseline for v in by_others.values())
 
     def test_phase_discipline(self):
-        session = commit_k((1, 1, 0), m=2, seed=4)
-        decommit_k(session)
+        session = commit(CommitK(rr.mod_ring(2)), None, (1, 1, 0), seed=4)
+        session.reveal()
         with pytest.raises(PhaseError):
-            decommit_k(session)
+            session.reveal()
 
 
 class TestObliviousTransfer:
@@ -262,20 +225,20 @@ class TestObliviousTransfer:
         assert served[0].payload == (4, 11)
 
     def test_full_retrieval(self):
-        assert ot_dummy((5, 6, 7), (1, 2, 3)) == (5, 6, 7)
+        assert run(ObliviousTransfer(), None, ((5, 6, 7), (1, 2, 3)))[0].retrieved == (5, 6, 7)
 
     def test_zero_messages(self):
-        assert ot_dummy((0, 0, 0), (2,)) == (0,)
+        assert run(ObliviousTransfer(), None, ((0, 0, 0), (2,)))[0].retrieved == (0,)
 
     def test_index_validation(self):
         with pytest.raises(ProtocolError):
-            ot_dummy((1, 2), (0,))
+            run(ObliviousTransfer(), None, ((1, 2), (0,)))
         with pytest.raises(ProtocolError):
-            ot_dummy((1, 2), (3,))
+            run(ObliviousTransfer(), None, ((1, 2), (3,)))
         with pytest.raises(ProtocolError):
-            ot_dummy((1, 2), (1, 1))
+            run(ObliviousTransfer(), None, ((1, 2), (1, 1)))
         with pytest.raises(ProtocolError):
-            ot_dummy((1, 2), ())
+            run(ObliviousTransfer(), None, ((1, 2), ()))
 
     def test_sender_receives_nothing_after_setup(self):
         _, t = run(ObliviousTransfer(rr.integers()), None, ((10, 20, 30), (2,)), seed=5)
@@ -309,30 +272,26 @@ class TestObliviousTransfer:
             messages = tuple(rng.randint(-10**6, 10**6) for _ in range(n))
             k = rng.randint(1, n)
             indices = tuple(rng.sample(range(1, n + 1), k))
-            assert ot_dummy(messages, indices, seed=rng.randint(0, 999)) == tuple(
-                messages[j - 1] for j in indices
-            )
+            outcome, _ = run(ObliviousTransfer(), None, (messages, indices), rng.randint(0, 999))
+            assert outcome.retrieved == tuple(messages[j - 1] for j in indices)
 
 
-# A tampered reveal of each commitment, and the honest value of that reveal message.
+# Each commitment over Z_2 with its inputs, and a tampered reveal of one of its messages.
 CHEATS = {
-    "commit3": (lambda: commit3((1, 0, 1), m=2, seed=3), decommit3,
-                lambda s: {"r1 reveal": 1 - s.ledgers["P2"]["r1"]}),
-    "commit2_dummy": (lambda: commit2_dummy(1, 0, m=2, seed=3), decommit2_dummy,
-                      lambda s: {"n1+n2 to A": 0}),
-    "commit_k": (lambda: commit_k((1, 0, 1, 1), m=2, seed=3), decommit_k,
-                 lambda s: {"r prefix 1 reveal": 1 - s.ledgers[0][0]}),
+    "commit3": (Commit3, (1, 0, 1), lambda s: {"r1 reveal": 1 - s.ledgers["P2"]["r1"]}),
+    "commit2_dummy": (Commit2Dummy, (1, 0), lambda s: {"n1+n2 to A": 0}),
+    "commit_k": (CommitK, (1, 0, 1, 1), lambda s: {"r prefix 1 reveal": 1 - s.ledgers[0][0]}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CHEATS))
 def test_a_detected_cheat_closes_the_session(name):
-    make, decommit, tamper = CHEATS[name]
-    session = make()
+    cls, inputs, tamper = CHEATS[name]
+    session = commit(cls(rr.mod_ring(2)), None, inputs, seed=3)
     with pytest.raises(CheatDetected):
-        decommit(session, tamper=tamper(session))
+        session.reveal(tamper(session))
     cheated = len(session.transcript.messages)
     assert session.phase == "revealed"
     with pytest.raises(PhaseError):
-        decommit(session)
+        session.reveal()
     assert len(session.transcript.messages) == cheated

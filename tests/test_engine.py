@@ -5,12 +5,12 @@ import weakref
 import pytest
 
 import ringmpc.ring as rr
-from ringmpc import commitment
 from ringmpc.arithmetic import MillionairesCompare, SecureSum
-from ringmpc.commitment import Commit3
+from ringmpc.commitment import Commit2Dummy, Commit3, CommitK
 from ringmpc.engine import (
     EVERYONE,
     ScriptedSource,
+    commit,
     eavesdropper_view,
     extract_view,
     parse_transcript,
@@ -162,21 +162,18 @@ def _view_sizes(t, names):
     return [len(extract_view(t, name).entries) for name in names]
 
 
-@pytest.mark.parametrize("open_, close, names, before, after", [
-    (lambda: commitment.commit3((1, 0, 1), m=2, seed=3), commitment.decommit3,
-     ("P1", "P2", "P3"), [7, 7, 7], [11, 11, 12]),
-    (lambda: commitment.commit2_dummy(1, 0, m=2, seed=3), commitment.decommit2_dummy,
-     ("A", "B", "D"), [6, 6, 2], [8, 8, 4]),
-    (lambda: commitment.commit_k((1, 0, 1, 1), m=2, seed=3), commitment.decommit_k,
-     ("P1", "P2", "P3", "P4"), [7, 7, 7, 7], [15, 15, 15, 15]),
+@pytest.mark.parametrize("cls, inputs, names, before, after", [
+    (Commit3, (1, 0, 1), ("P1", "P2", "P3"), [7, 7, 7], [11, 11, 12]),
+    (Commit2Dummy, (1, 0), ("A", "B", "D"), [6, 6, 2], [8, 8, 4]),
+    (CommitK, (1, 0, 1, 1), ("P1", "P2", "P3", "P4"), [7, 7, 7, 7], [15, 15, 15, 15]),
 ], ids=["commit3", "commit2_dummy", "commit_k"])
-def test_session_transcript_is_a_snapshot(open_, close, names, before, after):
+def test_session_transcript_is_a_snapshot(cls, inputs, names, before, after):
     # The sizes are those of the engine that copied every view eagerly.
-    session = open_()
+    session = commit(cls(rr.mod_ring(2)), None, inputs, seed=3)
     committed = session.transcript
     n_messages = len(committed.messages)
     eavesdropped = eavesdropper_view(committed).entries
-    close(session)
+    session.reveal()
     assert _view_sizes(committed, names) == before
     assert len(committed.messages) == n_messages
     assert eavesdropper_view(committed).entries == eavesdropped

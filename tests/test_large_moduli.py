@@ -17,12 +17,13 @@ from ringmpc import (
     EQUAL,
     NEGATIVE,
     POSITIVE,
-    commit3,
-    decommit3,
-    example_f2,
-    millionaires_compare,
-    secure_product,
-    secure_sum,
+    Commit3,
+    ExampleF2,
+    MillionairesCompare,
+    SecureProduct,
+    SecureSum,
+    commit,
+    run,
 )
 from ringmpc.cli import main
 from ringmpc.errors import CheatDetected, RingError
@@ -47,15 +48,15 @@ def test_unit_drawing_protocols_at_2_61_minus_1(seed):
     product = 1
     for f in factors:
         product = product * f % M61
-    assert _timed(secure_product, factors, seed=seed, ring=R) == product
+    assert _timed(run, SecureProduct(R), None, factors, seed)[0] == product
 
     n1, n2, n3 = (rng.randrange(M61) for _ in range(3))
-    assert _timed(example_f2, n1, n2, n3, lambda x: x * x, seed=seed, ring=R) == (
-        (n1 * n2 + n3 * n3) % M61)
+    outcome, _ = _timed(run, ExampleF2(R, lambda x: x * x), None, (n1, n2, n3), seed)
+    assert outcome == (n1 * n2 + n3 * n3) % M61
 
     a, b = rng.randrange(M61 // 2), rng.randrange(M61 // 2)
     want = POSITIVE if a > b else NEGATIVE if a < b else EQUAL
-    assert _timed(millionaires_compare, a, b, seed=seed, ring=R) == want
+    assert _timed(run, MillionairesCompare(R), None, (a, b), seed)[0].verdict == want
 
 
 def test_secure_product_at_2_100():
@@ -64,7 +65,7 @@ def test_secure_product_at_2_100():
     product = 1
     for f in factors:
         product = product * f % 2**100
-    assert _timed(secure_product, factors, seed=1, ring=R) == product
+    assert _timed(run, SecureProduct(R), None, factors, 1)[0] == product
 
 
 def test_sum_and_commitment_at_2_127_minus_1():
@@ -72,18 +73,18 @@ def test_sum_and_commitment_at_2_127_minus_1():
     rng = random.Random(127)
     for seed in range(5):
         values = [rng.randrange(M127) for _ in range(rng.randint(3, 6))]
-        assert secure_sum(values, seed=seed, ring=R) == sum(values) % M127
+        assert run(SecureSum(R), None, values, seed)[0] == sum(values) % M127
         triple = tuple(rng.randrange(M127) for _ in range(3))
-        assert decommit3(commit3(triple, seed=seed, ring=R)) == {
+        assert commit(Commit3(R), None, triple, seed).reveal() == {
             name: triple for name in ("P1", "P2", "P3")}
-    session = commit3((1, 2, 3), seed=0, ring=R)
+    session = commit(Commit3(R), None, (1, 2, 3), seed=0)
     with pytest.raises(CheatDetected):
-        decommit3(session, tamper={"r1 reveal": session.ledgers["P2"]["r1"] + 1})
+        session.reveal({"r1 reveal": session.ledgers["P2"]["r1"] + 1})
 
 
 def test_unit_draw_at_2_127_minus_1_is_a_typed_error(tmp_path):
     with pytest.raises(RingError, match=str(M127)):
-        _timed(secure_product, [2, 3, 5], seed=0, ring=mod_ring(M127))
+        _timed(run, SecureProduct(mod_ring(M127)), None, (2, 3, 5), seed=0)
     cfg = tmp_path / "product.json"
     cfg.write_text(json.dumps({"protocol": "secure_product", "inputs": ["2", "3", "5"],
                                "seed": 7, "ring": {"ring": "Zm", "m": M127}}))

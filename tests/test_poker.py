@@ -7,9 +7,9 @@ import pytest
 from ringmpc.engine import ScriptedSource, extract_view, run
 from ringmpc.errors import ProtocolError
 from ringmpc.poker import (
+    CardDeal,
     CollectiveRandom,
     DealConfig,
-    deal_deck,
     dummy_deal_graph,
     dummy_deal_two_players,
     dummy_dealer_count,
@@ -17,11 +17,9 @@ from ringmpc.poker import (
     even_quotas,
     expected_circles,
     knuth_shuffle,
-    protocol1_distribute,
-    protocol2_random3,
-    protocol2_random_k,
     protocol2_roles,
 )
+from ringmpc.topology import build_cycle
 
 CHI2_999_DF6 = 22.458  # 0.999 quantile of chi-square with 6 degrees of freedom
 
@@ -60,17 +58,17 @@ class TestExpectedCircles:
 class TestCollectiveRandomness:
     def test_sum_mod_five(self):
         sources = {1: ScriptedSource([3]), 2: ScriptedSource([4])}
-        assert protocol2_random3(5, sources=sources) == (3 + 4) % 5
+        assert run(CollectiveRandom(5), None, (), sources=sources)[0] == (3 + 4) % 5
 
     def test_trivial_modulus(self):
-        assert protocol2_random3(1, seed=9) == 0
+        assert run(CollectiveRandom(1), None, (), seed=9)[0] == 0
 
     def test_even_quotas_give_the_extras_from_the_lottery_onwards(self):
         assert even_quotas(9, 3, 1) == (3, 3, 3)
         assert even_quotas(7, 3, 2) == (2, 2, 3)
         assert even_quotas(8, 3, 2) == (3, 2, 3)
         for seed in range(6):  # a deal's quotas follow its announced lottery value
-            outcome, t = protocol1_distribute(DealConfig(8, 3, 3), seed=seed)
+            outcome, t = run(CardDeal(DealConfig(8, 3, 3)), None, (), seed=seed)
             [v] = [m.payload for m in t.messages if m.label == "quota lottery value"]
             assert outcome.quotas == even_quotas(8, 3, v)
 
@@ -85,22 +83,13 @@ class TestCollectiveRandomness:
         assert senders == {"P1", "P3"} and receivers == {"P2"}
 
     @pytest.mark.parametrize("i, k", [(1, 3), (4, 5), (7, 6)])
-    def test_round_i_on_a_k_cycle(self, monkeypatch, i, k):
-        import ringmpc.poker as poker
-
-        transcripts = []
-
-        def traced(*args, **kwargs):
-            outcome, t = run(*args, **kwargs)
-            transcripts.append(t)
-            return outcome, t
-
-        monkeypatch.setattr(poker, "run", traced)
+    def test_round_i_on_a_k_cycle(self, i, k):
         receiver, (a, b) = protocol2_roles(i, k)
         sources = {p: ScriptedSource([]) for p in range(k)}  # a draw by anyone else fails
         sources[a], sources[b] = ScriptedSource([5]), ScriptedSource([9])
-        assert protocol2_random_k(11, i, k, sources=sources) == (5 + 9) % 11
-        [t] = transcripts
+        proto = CollectiveRandom(11, receiver, (a, b))
+        outcome, t = run(proto, build_cycle(k), (), sources=sources)
+        assert outcome == (5 + 9) % 11
         to = f"P{receiver + 1}"
         assert [(m.frm, m.to, m.payload) for m in t.messages] == [
             (f"P{a + 1}", to, 5), (f"P{b + 1}", to, 9)]
@@ -112,9 +101,8 @@ class TestCollectiveRandomness:
         for M in range(1, 8):
             for fixed in range(M):
                 outputs = {
-                    protocol2_random3(
-                        M, sources={1: ScriptedSource([fixed]), 2: ScriptedSource([v])}
-                    )
+                    run(CollectiveRandom(M), None, (),
+                        sources={1: ScriptedSource([fixed]), 2: ScriptedSource([v])})[0]
                     for v in range(M)
                 }
                 assert outputs == set(range(M))
@@ -123,7 +111,7 @@ class TestCollectiveRandomness:
         # adversarial constant from one contributor, 14,000 seeded draws
         counts = [0] * 7
         for i in range(14_000):
-            value = protocol2_random3(7, sources={1: ScriptedSource([3])}, seed=i)
+            value = run(CollectiveRandom(7), None, (), seed=i, sources={1: ScriptedSource([3])})[0]
             counts[value] += 1
         expected = 14_000 / 7
         chi2 = sum((c - expected) ** 2 / expected for c in counts)
@@ -134,7 +122,7 @@ class TestCollectiveRandomness:
 
         g = dummy_deal_graph()  # P3 is a dummy
         with pytest.raises(DummyRandomnessError):
-            protocol2_random3(5, receiver=0, contributors=(1, 2), graph=g, seed=1)
+            run(CollectiveRandom(5), g, (), seed=1)
 
 
 class TestKnuthShuffle:
@@ -166,28 +154,28 @@ class TestKnuthShuffle:
 class TestProtocol1:
     def test_small_deal_partitions(self):
         for seed in range(30):
-            res, _ = protocol1_distribute(DealConfig(6, 3, 2), seed=seed)
+            res, _ = run(CardDeal(DealConfig(6, 3, 2)), None, (), seed=seed)
             cards = sorted(c for hand in res.hands for c in hand)
             assert cards == [1, 2, 3, 4, 5, 6]
             assert all(len(h) == 2 for h in res.hands)
             assert all(0 not in h for h in res.hands)
 
     def test_52_cards_three_players(self):
-        res, _ = protocol1_distribute(DealConfig(52, 3, 10), seed=4)
+        res, _ = run(CardDeal(DealConfig(52, 3, 10)), None, (), seed=4)
         assert sorted(len(h) for h in res.hands) == [17, 17, 18]
 
     def test_quota_lottery_is_public(self):
-        _, t = protocol1_distribute(DealConfig(52, 3, 10), seed=4)
+        _, t = run(CardDeal(DealConfig(52, 3, 10)), None, (), seed=4)
         lottery = [m for m in t.messages if m.label == "quota lottery value" and m.to == "*"]
         assert len(lottery) == 1
 
     def test_explicit_quotas(self):
-        res, _ = protocol1_distribute(DealConfig(7, 3, 3, quotas=(3, 2, 2)), seed=1)
+        res, _ = run(CardDeal(DealConfig(7, 3, 3, quotas=(3, 2, 2))), None, (), seed=1)
         assert tuple(len(h) for h in res.hands) == (3, 2, 2)
 
     def test_every_player_sees_the_final_value_n_plus_1_times(self):
         cfg = DealConfig(6, 3, 2)
-        _, t = protocol1_distribute(cfg, seed=11)
+        _, t = run(CardDeal(cfg), None, (), seed=11)
         receipts = {p: 0 for p in ("P1", "P2", "P3")}
         for m in t.messages:
             if m.kind == "token" and int(m.payload) == cfg.r:
@@ -195,24 +183,24 @@ class TestProtocol1:
         assert set(receipts.values()) == {cfg.N + 1}
 
     def test_single_card_terminates(self):
-        res, t = protocol1_distribute(DealConfig(1, 3, 1), seed=2)
+        res, t = run(CardDeal(DealConfig(1, 3, 1)), None, (), seed=2)
         assert sorted(c for hand in res.hands for c in hand) == [1]
 
 
 class TestDealDeck:
     def test_labels_are_a_permutation(self):
-        res, _ = deal_deck(52, 3, 10, seed=6)
+        res, _ = run(CardDeal(DealConfig(52, 3, 10), with_labels=True), None, (), seed=6)
         assert sorted(res.permutation) == list(range(1, 53))
         labeled = res.labeled_hands()
         assert sorted(c for hand in labeled for c in hand) == list(range(1, 53))
         assert sorted(len(h) for h in labeled) == [17, 17, 18]
 
     def test_three_cards_three_players(self):
-        res, _ = deal_deck(3, 3, 4, seed=1)
+        res, _ = run(CardDeal(DealConfig(3, 3, 4), with_labels=True), None, (), seed=1)
         assert all(len(h) == 1 for h in res.hands)
 
     def test_swap_broadcasts_reproduce_the_permutation(self):
-        res, t = deal_deck(6, 3, 4, seed=9)
+        res, t = run(CardDeal(DealConfig(6, 3, 4), with_labels=True), None, (), seed=9)
         swaps = [
             (int(m.label.split()[1]), int(m.payload))
             for m in t.messages

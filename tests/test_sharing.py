@@ -9,9 +9,7 @@ from ringmpc.sharing import (
     DistributeShares,
     ShareSecret,
     ShareVector,
-    distribute_shares_subroutine,
     reconstruct,
-    share_secret_kk,
     sharing_graph,
 )
 
@@ -21,7 +19,7 @@ B = rr.DEFAULT_NOISE_BOUND
 class TestSubroutine:
     def test_zero_with_zero_noise(self):
         sources = {i: ScriptedSource([0 + B]) for i in range(3)}
-        summands = distribute_shares_subroutine(0, k=3, ring=rr.integers(), seed=0)
+        summands, _ = run(DistributeShares(rr.integers(), 0, 3), None, (0,), seed=0)
         # and explicitly with all-zero noise:
         proto = DistributeShares(rr.integers())
         out, _ = run(proto, None, (0,), sources=sources)
@@ -45,9 +43,8 @@ class TestSubroutine:
         for _ in range(500):
             k = rng.randint(3, 6)
             value = rng.randint(-10**6, 10**6)
-            summands = distribute_shares_subroutine(
-                value, initiator=rng.randrange(k), k=k, seed=rng.randint(0, 10**6)
-            )
+            proto = DistributeShares(rr.integers(), rng.randrange(k), k)
+            summands, _ = run(proto, None, (value,), seed=rng.randint(0, 10**6))
             assert sum(summands) == value
 
     def test_only_masked_values_travel(self):
@@ -58,28 +55,19 @@ class TestSubroutine:
         # the initiator's summand never travels; other summands only as masked remainders
         assert len(t.messages) == 3
 
-    def test_subroutine_records_its_party_count(self, monkeypatch):
-        import ringmpc.sharing as sharing
-
-        seen = []
-
-        def spy(proto, *args, **kwargs):
-            seen.append(proto.params())
-            return run(proto, *args, **kwargs)
-
-        monkeypatch.setattr(sharing, "run", spy)
-        summands = distribute_shares_subroutine(50, initiator=2, k=5, seed=1)
+    def test_subroutine_records_its_party_count(self):
+        summands, t = run(DistributeShares(rr.integers(), 2, 5), None, (50,), seed=1)
         assert sum(summands) == 50 and len(summands) == 5
-        assert seen == [{"initiator": 2, "k": 5}]
+        assert t.params == {"initiator": 2, "k": 5}
 
 
 class TestShareSecret:
     def test_reconstruct_100(self):
-        shares = share_secret_kk(100, 3, seed=1)
+        shares, _ = run(ShareSecret(rr.integers(), 3), None, (100,), seed=1)
         assert reconstruct(shares) == 100
 
     def test_zero_secret(self):
-        shares = share_secret_kk(0, 4, seed=2)
+        shares, _ = run(ShareSecret(rr.integers(), 4), None, (0,), seed=2)
         assert sum(shares.shares) == 0
 
     def test_random_roundtrip(self):
@@ -87,13 +75,14 @@ class TestShareSecret:
         for _ in range(100):
             k = rng.choice([3, 4, 5])
             secret = rng.randint(-10**6, 10**6)
-            shares = share_secret_kk(secret, k, seed=rng.randint(0, 10**6))
+            seed = rng.randint(0, 10**6)
+            shares, _ = run(ShareSecret(rr.integers(), k), None, (secret,), seed=seed)
             assert reconstruct(shares) == secret
 
     def test_modular_roundtrip(self):
         R = rr.mod_ring(97)
         for seed in range(20):
-            shares = share_secret_kk(55, 3, seed=seed, ring=R)
+            shares, _ = run(ShareSecret(R, 3), None, (55,), seed=seed)
             assert reconstruct(shares, ring=R) == 55
 
     def test_dealer_sees_no_share(self):

@@ -13,9 +13,10 @@ import hashlib
 import pytest
 
 from ringmpc.cli import execute_config
-from ringmpc.commitment import commit2_dummy, commit3, commit_k
-from ringmpc.engine import EAVESDROPPER, eavesdropper_view, extract_view
+from ringmpc.commitment import Commit2Dummy, Commit3, CommitK
+from ringmpc.engine import EAVESDROPPER, commit, eavesdropper_view, extract_view
 from ringmpc.poker import dummy_dealer_fixed_hands
+from ringmpc.ring import mod_ring
 
 CONFIGS = {
     "card_deal": {"protocol": "card_deal", "inputs": [], "seed": 11,
@@ -321,7 +322,7 @@ SESSION_DIGESTS = {
 def _session_transcript(name):
     if name.startswith("commit_k/"):
         values = {"k=4": [1, 0, 2, 1], "k=5": [3, 1, 4, 1, 5]}[name.rsplit("/", 1)[1]]
-        session = commit_k(values, m=7, seed=13)
+        session = commit(CommitK(mod_ring(7)), None, values, seed=13)
         assert session.reveal() == tuple(values)
         return session.transcript
     config = {"protocol": "secure_product", "inputs": [2, 3, 4, 5, 6, 7], "seed": 5,
@@ -390,10 +391,10 @@ def _out_of_range_transcript(name):
         assert [who for who, _ in outcome.served] == ["P3", "P1", "P1"]
         return t
     if name.startswith("commit3/"):
-        session = commit3((12, -1, 5), m=10, seed=7)
+        session = commit(Commit3(mod_ring(10)), None, (12, -1, 5), seed=7)
         assert session.reveal() == {name: (2, 9, 5) for name in ("P1", "P2", "P3")}
         return session.transcript
-    session = commit2_dummy(13, -2, m=10, seed=7)
+    session = commit(Commit2Dummy(mod_ring(10)), None, (13, -2), seed=7)
     assert session.reveal() == (8, 3)
     return session.transcript
 
