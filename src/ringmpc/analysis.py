@@ -97,9 +97,22 @@ class SecrecyReport:
 
 def discover_draw_sites(spec: SecrecySpec):
     """Dry-run the protocol once, on ``spec.graph`` unchecked, to learn its randomness sites."""
-    r = Run(spec.protocol, spec.graph, tuple(d[0] for d in spec.input_domains), seed=0)
+    r = Run(spec.protocol, spec.graph, _first_inputs(spec), seed=0)
     spec.protocol.program(r)
     return r.draw_sites
+
+
+def _first_inputs(spec: SecrecySpec) -> tuple:
+    return tuple(d[0] for d in spec.input_domains)
+
+
+def _checked_graph(spec: SecrecySpec) -> ChannelGraph:
+    """The graph every run of ``spec`` uses, once ``engine.start`` has checked it and the arity."""
+    return start(spec.protocol, spec.graph, _first_inputs(spec)).graph
+
+
+def _run_count(spec: SecrecySpec, sites) -> int:
+    return prod(len(d) for d in spec.input_domains) * prod(n for _, n in sites)
 
 
 def enumerate_runs(spec: SecrecySpec):
@@ -111,9 +124,13 @@ def enumerate_runs(spec: SecrecySpec):
     checks them, on the graph that every run then uses.  The parties share
     one script, so a run that draws off the discovered sites is a ``ProtocolError``.
     """
-    graph = start(spec.protocol, spec.graph, tuple(d[0] for d in spec.input_domains)).graph
+    yield from _runs(spec, _checked_graph(spec))
+
+
+def _runs(spec: SecrecySpec, graph: ChannelGraph):
+    """``enumerate_runs`` on the graph that ``_checked_graph`` gave."""
     sites = discover_draw_sites(replace(spec, graph=graph))
-    total = prod(len(d) for d in spec.input_domains) * prod(n for _, n in sites)
+    total = _run_count(spec, sites)
     if total > spec.budget:
         raise BudgetExceeded(
             f"{spec.name}: enumeration needs {total} runs, budget is {spec.budget}"
@@ -169,20 +186,90 @@ def secrecy_enumeration_check(spec: SecrecySpec) -> SecrecyReport:
     count(target) for every cell — the integer form of P(view, target) =
     P(view) P(target).  A counterexample names two target values whose
     conditional view distributions differ.
+
+    The tally comes from the compiled path when the protocol's program
+    traces to straight-line code, and from the interpreted path, the
+    reference, otherwise; both count the same runs in the same order.
     """
-    tally: dict = defaultdict(Counter)  # group -> count per (view key, target)
+    graph = _checked_graph(spec)
+    tally = _compiled_tally(spec, graph)
+    return _judge(spec, tally if tally is not None else _interpreted_tally(spec, graph))
+
+
+def _interpreted_tally(spec: SecrecySpec, graph: ChannelGraph) -> dict:
+    """Group -> count per (view key, target), over every run played by the protocol's code."""
+    tally: dict = defaultdict(Counter)
     view_key = None
-    for inputs, outcome, r in enumerate_runs(spec):
-        # Looked up in the first run's graph: a budget or topology fault is
-        # still reported before an unknown observer.
+    for inputs, outcome, r in _runs(spec, graph):
+        # Looked up after the first run: a budget fault, or a fault of the
+        # protocol's in that run, is still reported before an unknown observer.
         if view_key is None:
-            view_key = _view_key(spec.observer, r.graph)
+            view_key = _view_key(spec.observer, graph)
         key = (
             tuple(inputs[i] for i in spec.observer_inputs),
             spec.given_of(inputs, outcome),
         )
         tally[key][view_key(r.log), spec.target_of(inputs, outcome)] += 1
+    return tally
 
+
+def _compiled_tally(spec: SecrecySpec, graph: ChannelGraph) -> dict | None:
+    """The tally of ``_interpreted_tally``, from the function ``_compile`` gives; None without one."""
+    compiled = _compile(spec, graph)
+    if compiled is None:
+        return None
+    evaluate, sites = compiled
+    tally: dict = defaultdict(Counter)
+    given_of, target_of = spec.given_of, spec.target_of
+    site_domains = [range(n) for _, n in sites]
+    for inputs in product(*spec.input_domains):
+        own = tuple(inputs[i] for i in spec.observer_inputs)
+        for assignment in product(*site_domains):
+            view, outcome = evaluate(inputs, assignment)
+            tally[own, given_of(inputs, outcome)][view, target_of(inputs, outcome)] += 1
+    return tally
+
+
+def _compile(spec: SecrecySpec, graph: ChannelGraph):
+    """(function of (inputs, draws) to (view key, outcome), draw sites) from one traced run.
+
+    None when the program cannot be traced or compiled, when the observer
+    is unknown, when the check is over budget, or when the first enumerated
+    run (the first inputs, every draw 0), played by the protocol's own
+    code, differs from the compiled function there in its draw sites, view
+    key, ``given`` or target.  The interpreted path then decides, and
+    raises whatever it raises, in its own order.  The guard catches a type
+    test such as ``isinstance(v, int)``, which a node cannot refuse,
+    whenever its two branches give different views or outcomes: the test
+    goes the same way at every run.
+    """
+    # Imported here: of all the package's callers, only a secrecy check needs the tracer.
+    from .tracer import trace
+
+    first = _first_inputs(spec)
+    try:
+        ring, traced, outcome = trace(spec.protocol, graph, len(spec.input_domains))
+        sites = traced.draw_sites
+        view_key = _view_key(spec.observer, graph)
+        evaluate = ring.compile((view_key(traced.log), outcome))
+        if _run_count(spec, sites) > spec.budget:
+            return None
+        zeros = (0,) * len(sites)
+        r = Run(spec.protocol, graph, first, seed=0,
+                sources=dict.fromkeys({party for party, _ in sites}, ScriptedSource(zeros)))
+        outcome = spec.protocol.program(r)
+        view, compiled = evaluate(first, zeros)
+        if (r.draw_sites, view_key(r.log), spec.given_of(first, outcome),
+                spec.target_of(first, outcome)) != (
+                sites, view, spec.given_of(first, compiled), spec.target_of(first, compiled)):
+            return None
+    except Exception:  # any fault here is for the interpreted path to raise, in its order
+        return None
+    return evaluate, sites
+
+
+def _judge(spec: SecrecySpec, tally: dict) -> SecrecyReport:
+    """The report on ``tally``: group -> count per (view key, target), in first-seen order."""
     runs_done = sum(sum(cells.values()) for cells in tally.values())
     for key, cells in tally.items():
         if spec.claim == DETERMINED:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import ring as ring_mod
 from .engine import DummyTriangleProtocol, Protocol, Run
 from .errors import ProtocolError, RingError, TopologyError
-from .ring import RingSpec
+from .ring import RingSpec, pure
 from .topology import (
     ChannelGraph,
     INSECURE,
@@ -382,6 +382,7 @@ class MillionairesCompare(DummyTriangleProtocol):
         return CompareOutcome(verdict)
 
 
+@pure
 def _sign_verdict(R: RingSpec, diff: int) -> str:
     if R.modular:
         centered = diff if diff <= (R.modulus - 1) // 2 else diff - R.modulus

@@ -286,13 +286,17 @@ def cmd_verify(spec_path, budget, list_only):
 @click.option("--players", "k", type=int, required=True)
 @click.option("--counter-bound", "n_bound", type=int, default=10, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--dummies", default=None,
+@click.option("--dummies", type=click.Choice(["auto", "two-player"]), default=None,
               help="'auto' with --per-player for a dummy dealer; 'two-player' for 2 reals + dummy.")
 @click.option("--per-player", "per_player", type=int, default=None,
               help="Fixed hand size for the dummy-dealer construction.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cmd_deal(m, k, n_bound, seed, dummies, per_player, out):
     """Deal an m-card deck to k players over a secure cycle."""
+    if dummies == "auto" and per_player is None:
+        raise click.UsageError("--dummies auto needs --per-player")
+    if dummies == "two-player" and k != 2:
+        raise click.UsageError(f"--dummies two-player deals to 2 players, not --players {k}")
     extra = {}
     with _exit_codes():
         if dummies == "two-player":

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .errors import RingError
 
@@ -302,6 +302,25 @@ class RingSpec:
 
 
 DEFAULT_NOISE_BOUND = 10**6
+
+
+def pure(fn):
+    """Mark ``fn(ring, *values)`` as a function of the ring and its values alone.
+
+    A secrecy check may then trace a program that calls it even though
+    ``fn`` branches on a value: given a ring that is not a ``RingSpec``,
+    the traced ring of ``ringmpc.tracer``, the call is recorded as
+    ``ring.call(fn, values)``, and the compiled check calls ``fn`` with
+    numbers and the real ring.
+    """
+
+    @wraps(fn)
+    def marked(ring, *values):
+        if isinstance(ring, RingSpec):
+            return fn(ring, *values)
+        return ring.call(fn, values)
+
+    return marked
 
 
 def integers(noise_bound: int = DEFAULT_NOISE_BOUND) -> RingSpec:

@@ -244,6 +244,24 @@ class TestDeal:
         body = json.loads(result.output)
         assert len(body["residual"]) == 18
 
+    def test_an_unknown_dummies_mode_exits_2(self, runner):
+        result = runner.invoke(main, ["deal", "--cards", "6", "--players", "3",
+                                      "--dummies", "bogus", "--seed", "1"])
+        assert result.exit_code == 2
+        assert "Invalid value for '--dummies'" in result.output
+
+    def test_auto_dummies_without_a_hand_size_exits_2(self, runner):
+        result = runner.invoke(main, ["deal", "--cards", "6", "--players", "3",
+                                      "--dummies", "auto", "--seed", "1"])
+        assert result.exit_code == 2
+        assert "--dummies auto needs --per-player" in result.output
+
+    def test_a_two_player_deal_to_seven_players_exits_2(self, runner):
+        result = runner.invoke(main, ["deal", "--cards", "6", "--players", "7",
+                                      "--dummies", "two-player", "--seed", "1"])
+        assert result.exit_code == 2
+        assert "deals to 2 players, not --players 7" in result.output
+
 
 class TestShareReconstruct:
     def test_round_trip(self, runner, tmp_path):

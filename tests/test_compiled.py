@@ -1,0 +1,364 @@
+"""The compiled enumeration path against the interpreted one, which stays the reference.
+
+Each spec is tallied both ways: the two tallies must be equal, with their
+groups and cells in the same first-seen order, and so must the two reports.
+"""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ringmpc.ring as rr
+from ringmpc.analysis import (
+    INDEPENDENT_UNIFORM,
+    SecrecySpec,
+    _checked_graph,
+    _compile,
+    _compiled_tally,
+    _interpreted_tally,
+    _judge,
+    secrecy_enumeration_check,
+    standard_suite,
+)
+from ringmpc.arithmetic import ExampleF1, ExampleF2, SecureProduct, SecureRating
+from ringmpc.commitment import Commit3
+from ringmpc.engine import EAVESDROPPER, Protocol
+from ringmpc.errors import BudgetExceeded, RingError
+from ringmpc.sharing import DistributeShares, ShareSecret
+from ringmpc.tracer import Untraceable, trace
+from ringmpc.topology import build_cycle
+from test_analysis import (PLANTED, CountedSum, InsecureRelay, _schedule_spec, sum_spec)
+
+
+def _ordered(tally):
+    return [(group, list(cells.items())) for group, cells in tally.items()]
+
+
+def both_paths(spec):
+    """(compiled tally or None, interpreted tally), each on the graph the check uses."""
+    graph = _checked_graph(spec)
+    return _compiled_tally(spec, graph), _interpreted_tally(spec, graph)
+
+
+def assert_same_tally(spec, compiled, interpreted):
+    assert compiled is not None, f"{spec.name} fell back to the interpreted path"
+    assert _ordered(compiled) == _ordered(interpreted)
+    assert _judge(spec, compiled) == _judge(spec, interpreted)
+
+
+STANDARD = standard_suite()
+PLANTED_LEAKS = [dataclasses.replace(s, name=f"planted leak: {s.name}", given=None)
+                 for s in STANDARD if s.given is not None]
+
+
+def dealer_spec(m):
+    return SecrecySpec(
+        name=f"share_secret_kk/Z_{m}/k=3/D learns nothing about the shares",
+        protocol=ShareSecret(rr.mod_ring(m), 3), input_domains=(range(m),),
+        observer="D", observer_inputs=(0,), target=lambda _inputs, outcome: outcome.shares,
+    )
+
+
+@pytest.mark.parametrize("spec", STANDARD + PLANTED_LEAKS + [dealer_spec(2)],
+                         ids=lambda s: s.name)
+def test_every_standard_check_its_planted_leak_and_the_dealer_check_compile(spec):
+    compiled, interpreted = both_paths(spec)
+    assert_same_tally(spec, compiled, interpreted)
+    assert _judge(spec, compiled).ok != spec.name.startswith("planted leak")
+
+
+def test_the_dealer_check_over_z3_compiles():
+    # Its 531,441 runs take ten times as long interpreted as compiled, so the
+    # tallies are compared on the Z_2 claim above, and test_dealer_ignorance_z3
+    # checks this claim's report, which the compiled path now gives.
+    spec = dealer_spec(3)
+    evaluate, sites = _compile(spec, _checked_graph(spec))
+    # the dealer's two pieces, then each player's re-split, starting at that player
+    assert sites == [(3, 3)] * 2 + [(i % 3, 3) for start in range(3)
+                                    for i in range(start, start + 3)]
+    view, outcome = evaluate((2,), (1,) * 11)
+    assert view[:4] == (("secret", 2), ("dealer piece 1", 1), ("dealer piece 2", 1),
+                        ("dealer piece 3", 0))
+    assert sum(outcome.shares) % 3 == 2
+
+
+def _test_analysis_specs():
+    """Every spec that tests/test_analysis.py checks, built as it builds them."""
+    z2 = (range(2),) * 3
+    commit3 = SecrecySpec(name="commit3 P1 unconditioned", protocol=Commit3(rr.mod_ring(2)),
+                          input_domains=z2, observer="P1", observer_inputs=(0,),
+                          protected=(1, 2))
+    coalition_uniform = SecrecySpec(
+        name="sharing coalition uniform", protocol=ShareSecret(rr.mod_ring(2), 3),
+        input_domains=(range(2),), observer=("P1", "P2"),
+        target=lambda _inputs, outcome: outcome.shares[2], claim=INDEPENDENT_UNIFORM,
+    )
+    counted = SecrecySpec(
+        name="counted sum", protocol=CountedSum(rr.mod_ring(2)), graph=build_cycle(3),
+        input_domains=z2, observer="P1", observer_inputs=(0,), protected=(1, 2),
+        given=lambda inputs, _o: (inputs[1] + inputs[2]) % 2,
+    )
+    relay = SecrecySpec(name="relay P2", protocol=InsecureRelay(rr.mod_ring(2)),
+                        input_domains=z2, observer=("P2", "P3"), protected=(0,))
+    specs = {
+        "sum given": sum_spec(2, 3, 1),
+        "sum not given": sum_spec(2, 3, 1, given=False),
+        "commit3 unconditioned": commit3,
+        "coalition uniform": coalition_uniform,
+        "counted sum": counted,
+        "insecure relay": relay,
+    }
+    for shape, build in PLANTED.items():
+        specs[f"{shape}, given"] = build(True)
+        specs[f"{shape}, not given"] = build(False)
+    return specs
+
+
+ANALYSIS_SPECS = _test_analysis_specs()
+
+
+@pytest.mark.parametrize("name", sorted(ANALYSIS_SPECS))
+def test_every_test_spec_compiles_to_the_interpreted_tally(name):
+    spec = ANALYSIS_SPECS[name]
+    assert_same_tally(spec, *both_paths(spec))
+
+
+def _other_program_specs():
+    """A claim on each other protocol that traces: mul, unit draws, exact_div, a wiretap."""
+    return {
+        "example_f1": SecrecySpec(
+            name="example_f1/Z_3/P2", protocol=ExampleF1(rr.mod_ring(3)),
+            input_domains=(range(3),) * 3, observer="P2", observer_inputs=(1,),
+            protected=(0, 2), given=lambda inputs, _o: (inputs[0] + inputs[2]) % 3),
+        "example_f2": SecrecySpec(
+            name="example_f2/Z_5/P1", protocol=ExampleF2(rr.mod_ring(5), lambda x: x, "identity"),
+            input_domains=(range(5),) * 3, observer="P1", observer_inputs=(0,),
+            protected=(1, 2), target=lambda inputs, outcome: (inputs[1], outcome)),
+        "secure_rating": SecrecySpec(
+            name="secure_rating/Z_2/k=3/wiretap", protocol=SecureRating(rr.mod_ring(2), 3),
+            input_domains=(range(2),) * 3, observer=EAVESDROPPER, protected=(0, 1, 2),
+            given=lambda inputs, _o: sum(inputs) % 2),
+        "distribute_shares": SecrecySpec(
+            name="distribute_shares/Z_3/P2", protocol=DistributeShares(rr.mod_ring(3)),
+            input_domains=(range(3),), observer="P2", protected=(0,),
+            target=lambda _inputs, outcome: outcome),
+    }
+
+
+OTHER_PROGRAMS = _other_program_specs()
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_PROGRAMS))
+def test_every_other_traceable_protocol_compiles_to_the_interpreted_tally(name):
+    spec = OTHER_PROGRAMS[name]
+    assert_same_tally(spec, *both_paths(spec))
+
+
+def test_a_protocol_that_draws_with_rand_int_is_interpreted():
+    # rand_int adds its lower bound to a draw: plain arithmetic that a node refuses
+    spec = _schedule_spec(((2,),) * 3, m=3)
+    spec.protected, spec.claim = (), INDEPENDENT_UNIFORM
+    spec.target = lambda inputs, _o: inputs[0] * inputs[0] % 3
+    compiled, interpreted = both_paths(spec)
+    assert compiled is None
+    assert secrecy_enumeration_check(spec) == _judge(spec, interpreted)
+
+
+def test_a_secure_product_claim_is_interpreted():
+    # the inputs' check asks is_unit of a traced value
+    m = 5
+    spec = SecrecySpec(
+        name="secure_product/Z_5/P1 learns only the others' product",
+        protocol=SecureProduct(rr.mod_ring(m)), graph=build_cycle(3),
+        input_domains=(range(1, m),) * 3, observer="P1", observer_inputs=(0,),
+        protected=(1, 2), given=lambda inputs, _o: inputs[1] * inputs[2] % m,
+    )
+    with pytest.raises(Untraceable):
+        trace(spec.protocol, _checked_graph(spec), 3)
+    compiled, interpreted = both_paths(spec)
+    assert compiled is None
+    report = secrecy_enumeration_check(spec)
+    assert report == _judge(spec, interpreted)
+    assert report.ok and report.runs == 4**3 * 4**3
+
+
+class TypeTests(Protocol):
+    """P1 masks its input for P2, and P2 notes whether its own input is an int.
+
+    A trace sees a node there and every run an int, so the trace notes
+    "other" where every run notes "int".
+    """
+
+    name = "type_tests"
+    arity = 3
+
+    def program(self, run):
+        R = self.ring
+        n1, n2, _ = run.note_inputs()
+        run.send(0, 1, R.add(n1, run.noise(0, "r")), "masked n1")
+        run.note(1, "kind", "int" if isinstance(n2, int) else "other")
+        return None
+
+
+def test_the_first_run_guard_catches_a_type_test():
+    spec = SecrecySpec(name="type tests", protocol=TypeTests(rr.mod_ring(3)),
+                       input_domains=(range(3),) * 3, observer="P2", observer_inputs=(1,),
+                       protected=(0,))
+    ring, run, _ = trace(spec.protocol, _checked_graph(spec), 3)
+    assert run.log[-1][1] == ("kind", "other")
+    compiled, interpreted = both_paths(spec)
+    assert compiled is None
+    report = secrecy_enumeration_check(spec)
+    assert report == _judge(spec, interpreted)
+    assert report.ok and report.runs == 3**3 * 3
+
+
+def test_over_budget_with_an_unknown_observer_raises_budget_exceeded():
+    spec = sum_spec(2, 3, 0)
+    spec.budget, spec.observer = 10, "Q9"
+    with pytest.raises(BudgetExceeded) as caught:
+        secrecy_enumeration_check(spec)
+    assert str(caught.value) == "test sum Z2 k3 P1: enumeration needs 64 runs, budget is 10"
+    graph = _checked_graph(spec)
+    assert _compiled_tally(spec, graph) is None
+    with pytest.raises(BudgetExceeded):
+        _interpreted_tally(spec, graph)
+
+
+class DividesByInput(Protocol):
+    """P1 sends its noise divided by n1 + 1, which is no unit of Z_4 when n1 is 1 or 3."""
+
+    name = "divides_by_input"
+    arity = 3
+
+    def program(self, run):
+        R = self.ring
+        n1, _, _ = run.note_inputs()
+        run.send(0, 1, R.exact_div(run.noise(0, "r"), R.add(n1, 1)), "r/(n1+1)")
+        return None
+
+
+def test_a_failed_exact_division_raises_the_same_ring_error_on_both_paths():
+    spec = SecrecySpec(name="divides by input", protocol=DividesByInput(rr.mod_ring(4)),
+                       input_domains=(range(4),) * 3, observer="P2", observer_inputs=(1,),
+                       protected=(0,))
+    graph = _checked_graph(spec)
+    errors = []
+    for build in (_compiled_tally, _interpreted_tally):
+        with pytest.raises(RingError) as caught:
+            build(spec, graph)
+        errors.append(str(caught.value))
+    assert errors == ["2 is not a unit modulo 4"] * 2
+    with pytest.raises(RingError, match="^2 is not a unit modulo 4$"):
+        secrecy_enumeration_check(spec)
+
+
+# -- random straight-line protocols -------------------------------------------------
+
+
+class StraightLine(Protocol):
+    """A random straight-line program on a secure 3-cycle, given as a list of steps.
+
+    The values are the three inputs, then one per value step.  A value step
+    is ("draw", party), ("unit", party), ("const", c), ("neg", i) or (op, i,
+    j) for op in add, sub, mul and exact_div, over earlier values i and j;
+    ("note", party, i), ("send", frm, to, i) and ("broadcast", frm, i) log
+    value i.  The outcome is the last value.
+    """
+
+    name = "straight_line"
+    arity = 3
+
+    def __init__(self, ring, steps):
+        super().__init__(ring)
+        self.steps = steps
+
+    def program(self, run):
+        R = self.ring
+        values = run.note_inputs()
+        for n, step in enumerate(self.steps):
+            kind, *args = step
+            if kind in ("draw", "unit"):
+                values.append(run.noise(args[0], f"r{n}", require_unit=kind == "unit"))
+            elif kind == "const":
+                values.append(args[0])
+            elif kind == "neg":
+                values.append(R.neg(values[args[0]]))
+            elif kind in ("add", "sub", "mul", "exact_div"):
+                values.append(getattr(R, kind)(values[args[0]], values[args[1]]))
+            elif kind == "note":
+                run.note(args[0], f"note {n}", values[args[1]])
+            elif kind == "send":
+                run.send(args[0], args[1], values[args[2]], f"send {n}")
+            else:
+                run.broadcast(args[0], values[args[1]], f"broadcast {n}")
+        return values[-1]
+
+
+MAX_DRAWS = 2
+
+
+@st.composite
+def straight_lines(draw):
+    """(m, steps, observer index or coalition or eavesdropper, given?) of a random protocol."""
+    m = draw(st.integers(2, 5))
+    steps, count, draws = [], 3, 0
+    party = st.integers(0, 2)
+    for _ in range(draw(st.integers(1, 12))):
+        value = st.integers(0, count - 1)
+        kinds = ["const", "neg", "add", "sub", "mul", "exact_div", "note", "send", "broadcast"]
+        if draws < MAX_DRAWS:
+            kinds += ["draw", "unit"]
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("draw", "unit"):
+            steps.append((kind, draw(party)))
+            draws += 1
+        elif kind == "const":
+            steps.append((kind, draw(st.integers(-m, 2 * m))))
+        elif kind == "neg":
+            steps.append((kind, draw(value)))
+        elif kind in ("add", "sub", "mul", "exact_div"):
+            steps.append((kind, draw(value), draw(value)))
+        elif kind == "note":
+            steps.append((kind, draw(party), draw(value)))
+        elif kind == "send":
+            frm = draw(party)
+            steps.append((kind, frm, (frm + draw(st.integers(1, 2))) % 3, draw(value)))
+        else:
+            steps.append((kind, draw(party), draw(value)))
+        count += kind not in ("note", "send", "broadcast")
+    observer = draw(st.sampled_from([0, 1, 2, (0, 1), (1, 2), EAVESDROPPER]))
+    return m, steps, observer, draw(st.booleans())
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(straight_lines())
+def test_a_random_straight_line_protocol_compiles_to_the_interpreted_tally(case):
+    m, steps, observer, concede_sum = case
+    if observer == EAVESDROPPER:
+        own, name = (), EAVESDROPPER
+    elif isinstance(observer, int):
+        own, name = (observer,), f"P{observer + 1}"
+    else:
+        own, name = observer, tuple(f"P{i + 1}" for i in observer)
+    others = tuple(i for i in range(3) if i not in own)
+    spec = SecrecySpec(
+        name="straight line", protocol=StraightLine(rr.mod_ring(m), steps),
+        input_domains=(range(m),) * 3, observer=name, observer_inputs=own, protected=others,
+        given=(lambda inputs, _o: sum(inputs[i] for i in others) % m) if concede_sum else None,
+        target=None if concede_sum else (lambda inputs, outcome: (inputs[others[0]], outcome)),
+    )
+    graph = _checked_graph(spec)
+    try:
+        interpreted = _interpreted_tally(spec, graph)
+    except RingError as e:
+        # a division by a non-unit: the compiled path leaves a fault at the first
+        # run to the interpreted path, and raises a later one itself
+        try:
+            assert _compiled_tally(spec, graph) is None
+        except RingError as compiled_error:
+            assert str(compiled_error) == str(e)
+        return
+    assert_same_tally(spec, _compiled_tally(spec, graph), interpreted)
