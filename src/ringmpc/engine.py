@@ -61,8 +61,10 @@ REVEALED = "revealed"
 
 # One encoder for every transcript line: json.dumps would build a new one per call.
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-# A message line: what _JSON gives for the message's fields, keys already in sorted order.
-_LINE = '{"from":%s,"kind":%s,"payload":%s,"security":%s,"seq":%d,"to":%s}'
+# A route's message line: what _JSON gives for the message's fields, keys in sorted
+# order; filling in the quoted from, kind, security and to (each %-escaped) leaves
+# the template that takes the payload's JSON and the seq.
+_ROUTE = '{"from":%s,"kind":%s,"payload":%%s,"security":%s,"seq":%%d,"to":%s}'
 _RAW_DECODE = json.JSONDecoder().raw_decode
 _FIELDS = frozenset(("seq", "from", "to", "security", "kind", "payload"))
 
@@ -157,14 +159,28 @@ class Transcript:
                 "params": _encode(self.params),
             }
         }
-        quote, encode = encode_basestring_ascii, _JSON.encode
+        names = {i: _quoted(p["name"]) for i, p in enumerate(self.topology["parties"])}
+        names[EVERYONE] = _quoted(BROADCAST)
+        encode, templates = _JSON.encode, {}
         lines = [encode(head)]
-        lines += [
-            _LINE % (quote(m.frm), quote(m.kind), encode(_encode(m.payload)), quote(m.security),
-                     m.seq, quote(m.to))
-            for m in self.messages
-        ]
+        seq = 0
+        for _, (_, payload), route in self.log:
+            if route is None:
+                continue
+            line = templates.get(route)
+            if line is None:
+                frm, to, security, kind = route
+                line = templates[route] = _ROUTE % (names[frm], _quoted(kind), _quoted(security),
+                                                    names[to])
+            text = '"%d"' % payload if type(payload) is int else encode(_encode(payload))
+            lines.append(line % (text, seq))
+            seq += 1
         return "\n".join(lines) + "\n"
+
+
+def _quoted(text: str) -> str:
+    """``text`` as _JSON writes it, with each "%" doubled for use in a %-template."""
+    return encode_basestring_ascii(text).replace("%", "%%")
 
 
 def _entries_for(log, who: int) -> tuple:

@@ -215,6 +215,8 @@ class CardDeal(Protocol):
         self.counter_contributors = counter_contributors
         self.consolidate_to = consolidate_to
         self.post_draws = tuple(post_draws)
+        if self.post_draws and consolidate_to is None:
+            raise ProtocolError("post_draws are served by a dealer: set consolidate_to")
 
     @classmethod
     def from_params(cls, ring, params, inputs):

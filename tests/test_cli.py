@@ -372,6 +372,26 @@ class TestConfigErrors:
         assert time.perf_counter() - start < 1
         assert "N=" in result.output and "k=3" in result.output and "r=8" in result.output
 
+    def test_post_draws_without_a_dealer_exit_2(self, runner, tmp_path):
+        # Only a dealer serves post draws; without consolidate_to none would be served.
+        cfg = write_config(tmp_path, "deal.json", {
+            "protocol": "card_deal", "inputs": [],
+            "params": {"r": 3, "k": 3, "N": 2, "post_draws": [[0, 1]]},
+        })
+        result = runner.invoke(main, ["run", cfg])
+        assert result.exit_code == 2
+        assert "post_draws" in result.output and "consolidate_to" in result.output
+
+    def test_odd_party_names_run_and_replay(self, runner, tmp_path):
+        body = {"protocol": "secure_sum", "inputs": [1, 2, 3], "seed": 1,
+                "topology": {"k": 3, "parties": [{"name": n} for n in ("P%d", 'P"2\\', "Pé%s")],
+                             "edges": [[0, 1, "secure"], [1, 2, "secure"], [0, 2, "secure"]]}}
+        out = str(tmp_path / "t.jsonl")
+        assert runner.invoke(main, ["run", write_config(tmp_path, "names.json", body),
+                                    "--out", out]).exit_code == 0
+        result = runner.invoke(main, ["replay", out])
+        assert result.exit_code == 0, result.output
+
     NAMES = {"protocol": "secure_sum", "inputs": [1, 2, 3], "seed": 1,
              "topology": {"k": 3, "parties": [{"name": 1}, {"name": 2.5}, {"name": None}],
                           "edges": [[0, 1, "secure"], [1, 2, "secure"], [0, 2, "secure"]]}}

@@ -13,10 +13,12 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_view_digests import CONFIGS
 
 from ringmpc.cli import execute_config, replay_transcript
-from ringmpc.engine import parse_header, parse_transcript
+from ringmpc.engine import EVERYONE, parse_header, parse_transcript
 from ringmpc.errors import ProtocolError, ReplayError, TopologyError
 
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -288,3 +290,79 @@ def test_an_untouched_replay_does_not_parse_the_body(monkeypatch):
     _, t = execute_config(CONFIGS["secure_sum"])
     monkeypatch.setattr(ringmpc.cli, "parse_transcript", parse_transcript)
     assert replay_transcript(t.serialize()) == (True, None, "verified")
+
+
+# serialize fills one template per route: the names, kind and security are
+# quoted into it once, so a "%" or an escape in any of them must come out as is.
+ODD_NAMES = ["P%d", "P%%s", 'P"2\\', "Pé%s"]
+
+
+def _named_sum(names, inputs=None, seed=3):
+    k = len(names)
+    return {
+        "protocol": "secure_sum", "inputs": inputs or list(range(1, k + 1)), "seed": seed,
+        "topology": {"k": k, "parties": [{"name": n} for n in names],
+                     "edges": [[i, (i + 1) % k, "secure"] for i in range(k)]},
+    }
+
+
+def _routes(t):
+    return [route for _, _, route in t.log if route is not None]
+
+
+def test_serialize_is_byte_equal_for_names_that_hold_format_characters():
+    _, t = execute_config(_named_sum(ODD_NAMES))
+    text = t.serialize()
+    assert text == reference_serialize(t)
+    assert all(json.dumps(name) in text for name in ODD_NAMES)
+
+
+def test_serialize_is_byte_equal_for_kind_and_security_that_hold_percent():
+    _, t = execute_config(_named_sum(ODD_NAMES))
+    odd = [("%s", "se%cure%%"), ("elem%d", "%"), ("%(x)s", 'in"secure\\')]
+    log = []
+    for n, (audience, entry, route) in enumerate(t.log):
+        if route is not None:
+            kind, security = odd[n % len(odd)]
+            route = (route[0], route[1], security, kind)
+        log.append((audience, entry, route))
+    t = dataclasses.replace(t, log=tuple(log))
+    assert {m.kind for m in t.messages} == {kind for kind, _ in odd}
+    assert t.serialize() == reference_serialize(t)
+
+
+def test_serialize_is_byte_equal_when_every_route_is_distinct():
+    _, t = execute_config({"protocol": "secure_sum", "inputs": list(range(50)), "seed": 9})
+    routes = _routes(t)
+    assert len(set(routes)) == len(routes) == 100  # 50 cycle hops, 50 broadcasts
+    assert t.serialize() == reference_serialize(t)
+
+
+def test_serialize_is_byte_equal_when_a_few_routes_repeat_hundreds_of_times():
+    _, t = execute_config({"protocol": "card_deal", "inputs": [], "seed": 0,
+                           "params": {"r": 52, "k": 3, "N": 10, "with_labels": True}})
+    routes = _routes(t)
+    assert len(routes) > 10 * len(set(routes))
+    assert t.serialize() == reference_serialize(t)
+
+
+_ODD_TEXT = st.text(alphabet=st.sampled_from('%"\\sdé\n*'), max_size=6)
+_PAYLOADS = st.recursive(
+    st.one_of(st.booleans(), st.none(), st.integers(-10**40, 10**40), _ODD_TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple)),
+    max_leaves=8,
+)
+_EVENTS = st.lists(st.one_of(
+    st.tuples(st.integers(0, 3), _PAYLOADS).map(lambda e: ((e[0],), ("note", e[1]), None)),
+    st.tuples(st.integers(0, 3), st.sampled_from([0, 1, 2, 3, EVERYONE]),
+              st.sampled_from(["secure", "insecure", "%s"]), st.sampled_from(["elem", "%d"]),
+              _PAYLOADS).map(lambda e: ((e[0],), ("sent", e[4]), e[:4])),
+), max_size=40)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_EVENTS)
+def test_serialize_is_byte_equal_for_random_logs(events):
+    _, t = execute_config(_named_sum(ODD_NAMES))
+    t = dataclasses.replace(t, log=tuple(events))
+    assert t.serialize() == reference_serialize(t)
