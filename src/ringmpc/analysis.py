@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import product, repeat
 from math import prod
 
 from . import ring as ring_mod
@@ -214,58 +214,107 @@ def _interpreted_tally(spec: SecrecySpec, graph: ChannelGraph) -> dict:
 
 
 def _compiled_tally(spec: SecrecySpec, graph: ChannelGraph) -> dict | None:
-    """The tally of ``_interpreted_tally``, from the function ``_compile`` gives; None without one."""
+    """The tally of ``_interpreted_tally``, in plain dicts, from ``_compile``'s functions; or None.
+
+    The runs of one input assignment are counted per (view key, outcome
+    leaves) in one pass, and ``given`` and the target are computed once per
+    distinct leaves.  Each key is first seen at the first run that gives
+    it, so the groups and cells keep the interpreted path's order.  When a
+    run of an assignment raises, its runs are replayed one by one, each
+    followed by its ``given`` and target, so that the fault raised is the
+    interpreted path's: a ``given`` or target that raises at an earlier
+    run of that assignment comes first.
+    """
     compiled = _compile(spec, graph)
     if compiled is None:
         return None
-    evaluate, sites = compiled
-    tally: dict = defaultdict(Counter)
+    evaluate, rebuild, sites = compiled
+    tally: dict = {}
     given_of, target_of = spec.given_of, spec.target_of
     site_domains = [range(n) for _, n in sites]
     for inputs in product(*spec.input_domains):
         own = tuple(inputs[i] for i in spec.observer_inputs)
-        for assignment in product(*site_domains):
-            view, outcome = evaluate(inputs, assignment)
-            tally[own, given_of(inputs, outcome)][view, target_of(inputs, outcome)] += 1
+        claims: dict = {}  # leaves -> (the cells of their group, their target)
+        try:
+            counts = Counter(map(evaluate, repeat(inputs), product(*site_domains)))
+        except Exception as e:
+            fault = e
+        else:
+            fault = None
+        if fault is not None:
+            for draws in product(*site_domains):
+                outcome = rebuild(evaluate(inputs, draws)[1])
+                given_of(inputs, outcome)
+                target_of(inputs, outcome)
+            raise fault
+        for (view, leaves), c in counts.items():
+            claim = claims.get(leaves)
+            if claim is None:
+                outcome = rebuild(leaves)
+                claim = claims[leaves] = (tally.setdefault((own, given_of(inputs, outcome)), {}),
+                                          target_of(inputs, outcome))
+            cells, target = claim
+            cell = view, target
+            cells[cell] = cells.get(cell, 0) + c
     return tally
 
 
 def _compile(spec: SecrecySpec, graph: ChannelGraph):
-    """(function of (inputs, draws) to (view key, outcome), draw sites) from one traced run.
+    """(evaluate, rebuild, draw sites) of ``TracedRing.compile``, from one traced run.
 
     None when the program cannot be traced or compiled, when the observer
-    is unknown, when the check is over budget, or when the first enumerated
-    run (the first inputs, every draw 0), played by the protocol's own
-    code, differs from the compiled function there in its draw sites, view
-    key, ``given`` or target.  The interpreted path then decides, and
-    raises whatever it raises, in its own order.  The guard catches a type
-    test such as ``isinstance(v, int)``, which a node cannot refuse,
-    whenever its two branches give different views or outcomes: the test
-    goes the same way at every run.
+    is unknown, when the check is over budget, or when the protocol's own
+    code, played at two points, differs from the compiled functions there
+    in its draw sites, view key, ``given`` or target.  The first point is
+    the first enumerated run (the first inputs, every draw 0); a fault
+    there is left to the interpreted path.  The second is the last input
+    assignment with every draw at the top of its domain; a fault there must
+    be the compiled function's fault too.  The interpreted path then
+    decides, and raises whatever it raises, in its own order.  The guard
+    catches a type test such as ``isinstance(v, int)``, which a node cannot
+    refuse, whenever its two branches give different views or outcomes at
+    either point: the test goes the same way at every run.
     """
     # Imported here: of all the package's callers, only a secrecy check needs the tracer.
     from .tracer import trace
 
-    first = _first_inputs(spec)
     try:
         ring, traced, outcome = trace(spec.protocol, graph, len(spec.input_domains))
         sites = traced.draw_sites
         view_key = _view_key(spec.observer, graph)
-        evaluate = ring.compile((view_key(traced.log), outcome))
+        evaluate, rebuild = ring.compile(view_key(traced.log), outcome)
         if _run_count(spec, sites) > spec.budget:
             return None
-        zeros = (0,) * len(sites)
-        r = Run(spec.protocol, graph, first, seed=0,
-                sources=dict.fromkeys({party for party, _ in sites}, ScriptedSource(zeros)))
-        outcome = spec.protocol.program(r)
-        view, compiled = evaluate(first, zeros)
-        if (r.draw_sites, view_key(r.log), spec.given_of(first, outcome),
-                spec.target_of(first, outcome)) != (
-                sites, view, spec.given_of(first, compiled), spec.target_of(first, compiled)):
+        drawers = {party for party, _ in sites}
+
+        def played(inputs, draws):
+            r = Run(spec.protocol, graph, inputs, seed=0,
+                    sources=dict.fromkeys(drawers, ScriptedSource(draws)))
+            outcome = spec.protocol.program(r)
+            return (r.draw_sites, view_key(r.log), spec.given_of(inputs, outcome),
+                    spec.target_of(inputs, outcome))
+
+        def compiled(inputs, draws):
+            view, leaves = key = evaluate(inputs, draws)
+            hash(key)
+            outcome = rebuild(leaves)
+            return (sites, view, spec.given_of(inputs, outcome),
+                    spec.target_of(inputs, outcome))
+
+        def raised(play, inputs, draws):
+            try:
+                return play(inputs, draws)
+            except Exception as e:  # the fault is the point's result
+                return type(e), e.args
+
+        first, zeros = _first_inputs(spec), (0,) * len(sites)
+        last, tops = tuple(d[-1] for d in spec.input_domains), tuple(n - 1 for _, n in sites)
+        if (played(first, zeros) != compiled(first, zeros)
+                or raised(played, last, tops) != raised(compiled, last, tops)):
             return None
     except Exception:  # any fault here is for the interpreted path to raise, in its order
         return None
-    return evaluate, sites
+    return evaluate, rebuild, sites
 
 
 def _judge(spec: SecrecySpec, tally: dict) -> SecrecyReport:
@@ -294,7 +343,7 @@ def _judge(spec: SecrecySpec, tally: dict) -> SecrecyReport:
         # independence: every (view, target) cell must factorize exactly
         for vk in view_totals:
             for target in target_totals:
-                c = cells[vk, target]
+                c = cells.get((vk, target), 0)
                 if c * total != view_totals[vk] * target_totals[target]:
                     other = next(t for t in target_totals if t != target) \
                         if len(target_totals) > 1 else target

@@ -3,10 +3,11 @@
 ``trace`` runs ``program`` on a shallow copy of the protocol whose ``ring``
 is a ``TracedRing``.  The run's inputs and draws are ``Node`` leaves, and
 each ring operation appends one line of Python to the ring's program and
-returns a new ``Node``.  ``TracedRing.compile`` turns any structure of
-nodes and plain values, such as a view key or an outcome, into one
-function of (inputs, draws) with no branch, which rebuilds the structure
-with every node's value in its place.
+returns a new ``Node``.  ``TracedRing.compile`` turns a view key and an
+outcome, structures of nodes and plain values, into one function of
+(inputs, draws) with no branch, which gives the view key and the values
+of the outcome's nodes, and a second function that rebuilds the outcome
+from those values.
 
 A trace is only valid for a program that does the same ring operations
 whatever the values are.  So a node refuses every use that depends on its
@@ -80,23 +81,28 @@ class TracedRing:
         self.consts[name] = obj
         return name
 
-    def expr(self, value) -> str:
-        """Python source that rebuilds ``value`` from the nodes it holds."""
+    def expr(self, value, used: dict | None = None) -> str:
+        """Python source that rebuilds ``value`` from the nodes it holds.
+
+        Each node's name is added to ``used``, if given, in first-use order.
+        """
         kind = type(value)
         if kind is Node:
+            if used is not None:
+                used.setdefault(f"v{value.ref}")
             return f"v{value.ref}"
         if kind is int or kind is str or kind is bool or value is None:
             return f"({value!r})"
         if kind is tuple:
-            return "(" + "".join(f"{self.expr(v)}, " for v in value) + ")"
+            return "(" + "".join(f"{self.expr(v, used)}, " for v in value) + ")"
         if kind is list:
-            return "[" + ", ".join(self.expr(v) for v in value) + "]"
+            return "[" + ", ".join(self.expr(v, used) for v in value) + "]"
         if kind is dict:
-            return "{" + ", ".join(f"{self.expr(k)}: {self.expr(v)}"
+            return "{" + ", ".join(f"{self.expr(k, used)}: {self.expr(v, used)}"
                                    for k, v in value.items()) + "}"
         if dataclasses.is_dataclass(kind) and all(f.init for f in dataclasses.fields(kind)):
             return f"{self.const(kind)}(" + ", ".join(
-                f"{f.name}={self.expr(getattr(value, f.name))}"
+                f"{f.name}={self.expr(getattr(value, f.name), used)}"
                 for f in dataclasses.fields(kind)) + ")"
         raise Untraceable(f"cannot rebuild a {kind.__name__}")
 
@@ -119,6 +125,9 @@ class TracedRing:
 
     def mul(self, a, b):
         return self._reduced(f"{self.expr(a)} * {self.expr(b)}")
+
+    def pow(self, a, e):
+        return self._node(f"{self.const(self.real.pow)}({self.expr(a)}, {self.expr(e)})")
 
     def exact_div(self, r, a):
         return self._node(f"{self.const(self.real.exact_div)}({self.expr(r)}, {self.expr(a)})")
@@ -154,17 +163,26 @@ class TracedRing:
         self.draws.append(node)
         return node
 
-    def compile(self, template):
-        """A function of (inputs, draws) returning ``template`` with each node's value in place."""
-        result = self.expr(template)
-        body = [f"({''.join(self.expr(v) + ', ' for v in leaves)}) = {arg}"
-                for leaves, arg in ((self.inputs, "x"), (self.draws, "d")) if leaves]
+    def compile(self, view, outcome):
+        """(evaluate, rebuild): the compiled view key and outcome of the traced run.
+
+        ``evaluate(x, d)`` returns (view key, leaves) at inputs x and draws
+        d, where ``leaves`` holds the values of the nodes ``outcome`` holds,
+        in first-use order: both are hashable where an outcome may not be.
+        ``rebuild(leaves)`` returns ``outcome`` with each node's value in place.
+        """
+        used: dict = {}
+        result = self.expr(outcome, used)
+        leaves = "(" + "".join(f"{name}, " for name in used) + ")"
+        body = [f"({''.join(self.expr(v) + ', ' for v in nodes)}) = {arg}"
+                for nodes, arg in ((self.inputs, "x"), (self.draws, "d")) if nodes]
         body += self.lines
-        source = "def compiled(x, d):\n" + "".join(
-            f"    {line}\n" for line in body) + f"    return {result}\n"
+        source = ("def evaluate(x, d):\n" + "".join(f"    {line}\n" for line in body)
+                  + f"    return {self.expr(view)}, {leaves}\n"
+                  + f"def rebuild(leaves):\n    {leaves} = leaves\n    return {result}\n")
         namespace = dict(self.consts)
         exec(source, namespace)
-        return namespace["compiled"]
+        return namespace["evaluate"], namespace["rebuild"]
 
 
 def trace(protocol, graph, arity: int):

@@ -5,6 +5,7 @@ groups and cells in the same first-seen order, and so must the two reports.
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,19 +13,23 @@ from hypothesis import strategies as st
 
 import ringmpc.ring as rr
 from ringmpc.analysis import (
+    DETERMINED,
     INDEPENDENT_UNIFORM,
+    Counterexample,
+    SecrecyReport,
     SecrecySpec,
     _checked_graph,
     _compile,
     _compiled_tally,
     _interpreted_tally,
     _judge,
+    _view_key,
     secrecy_enumeration_check,
     standard_suite,
 )
-from ringmpc.arithmetic import ExampleF1, ExampleF2, SecureProduct, SecureRating
+from ringmpc.arithmetic import ExampleF1, ExampleF2, SecureProduct, SecureRating, SumOfPowers
 from ringmpc.commitment import Commit3
-from ringmpc.engine import EAVESDROPPER, Protocol
+from ringmpc.engine import EAVESDROPPER, Protocol, Run, ScriptedSource
 from ringmpc.errors import BudgetExceeded, RingError
 from ringmpc.sharing import DistributeShares, ShareSecret
 from ringmpc.tracer import Untraceable, trace
@@ -74,11 +79,12 @@ def test_the_dealer_check_over_z3_compiles():
     # tallies are compared on the Z_2 claim above, and test_dealer_ignorance_z3
     # checks this claim's report, which the compiled path now gives.
     spec = dealer_spec(3)
-    evaluate, sites = _compile(spec, _checked_graph(spec))
+    evaluate, rebuild, sites = _compile(spec, _checked_graph(spec))
     # the dealer's two pieces, then each player's re-split, starting at that player
     assert sites == [(3, 3)] * 2 + [(i % 3, 3) for start in range(3)
                                     for i in range(start, start + 3)]
-    view, outcome = evaluate((2,), (1,) * 11)
+    view, leaves = evaluate((2,), (1,) * 11)
+    outcome = rebuild(leaves)
     assert view[:4] == (("secret", 2), ("dealer piece 1", 1), ("dealer piece 2", 1),
                         ("dealer piece 3", 0))
     assert sum(outcome.shares) % 3 == 2
@@ -144,6 +150,10 @@ def _other_program_specs():
             name="distribute_shares/Z_3/P2", protocol=DistributeShares(rr.mod_ring(3)),
             input_domains=(range(3),), observer="P2", protected=(0,),
             target=lambda _inputs, outcome: outcome),
+        **{f"sum_of_powers r={r}": SecrecySpec(
+            name=f"sum_of_powers/Z_5/r={r}/P2", protocol=SumOfPowers(rr.mod_ring(5), r),
+            input_domains=(range(5),) * 3, observer="P2", observer_inputs=(1,),
+            protected=(0, 2), given=lambda _inputs, outcome: outcome) for r in (2, 3)},
     }
 
 
@@ -215,6 +225,48 @@ def test_the_first_run_guard_catches_a_type_test():
     assert report.ok and report.runs == 3**3 * 3
 
 
+class TypeTestsAtTheTop(Protocol):
+    """P1 sends n1 to P2 in the clear if it is an int, and n1 * 0 otherwise.
+
+    A trace sees a node, so the compiled function sends 0 where every run
+    sends n1: the two agree at the first inputs, where n1 is 0, and differ
+    at the last, where it is 2.
+    """
+
+    name = "type_tests_at_the_top"
+    arity = 3
+
+    def program(self, run):
+        R = self.ring
+        n1, _, _ = run.note_inputs()
+        run.send(0, 1, R.add(n1, run.noise(0, "r")), "masked n1")
+        run.send(0, 1, n1 if isinstance(n1, int) else R.mul(n1, 0), "n1 or 0")
+        return None
+
+
+def test_the_second_guard_point_catches_a_type_test_that_the_first_misses():
+    spec = SecrecySpec(name="type tests at the top", protocol=TypeTestsAtTheTop(rr.mod_ring(3)),
+                       input_domains=(range(3),) * 3, observer="P2", observer_inputs=(1,),
+                       protected=(0,))
+    graph = _checked_graph(spec)
+    view_key = _view_key(spec.observer, graph)
+    ring, traced, outcome = trace(spec.protocol, graph, 3)
+    evaluate, _ = ring.compile(view_key(traced.log), outcome)
+
+    def played(inputs, draws):
+        r = Run(spec.protocol, graph, inputs, seed=0, sources={0: ScriptedSource(draws)})
+        spec.protocol.program(r)
+        return view_key(r.log)
+
+    assert evaluate((0, 0, 0), (0,))[0] == played((0, 0, 0), (0,))
+    assert evaluate((2, 2, 2), (2,))[0] != played((2, 2, 2), (2,))
+    compiled, interpreted = both_paths(spec)
+    assert compiled is None
+    report = secrecy_enumeration_check(spec)
+    assert report == _judge(spec, interpreted)
+    assert not report.ok and report.runs == 3**3 * 3
+
+
 def test_over_budget_with_an_unknown_observer_raises_budget_exceeded():
     spec = sum_spec(2, 3, 0)
     spec.budget, spec.observer = 10, "Q9"
@@ -253,6 +305,137 @@ def test_a_failed_exact_division_raises_the_same_ring_error_on_both_paths():
     assert errors == ["2 is not a unit modulo 4"] * 2
     with pytest.raises(RingError, match="^2 is not a unit modulo 4$"):
         secrecy_enumeration_check(spec)
+
+
+class DividesByDraw(Protocol):
+    """P1 sends n1 divided by r*n1 + 1: at n1 = 1 the first draw divides, the second fails."""
+
+    name = "divides_by_draw"
+    arity = 3
+
+    def program(self, run):
+        R = self.ring
+        n1, _, _ = run.note_inputs()
+        run.send(0, 1, R.exact_div(n1, R.add(R.mul(run.noise(0, "r"), n1), 1)), "n1/(r*n1+1)")
+        return None
+
+
+def test_a_target_that_raises_before_a_failed_division_raises_first_on_both_paths():
+    def target(inputs, outcome):
+        if inputs[0] == 1:
+            raise ValueError("no target at n1 = 1")
+        return inputs[0]
+
+    spec = SecrecySpec(name="divides by draw", protocol=DividesByDraw(rr.mod_ring(4)),
+                       input_domains=(range(4),) * 3, observer="P2", observer_inputs=(1,),
+                       protected=(0,), target=target)
+    graph = _checked_graph(spec)
+    # The compiled path is taken: neither guard point meets the target's fault.
+    assert _compile(spec, graph) is not None
+    errors = []
+    for build in (_compiled_tally, _interpreted_tally):
+        with pytest.raises(ValueError) as caught:
+            build(spec, graph)
+        errors.append(str(caught.value))
+    assert errors == ["no target at n1 = 1"] * 2
+    with pytest.raises(ValueError, match="^no target at n1 = 1$"):
+        secrecy_enumeration_check(spec)
+
+
+# -- the judge against the double loop over Counter cells --------------------------
+
+
+def reference_judge(spec, tally):
+    """``_judge`` as it was when every tally held Counter cells: every cell, in order."""
+    runs_done = sum(sum(cells.values()) for cells in tally.values())
+    for key, cells in tally.items():
+        if spec.claim == DETERMINED:
+            by_view: dict = {}
+            for (vk, target), _ in cells.items():
+                by_view.setdefault(vk, set()).add(target)
+            for vk, targets in by_view.items():
+                if len(targets) > 1:
+                    a, b = sorted(targets, key=repr)[:2]
+                    return SecrecyReport(
+                        spec.name, False, runs_done,
+                        Counterexample(key, a, b,
+                                       "one view is compatible with several target values"),
+                    )
+            continue
+        view_totals, target_totals = Counter(), Counter()
+        for (vk, target), c in cells.items():
+            view_totals[vk] += c
+            target_totals[target] += c
+        total = sum(cells.values())
+        for vk in view_totals:
+            for target in target_totals:
+                c = cells[vk, target]
+                if c * total != view_totals[vk] * target_totals[target]:
+                    other = next(t for t in target_totals if t != target) \
+                        if len(target_totals) > 1 else target
+                    return SecrecyReport(
+                        spec.name, False, runs_done,
+                        Counterexample(
+                            key, target, other,
+                            "view distribution differs between target values "
+                            f"(cell count {c}, expected {view_totals[vk]}*"
+                            f"{target_totals[target]}/{total})",
+                        ),
+                    )
+        if spec.claim == INDEPENDENT_UNIFORM:
+            counts = set(target_totals.values())
+            if len(counts) != 1:
+                a, b = sorted(target_totals, key=repr)[:2]
+                return SecrecyReport(
+                    spec.name, False, runs_done,
+                    Counterexample(key, a, b, "target marginal is not uniform"),
+                )
+    return SecrecyReport(spec.name, True, runs_done)
+
+
+@pytest.mark.parametrize("spec", STANDARD + PLANTED_LEAKS + list(ANALYSIS_SPECS.values()),
+                         ids=lambda s: s.name)
+def test_the_judge_equals_the_double_loop_on_every_interpreted_tally(spec):
+    tally = _interpreted_tally(spec, _checked_graph(spec))
+    assert _judge(spec, tally) == reference_judge(spec, tally)
+
+
+def _hand_built(claim, *groups):
+    spec = SecrecySpec(name="hand-built", protocol=None, input_domains=(), observer="P1",
+                       claim=claim)
+    return spec, {(g,): Counter(cells) for g, cells in enumerate(groups)}
+
+
+GRID = {("v1", "a"): 1, ("v1", "b"): 1, ("v2", "a"): 1, ("v2", "b"): 1}
+HAND_BUILT = {
+    "a full grid of equal cells": _hand_built("independent", GRID),
+    "a missing cell": _hand_built("independent", GRID, {("v1", "a"): 2, ("v1", "b"): 1,
+                                                         ("v2", "a"): 1}),
+    "a missing cell among equal ones": _hand_built("independent", {("v1", "a"): 1,
+                                                                   ("v1", "b"): 1,
+                                                                   ("v2", "a"): 1}),
+    "a full grid that does not factorize": _hand_built(
+        "independent", {("v1", "a"): 2, ("v1", "b"): 1, ("v2", "a"): 1, ("v2", "b"): 2}),
+    "a full grid that factorizes with unequal cells": _hand_built(
+        "independent", {("v1", "a"): 2, ("v1", "b"): 1, ("v2", "a"): 4, ("v2", "b"): 2}),
+    "determined": _hand_built(DETERMINED, {("v1", "a"): 3, ("v2", "b"): 1}),
+    "not determined": _hand_built(DETERMINED, {("v1", "a"): 3, ("v2", "b"): 1},
+                                  {("v1", "a"): 1, ("v1", "b"): 2}),
+    "uniform": _hand_built(INDEPENDENT_UNIFORM, GRID),
+    "independent but not uniform": _hand_built(
+        INDEPENDENT_UNIFORM, GRID, {("v1", "a"): 2, ("v1", "b"): 1, ("v2", "a"): 2,
+                                    ("v2", "b"): 1}),
+}
+
+
+@pytest.mark.parametrize("name", HAND_BUILT)
+def test_the_judge_equals_the_double_loop_on_a_hand_built_tally(name):
+    spec, tally = HAND_BUILT[name]
+    report = _judge(spec, tally)
+    assert report == reference_judge(spec, tally)
+    assert report.ok == (name in ("a full grid of equal cells", "determined", "uniform",
+                                  "a full grid that factorizes with unequal cells"))
+    assert _judge(spec, {key: dict(cells) for key, cells in tally.items()}) == report
 
 
 # -- random straight-line protocols -------------------------------------------------
