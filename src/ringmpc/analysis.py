@@ -189,7 +189,9 @@ def secrecy_enumeration_check(spec: SecrecySpec) -> SecrecyReport:
 
     The tally comes from the compiled path when the protocol's program
     traces to straight-line code, and from the interpreted path, the
-    reference, otherwise; both count the same runs in the same order.
+    reference, otherwise.  Both count the same runs in the same order; the
+    compiled path keys each view by the values of its nodes, which the
+    judge never reads.
     """
     graph = _checked_graph(spec)
     tally = _compiled_tally(spec, graph)
@@ -216,7 +218,10 @@ def _interpreted_tally(spec: SecrecySpec, graph: ChannelGraph) -> dict:
 def _compiled_tally(spec: SecrecySpec, graph: ChannelGraph) -> dict | None:
     """The tally of ``_interpreted_tally``, in plain dicts, from ``_compile``'s functions; or None.
 
-    The runs of one input assignment are counted per (view key, outcome
+    Each view is keyed by the values of its nodes, which ``show`` maps back
+    to the interpreted path's view key: every label and constant of the
+    view is the same in every run, so equal values are equal views.  The
+    runs of one input assignment are counted per (view values, outcome
     leaves) in one pass, and ``given`` and the target are computed once per
     distinct leaves.  Each key is first seen at the first run that gives
     it, so the groups and cells keep the interpreted path's order.  When a
@@ -228,7 +233,7 @@ def _compiled_tally(spec: SecrecySpec, graph: ChannelGraph) -> dict | None:
     compiled = _compile(spec, graph)
     if compiled is None:
         return None
-    evaluate, rebuild, sites = compiled
+    evaluate, rebuild, _, sites = compiled
     tally: dict = {}
     given_of, target_of = spec.given_of, spec.target_of
     site_domains = [range(n) for _, n in sites]
@@ -247,33 +252,34 @@ def _compiled_tally(spec: SecrecySpec, graph: ChannelGraph) -> dict | None:
                 given_of(inputs, outcome)
                 target_of(inputs, outcome)
             raise fault
-        for (view, leaves), c in counts.items():
+        for (values, leaves), c in counts.items():
             claim = claims.get(leaves)
             if claim is None:
                 outcome = rebuild(leaves)
                 claim = claims[leaves] = (tally.setdefault((own, given_of(inputs, outcome)), {}),
                                           target_of(inputs, outcome))
             cells, target = claim
-            cell = view, target
+            cell = values, target
             cells[cell] = cells.get(cell, 0) + c
     return tally
 
 
 def _compile(spec: SecrecySpec, graph: ChannelGraph):
-    """(evaluate, rebuild, draw sites) of ``TracedRing.compile``, from one traced run.
+    """(evaluate, rebuild, show, draw sites) of ``TracedRing.compile``, from one traced run.
 
     None when the program cannot be traced or compiled, when the observer
     is unknown, when the check is over budget, or when the protocol's own
     code, played at two points, differs from the compiled functions there
-    in its draw sites, view key, ``given`` or target.  The first point is
-    the first enumerated run (the first inputs, every draw 0); a fault
-    there is left to the interpreted path.  The second is the last input
-    assignment with every draw at the top of its domain; a fault there must
-    be the compiled function's fault too.  The interpreted path then
-    decides, and raises whatever it raises, in its own order.  The guard
-    catches a type test such as ``isinstance(v, int)``, which a node cannot
-    refuse, whenever its two branches give different views or outcomes at
-    either point: the test goes the same way at every run.
+    in its draw sites, its whole view key (``show`` of the view's values),
+    ``given`` or target.  The first point is the first enumerated run (the
+    first inputs, every draw 0); a fault there is left to the interpreted
+    path.  The second is the last input assignment with every draw at the
+    top of its domain; a fault there must be the compiled function's fault
+    too.  The interpreted path then decides, and raises whatever it
+    raises, in its own order.  The guard catches a type test such as
+    ``isinstance(v, int)``, which a node cannot refuse, whenever its two
+    branches give different views or outcomes at either point: the test
+    goes the same way at every run.
     """
     # Imported here: of all the package's callers, only a secrecy check needs the tracer.
     from .tracer import trace
@@ -282,7 +288,7 @@ def _compile(spec: SecrecySpec, graph: ChannelGraph):
         ring, traced, outcome = trace(spec.protocol, graph, len(spec.input_domains))
         sites = traced.draw_sites
         view_key = _view_key(spec.observer, graph)
-        evaluate, rebuild = ring.compile(view_key(traced.log), outcome)
+        evaluate, rebuild, show = ring.compile(view_key(traced.log), outcome)
         if _run_count(spec, sites) > spec.budget:
             return None
         drawers = {party for party, _ in sites}
@@ -295,8 +301,9 @@ def _compile(spec: SecrecySpec, graph: ChannelGraph):
                     spec.target_of(inputs, outcome))
 
         def compiled(inputs, draws):
-            view, leaves = key = evaluate(inputs, draws)
-            hash(key)
+            values, leaves = evaluate(inputs, draws)
+            view = show(values)
+            hash((view, leaves))  # the interpreted tally hashes the view's constants too
             outcome = rebuild(leaves)
             return (sites, view, spec.given_of(inputs, outcome),
                     spec.target_of(inputs, outcome))
@@ -314,7 +321,7 @@ def _compile(spec: SecrecySpec, graph: ChannelGraph):
             return None
     except Exception:  # any fault here is for the interpreted path to raise, in its order
         return None
-    return evaluate, rebuild, sites
+    return evaluate, rebuild, show, sites
 
 
 def _judge(spec: SecrecySpec, tally: dict) -> SecrecyReport:

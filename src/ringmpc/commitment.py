@@ -27,7 +27,6 @@ from .ring import RingSpec
 class CommitmentLedger:
     """What one party holds after the commit phase: role-labelled values."""
 
-    party: str
     holdings: dict = field(default_factory=dict)
 
     def __getitem__(self, label):
@@ -93,9 +92,9 @@ class Commit3(_Commitment):
         run.send(1, 0, s23, "s2+s3")
         run.send(0, 2, s123, "s1+s2+s3")
         return {
-            "P1": CommitmentLedger("P1", {"s1": s[0], "s2+s3": s23, "r1": r[0], "r1+r2+r3": r123}),
-            "P2": CommitmentLedger("P2", {"s2": s[1], "s3": s[2], "r1": r[0], "r2": r[1]}),
-            "P3": CommitmentLedger("P3", {"s3": s[2], "r3": r[2], "r1+r2": r12, "s1+s2+s3": s123}),
+            "P1": CommitmentLedger({"s1": s[0], "s2+s3": s23, "r1": r[0], "r1+r2+r3": r123}),
+            "P2": CommitmentLedger({"s2": s[1], "s3": s[2], "r1": r[0], "r2": r[1]}),
+            "P3": CommitmentLedger({"s3": s[2], "r3": r[2], "r1+r2": r12, "s1+s2+s3": s123}),
         }
 
     def reveal(self, session: Session, tamper: dict):
@@ -254,9 +253,9 @@ class Commit2Dummy(_Commitment, DummyTriangleProtocol):
         run.send(0, 2, r12, "r1+r2")
         run.send(1, 2, s12, "s1+s2")
         return {
-            "A": CommitmentLedger("A", {"n1": n1, "r1": r1, "s1": s1, "r2": r2}),
-            "B": CommitmentLedger("B", {"n2": n2, "r2": r2, "s2": s2, "s1": s1}),
-            "D": CommitmentLedger("D", {"r1+r2": r12, "s1+s2": s12}),
+            "A": CommitmentLedger({"n1": n1, "r1": r1, "s1": s1, "r2": r2}),
+            "B": CommitmentLedger({"n2": n2, "r2": r2, "s2": s2, "s1": s1}),
+            "D": CommitmentLedger({"r1+r2": r12, "s1+s2": s12}),
         }
 
     def reveal(self, session: Session, tamper: dict):

@@ -5,9 +5,11 @@ is a ``TracedRing``.  The run's inputs and draws are ``Node`` leaves, and
 each ring operation appends one line of Python to the ring's program and
 returns a new ``Node``.  ``TracedRing.compile`` turns a view key and an
 outcome, structures of nodes and plain values, into one function of
-(inputs, draws) with no branch, which gives the view key and the values
-of the outcome's nodes, and a second function that rebuilds the outcome
-from those values.
+(inputs, draws) with no branch, which gives the values of the view's
+nodes and of the outcome's nodes, and two functions that rebuild the view
+key and the outcome from those values.  Every label and constant of the
+view is the same in every run, so the values of its nodes stand for the
+view: two runs give equal values exactly when they give equal views.
 
 A trace is only valid for a program that does the same ring operations
 whatever the values are.  So a node refuses every use that depends on its
@@ -163,26 +165,34 @@ class TracedRing:
         self.draws.append(node)
         return node
 
-    def compile(self, view, outcome):
-        """(evaluate, rebuild): the compiled view key and outcome of the traced run.
-
-        ``evaluate(x, d)`` returns (view key, leaves) at inputs x and draws
-        d, where ``leaves`` holds the values of the nodes ``outcome`` holds,
-        in first-use order: both are hashable where an outcome may not be.
-        ``rebuild(leaves)`` returns ``outcome`` with each node's value in place.
-        """
+    def _unpacked(self, value) -> tuple[str, str]:
+        """(source that rebuilds ``value``, a tuple display of its nodes in first-use order)."""
         used: dict = {}
-        result = self.expr(outcome, used)
-        leaves = "(" + "".join(f"{name}, " for name in used) + ")"
+        source = self.expr(value, used)
+        return source, "(" + "".join(f"{name}, " for name in used) + ")"
+
+    def compile(self, view, outcome):
+        """(evaluate, rebuild, show): the compiled view and outcome of the traced run.
+
+        ``evaluate(x, d)`` returns (values, leaves) at inputs x and draws d:
+        the values of the nodes ``view`` holds and of those ``outcome``
+        holds, each a flat tuple in first-use order, hashable where an
+        outcome may not be.  ``show(values)`` returns ``view`` and
+        ``rebuild(leaves)`` returns ``outcome``, each with every node's
+        value in place.
+        """
+        shown, values = self._unpacked(view)
+        result, leaves = self._unpacked(outcome)
         body = [f"({''.join(self.expr(v) + ', ' for v in nodes)}) = {arg}"
                 for nodes, arg in ((self.inputs, "x"), (self.draws, "d")) if nodes]
         body += self.lines
         source = ("def evaluate(x, d):\n" + "".join(f"    {line}\n" for line in body)
-                  + f"    return {self.expr(view)}, {leaves}\n"
-                  + f"def rebuild(leaves):\n    {leaves} = leaves\n    return {result}\n")
+                  + f"    return {values}, {leaves}\n"
+                  + f"def rebuild(leaves):\n    {leaves} = leaves\n    return {result}\n"
+                  + f"def show(values):\n    {values} = values\n    return {shown}\n")
         namespace = dict(self.consts)
         exec(source, namespace)
-        return namespace["evaluate"], namespace["rebuild"]
+        return namespace["evaluate"], namespace["rebuild"], namespace["show"]
 
 
 def trace(protocol, graph, arity: int):

@@ -2,10 +2,13 @@
 
 Each spec is tallied both ways: the two tallies must be equal, with their
 groups and cells in the same first-seen order, and so must the two reports.
+The compiled tally keys each view by the values of its nodes, so its cells
+are compared after ``show`` has rebuilt each view from them.
 """
 
 import dataclasses
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +36,7 @@ from ringmpc.engine import EAVESDROPPER, Protocol, Run, ScriptedSource
 from ringmpc.errors import BudgetExceeded, RingError
 from ringmpc.sharing import DistributeShares, ShareSecret
 from ringmpc.tracer import Untraceable, trace
-from ringmpc.topology import build_cycle
+from ringmpc.topology import ChannelGraph, build_cycle, default_parties
 from test_analysis import (PLANTED, CountedSum, InsecureRelay, _schedule_spec, sum_spec)
 
 
@@ -41,10 +44,22 @@ def _ordered(tally):
     return [(group, list(cells.items())) for group, cells in tally.items()]
 
 
+def shown(spec, graph, tally):
+    """A compiled ``tally`` with each cell's view values replaced by ``show``'s view key."""
+    if tally is None:
+        return None
+    show = _compile(spec, graph)[2]
+    mapped = {}
+    for group, cells in tally.items():
+        mapped[group] = {(show(values), target): c for (values, target), c in cells.items()}
+        assert len(mapped[group]) == len(cells), "two cells' values show the same view"
+    return mapped
+
+
 def both_paths(spec):
-    """(compiled tally or None, interpreted tally), each on the graph the check uses."""
+    """(compiled tally, shown, or None, interpreted tally), each on the graph the check uses."""
     graph = _checked_graph(spec)
-    return _compiled_tally(spec, graph), _interpreted_tally(spec, graph)
+    return shown(spec, graph, _compiled_tally(spec, graph)), _interpreted_tally(spec, graph)
 
 
 def assert_same_tally(spec, compiled, interpreted):
@@ -79,11 +94,12 @@ def test_the_dealer_check_over_z3_compiles():
     # tallies are compared on the Z_2 claim above, and test_dealer_ignorance_z3
     # checks this claim's report, which the compiled path now gives.
     spec = dealer_spec(3)
-    evaluate, rebuild, sites = _compile(spec, _checked_graph(spec))
+    evaluate, rebuild, show, sites = _compile(spec, _checked_graph(spec))
     # the dealer's two pieces, then each player's re-split, starting at that player
     assert sites == [(3, 3)] * 2 + [(i % 3, 3) for start in range(3)
                                     for i in range(start, start + 3)]
-    view, leaves = evaluate((2,), (1,) * 11)
+    values, leaves = evaluate((2,), (1,) * 11)
+    view = show(values)
     outcome = rebuild(leaves)
     assert view[:4] == (("secret", 2), ("dealer piece 1", 1), ("dealer piece 2", 1),
                         ("dealer piece 3", 0))
@@ -251,15 +267,15 @@ def test_the_second_guard_point_catches_a_type_test_that_the_first_misses():
     graph = _checked_graph(spec)
     view_key = _view_key(spec.observer, graph)
     ring, traced, outcome = trace(spec.protocol, graph, 3)
-    evaluate, _ = ring.compile(view_key(traced.log), outcome)
+    evaluate, _, show = ring.compile(view_key(traced.log), outcome)
 
     def played(inputs, draws):
         r = Run(spec.protocol, graph, inputs, seed=0, sources={0: ScriptedSource(draws)})
         spec.protocol.program(r)
         return view_key(r.log)
 
-    assert evaluate((0, 0, 0), (0,))[0] == played((0, 0, 0), (0,))
-    assert evaluate((2, 2, 2), (2,))[0] != played((2, 2, 2), (2,))
+    assert show(evaluate((0, 0, 0), (0,))[0]) == played((0, 0, 0), (0,))
+    assert show(evaluate((2, 2, 2), (2,))[0]) != played((2, 2, 2), (2,))
     compiled, interpreted = both_paths(spec)
     assert compiled is None
     report = secrecy_enumeration_check(spec)
@@ -339,6 +355,110 @@ def test_a_target_that_raises_before_a_failed_division_raises_first_on_both_path
         errors.append(str(caught.value))
     assert errors == ["no target at n1 = 1"] * 2
     with pytest.raises(ValueError, match="^no target at n1 = 1$"):
+        secrecy_enumeration_check(spec)
+
+
+# -- views keyed by the values of their nodes ---------------------------------------
+
+
+class FlatKeys(Protocol):
+    """A straight-line protocol on a 4-cycle whose views hold every shape of entry.
+
+    P1 notes its masked input and then sends it, so one node is in two of
+    its entries; P2 notes a constant and sends a pair of nodes over the one
+    insecure edge; P4 notes a constant and broadcasts another, so its view
+    holds no node; the eavesdropper sees the pair and the broadcast.
+    """
+
+    name = "flat_keys"
+    arity = 2
+
+    def default_graph(self, k):
+        return ChannelGraph(default_parties(4), [(0, 1, "secure"), (1, 2, "insecure"),
+                                                 (2, 3, "secure"), (0, 3, "secure")])
+
+    def check_graph(self, g):
+        pass
+
+    def program(self, run):
+        R = self.ring
+        n1, n2 = run.note_inputs()
+        masked = R.add(n1, run.noise(0, "r"))
+        run.note(0, "masked n1", masked)
+        run.send(0, 1, masked, "masked n1")
+        run.note(1, "round", 1)
+        run.send(1, 2, (masked, R.add(n2, masked)), "pair", kind="elems")
+        run.note(3, "round", 1)
+        run.broadcast(3, 0, "done")
+        return R.add(n1, n2)
+
+
+FLAT_OBSERVERS = {"P1": (0,), "P2": (1,), "P4": (), ("P1", "P2"): (0, 1), ("P3", "P4"): (),
+                  EAVESDROPPER: ()}
+
+
+@pytest.mark.parametrize("observer", FLAT_OBSERVERS, ids=str)
+def test_a_view_of_constants_repeats_and_pairs_is_keyed_by_its_values(observer):
+    own = FLAT_OBSERVERS[observer]
+    spec = SecrecySpec(name=f"flat keys {observer}", protocol=FlatKeys(rr.mod_ring(3)),
+                       input_domains=(range(3),) * 2, observer=observer, observer_inputs=own,
+                       target=lambda inputs, outcome: (inputs, outcome))
+    graph = _checked_graph(spec)
+    compiled, interpreted = _compiled_tally(spec, graph), _interpreted_tally(spec, graph)
+    assert_same_tally(spec, shown(spec, graph, compiled), interpreted)
+    for group, cells in compiled.items():
+        assert (len({values for values, _ in cells})
+                == len({view for view, _ in interpreted[group]}))
+    if observer == "P4":
+        show = _compile(spec, graph)[2]
+        assert {values for cells in compiled.values() for values, _ in cells} == {()}
+        assert show(()) == (("round", 1), ("done", 0))
+
+
+@pytest.mark.parametrize("spec", [next(s for s in STANDARD if s.name.startswith(
+    "secure_sum/Z_2/k=3/P1 ")), dealer_spec(2)], ids=lambda s: s.name)
+def test_show_gives_the_protocols_own_view_at_every_run(spec):
+    graph = _checked_graph(spec)
+    evaluate, _, show, sites = _compile(spec, graph)
+    view_key = _view_key(spec.observer, graph)
+    drawers = {party for party, _ in sites}
+    views = {}
+    for inputs in product(*spec.input_domains):
+        for draws in product(*(range(n) for _, n in sites)):
+            r = Run(spec.protocol, graph, inputs, seed=0,
+                    sources=dict.fromkeys(drawers, ScriptedSource(draws)))
+            spec.protocol.program(r)
+            values, view = evaluate(inputs, draws)[0], view_key(r.log)
+            assert show(values) == view
+            assert views.setdefault(values, view) == view
+    # one view per tuple of values, and one tuple of values per view
+    assert len(set(views.values())) == len(views) > 1
+
+
+class NotesAList(Protocol):
+    """P2 notes a list, which no view key can hash, beside its masked input."""
+
+    name = "notes_a_list"
+    arity = 3
+
+    def program(self, run):
+        R = self.ring
+        n1, _, _ = run.note_inputs()
+        run.send(0, 1, R.add(n1, run.noise(0, "r")), "masked n1")
+        run.note(1, "list", [1, 2])
+        return None
+
+
+def test_a_view_whose_constant_cannot_be_hashed_is_left_to_the_interpreted_path():
+    # the values of the view's nodes hash, but the interpreted tally hashes the whole view
+    spec = SecrecySpec(name="notes a list", protocol=NotesAList(rr.mod_ring(2)),
+                       input_domains=(range(2),) * 3, observer="P2", observer_inputs=(1,),
+                       protected=(0,))
+    graph = _checked_graph(spec)
+    assert _compile(spec, graph) is None
+    with pytest.raises(TypeError, match="unhashable type: 'list'"):
+        _interpreted_tally(spec, graph)
+    with pytest.raises(TypeError, match="unhashable type: 'list'"):
         secrecy_enumeration_check(spec)
 
 
@@ -544,4 +664,4 @@ def test_a_random_straight_line_protocol_compiles_to_the_interpreted_tally(case)
         except RingError as compiled_error:
             assert str(compiled_error) == str(e)
         return
-    assert_same_tally(spec, _compiled_tally(spec, graph), interpreted)
+    assert_same_tally(spec, shown(spec, graph, _compiled_tally(spec, graph)), interpreted)
