@@ -325,7 +325,11 @@ def _compile(spec: SecrecySpec, graph: ChannelGraph):
 
 
 def _judge(spec: SecrecySpec, tally: dict) -> SecrecyReport:
-    """The report on ``tally``: group -> count per (view key, target), in first-seen order."""
+    """The report on ``tally``: group -> count per (view, target), in first-seen order.
+
+    A view is anything that stands for one view key and no other; the judge
+    reads no view's content.
+    """
     runs_done = sum(sum(cells.values()) for cells in tally.values())
     for key, cells in tally.items():
         if spec.claim == DETERMINED:

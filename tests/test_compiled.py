@@ -57,7 +57,7 @@ def shown(spec, graph, tally):
 
 
 def both_paths(spec):
-    """(compiled tally, shown, or None, interpreted tally), each on the graph the check uses."""
+    """(compiled tally through ``shown``, or None; interpreted tally), on the check's graph."""
     graph = _checked_graph(spec)
     return shown(spec, graph, _compiled_tally(spec, graph)), _interpreted_tally(spec, graph)
 
