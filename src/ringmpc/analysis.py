@@ -1,4 +1,7 @@
-"""Executable secrecy claims, coalition analysis, and transcript metrics.
+"""The exhaustive secrecy check, coalition analysis, and transcript metrics.
+
+Each protocol class declares its own claims (``Protocol.claims()``);
+``standard_suite`` collects those of the registered classes.
 
 A secrecy claim here is always about distributions, never about single
 runs: an observer's view tells it nothing about a protected quantity iff
@@ -17,9 +20,6 @@ from dataclasses import dataclass, replace
 from itertools import product, repeat
 from math import prod
 
-from . import ring as ring_mod
-from .arithmetic import MillionairesCompare, SecureSum
-from .commitment import Commit2Dummy, Commit3
 from .engine import (
     EAVESDROPPER,
     TAPPED,
@@ -34,7 +34,7 @@ from .engine import (
 )
 from .errors import BudgetExceeded, ProtocolError
 from .poker import even_quotas
-from .topology import ChannelGraph, build_cycle, single_cycle
+from .topology import ChannelGraph, single_cycle
 
 INDEPENDENT = "independent"
 INDEPENDENT_UNIFORM = "independent_uniform"
@@ -189,7 +189,7 @@ def secrecy_enumeration_check(spec: SecrecySpec) -> SecrecyReport:
 
     The tally comes from the compiled path when the protocol's program
     traces to straight-line code, and from the interpreted path, the
-    reference, otherwise.  Both count the same runs in the same order; the
+    reference, otherwise or when a compiled run raises.  Both count the same runs in the same order; the
     compiled path keys each view by the values of its nodes, which the
     judge never reads.
     """
@@ -224,11 +224,8 @@ def _compiled_tally(spec: SecrecySpec, graph: ChannelGraph) -> dict | None:
     runs of one input assignment are counted per (view values, outcome
     leaves) in one pass, and ``given`` and the target are computed once per
     distinct leaves.  Each key is first seen at the first run that gives
-    it, so the groups and cells keep the interpreted path's order.  When a
-    run of an assignment raises, its runs are replayed one by one, each
-    followed by its ``given`` and target, so that the fault raised is the
-    interpreted path's: a ``given`` or target that raises at an earlier
-    run of that assignment comes first.
+    it, so the groups and cells keep the interpreted path's order.  None,
+    too, when a run raises.
     """
     compiled = _compile(spec, graph)
     if compiled is None:
@@ -242,16 +239,8 @@ def _compiled_tally(spec: SecrecySpec, graph: ChannelGraph) -> dict | None:
         claims: dict = {}  # leaves -> (the cells of their group, their target)
         try:
             counts = Counter(map(evaluate, repeat(inputs), product(*site_domains)))
-        except Exception as e:
-            fault = e
-        else:
-            fault = None
-        if fault is not None:
-            for draws in product(*site_domains):
-                outcome = rebuild(evaluate(inputs, draws)[1])
-                given_of(inputs, outcome)
-                target_of(inputs, outcome)
-            raise fault
+        except Exception:  # the interpreted path raises the fault, in its order
+            return None
         for (values, leaves), c in counts.items():
             claim = claims.get(leaves)
             if claim is None:
@@ -381,106 +370,12 @@ def _judge(spec: SecrecySpec, tally: dict) -> SecrecyReport:
 # -- the standard claim suite -----------------------------------------------
 
 
-def _sum_specs(m: int, k: int, budget: int):
-    ring = ring_mod.mod_ring(m)
-    proto = SecureSum(ring)
-    graph = build_cycle(k)
-    domains = tuple(range(m) for _ in range(k))
-    specs = []
-    for i in range(k):
-        others = tuple(j for j in range(k) if j != i)
-        specs.append(
-            SecrecySpec(
-                name=f"secure_sum/Z_{m}/k={k}/P{i + 1} learns only the others' total",
-                protocol=proto,
-                graph=graph,
-                input_domains=domains,
-                observer=f"P{i + 1}",
-                observer_inputs=(i,),
-                protected=others,
-                given=lambda inputs, _o, others=others, m=m: sum(
-                    inputs[j] for j in others
-                ) % m,
-                budget=budget,
-            )
-        )
-    return specs
-
-
-def _commit3_specs(m: int, budget: int):
-    ring = ring_mod.mod_ring(m)
-    proto = Commit3(ring)
-    domains = (range(m), range(m), range(m))
-    return [
-        SecrecySpec(
-            name=f"commit3/Z_{m}/P2 learns nothing about (n1,n3)",
-            protocol=proto, input_domains=domains,
-            observer="P2", observer_inputs=(1,), protected=(0, 2), budget=budget,
-        ),
-        SecrecySpec(
-            name=f"commit3/Z_{m}/P1 learns only n2+n3",
-            protocol=proto, input_domains=domains,
-            observer="P1", observer_inputs=(0,), protected=(1, 2),
-            given=lambda inputs, _o, m=m: (inputs[1] + inputs[2]) % m, budget=budget,
-        ),
-        SecrecySpec(
-            name=f"commit3/Z_{m}/P3 learns only n1+n2",
-            protocol=proto, input_domains=domains,
-            observer="P3", observer_inputs=(2,), protected=(0, 1),
-            given=lambda inputs, _o, m=m: (inputs[0] + inputs[1]) % m, budget=budget,
-        ),
-    ]
-
-
-def _commit2_specs(m: int, budget: int):
-    ring = ring_mod.mod_ring(m)
-    proto = Commit2Dummy(ring)
-    domains = (range(m), range(m))
-    return [
-        SecrecySpec(
-            name=f"commit2_dummy/Z_{m}/D learns only n1+n2",
-            protocol=proto, input_domains=domains,
-            observer="D", observer_inputs=(), protected=(0, 1),
-            given=lambda inputs, _o, m=m: (inputs[0] + inputs[1]) % m, budget=budget,
-        ),
-        SecrecySpec(
-            name=f"commit2_dummy/Z_{m}/A learns nothing about n2",
-            protocol=proto, input_domains=domains,
-            observer="A", observer_inputs=(0,), protected=(1,), budget=budget,
-        ),
-        SecrecySpec(
-            name=f"commit2_dummy/Z_{m}/B learns nothing about n1",
-            protocol=proto, input_domains=domains,
-            observer="B", observer_inputs=(1,), protected=(0,), budget=budget,
-        ),
-    ]
-
-
-def _millionaires_spec(m: int, budget: int):
-    proto = MillionairesCompare(ring_mod.mod_ring(m))
-    return SecrecySpec(
-        name=f"millionaires/Z_{m}/D learns only n1-n2",
-        protocol=proto,
-        input_domains=(range(m), range(m)),
-        observer="D",
-        observer_inputs=(),
-        protected=(0, 1),
-        given=lambda inputs, _o, m=m: (inputs[0] - inputs[1]) % m,
-        budget=budget,
-    )
-
-
 def standard_suite(budget: int = 2_000_000):
-    """The package's full set of exhaustively checkable hiding claims."""
-    specs = []
-    for m in (2, 3):
-        for k in (3, 4):
-            specs.extend(_sum_specs(m, k, budget))
-    for m in (2, 3):
-        specs.extend(_commit3_specs(m, budget))
-    specs.extend(_commit2_specs(2, budget))
-    specs.append(_millionaires_spec(11, budget))
-    return specs
+    """The ``claims()`` of every class in ``cli.RUNNERS``, in its order, each with ``budget``."""
+    # Imported here: the CLI imports this module.
+    from .cli import RUNNERS
+
+    return [replace(spec, budget=budget) for cls in RUNNERS.values() for spec in cls.claims()]
 
 
 def suite_by_name(names=None, budget: int = 2_000_000):

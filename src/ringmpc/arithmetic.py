@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ring as ring_mod
+from .analysis import SecrecySpec
 from .engine import DummyTriangleProtocol, Protocol, Run
 from .errors import ProtocolError, RingError, TopologyError
 from .ring import RingSpec, pure
@@ -21,6 +22,7 @@ from .topology import (
     INSECURE,
     Party,
     SECURE,
+    build_cycle,
     default_parties,
     players_subgraph,
     secure_cycles,
@@ -87,6 +89,23 @@ class SecureSum(_CyclePass):
     result = "sum"
     partial_label = "masked partial sum"
     total_label = "masked total"
+
+    @classmethod
+    def claims(cls):
+        """Over Z_2 and Z_3, on a 3- and a 4-cycle, each party learns only the others' total."""
+        specs = []
+        for m in (2, 3):
+            for k in (3, 4):
+                protocol, graph = cls(ring_mod.mod_ring(m)), build_cycle(k)
+                for i in range(k):
+                    others = tuple(j for j in range(k) if j != i)
+                    specs.append(SecrecySpec(
+                        name=f"secure_sum/Z_{m}/k={k}/P{i + 1} learns only the others' total",
+                        protocol=protocol, graph=graph, input_domains=(range(m),) * k,
+                        observer=f"P{i + 1}", observer_inputs=(i,), protected=others,
+                        given=lambda inputs, _o, others=others, m=m:
+                            sum(inputs[j] for j in others) % m))
+        return specs
 
     def ops(self):
         return self.ring.add, self.ring.sub
@@ -358,6 +377,14 @@ class MillionairesCompare(DummyTriangleProtocol):
     @classmethod
     def encode(cls, outcome):
         return {"verdict": outcome.verdict}
+
+    @classmethod
+    def claims(cls):
+        """Over Z_11, the dummy learns only n1 - n2."""
+        return [SecrecySpec(name="millionaires/Z_11/D learns only n1-n2",
+                            protocol=cls(ring_mod.mod_ring(11)), input_domains=(range(11),) * 2,
+                            observer="D", protected=(0, 1),
+                            given=lambda inputs, _o: (inputs[0] - inputs[1]) % 11)]
 
     def program(self, run: Run):
         R = self.ring

@@ -21,7 +21,7 @@ import click
 from . import analysis, arithmetic, poker, sharing
 from . import ring as ring_mod
 from .commitment import COMMIT2_CHECKS, COMMIT3_CHECKS, Commit2Dummy, Commit3, ObliviousTransfer
-from .engine import commit, parse_header, parse_transcript, run
+from .engine import commit, json_list, parse_header, parse_transcript, run
 from .errors import CheatDetected, ProtocolError, ReplayError, TopologyError
 from .poker import CardDeal, DealConfig
 from .topology import ChannelGraph
@@ -30,14 +30,14 @@ EXIT_SCHEMA = 2
 EXIT_TOPOLOGY = 3
 EXIT_CHEAT = 4
 
+# The order of the classes is the order of ``analysis.standard_suite`` and ``ringmpc verify``.
 RUNNERS = {
     cls.name: cls
     for cls in (
         arithmetic.SecureSum, arithmetic.SecureRating, arithmetic.SecureProduct,
         arithmetic.SumOfPowers, arithmetic.ExampleF1, arithmetic.ExampleF2,
-        arithmetic.MillionairesCompare, arithmetic.MillionairesBitwise,
-        Commit3, Commit2Dummy, ObliviousTransfer, CardDeal,
-        sharing.ShareSecret, sharing.DistributeShares,
+        Commit3, Commit2Dummy, arithmetic.MillionairesCompare, arithmetic.MillionairesBitwise,
+        ObliviousTransfer, CardDeal, sharing.ShareSecret, sharing.DistributeShares,
     )
 }
 
@@ -185,9 +185,12 @@ def _tamper_option(checks):
         if value is None:
             return None
         label, _, number = value.partition("=")
-        if label not in labels or not number.lstrip("-").isdigit():
-            raise click.BadParameter(f"expected label=integer with a label from {labels}")
-        return {label: int(number)}
+        if label in labels:
+            try:
+                return {label: int(number)}
+            except ValueError:
+                pass
+        raise click.BadParameter(f"expected label=integer with a label from {labels}")
 
     return click.option("--tamper", default=None, callback=parse,
                         help="label=value substitution injected into one reveal message.")
@@ -343,7 +346,8 @@ def cmd_reconstruct(shares_path):
     body = _load(shares_path, "shares file")
     with _exit_codes():
         R = _field(body, "ring", ring_mod.RingSpec.from_config, {"ring": "Z"})
-        secret = sharing.reconstruct(_field(body, "shares", lambda v: [int(s) for s in v]), ring=R)
+        shares = _field(body, "shares", lambda v: [int(s) for s in json_list(v)])
+        secret = sharing.reconstruct(shares, ring=R)
     click.echo(json.dumps({"secret": str(secret)}))
 
 

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import DummyTriangleProtocol, Protocol, Run, Session
+from .analysis import SecrecySpec
+from .engine import DummyTriangleProtocol, Protocol, Run, Session, json_list
 from .errors import CheatDetected, ProtocolError
-from .ring import RingSpec
+from .ring import RingSpec, mod_ring
 
 @dataclass
 class CommitmentLedger:
@@ -75,6 +76,27 @@ class Commit3(_Commitment):
     @classmethod
     def encode(cls, recovered):
         return {name: [str(v) for v in triple] for name, triple in recovered.items()}
+
+    @classmethod
+    def claims(cls):
+        """Over Z_2 and Z_3, P2 learns nothing; P1 and P3 learn only the other two's sum."""
+        specs = []
+        for m in (2, 3):
+            protocol, domains = cls(mod_ring(m)), (range(m),) * 3
+            specs += [
+                SecrecySpec(name=f"commit3/Z_{m}/P2 learns nothing about (n1,n3)",
+                            protocol=protocol, input_domains=domains,
+                            observer="P2", observer_inputs=(1,), protected=(0, 2)),
+                SecrecySpec(name=f"commit3/Z_{m}/P1 learns only n2+n3",
+                            protocol=protocol, input_domains=domains,
+                            observer="P1", observer_inputs=(0,), protected=(1, 2),
+                            given=lambda inputs, _o, m=m: (inputs[1] + inputs[2]) % m),
+                SecrecySpec(name=f"commit3/Z_{m}/P3 learns only n1+n2",
+                            protocol=protocol, input_domains=domains,
+                            observer="P3", observer_inputs=(2,), protected=(0, 1),
+                            given=lambda inputs, _o, m=m: (inputs[0] + inputs[1]) % m),
+            ]
+        return specs
 
     def program(self, run: Run):
         R = self.ring
@@ -244,6 +266,22 @@ class Commit2Dummy(_Commitment, DummyTriangleProtocol):
         a_learns, b_learns = learned
         return {"A learns n2": str(a_learns), "B learns n1": str(b_learns)}
 
+    @classmethod
+    def claims(cls):
+        """Over Z_2, the dummy learns only n1 + n2, and each real party nothing."""
+        protocol, domains = cls(mod_ring(2)), (range(2),) * 2
+        return [
+            SecrecySpec(name="commit2_dummy/Z_2/D learns only n1+n2",
+                        protocol=protocol, input_domains=domains, observer="D", protected=(0, 1),
+                        given=lambda inputs, _o: (inputs[0] + inputs[1]) % 2),
+            SecrecySpec(name="commit2_dummy/Z_2/A learns nothing about n2",
+                        protocol=protocol, input_domains=domains,
+                        observer="A", observer_inputs=(0,), protected=(1,)),
+            SecrecySpec(name="commit2_dummy/Z_2/B learns nothing about n1",
+                        protocol=protocol, input_domains=domains,
+                        observer="B", observer_inputs=(1,), protected=(0,)),
+        ]
+
     def program(self, run: Run):
         R = self.ring
         (n1, n2), (r1, r2), (s1, s2) = _split_inputs(run)
@@ -299,8 +337,10 @@ class ObliviousTransfer(DummyTriangleProtocol):
     @classmethod
     def decode_inputs(cls, raw):
         # {"messages": [...], "indices": [...]} in a config, [messages, indices] in a header
-        messages, indices = (raw["messages"], raw["indices"]) if isinstance(raw, dict) else raw
-        return tuple(int(v) for v in messages), tuple(int(v) for v in indices)
+        if isinstance(raw, dict):
+            raw = [raw["messages"], raw["indices"]]
+        messages, indices = json_list(raw)
+        return super().decode_inputs(messages), super().decode_inputs(indices)
 
     @classmethod
     def encode(cls, outcome):

@@ -293,6 +293,13 @@ class ScriptedSource:
         return v
 
 
+def json_list(raw) -> list:
+    """``raw`` if it is a JSON list: a string would be read by digit, an object by key."""
+    if not isinstance(raw, list):
+        raise TypeError(f"expected a JSON list, not {type(raw).__name__}")
+    return raw
+
+
 class Protocol:
     """One runnable protocol: a name, a ring, a topology contract, and a program.
 
@@ -304,7 +311,8 @@ class Protocol:
     check and decode the inputs; ``default_graph(k)``, a secure k-cycle
     unless overridden, serves when no graph is given; ``encode`` gives the
     outcome as JSON; a two-phase protocol defines ``reveal(session,
-    tamper)``, which follows ``program`` as its commit phase.
+    tamper)``, which follows ``program`` as its commit phase; ``claims()``
+    gives the protocol's exhaustive secrecy claims (``analysis.SecrecySpec``).
     """
 
     name = "?"
@@ -324,11 +332,15 @@ class Protocol:
 
     @classmethod
     def decode_inputs(cls, raw) -> tuple:
-        return tuple(int(v) for v in raw)
+        return tuple(int(v) for v in json_list(raw))
 
     @classmethod
     def encode(cls, outcome) -> dict:
         return {cls.result: str(outcome)}
+
+    @classmethod
+    def claims(cls):
+        return ()
 
     def default_graph(self, k: int) -> ChannelGraph:
         return build_cycle(k)

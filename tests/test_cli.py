@@ -465,6 +465,52 @@ class TestCommandInputErrors:
         assert result.exit_code == 2
         assert "n1+n2 to A" in result.output
 
+    @pytest.mark.parametrize("number", ["--5", "\u00b2"])
+    def test_tamper_with_a_value_that_is_not_an_integer(self, runner, tmp_path, number):
+        state = str(tmp_path / "c3.json")
+        runner.invoke(main, ["commit3", "--values", "1,0,1", "--state", state])
+        for args in (["decommit3", "--state", state, "--tamper", f"r1 reveal={number}"],
+                     ["commit2", "--values", "1,0", "--tamper", f"n1+n2 to A={number}"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, result.output
+            assert "label=integer" in result.output
+
+    # A string or an object where a list is expected would be read a digit or a key at a time.
+    @pytest.mark.parametrize("inputs", ["123", {"1": 0, "2": 0, "3": 0}])
+    def test_inputs_that_are_not_a_list(self, runner, tmp_path, inputs):
+        cfg = write_config(tmp_path, "sum.json", {"protocol": "secure_sum", "inputs": inputs})
+        result = runner.invoke(main, ["run", cfg])
+        assert result.exit_code == 2
+        assert "'inputs'" in result.output
+
+    @pytest.mark.parametrize("inputs", [
+        {"messages": "345", "indices": "13"},
+        {"messages": [3, 4, 5], "indices": "13"},
+        {"messages": {"3": 0, "4": 0, "5": 0}, "indices": [1]},
+        "34",
+    ])
+    def test_ot_inputs_that_are_not_lists(self, runner, tmp_path, inputs):
+        cfg = write_config(tmp_path, "ot.json", {"protocol": "ot_dummy", "inputs": inputs})
+        result = runner.invoke(main, ["run", cfg])
+        assert result.exit_code == 2
+        assert "'inputs'" in result.output
+
+    @pytest.mark.parametrize("shares", ["12", {"1": 0, "2": 0}])
+    def test_shares_that_are_a_string_or_an_object(self, runner, tmp_path, shares):
+        path = write_config(tmp_path, "shares.json", {"shares": shares})
+        result = runner.invoke(main, ["reconstruct", "--shares", path])
+        assert result.exit_code == 2
+        assert "'shares'" in result.output
+
+    def test_state_values_that_are_a_string(self, runner, tmp_path):
+        state = tmp_path / "c3.json"
+        runner.invoke(main, ["commit3", "--values", "1,0,1", "--state", str(state)])
+        body = json.loads(state.read_text())
+        state.write_text(json.dumps(dict(body, values="101")))
+        result = runner.invoke(main, ["decommit3", "--state", str(state)])
+        assert result.exit_code == 2
+        assert "'values'" in result.output
+
 
 @pytest.mark.parametrize("values, recovered", [
     ("12,4,5", ["2", "4", "5"]),

@@ -313,12 +313,10 @@ def test_a_failed_exact_division_raises_the_same_ring_error_on_both_paths():
                        input_domains=(range(4),) * 3, observer="P2", observer_inputs=(1,),
                        protected=(0,))
     graph = _checked_graph(spec)
-    errors = []
-    for build in (_compiled_tally, _interpreted_tally):
-        with pytest.raises(RingError) as caught:
-            build(spec, graph)
-        errors.append(str(caught.value))
-    assert errors == ["2 is not a unit modulo 4"] * 2
+    # The compiled pass gives up on the fault; the interpreted path raises it.
+    assert _compiled_tally(spec, graph) is None
+    with pytest.raises(RingError, match="^2 is not a unit modulo 4$"):
+        _interpreted_tally(spec, graph)
     with pytest.raises(RingError, match="^2 is not a unit modulo 4$"):
         secrecy_enumeration_check(spec)
 
@@ -348,12 +346,10 @@ def test_a_target_that_raises_before_a_failed_division_raises_first_on_both_path
     graph = _checked_graph(spec)
     # The compiled path is taken: neither guard point meets the target's fault.
     assert _compile(spec, graph) is not None
-    errors = []
-    for build in (_compiled_tally, _interpreted_tally):
-        with pytest.raises(ValueError) as caught:
-            build(spec, graph)
-        errors.append(str(caught.value))
-    assert errors == ["no target at n1 = 1"] * 2
+    # The division fails in the compiled pass at n1 = 1, so the interpreted path decides.
+    assert _compiled_tally(spec, graph) is None
+    with pytest.raises(ValueError, match="^no target at n1 = 1$"):
+        _interpreted_tally(spec, graph)
     with pytest.raises(ValueError, match="^no target at n1 = 1$"):
         secrecy_enumeration_check(spec)
 

@@ -10,8 +10,10 @@ import pytest
 from test_view_digests import CONFIGS
 
 from ringmpc import ring as rr
-from ringmpc.arithmetic import ExampleF2
+from ringmpc.analysis import standard_suite
+from ringmpc.arithmetic import ExampleF2, SecureSum
 from ringmpc.cli import RUNNERS, decode_config, execute_config, replay_transcript
+from ringmpc.commitment import ObliviousTransfer
 from ringmpc.engine import run
 from ringmpc.errors import ProtocolError, ReplayError
 
@@ -60,3 +62,35 @@ def test_wrong_input_count_names_the_inputs():
     config = dict(CONFIGS["millionaires_compare"], inputs=[1, 2, 3])
     with pytest.raises(ProtocolError, match="inputs"):
         execute_config(config)
+
+
+def test_a_transcript_header_holds_lists_of_decimal_strings():
+    assert SecureSum.decode_inputs(["3", "-5", "7"]) == (3, -5, 7)
+    assert ObliviousTransfer.decode_inputs([["10", "20", "30"], ["1", "3"]]) == ((10, 20, 30),
+                                                                                  (1, 3))
+
+
+# -- the secrecy claims each class declares ------------------------------------
+
+CLAIMING = {"secure_sum", "commit3", "commit2_dummy", "millionaires_compare"}
+
+
+@pytest.mark.parametrize("name", sorted(RUNNERS))
+def test_each_claim_is_about_the_class_that_declares_it(name):
+    # Every other registered class keeps the default: no claim.
+    cls = RUNNERS[name]
+    specs = cls.claims()
+    if name in CLAIMING:
+        assert specs
+    else:
+        assert specs == ()
+    assert all(type(spec.protocol) is cls for spec in specs)
+
+
+def test_the_suite_is_the_classes_claims_in_registry_order_with_one_budget():
+    suite = standard_suite(budget=7)
+    assert len(suite) == 24
+    assert all(spec.budget == 7 for spec in suite)
+    assert len({spec.name for spec in suite}) == len(suite)
+    assert [spec.name for spec in suite] == [
+        spec.name for cls in RUNNERS.values() for spec in cls.claims()]
