@@ -197,12 +197,26 @@ TRANSCRIPT_DIGESTS = {
         "9d62a3008a68887c085b9c70159d27352685445f1843b960d4afcb197c4e537b",
     "share_secret_kk": "08b7f2ea8c8d2a20746e52eb32320e9d8b31a50ee6d8e4942908cecce5d7eb31",
     "sum_of_powers": "00a60d081b4252c506a6c3011f59a8270f5b52838c44d6f9af6f9a8c0514baa7",
+    # Recorded before each message line was written as one f-string: a header
+    # with every party and edge of a 60- and a 600-cycle, and 2k lines each.
+    "secure_sum/Z/k=60": "51168741c8fe0051879d47daf9bf5807fa85ae9a451b4bcc7b42e49aa0f5810f",
+    "secure_sum/Z/k=600": "afcd7f94d45a0d48a2840057f872197b3c3b9067434165c93b2d4a8430c07d4b",
+}
+
+# Transcript-only configs: a view digest per party of a 600-party run is not worth its lines.
+LARGE_SUMS = {
+    f"secure_sum/Z/k={k}": {"protocol": "secure_sum", "seed": 17,
+                            "inputs": [(i * 7919) % 10007 - 5003 for i in range(k)]}
+    for k in (60, 600)
 }
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("name", sorted(TRANSCRIPT_DIGESTS))
 def test_transcripts_match_recorded_digests(name):
-    _, t = execute_config(CONFIGS[name])
+    config = CONFIGS.get(name) or LARGE_SUMS[name]
+    outcome, t = execute_config(config)
+    if name in LARGE_SUMS:
+        assert outcome == {"sum": str(sum(config["inputs"]))}
     assert _digest_text(t.serialize()) == TRANSCRIPT_DIGESTS[name]
 
 
