@@ -21,7 +21,7 @@ import click
 from . import analysis, arithmetic, poker, sharing
 from . import ring as ring_mod
 from .commitment import COMMIT2_CHECKS, COMMIT3_CHECKS, Commit2Dummy, Commit3, ObliviousTransfer
-from .engine import commit, json_list, parse_header, parse_transcript, run
+from .engine import commit, json_int, json_list, parse_header, parse_transcript, run
 from .errors import CheatDetected, ProtocolError, ReplayError, TopologyError
 from .poker import CardDeal, DealConfig
 from .topology import ChannelGraph
@@ -77,7 +77,7 @@ def decode_config(config):
     ring = _field(config, "ring", ring_mod.RingSpec.from_config, {"ring": "Z"})
     protocol = _field(config, "params", lambda params: cls.from_params(ring, params, inputs), {})
     graph = _field(config, "topology", ChannelGraph.from_config, None)
-    return protocol, graph, inputs, _field(config, "seed", int, 0)
+    return protocol, graph, inputs, _field(config, "seed", json_int, 0)
 
 
 def execute_config(config):
@@ -134,7 +134,7 @@ def _check_names(raw) -> list:
 
 
 def _json_int(raw) -> int:
-    """A JSON integer: not a bool, a float or a string of digits."""
+    """A JSON integer: not a bool, a float or, unlike ``json_int``, a string of digits."""
     if type(raw) is not int:
         raise TypeError(f"{raw!r} is not a JSON integer")
     return raw
@@ -346,7 +346,7 @@ def cmd_reconstruct(shares_path):
     body = _load(shares_path, "shares file")
     with _exit_codes():
         R = _field(body, "ring", ring_mod.RingSpec.from_config, {"ring": "Z"})
-        shares = _field(body, "shares", lambda v: [int(s) for s in json_list(v)])
+        shares = _field(body, "shares", lambda v: [json_int(s) for s in json_list(v)])
         secret = sharing.reconstruct(shares, ring=R)
     click.echo(json.dumps({"secret": str(secret)}))
 
@@ -386,7 +386,7 @@ def cmd_decommit3(state_path, tamper, out):
     state = _load(state_path, "state file")
     with _exit_codes():
         values = _field(state, "values", Commit3.decode_inputs)
-        modulus, seed = _field(state, "modulus", int), _field(state, "seed", int)
+        modulus, seed = _field(state, "modulus", json_int), _field(state, "seed", json_int)
         session = commit(Commit3(ring_mod.mod_ring(modulus)), None, values, seed)
     if session.transcript.serialize() != state.get("commit_transcript"):
         _fail(EXIT_SCHEMA, "state file does not match a faithful commit run")

@@ -61,10 +61,6 @@ REVEALED = "revealed"
 
 # One encoder for every transcript line: json.dumps would build a new one per call.
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-# A route's message line: what _JSON gives for the message's fields, keys in sorted
-# order; filling in the quoted from, kind, security and to (each %-escaped) leaves
-# the template that takes the payload's JSON and the seq.
-_ROUTE = '{"from":%s,"kind":%s,"payload":%%s,"security":%s,"seq":%%d,"to":%s}'
 _RAW_DECODE = json.JSONDecoder().raw_decode
 _FIELDS = frozenset(("seq", "from", "to", "security", "kind", "payload"))
 
@@ -159,28 +155,29 @@ class Transcript:
                 "params": _encode(self.params),
             }
         }
-        names = {i: _quoted(p["name"]) for i, p in enumerate(self.topology["parties"])}
-        names[EVERYONE] = _quoted(BROADCAST)
-        encode, templates = _JSON.encode, {}
+        # Each message line as _JSON writes its fields, every name, kind and security quoted once.
+        quoted, encode = _Quoted(), _JSON.encode
+        names = {i: quoted[p["name"]] for i, p in enumerate(self.topology["parties"])}
+        names[EVERYONE] = quoted[BROADCAST]
         lines = [encode(head)]
         seq = 0
         for _, (_, payload), route in self.log:
             if route is None:
                 continue
-            line = templates.get(route)
-            if line is None:
-                frm, to, security, kind = route
-                line = templates[route] = _ROUTE % (names[frm], _quoted(kind), _quoted(security),
-                                                    names[to])
-            text = '"%d"' % payload if type(payload) is int else encode(_encode(payload))
-            lines.append(line % (text, seq))
+            frm, to, security, kind = route
+            text = f'"{payload}"' if type(payload) is int else encode(_encode(payload))
+            lines.append(f'{{"from":{names[frm]},"kind":{quoted[kind]},"payload":{text},'
+                         f'"security":{quoted[security]},"seq":{seq},"to":{names[to]}}}')
             seq += 1
         return "\n".join(lines) + "\n"
 
 
-def _quoted(text: str) -> str:
-    """``text`` as _JSON writes it, with each "%" doubled for use in a %-template."""
-    return encode_basestring_ascii(text).replace("%", "%%")
+class _Quoted(dict):
+    """Text -> the text as _JSON writes it, quoted on first lookup."""
+
+    def __missing__(self, text: str) -> str:
+        value = self[text] = encode_basestring_ascii(text)
+        return value
 
 
 def _entries_for(log, who: int) -> tuple:
@@ -300,6 +297,13 @@ def json_list(raw) -> list:
     return raw
 
 
+def json_int(raw) -> int:
+    """``raw`` as an int if it is a JSON integer or a decimal string: a float or a bool is not."""
+    if type(raw) is not int and not isinstance(raw, str):
+        raise TypeError(f"{raw!r} is not an integer or a decimal string")
+    return int(raw)
+
+
 class Protocol:
     """One runnable protocol: a name, a ring, a topology contract, and a program.
 
@@ -332,7 +336,7 @@ class Protocol:
 
     @classmethod
     def decode_inputs(cls, raw) -> tuple:
-        return tuple(int(v) for v in json_list(raw))
+        return tuple(map(json_int, json_list(raw)))
 
     @classmethod
     def encode(cls, outcome) -> dict:
@@ -416,7 +420,7 @@ class Run:
         """Draw ring noise for ``party`` and record it in the party's view."""
         src = self._draw_source(party, self.ring.noise_domain(require_unit))
         v = self.ring.sample_noise(src, require_unit=require_unit)
-        self.note(party, label, v)
+        self.log.append(((party,), (label, v), None))
         return v
 
     # -- knowledge and transmission -------------------------------------
@@ -428,8 +432,7 @@ class Run:
     def note_inputs(self) -> list:
         """Every input normalized in the ring, party i's noted as ``n{i+1}`` in its view."""
         values = [self.ring.normalize(v) for v in self.inputs]
-        for i, v in enumerate(values):
-            self.note(i, f"n{i + 1}", v)
+        self.log.extend([((i,), (f"n{i + 1}", v), None) for i, v in enumerate(values)])
         return values
 
     def send(self, frm: int, to: int, value, label: str, kind: str = "elem") -> None:

@@ -204,16 +204,16 @@ class RingSpec:
         return v % self.modulus if self.modular else v
 
     def add(self, a: int, b: int) -> int:
-        return self.normalize(a + b)
+        return (a + b) % self.modulus if self.modular else a + b
 
     def sub(self, a: int, b: int) -> int:
-        return self.normalize(a - b)
+        return (a - b) % self.modulus if self.modular else a - b
 
     def neg(self, a: int) -> int:
-        return self.normalize(-a)
+        return -a % self.modulus if self.modular else -a
 
     def mul(self, a: int, b: int) -> int:
-        return self.normalize(a * b)
+        return (a * b) % self.modulus if self.modular else a * b
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:

@@ -140,8 +140,10 @@ def build_cycle(k: int) -> ChannelGraph:
     """Secure cycle P1 -> P2 -> ... -> Pk -> P1.  Needs k >= 3 parties."""
     if k < 3:
         raise TopologyError(f"a cycle of secure channels needs at least 3 parties, got {k}")
-    edges = [(i, (i + 1) % k, SECURE) for i in range(k)]
-    return ChannelGraph(default_parties(k), edges)
+    g = ChannelGraph(default_parties(k))
+    for i in range(k):  # k distinct secure edges, valid by construction: no add_edge checks
+        g._security[i, (i + 1) % k] = g._security[(i + 1) % k, i] = SECURE
+    return g
 
 
 def dummy_triangle() -> ChannelGraph:
@@ -208,24 +210,23 @@ def _walk_cycles(g: ChannelGraph) -> tuple:
     result = validate_topology(g)
     if not result:
         raise TopologyError(result.reason)
-    adj: dict[int, list[int]] = {v: [] for v in range(g.k)}
-    for i, j in g.secure_pairs():
-        adj[i].append(j)
-        adj[j].append(i)
-    for v in adj:
-        adj[v].sort()
-    seen = set()
+    # The edge map holds both orientations, so each vertex lists both its secure neighbours.
+    adj = [[] for _ in range(g.k)]
+    for (i, j), security in g._security.items():
+        if security == SECURE:
+            adj[i].append(j)
+    seen = [False] * g.k
     cycles = []
     for start in range(g.k):
-        if start in seen:
+        if seen[start]:
             continue
         cycle = [start]
-        seen.add(start)
-        prev, cur = start, adj[start][0]
+        seen[start] = True
+        prev, cur = start, min(adj[start])
         while cur != start:
             cycle.append(cur)
-            seen.add(cur)
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            prev, cur = cur, nxt
+            seen[cur] = True
+            a, b = adj[cur]
+            prev, cur = cur, (b if a == prev else a)
         cycles.append(tuple(cycle))
     return tuple(cycles)

@@ -623,3 +623,81 @@ def test_subcommand_output_is_pinned(runner, tmp_path, monkeypatch, case):
         digests += [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                     for name in written]
     assert digests == SUBCOMMAND_PINS[case]
+
+
+class TestIntegersAreJsonIntegersOrDecimalStrings:
+    """A float is not truncated and a bool is not read as 0 or 1: either is exit 2."""
+
+    SUM = {"protocol": "secure_sum", "inputs": [1, 2, "3"], "seed": 7}
+
+    @pytest.mark.parametrize("field, value", [
+        ("inputs", [1.9, 2, "3"]), ("inputs", [1, True, "3"]), ("inputs", [1, 2, 3.0]),
+        ("inputs", [1, 2, None]), ("seed", 1.7), ("seed", True), ("seed", 7.0), ("seed", [7]),
+    ])
+    def test_run_exits_2_naming_the_field(self, runner, tmp_path, field, value):
+        body = dict(self.SUM, **{field: value})
+        result = runner.invoke(main, ["run", write_config(tmp_path, "sum.json", body)])
+        assert result.exit_code == 2
+        assert f"bad '{field}'" in result.output and "decimal string" in result.output
+
+    def test_the_unchanged_float_config_of_the_report_exits_2(self, runner, tmp_path):
+        body = {"protocol": "secure_sum", "inputs": [1.9, True, "3"], "seed": 1.7}
+        out = tmp_path / "sum.jsonl"
+        result = runner.invoke(main, ["run", write_config(tmp_path, "sum.json", body),
+                                      "--out", str(out)])
+        assert result.exit_code == 2 and not out.exists()
+
+    def test_a_decimal_string_seed_is_the_integer_seed(self, runner, tmp_path):
+        texts = []
+        for seed in (7, "7"):
+            out = tmp_path / "sum.jsonl"
+            body = dict(self.SUM, seed=seed)
+            assert runner.invoke(main, ["run", write_config(tmp_path, "sum.json", body),
+                                        "--out", str(out)]).exit_code == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        assert json.loads(texts[0].split("\n")[0])["meta"]["seed"] == 7
+
+    @pytest.mark.parametrize("inputs", [{"messages": [10, 20.5, 30], "indices": [1, 3]},
+                                        {"messages": [10, 20, 30], "indices": [True, 3]}])
+    def test_ot_messages_and_indices(self, runner, tmp_path, inputs):
+        body = {"protocol": "ot_dummy", "inputs": inputs, "seed": 1}
+        result = runner.invoke(main, ["run", write_config(tmp_path, "ot.json", body)])
+        assert result.exit_code == 2
+        assert "'inputs'" in result.output
+
+    def test_replaying_a_header_with_a_float_seed_exits_2(self, runner, tmp_path):
+        out = tmp_path / "sum.jsonl"
+        assert runner.invoke(main, ["run", write_config(tmp_path, "sum.json", self.SUM),
+                                    "--out", str(out)]).exit_code == 0
+        text = out.read_text()
+        assert '"seed":7,' in text
+        out.write_text(text.replace('"seed":7,', '"seed":7.0,', 1))
+        result = runner.invoke(main, ["replay", str(out)])
+        assert result.exit_code == 2
+        assert "'seed'" in result.output
+
+    @pytest.mark.parametrize("share", [2.5, True, None])
+    def test_shares_file(self, runner, tmp_path, share):
+        path = write_config(tmp_path, "shares.json", {"shares": ["4", share, "1"]})
+        result = runner.invoke(main, ["reconstruct", "--shares", path])
+        assert result.exit_code == 2
+        assert "'shares'" in result.output
+
+    def test_a_shares_file_of_integers_and_decimal_strings_reconstructs(self, runner, tmp_path):
+        path = write_config(tmp_path, "shares.json", {"shares": ["4", 5, "-1"]})
+        result = runner.invoke(main, ["reconstruct", "--shares", path])
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {"secret": "8"}
+
+    @pytest.mark.parametrize("field, value", [("seed", 1.0), ("modulus", 10.0), ("seed", True)])
+    def test_a_commit3_state_file(self, runner, tmp_path, field, value):
+        state = tmp_path / "c3.json"
+        assert runner.invoke(main, ["commit3", "--values", "3,4,5", "--modulus", "10",
+                                    "--seed", "1", "--state", str(state)]).exit_code == 0
+        body = json.loads(state.read_text())
+        body[field] = value
+        state.write_text(json.dumps(body))
+        result = runner.invoke(main, ["decommit3", "--state", str(state)])
+        assert result.exit_code == 2
+        assert f"'{field}'" in result.output

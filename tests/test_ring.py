@@ -5,6 +5,8 @@ import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringmpc.engine import ScriptedSource
 from ringmpc.errors import RingError
@@ -249,3 +251,23 @@ def test_modular_is_derived_and_left_out_of_equality_hash_and_repr():
     assert not dataclasses.replace(a, kind="Z", modulus=None, noise_bound=3).modular
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.modular = False
+
+
+# Ring laws: add, sub, mul and neg reduce in one expression each, and must give
+# normalize of the plain integer result, for operands that are negative or >= m.
+LAW_RINGS = [integers(), *(mod_ring(m) for m in (2, 6, 2**61 - 1, 2**127 - 1))]
+_OPERANDS = st.integers(-13, 13) | st.integers(-2**130, 2**130)
+
+
+@pytest.mark.parametrize("R", LAW_RINGS, ids=str)
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(a=_OPERANDS, b=_OPERANDS)
+def test_ring_ops_equal_normalize_of_the_integer_result(R, a, b):
+    assert R.add(a, b) == R.normalize(a + b)
+    assert R.sub(a, b) == R.normalize(a - b)
+    assert R.mul(a, b) == R.normalize(a * b)
+    assert R.neg(a) == R.normalize(-a)
+    if R.modular:
+        assert all(0 <= v < R.modulus for v in (R.add(a, b), R.sub(a, b), R.mul(a, b), R.neg(a)))
+    else:
+        assert (R.add(a, b), R.sub(a, b), R.mul(a, b), R.neg(a)) == (a + b, a - b, a * b, -a)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import ringmpc.ring as rr
@@ -174,3 +176,87 @@ def test_an_edge_answers_in_both_orientations():
     g.add_edge(2, 0, "secure")
     assert g.edges() == ((0, 1, "secure"), (0, 2, "secure"), (1, 3, "insecure"))
     assert g.to_config()["edges"] == [[0, 1, "secure"], [0, 2, "secure"], [1, 3, "insecure"]]
+
+
+# build_cycle writes its k edges straight into the edge map; it must build the
+# graph that k add_edge calls build.
+@pytest.mark.parametrize("k", range(3, 41))
+def test_build_cycle_equals_the_graph_of_its_edges(k):
+    g = build_cycle(k)
+    want = ChannelGraph(default_parties(k), [(i, (i + 1) % k, "secure") for i in range(k)])
+    assert g.edges() == want.edges()
+    assert g.to_config() == want.to_config()
+    assert validate_topology(g) == validate_topology(want)
+    assert validate_topology(g)
+    assert secure_cycles(g) == secure_cycles(want) == [list(range(k))]
+    assert all(g.security(j, i) == "secure" for i, j, _ in want.edges())
+
+
+@pytest.mark.parametrize("k", range(4, 41, 6))
+def test_a_chord_added_to_a_built_cycle_fails_validation(k):
+    g = build_cycle(k)
+    assert validate_topology(g) and secure_cycles(g) == [list(range(k))]
+    g.add_edge(0, k // 2, "secure")
+    assert not validate_topology(g)
+    with pytest.raises(TopologyError):
+        secure_cycles(g)
+
+
+def _oracle_walk(g):
+    """The cycle walk as it was before it read the edge map: sorted adjacency from secure_pairs."""
+    adj = {v: [] for v in range(g.k)}
+    for i, j in g.secure_pairs():
+        adj[i].append(j)
+        adj[j].append(i)
+    for v in adj:
+        adj[v].sort()
+    seen, cycles = set(), []
+    for start in range(g.k):
+        if start in seen:
+            continue
+        cycle = [start]
+        seen.add(start)
+        prev, cur = start, adj[start][0]
+        while cur != start:
+            cycle.append(cur)
+            seen.add(cur)
+            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+            prev, cur = cur, nxt
+        cycles.append(cycle)
+    return cycles
+
+
+def _shuffled_cycle_cover(rng):
+    """A from_config graph of disjoint secure cycles on shuffled vertices, edges in shuffled
+    order and orientation, with a few insecure chords."""
+    k = rng.randrange(3, 40)
+    vertices = list(range(k))
+    rng.shuffle(vertices)
+    lengths = []
+    while sum(lengths) + 3 <= k:
+        lengths.append(rng.randrange(3, k - sum(lengths) + 1))
+    lengths[-1] += k - sum(lengths)
+    edges, start = [], 0
+    for n in lengths:
+        cycle = vertices[start:start + n]
+        start += n
+        edges += [[cycle[i], cycle[(i + 1) % n], "secure"] for i in range(n)]
+    pairs = {frozenset(e[:2]) for e in edges}
+    for _ in range(rng.randrange(4)):
+        i, j = rng.sample(range(k), 2)
+        if frozenset((i, j)) not in pairs:
+            pairs.add(frozenset((i, j)))
+            edges.append([i, j, "insecure"])
+    for e in edges:
+        if rng.random() < 0.5:
+            e[0], e[1] = e[1], e[0]
+    rng.shuffle(edges)
+    return ChannelGraph.from_config({"k": k, "edges": edges})
+
+
+def test_cycle_walk_matches_the_sorted_walk_on_shuffled_cycle_covers():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        g = _shuffled_cycle_cover(rng)
+        assert validate_topology(g)
+        assert secure_cycles(g) == _oracle_walk(g)

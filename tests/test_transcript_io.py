@@ -292,8 +292,8 @@ def test_an_untouched_replay_does_not_parse_the_body(monkeypatch):
     assert replay_transcript(t.serialize()) == (True, None, "verified")
 
 
-# serialize fills one template per route: the names, kind and security are
-# quoted into it once, so a "%" or an escape in any of them must come out as is.
+# serialize quotes each name, kind and security once per transcript and writes
+# it into every message line, so a "%" or an escape in any of them must come out as is.
 ODD_NAMES = ["P%d", "P%%s", 'P"2\\', "Pé%s"]
 
 
