@@ -640,7 +640,7 @@ class TestIntegersAreJsonIntegersOrDecimalStrings:
         assert result.exit_code == 2
         assert f"bad '{field}'" in result.output and "decimal string" in result.output
 
-    def test_the_unchanged_float_config_of_the_report_exits_2(self, runner, tmp_path):
+    def test_floats_and_a_bool_exit_2_and_write_no_transcript(self, runner, tmp_path):
         body = {"protocol": "secure_sum", "inputs": [1.9, True, "3"], "seed": 1.7}
         out = tmp_path / "sum.jsonl"
         result = runner.invoke(main, ["run", write_config(tmp_path, "sum.json", body),
