@@ -292,6 +292,54 @@ def test_an_untouched_replay_does_not_parse_the_body(monkeypatch):
     assert replay_transcript(t.serialize()) == (True, None, "verified")
 
 
+# Damage to one or two message lines of a card deal's transcript and the verdict
+# each must get: line n is the text's n-th line, counted from 1.
+def _deal_lines():
+    _, t = execute_config(CONFIGS["card_deal"])
+    return t.serialize().split("\n")
+
+
+def _seq(line):
+    return json.loads(line)["seq"]
+
+
+def test_a_divergence_then_a_corrupt_later_line_is_a_replay_error():
+    lines = _deal_lines()
+    _altered_payload(lines)
+    later = len(lines) // 2 + 10
+    lines[later - 1] = lines[later - 1][:-3]
+    with pytest.raises(ReplayError, match=f"corrupt transcript at line {later}: "):
+        replay_transcript("\n".join(lines))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: lines.__setitem__(20, f"  {lines[20]}\t"),
+    lambda lines: lines.insert(20, ""),
+    lambda lines: lines.insert(20, " \t "),
+    lambda lines: lines.__setitem__(
+        20, json.dumps(dict(reversed(json.loads(lines[20]).items())))),
+], ids=["one padded line", "a blank line inserted", "a whitespace line inserted",
+        "one line's keys reordered"])
+def test_reformatting_one_message_line_is_verified(edit):
+    lines = _deal_lines()
+    edit(lines)
+    assert replay_transcript("\n".join(lines)) == (True, None, "verified")
+
+
+def test_two_swapped_message_lines_diverge_at_the_first():
+    lines = _deal_lines()
+    lines[20], lines[21] = lines[21], lines[20]
+    assert replay_transcript("\n".join(lines)) == (
+        False, _seq(lines[20]), "first divergence at line 21")
+
+
+def test_a_dropped_last_message_diverges_at_its_seq():
+    lines = _deal_lines()
+    last = lines.pop(-2)
+    assert replay_transcript("\n".join(lines)) == (
+        False, _seq(last), f"first divergence at line {len(lines)}")
+
+
 # serialize quotes each name, kind and security once per transcript and writes
 # it into every message line, so a "%" or an escape in any of them must come out as is.
 ODD_NAMES = ["P%d", "P%%s", 'P"2\\', "Pé%s"]

@@ -15,7 +15,7 @@ import pytest
 from ringmpc.cli import execute_config
 from ringmpc.commitment import Commit2Dummy, Commit3, CommitK
 from ringmpc.engine import EAVESDROPPER, commit, eavesdropper_view, extract_view
-from ringmpc.poker import dummy_dealer_fixed_hands
+from ringmpc.poker import dummy_deal_two_players, dummy_dealer_fixed_hands
 from ringmpc.ring import mod_ring
 
 CONFIGS = {
@@ -201,6 +201,19 @@ TRANSCRIPT_DIGESTS = {
     # with every party and edge of a 60- and a 600-cycle, and 2k lines each.
     "secure_sum/Z/k=60": "51168741c8fe0051879d47daf9bf5807fa85ae9a451b4bcc7b42e49aa0f5810f",
     "secure_sum/Z/k=600": "afcd7f94d45a0d48a2840057f872197b3c3b9067434165c93b2d4a8430c07d4b",
+    # Recorded before each token hop's event was built once: the deal shapes
+    # that the card_deal config above does not reach.
+    "card_deal/k=5/r=12/quota lottery":
+        "0da405a10e76410f67c41f306cb96fcb3173a9283db634ab380cad20c5748713",
+    "card_deal/k=4/quotas with a zero":
+        "80378c978f8c60cdbcc4c43ff0c07c658c1b79337be914721ac47b6212a094d3",
+    "card_deal/N=1": "a695af8610775324269393701beb38cffb8d201d5984a7e5c36d7ff30cdcd101",
+    "card_deal/r=52/k=3/N=10/seed=401":
+        "302470202222ec6f7c1e4e4909ce5ebfca4f75cd577a4f5403585009cfeb8c22",
+    "card_deal/r=52/k=3/N=10/seed=402":
+        "cef669a44fa166ab7548f6e6deab8a5d68b1b95c9e85d2b05fa8b4a2de360160",
+    "dummy_deal_two_players/m=9/N=4":
+        "5247bf861226289058e0f7f92fa0d84f1af05e8e314bee322ea4c922cc4175d4",
 }
 
 # Transcript-only configs: a view digest per party of a 600-party run is not worth its lines.
@@ -210,14 +223,48 @@ LARGE_SUMS = {
     for k in (60, 600)
 }
 
+# Transcript-only deals, each with the quotas it must come out with: a lottery
+# for the two extra cards of 12 among 5, explicit quotas that give one player
+# nothing, counters bounded by 1, and the benchmark's labelled 52-card deal.
+DEALS = {
+    "card_deal/k=5/r=12/quota lottery": (
+        {"protocol": "card_deal", "inputs": [], "seed": 5, "params": {"r": 12, "k": 5, "N": 3}},
+        ["2", "2", "3", "3", "2"]),
+    "card_deal/k=4/quotas with a zero": (
+        {"protocol": "card_deal", "inputs": [], "seed": 6,
+         "params": {"r": 8, "k": 4, "N": 2, "quotas": [3, 0, 2, 3]}},
+        ["3", "0", "2", "3"]),
+    "card_deal/N=1": (
+        {"protocol": "card_deal", "inputs": [], "seed": 7,
+         "params": {"r": 6, "k": 3, "N": 1, "with_labels": True}},
+        ["2", "2", "2"]),
+    **{f"card_deal/r=52/k=3/N=10/seed={seed}": (
+        {"protocol": "card_deal", "inputs": [], "seed": seed,
+         "params": {"r": 52, "k": 3, "N": 10, "with_labels": True}},
+        ["18", "17", "17"]) for seed in (401, 402)},
+}
 
-@pytest.mark.parametrize("name", sorted(TRANSCRIPT_DIGESTS))
-def test_transcripts_match_recorded_digests(name):
+
+def _pinned_transcript(name):
+    if name == "dummy_deal_two_players/m=9/N=4":
+        real_hands, discarded, _, t = dummy_deal_two_players(9, 4, seed=3)
+        assert (real_hands, discarded) == (((1, 3, 7), (4, 8, 9)), (2, 5, 6))
+        return t
+    if name in DEALS:
+        config, quotas = DEALS[name]
+        outcome, t = execute_config(config)
+        assert outcome["quotas"] == quotas
+        return t
     config = CONFIGS.get(name) or LARGE_SUMS[name]
     outcome, t = execute_config(config)
     if name in LARGE_SUMS:
         assert outcome == {"sum": str(sum(config["inputs"]))}
-    assert _digest_text(t.serialize()) == TRANSCRIPT_DIGESTS[name]
+    return t
+
+
+@pytest.mark.parametrize("name", sorted(TRANSCRIPT_DIGESTS))
+def test_transcripts_match_recorded_digests(name):
+    assert _digest_text(_pinned_transcript(name).serialize()) == TRANSCRIPT_DIGESTS[name]
 
 
 # Unit draws at composite moduli: 720720 = 2^4*3^2*5*7*11*13 and 995328 = 2^12*3^5.
