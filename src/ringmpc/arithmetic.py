@@ -16,6 +16,7 @@ from . import ring as ring_mod
 from .analysis import SecrecySpec
 from .engine import DummyTriangleProtocol, Protocol, Run
 from .errors import ProtocolError, RingError, TopologyError
+from .jsonvalues import json_field
 from .ring import RingSpec, pure
 from .topology import (
     ChannelGraph,
@@ -451,7 +452,7 @@ class MillionairesBitwise(DummyTriangleProtocol):
 
     @classmethod
     def from_params(cls, ring, params, inputs):
-        return cls(int(params.get("bit_width", 8)))
+        return cls(json_field(params, "bit_width", default=8))
 
     def params(self):
         return {"bit_width": self.bit_width}

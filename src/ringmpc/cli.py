@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager
-from itertools import zip_longest
 from pathlib import Path
 
 import click
@@ -21,8 +20,9 @@ import click
 from . import analysis, arithmetic, poker, sharing
 from . import ring as ring_mod
 from .commitment import COMMIT2_CHECKS, COMMIT3_CHECKS, Commit2Dummy, Commit3, ObliviousTransfer
-from .engine import commit, json_int, json_list, parse_header, parse_transcript, run
+from .engine import _record, commit, parse_header, parse_transcript, run
 from .errors import CheatDetected, ProtocolError, ReplayError, TopologyError
+from .jsonvalues import json_int, json_ints
 from .poker import CardDeal, DealConfig
 from .topology import ChannelGraph
 
@@ -100,10 +100,11 @@ def replay_transcript(text: str):
 
     Returns (ok, divergence_seq, detail).  A header that does not describe
     a run this package can re-execute raises ReplayError.  Only the header
-    is decoded unless the text differs from the re-executed run's; the body
-    is then parsed, so a structural fault is a ReplayError, not a divergence,
-    and records are compared, so line endings and padding are not either.
-    A record whose ``seq`` is not a JSON integer is a divergence.
+    is decoded unless the text differs from the re-executed run's; then
+    only the body lines that differ from their counterparts are, so a
+    structural fault is a ReplayError, not a divergence, and records are
+    compared, so line endings and padding are not either.  A record whose
+    ``seq`` is not a JSON integer is a divergence.
     """
     meta = parse_header(text)
     try:
@@ -116,14 +117,36 @@ def replay_transcript(text: str):
     expected = transcript.serialize()
     if expected == text:
         return True, None, "verified"
-    _, got = parse_transcript(text)
-    _, want = parse_transcript(expected)
-    # The header was consumed to rebuild the run; message i is line i + 2.
-    for i, (g, w) in enumerate(zip_longest(got, want)):
-        # 1 == 1.0 == True: a seq that is not a JSON integer differs, whatever its value.
-        if g != w or type(g["seq"]) is not int:
-            return False, (w if g is None else g)["seq"], f"first divergence at line {i + 2}"
-    return True, None, "verified"
+    return _compare_body(text, expected.split("\n")[1:-1])
+
+
+def _compare_body(text: str, want: list):
+    """(ok, divergence_seq, detail) of the text's message records against the lines ``want``.
+
+    Message i, the i-th non-blank line after the header, is compared with
+    ``want[i]`` and is reported as line i + 2.  A line equal to its
+    counterpart holds the same record, with an integer seq; every other
+    non-blank line is decoded, also after the first divergence, so that a
+    structural fault anywhere is a ReplayError.
+    """
+    lines = text.split("\n")
+    start = next(n for n, line in enumerate(lines) if line.strip()) + 1  # after the header
+    verdict, i = None, 0
+    for n in range(start, len(lines)):
+        line = lines[n]
+        w = want[i] if i < len(want) else None
+        if line != w:
+            if not line.strip():
+                continue
+            got = _record(line, n + 1)
+            # 1 == 1.0 == True: a seq that is not a JSON integer differs, whatever its value.
+            if verdict is None and (w is None or got != _record(w, i + 2)
+                                    or type(got["seq"]) is not int):
+                verdict = False, got["seq"], f"first divergence at line {i + 2}"
+        i += 1
+    if verdict is None and i < len(want):
+        verdict = False, _record(want[i], i + 2)["seq"], f"first divergence at line {i + 2}"
+    return verdict or (True, None, "verified")
 
 
 def _check_names(raw) -> list:
@@ -346,7 +369,7 @@ def cmd_reconstruct(shares_path):
     body = _load(shares_path, "shares file")
     with _exit_codes():
         R = _field(body, "ring", ring_mod.RingSpec.from_config, {"ring": "Z"})
-        shares = _field(body, "shares", lambda v: [json_int(s) for s in json_list(v)])
+        shares = _field(body, "shares", json_ints)
         secret = sharing.reconstruct(shares, ring=R)
     click.echo(json.dumps({"secret": str(secret)}))
 

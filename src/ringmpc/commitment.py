@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .analysis import SecrecySpec
-from .engine import DummyTriangleProtocol, Protocol, Run, Session, json_list
+from .engine import DummyTriangleProtocol, Protocol, Run, Session
 from .errors import CheatDetected, ProtocolError
+from .jsonvalues import json_list
 from .ring import RingSpec, mod_ring
 
 @dataclass

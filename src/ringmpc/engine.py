@@ -5,7 +5,10 @@ engine is a single logical thread that plays the protocol's steps in
 narrative order.  What the engine adds on top of the protocol code is
 discipline and evidence:
 
-* every transmission must traverse a declared channel;
+* every transmission must traverse a declared channel: ``Run.send`` looks
+  the channel up on each call, and ``Run.sender`` once for a function
+  that sends over it, as the card deal's token does hundreds of times;
+  both build their events with one helper;
 * each full party owns a deterministic random generator forked from the
   run seed by party index, while a dummy owns none and any draw attempt
   raises ``DummyRandomnessError``;
@@ -43,6 +46,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, NamedTuple
 
 from .errors import DummyRandomnessError, PhaseError, ProtocolError, ReplayError, TopologyError
+from .jsonvalues import json_field, json_ints
 from .ring import RingSpec, integers
 from .topology import (ChannelGraph, INSECURE, SECURE, build_cycle, dummy_triangle,
                        validate_topology)
@@ -253,19 +257,21 @@ def parse_transcript(text: str) -> tuple[dict, list[dict]]:
     if not lines:
         raise ReplayError("empty transcript")
     meta = _meta(lines[0][1], lines[0][0])
-    records = []
-    for n, ln in lines[1:]:
-        try:
-            rec = _loads(ln)
-        except json.JSONDecodeError as e:
-            raise ReplayError(f"truncated or corrupt transcript at line {n}: {e}") from None
-        if not isinstance(rec, dict):
-            raise ReplayError(f"message record at line {n} is a JSON {type(rec).__name__}, "
-                              "not an object")
-        if not _FIELDS <= rec.keys():
-            raise ReplayError(f"message record at line {n} is missing fields")
-        records.append(rec)
-    return meta, records
+    return meta, [_record(ln, n) for n, ln in lines[1:]]
+
+
+def _record(line: str, n: int) -> dict:
+    """The message record on the non-blank line ``line``, line ``n`` of the text."""
+    try:
+        rec = _loads(line)
+    except json.JSONDecodeError as e:
+        raise ReplayError(f"truncated or corrupt transcript at line {n}: {e}") from None
+    if not isinstance(rec, dict):
+        raise ReplayError(f"message record at line {n} is a JSON {type(rec).__name__}, "
+                          "not an object")
+    if not _FIELDS <= rec.keys():
+        raise ReplayError(f"message record at line {n} is missing fields")
+    return rec
 
 
 class ScriptedSource:
@@ -288,20 +294,6 @@ class ScriptedSource:
         if not 0 <= v < n:
             raise ValueError(f"scripted value {v} outside range({n})")
         return v
-
-
-def json_list(raw) -> list:
-    """``raw`` if it is a JSON list: a string would be read by digit, an object by key."""
-    if not isinstance(raw, list):
-        raise TypeError(f"expected a JSON list, not {type(raw).__name__}")
-    return raw
-
-
-def json_int(raw) -> int:
-    """``raw`` as an int if it is a JSON integer or a decimal string: a float or a bool is not."""
-    if type(raw) is not int and not isinstance(raw, str):
-        raise TypeError(f"{raw!r} is not an integer or a decimal string")
-    return int(raw)
 
 
 class Protocol:
@@ -329,14 +321,14 @@ class Protocol:
 
     @classmethod
     def from_params(cls, ring: RingSpec, params: dict, inputs: tuple) -> "Protocol":
-        return cls(ring, **{key: int(value) for key, value in params.items()})
+        return cls(ring, **{key: json_field(params, key) for key in params})
 
     def params(self) -> dict:
         return {}
 
     @classmethod
     def decode_inputs(cls, raw) -> tuple:
-        return tuple(map(json_int, json_list(raw)))
+        return json_ints(raw)
 
     @classmethod
     def encode(cls, outcome) -> dict:
@@ -435,10 +427,30 @@ class Run:
         self.log.extend([((i,), (f"n{i + 1}", v), None) for i, v in enumerate(values)])
         return values
 
-    def send(self, frm: int, to: int, value, label: str, kind: str = "elem") -> None:
+    def _channel(self, frm: int, to: int, kind: str) -> tuple:
+        """The (audience, route) of a send over the channel from ``frm`` to ``to``."""
         security = self.graph.security(frm, to)  # raises if not a channel
         audience = (frm, to, TAPPED) if security == INSECURE else (frm, to)
-        self.log.append((audience, (label, value), (frm, to, security, kind)))
+        return audience, (frm, to, security, kind)
+
+    def send(self, frm: int, to: int, value, label: str, kind: str = "elem") -> None:
+        audience, route = self._channel(frm, to, kind)
+        self.log.append((audience, (label, value), route))
+
+    def sender(self, frm: int, to: int, kind: str = "elem"):
+        """``send`` from ``frm`` to ``to`` as a function of (value, label).
+
+        The channel is looked up once, here, and every call appends the event
+        ``send`` would append.  A protocol that sends many messages over one
+        channel, as the card deal's token does, takes a sender per channel.
+        """
+        audience, route = self._channel(frm, to, kind)
+        append = self.log.append
+
+        def send(value, label: str) -> None:
+            append((audience, (label, value), route))
+
+        return send
 
     def broadcast(self, frm: int, value, label: str, kind: str = "elem") -> None:
         """One message visible to every party and to the eavesdropper."""

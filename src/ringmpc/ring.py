@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 
 from .errors import RingError
+from .jsonvalues import json_field
 
 
 # Miller-Rabin with these bases is exact below FACTOR_BOUND (Sorenson and
@@ -292,9 +293,9 @@ class RingSpec:
     @classmethod
     def from_config(cls, cfg: dict) -> "RingSpec":
         if cfg.get("ring") == "Zm":
-            return mod_ring(int(cfg["m"]))
+            return mod_ring(json_field(cfg, "m"))
         if cfg.get("ring") == "Z":
-            return integers(int(cfg.get("noise_bound", DEFAULT_NOISE_BOUND)))
+            return integers(json_field(cfg, "noise_bound", default=DEFAULT_NOISE_BOUND))
         raise RingError(f"bad ring config {cfg!r}")
 
     def __str__(self):

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ProtocolError, TopologyError
+from .jsonvalues import json_bool, json_field
 
 SECURE = "secure"
 INSECURE = "insecure"
@@ -113,14 +114,14 @@ class ChannelGraph:
     @classmethod
     def from_config(cls, cfg: dict) -> "ChannelGraph":
         if "cycle" in cfg:
-            return build_cycle(int(cfg["cycle"]))
-        k = int(cfg["k"])
+            return build_cycle(json_field(cfg, "cycle"))
+        k = json_field(cfg, "k")
         specs = cfg.get("parties")
         if specs is None:
             parties = default_parties(k)
         else:
             parties = [
-                Party(i, _name(i, s.get("name", f"P{i + 1}")), bool(s.get("full", True)))
+                Party(i, _name(i, s.get("name", f"P{i + 1}")), json_field(s, "full", json_bool, True))
                 for i, s in enumerate(specs)
             ]
         return cls(parties, [(e[0], e[1], e[2]) for e in cfg.get("edges", [])])

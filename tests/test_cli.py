@@ -701,3 +701,63 @@ class TestIntegersAreJsonIntegersOrDecimalStrings:
         result = runner.invoke(main, ["decommit3", "--state", str(state)])
         assert result.exit_code == 2
         assert f"'{field}'" in result.output
+
+
+def _dealer_config():
+    """The header of a dummy dealer's deal: two dummies, a consolidation and one served draw."""
+    from ringmpc.poker import dummy_dealer_fixed_hands
+
+    _, t = dummy_dealer_fixed_hands(12, 2, 3, seed=7, post_draws=[(0, 1)])
+    return json.loads(t.serialize().split("\n")[0])["meta"]
+
+
+class TestConfigFieldsAreJsonIntegersAndBooleans:
+    """No field of a ring, topology or protocol config truncates a float or reads a string as true.
+
+    Each value below ran with exit 0 when the fields were read with int() and
+    bool(): "r": 6.5 dealt 6 cards and "with_labels": "no" dealt with labels.
+    """
+
+    DEAL = {"protocol": "card_deal", "inputs": [], "seed": 3, "params": {"r": 6, "k": 3, "N": 2}}
+    SUM = {"protocol": "secure_sum", "inputs": [3, 5, 7], "seed": 7}
+    TRIANGLE = [[0, 1, "secure"], [1, 2, "secure"], [0, 2, "secure"]]
+
+    CASES = {
+        "r": (DEAL, "params", {"r": 6.5}),
+        "k": (DEAL, "params", {"k": 3.0}),
+        "N": (DEAL, "params", {"N": True}),
+        "quotas": (DEAL, "params", {"quotas": [2.5, 2, 2]}),
+        "with_labels": (DEAL, "params", {"with_labels": "no"}),
+        "counter_contributors": (None, "params", {"counter_contributors": [0, 1.0]}),
+        "consolidate_to": (None, "params", {"consolidate_to": 2.0}),
+        "post_draws": (None, "params", {"post_draws": [[0, 1.5]]}),
+        "m": (SUM, "ring", {"ring": "Zm", "m": 7.5}),
+        "noise_bound": (SUM, "ring", {"ring": "Z", "noise_bound": 100.5}),
+        "topology k": (SUM, "topology", {"k": 3.0, "edges": TRIANGLE}),
+        "cycle": (SUM, "topology", {"cycle": 3.5}),
+        "full": (SUM, "topology", {"k": 3, "edges": TRIANGLE,
+                                   "parties": [{"name": "P1", "full": "no"}, {}, {}]}),
+        "share_secret_kk k": ({"protocol": "share_secret_kk", "inputs": [5]}, "params",
+                              {"k": 3.5}),
+        "distribute_shares initiator": ({"protocol": "distribute_shares", "inputs": [5]},
+                                        "params", {"initiator": True}),
+        "bit_width": ({"protocol": "millionaires_bitwise", "inputs": [5, 3]}, "params",
+                      {"bit_width": 4.5}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_run_exits_2_naming_the_field(self, runner, tmp_path, case):
+        base, section, fields = self.CASES[case]
+        body = copy.deepcopy(base) if base is not None else {**_dealer_config(), "seed": 7}
+        body[section] = {**body.get(section, {}), **fields} if section == "params" else fields
+        result = runner.invoke(main, ["run", write_config(tmp_path, "cfg.json", body)])
+        assert result.exit_code == 2, result.output
+        assert f"bad '{section}'" in result.output
+        assert f"'{case.split()[-1]}'" in result.output
+
+    def test_the_dealer_config_runs_as_written(self, runner, tmp_path):
+        body = _dealer_config()
+        assert body["params"]["post_draws"] == [["0", "1"]]
+        result = runner.invoke(main, ["run", write_config(tmp_path, "cfg.json", body)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["outcome"]["served"][0][0] == "P1"

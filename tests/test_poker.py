@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from ringmpc.engine import ScriptedSource, extract_view, run
+from ringmpc.engine import ScriptedSource, extract_view, run, start
 from ringmpc.errors import ProtocolError
 from ringmpc.poker import (
     CardDeal,
@@ -286,3 +286,13 @@ class TestDummyDealer:
         assert len(served_messages) == 1
         assert served_messages[0].to == "P2"
         assert served_messages[0].security == "secure"
+
+
+@pytest.mark.parametrize("bound", [2, 3, 50, 301])
+def test_a_deal_stops_at_its_hop_bound_after_exactly_that_many_token_hops(monkeypatch, bound):
+    monkeypatch.setattr(DealConfig, "max_hops", property(lambda cfg: bound))
+    proto = CardDeal(DealConfig(52, 3, 10))
+    r = start(proto, None, (), 4)
+    with pytest.raises(ProtocolError, match="hop bound"):
+        proto.program(r)
+    assert sum(route is not None and route[3] == "token" for _, _, route in r.log) == bound

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from test_view_digests import CONFIGS
 
 from ringmpc.cli import execute_config, replay_transcript
-from ringmpc.engine import EVERYONE, parse_header, parse_transcript
+from ringmpc.engine import EVERYONE, _record, parse_header, parse_transcript
 from ringmpc.errors import ProtocolError, ReplayError, TopologyError
 
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -290,6 +290,95 @@ def test_an_untouched_replay_does_not_parse_the_body(monkeypatch):
     _, t = execute_config(CONFIGS["secure_sum"])
     monkeypatch.setattr(ringmpc.cli, "parse_transcript", parse_transcript)
     assert replay_transcript(t.serialize()) == (True, None, "verified")
+
+
+def test_a_replay_with_one_altered_payload_decodes_that_line_and_its_counterpart(monkeypatch):
+    import ringmpc.cli
+
+    def parse_transcript(text):
+        raise AssertionError("the body was parsed")
+
+    decoded = []
+
+    def record(line, n):
+        decoded.append(line)
+        return _record(line, n)
+
+    lines = _deal_lines()
+    faithful = list(lines)
+    _altered_payload(lines)
+    n = len(lines) // 2
+    monkeypatch.setattr(ringmpc.cli, "parse_transcript", parse_transcript)
+    monkeypatch.setattr(ringmpc.cli, "_record", record)
+    assert replay_transcript("\n".join(lines)) == (
+        False, _seq(faithful[n]), f"first divergence at line {n + 1}")
+    assert decoded == [lines[n], faithful[n]]
+
+
+def record_replay(text: str):
+    """Replay as a comparison of every record of the text with every record of the run."""
+    meta = parse_header(text)
+    try:
+        _, transcript = execute_config(meta)
+    except TopologyError:
+        parse_transcript(text)
+        raise
+    except ProtocolError as e:
+        parse_transcript(text)
+        raise ReplayError(f"the transcript header cannot be re-executed: {e}") from None
+    _, got = parse_transcript(text)
+    _, want = parse_transcript(transcript.serialize())
+    for i in range(max(len(got), len(want))):
+        g = got[i] if i < len(got) else None
+        w = want[i] if i < len(want) else None
+        if g != w or type(g["seq"]) is not int:
+            return False, (w if g is None else g)["seq"], f"first divergence at line {i + 2}"
+    return True, None, "verified"
+
+
+_LINE_DAMAGE = st.sampled_from(["alter", "corrupt", "drop", "duplicate", "swap", "blank", "pad",
+                                "crlf", "reorder keys", "seq true", "not an object"])
+
+
+def _damage(lines, kind, n):
+    """``lines`` with damage of the given kind at message line ``n``."""
+    line = lines[n]
+    if kind == "alter":
+        lines[n] = line.replace('"payload":', '"payload":["x",', 1).replace(',"security"',
+                                                                            '],"security"', 1)
+    elif kind == "corrupt":
+        lines[n] = line[:-2]
+    elif kind == "drop":
+        del lines[n]
+    elif kind == "duplicate":
+        lines.insert(n, line)
+    elif kind == "swap":
+        lines[n], lines[n + 1] = lines[n + 1], line
+    elif kind == "blank":
+        lines.insert(n, " ")
+    elif kind == "pad":
+        lines[n] = f" {line}\t"
+    elif kind == "crlf":
+        lines[n] = line + "\r"
+    elif kind == "reorder keys" and line.startswith("{") and line.endswith("}"):
+        lines[n] = json.dumps(dict(reversed(json.loads(line).items())))
+    elif kind == "reorder keys":
+        pass
+    elif kind == "seq true":
+        lines[n] = line.replace('"seq":', '"seq":true,"was":', 1)
+    else:
+        lines[n] = "[]"
+    return lines
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_LINE_DAMAGE, st.floats(0, 1, exclude_max=True)), max_size=3))
+def test_replay_agrees_with_a_full_record_comparison(damages):
+    lines = _deal_lines()
+    for kind, pick in damages:
+        lines = _damage(lines, kind, 1 + int(pick * (len(lines) - 3)))
+    text = "\n".join(lines)
+    assert outcome(replay_transcript, text) == outcome(record_replay, text)
 
 
 # Damage to one or two message lines of a card deal's transcript and the verdict
