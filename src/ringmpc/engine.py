@@ -438,12 +438,8 @@ class Run:
         self.log.append((audience, (label, value), route))
 
     def sender(self, frm: int, to: int, kind: str = "elem"):
-        """``send`` from ``frm`` to ``to`` as a function of (value, label).
-
-        The channel is looked up once, here, and every call appends the event
-        ``send`` would append.  A protocol that sends many messages over one
-        channel, as the card deal's token does, takes a sender per channel.
-        """
+        """``send`` from ``frm`` to ``to`` as a function of (value, label), the channel
+        looked up once, here; each call appends the event ``send`` would append."""
         audience, route = self._channel(frm, to, kind)
         append = self.log.append
 

@@ -121,7 +121,8 @@ class ChannelGraph:
             parties = default_parties(k)
         else:
             parties = [
-                Party(i, _name(i, s.get("name", f"P{i + 1}")), json_field(s, "full", json_bool, True))
+                Party(i, _name(i, s.get("name", f"P{i + 1}")),
+                      json_field(s, "full", json_bool, True))
                 for i, s in enumerate(specs)
             ]
         return cls(parties, [(e[0], e[1], e[2]) for e in cfg.get("edges", [])])

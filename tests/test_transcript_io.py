@@ -6,7 +6,9 @@ the plain versions: one dict and one sorted-key encode per message line,
 it re-executes the run.  The package's versions must agree with them on
 every config whose views ``test_view_digests`` pins and on the damaged
 texts below, except that replay compares records, not lines, so damage
-that only reformats the lines is no divergence.
+that only reformats the lines is no divergence.  ``record_replay`` decodes
+every record of both texts and compares them all; replay, which decodes
+only the lines that differ, must match it on random damage to a deal's lines.
 """
 
 import dataclasses
