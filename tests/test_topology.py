@@ -260,3 +260,60 @@ def test_cycle_walk_matches_the_sorted_walk_on_shuffled_cycle_covers():
         g = _shuffled_cycle_cover(rng)
         assert validate_topology(g)
         assert secure_cycles(g) == _oracle_walk(g)
+
+
+def _changed(g, i, j, security=None):
+    """``g`` with the channel between ``i`` and ``j`` made ``security``, or dropped if None."""
+    edges = [(a, b, sec) for a, b, sec in g.edges() if {a, b} != {i, j}]
+    if security is not None:
+        edges.append((i, j, security))
+    return ChannelGraph(g.parties, edges)
+
+
+def _gate_cases():
+    """(protocol, graph) per channel gate, each graph one channel or party count short."""
+    from ringmpc.arithmetic import MillionairesCompare, SecureRating, rating_graph
+    from ringmpc.poker import CardDeal, CollectiveRandom, DealConfig
+    from ringmpc.sharing import ShareSecret, sharing_graph
+    from ringmpc.topology import Party
+
+    # Three reals and a dummy D on a 4-cycle; contributor 0 reaches D along the
+    # cycle, contributor 1 over a spoke.
+    dummy_cycle = ChannelGraph(
+        [Party(0, "P1"), Party(1, "P2"), Party(2, "P3"), Party(3, "D", full=False)],
+        [(0, 1, "secure"), (1, 2, "secure"), (2, 3, "secure"), (0, 3, "secure"),
+         (1, 3, "secure")])
+    dummy_deal = CardDeal(DealConfig(4, 4, 2), counter_contributors=(0, 1))
+    Z = rr.integers()
+    return {
+        "dummy triangle link": (MillionairesCompare(Z), _changed(dummy_triangle(), 0, 2,
+                                                                 "insecure")),
+        "collective randomness channel": (CollectiveRandom(5),
+                                          _changed(build_cycle(3), 0, 2, "insecure")),
+        "deal cycle edge": (CardDeal(DealConfig(3, 3, 2)),
+                            _changed(build_cycle(3), 1, 2, "insecure")),
+        "deal dummy spoke": (dummy_deal, _changed(dummy_cycle, 1, 3)),
+        "sharing dealer spoke": (ShareSecret(Z, 3), _changed(sharing_graph(3), 1, 3,
+                                                             "insecure")),
+        "sharing party count": (ShareSecret(Z, 3), sharing_graph(4)),
+        "rating aggregator link": (SecureRating(Z, 3), _changed(rating_graph(3), 0, 3)),
+        "rating party count": (SecureRating(Z, 3), rating_graph(4)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_gate_cases()))
+def test_every_channel_gate_rejects_a_graph_short_of_what_it_needs(case):
+    protocol, graph = _gate_cases()[case]
+    with pytest.raises(TopologyError):
+        protocol.check_graph(graph)
+
+
+def test_the_gate_cases_pass_with_the_missing_channel_restored():
+    from ringmpc.poker import CardDeal, DealConfig
+
+    cases = _gate_cases()
+    protocol, graph = cases["deal dummy spoke"]
+    protocol.check_graph(_changed(graph, 1, 3, "secure"))
+    CardDeal(DealConfig(3, 3, 2)).check_graph(build_cycle(3))
+    for protocol, _ in (cases["sharing party count"], cases["rating party count"]):
+        protocol.check_graph(protocol.default_graph(0))

@@ -5,14 +5,17 @@ disjoint cycles, is run through ``execute_config``; the SHA-256 of each
 party's view entries and of the eavesdropper's view must equal the
 recorded digest.  Any change to what the engine shows an observer, or in
 what order, changes a digest.  The SHA-256 of every config's serialized
-transcript is pinned too, as is that of runs at two composite moduli.
+transcript is pinned too, as is that of runs at two composite moduli, and
+so is what ``ringmpc run`` prints for every config.
 """
 
 import hashlib
+import json
 
 import pytest
+from click.testing import CliRunner
 
-from ringmpc.cli import execute_config
+from ringmpc.cli import execute_config, main
 from ringmpc.commitment import Commit2Dummy, Commit3, CommitK
 from ringmpc.engine import EAVESDROPPER, commit, eavesdropper_view, extract_view
 from ringmpc.poker import dummy_deal_two_players, dummy_dealer_fixed_hands
@@ -341,6 +344,51 @@ def test_every_cli_protocol_is_covered():
     from ringmpc.cli import RUNNERS
 
     assert set(RUNNERS) <= {cfg["protocol"] for cfg in CONFIGS.values()}
+
+
+# SHA-256 of what ``ringmpc run`` prints for each config above, and for a dummy
+# dealer's header (two dummies, a consolidation and one served draw), recorded
+# while eight protocols still wrote their outcome JSON each with its own encoder.
+OUTCOME_DIGESTS = {
+    "card_deal": "4063f8ee926af6795cd13617f72e8b9e62616003b203d4d398774ddfcec0da2b",
+    "card_deal/dummy dealer with a post draw":
+        "0c57c0c6761e26e7034d1e223a9675747756b14f8bfbc7eec90b4288c0a2a1b3",
+    "commit2_dummy": "411b070149496d680851bd871dcc3a98365640981ca1bc54de2d2cc88595c5e6",
+    "commit3": "c013f0331a5efb6827c56d27ecff03b98e3a051ec1187f52d06624eed0bb312d",
+    "distribute_shares": "2962376f01aed5cd4bee34b7ac9df0f771635cb3ab02561c0b04e0bf1930f21a",
+    "example_f1": "ba56da00d8da15111cc8a9b87ab1ddc50f4797ae203d4a38502e1a0605b84c7f",
+    "example_f2": "6e6ba6c835653ddccb936d9c836350c75d51144a8f3dbacff832300d49d8d724",
+    "millionaires_bitwise": "ff62bf1b0293376594cd8c6adaffee588dcb656b26c17dc11e50e9f00f62efea",
+    "millionaires_compare": "71150b633aaf7e076ec6add203e9111e3c4aa627b3a17bc524f7f244ef04bf1f",
+    "ot_dummy": "69d3ad51844741e5922ccc277b2dfa7eca3c2c2131b3da7bebd347c86675f509",
+    "secure_product": "1d83f8899536301c079edcda55b69c58b64bed255a5087779d40315206b3e3c6",
+    "secure_rating": "0b679c119c6e3db49eb280e009ecd10d5b6cff41a289a0c044e0e71309837fda",
+    "secure_sum": "695e4fa0a408af53de93c71894044739ae7dbe8f8fa0f28eae024a0bfeb62cb3",
+    "secure_sum/Z_5/two cycles":
+        "1a43b0a8ab358475e04f1ee3b8bb6cf6b727038df8de51d7e89f3be69dc51539",
+    "share_secret_kk": "1ad1e4a6abb0598782f5d12e9b0d300e257bf72f7a6b3bd27bb42fe93523bfeb",
+    "sum_of_powers": "2504dc4acd36fbc316cc5ab35c13ccce75114e93859f170eb9356ec9a90868e7",
+}
+
+
+def _outcome_config(name):
+    if name == "card_deal/dummy dealer with a post draw":
+        _, t = dummy_dealer_fixed_hands(12, 2, 3, seed=7, post_draws=[(0, 1)])
+        return json.loads(t.serialize().split("\n")[0])["meta"]
+    return CONFIGS[name]
+
+
+@pytest.mark.parametrize("name", sorted(OUTCOME_DIGESTS))
+def test_run_output_matches_recorded_digest(tmp_path, name):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_outcome_config(name)))
+    result = CliRunner().invoke(main, ["run", str(path)])
+    assert result.exit_code == 0, result.output
+    assert _digest_text(result.output) == OUTCOME_DIGESTS[name]
+
+
+def test_every_config_has_a_run_output_pin():
+    assert set(CONFIGS) <= set(OUTCOME_DIGESTS)
 
 
 # Runs that no pin above covers, recorded before the cycle pass, the input
