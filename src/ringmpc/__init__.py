@@ -36,7 +36,6 @@ from .arithmetic import (
     symmetric_from_power_sums,
 )
 from .commitment import (
-    CommitmentLedger,
     Commit2Dummy,
     Commit3,
     CommitK,

@@ -18,17 +18,8 @@ from .engine import DummyTriangleProtocol, Protocol, Run
 from .errors import ProtocolError, RingError, TopologyError
 from .jsonvalues import json_field
 from .ring import RingSpec, pure
-from .topology import (
-    ChannelGraph,
-    INSECURE,
-    Party,
-    SECURE,
-    build_cycle,
-    default_parties,
-    players_subgraph,
-    secure_cycles,
-    single_cycle,
-)
+from .topology import (ChannelGraph, INSECURE, build_cycle, hub_graph, require_hub, secure_cycles,
+                       single_cycle)
 
 
 class _CyclePass(Protocol):
@@ -140,9 +131,7 @@ class SecureRating(Protocol):
 
     def check_graph(self, g):
         k = self.k
-        if g.k != k + 1:
-            raise TopologyError(f"secure_rating with k={k} needs {k + 1} parties (incl. the aggregator)")
-        single_cycle(self.name, players_subgraph(g, k))
+        require_hub(self.name, g, k)
         for endpoint in (0, k - 1):
             if not g.has_edge(endpoint, k):
                 raise TopologyError(f"secure_rating: aggregator unreachable from party {endpoint}")
@@ -176,12 +165,7 @@ class SecureRating(Protocol):
 
 def rating_graph(k: int) -> ChannelGraph:
     """Secure cycle of k parties plus an aggregator on insecure spokes."""
-    if k < 3:
-        raise TopologyError("rating needs k >= 3 parties")
-    parties = default_parties(k) + [Party(k, "B")]
-    edges = [(i, (i + 1) % k, SECURE) for i in range(k)]
-    edges += [(k - 1, k, INSECURE), (0, k, INSECURE)]
-    return ChannelGraph(parties, edges)
+    return hub_graph(k, "B", (k - 1, 0), INSECURE)
 
 
 class SecureProduct(_CyclePass):
@@ -374,10 +358,6 @@ class MillionairesCompare(DummyTriangleProtocol):
 
     name = "millionaires_compare"
     arity = 2
-
-    @classmethod
-    def encode(cls, outcome):
-        return {"verdict": outcome.verdict}
 
     @classmethod
     def claims(cls):

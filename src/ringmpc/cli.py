@@ -355,7 +355,7 @@ def cmd_share(secret, k, seed, modulus, out):
     with _exit_codes():
         R = _modulus_ring(modulus)
         shares, _ = run(sharing.ShareSecret(R, k), None, (secret,), seed)
-    body = {"shares": [str(s) for s in shares.shares], "ring": R.to_config()}
+    body = {**sharing.ShareSecret.encode(shares), "ring": R.to_config()}
     if out:
         Path(out).write_text(json.dumps(body))
     click.echo(json.dumps(body, indent=2))
@@ -392,7 +392,7 @@ def cmd_commit3(values, modulus, seed, state_path):
     }
     Path(state_path).write_text(json.dumps(state))
     ledger_view = {
-        name: {label: str(v) for label, v in led.holdings.items()}
+        name: {label: str(v) for label, v in led.items()}
         for name, led in session.ledgers.items()
     }
     click.echo(json.dumps({"phase": "committed", "ledgers": ledger_view}, indent=2))

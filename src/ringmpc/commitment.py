@@ -17,23 +17,13 @@ confirm each one is caught.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .analysis import SecrecySpec
 from .engine import DummyTriangleProtocol, Protocol, Run, Session
 from .errors import CheatDetected, ProtocolError
 from .jsonvalues import json_list
 from .ring import RingSpec, mod_ring
-
-@dataclass
-class CommitmentLedger:
-    """What one party holds after the commit phase: role-labelled values."""
-
-    holdings: dict = field(default_factory=dict)
-
-    def __getitem__(self, label):
-        return self.holdings[label]
-
 
 # Verification table for the 3-party reveal phase.  Each reveal message
 # is checked against the committed-phase holdings of the parties that can
@@ -75,10 +65,6 @@ class Commit3(_Commitment):
     arity = 3
 
     @classmethod
-    def encode(cls, recovered):
-        return {name: [str(v) for v in triple] for name, triple in recovered.items()}
-
-    @classmethod
     def claims(cls):
         """Over Z_2 and Z_3, P2 learns nothing; P1 and P3 learn only the other two's sum."""
         specs = []
@@ -115,9 +101,9 @@ class Commit3(_Commitment):
         run.send(1, 0, s23, "s2+s3")
         run.send(0, 2, s123, "s1+s2+s3")
         return {
-            "P1": CommitmentLedger({"s1": s[0], "s2+s3": s23, "r1": r[0], "r1+r2+r3": r123}),
-            "P2": CommitmentLedger({"s2": s[1], "s3": s[2], "r1": r[0], "r2": r[1]}),
-            "P3": CommitmentLedger({"s3": s[2], "r3": r[2], "r1+r2": r12, "s1+s2+s3": s123}),
+            "P1": {"s1": s[0], "s2+s3": s23, "r1": r[0], "r1+r2+r3": r123},
+            "P2": {"s2": s[1], "s3": s[2], "r1": r[0], "r2": r[1]},
+            "P3": {"s3": s[2], "r3": r[2], "r1+r2": r12, "s1+s2+s3": s123},
         }
 
     def reveal(self, session: Session, tamper: dict):
@@ -292,9 +278,9 @@ class Commit2Dummy(_Commitment, DummyTriangleProtocol):
         run.send(0, 2, r12, "r1+r2")
         run.send(1, 2, s12, "s1+s2")
         return {
-            "A": CommitmentLedger({"n1": n1, "r1": r1, "s1": s1, "r2": r2}),
-            "B": CommitmentLedger({"n2": n2, "r2": r2, "s2": s2, "s1": s1}),
-            "D": CommitmentLedger({"r1+r2": r12, "s1+s2": s12}),
+            "A": {"n1": n1, "r1": r1, "s1": s1, "r2": r2},
+            "B": {"n2": n2, "r2": r2, "s2": s2, "s1": s1},
+            "D": {"r1+r2": r12, "s1+s2": s12},
         }
 
     def reveal(self, session: Session, tamper: dict):
@@ -342,10 +328,6 @@ class ObliviousTransfer(DummyTriangleProtocol):
             raw = [raw["messages"], raw["indices"]]
         messages, indices = json_list(raw)
         return super().decode_inputs(messages), super().decode_inputs(indices)
-
-    @classmethod
-    def encode(cls, outcome):
-        return {"retrieved": [str(v) for v in outcome.retrieved]}
 
     def program(self, run: Run):
         R = self.ring

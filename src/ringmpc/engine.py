@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Any, NamedTuple
@@ -48,7 +48,7 @@ from typing import Any, NamedTuple
 from .errors import DummyRandomnessError, PhaseError, ProtocolError, ReplayError, TopologyError
 from .jsonvalues import json_field, json_ints
 from .ring import RingSpec, integers
-from .topology import (ChannelGraph, INSECURE, SECURE, build_cycle, dummy_triangle,
+from .topology import (ChannelGraph, INSECURE, build_cycle, dummy_triangle, require_secure,
                        validate_topology)
 
 BROADCAST = "*"
@@ -332,7 +332,11 @@ class Protocol:
 
     @classmethod
     def encode(cls, outcome) -> dict:
-        return {cls.result: str(outcome)}
+        """The outcome as JSON, every integer a decimal string: a dataclass by its fields,
+        a dict as itself, anything else under the key ``result``."""
+        if is_dataclass(outcome):
+            outcome = asdict(outcome)
+        return _encode(outcome if isinstance(outcome, dict) else {cls.result: outcome})
 
     @classmethod
     def claims(cls):
@@ -359,9 +363,7 @@ class DummyTriangleProtocol(Protocol):
     def check_graph(self, g: ChannelGraph) -> None:
         if g.k != 3:
             raise TopologyError(f"{self.name} runs between A, B and a dummy")
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            if not (g.has_edge(i, j) and g.security(i, j) == SECURE):
-                raise TopologyError(f"{self.name} needs a secure link between parties {i} and {j}")
+        require_secure(self.name, g, ((0, 1), (0, 2), (1, 2)))
 
 
 class Run:

@@ -24,13 +24,13 @@ contributions, combined modulo N with residue 0 mapped to N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .engine import Protocol, Run, run
 from .errors import ProtocolError, TopologyError
 from .jsonvalues import json_bool, json_field, json_int, json_ints, json_list
-from .topology import ChannelGraph, Party, SECURE, build_cycle, default_parties
+from .topology import ChannelGraph, Party, SECURE, build_cycle, default_parties, require_secure
 
 
 def expected_circles(N: int, k: int) -> Fraction:
@@ -105,11 +105,7 @@ class CollectiveRandom(Protocol):
         return build_cycle(3)
 
     def check_graph(self, g):
-        for c in self.contributors:
-            if not (g.has_edge(c, self.receiver) and g.security(c, self.receiver) == SECURE):
-                raise TopologyError(
-                    f"collective randomness needs a secure channel {c} -> {self.receiver}"
-                )
+        require_secure(self.name, g, [(c, self.receiver) for c in self.contributors])
 
     def program(self, run: Run):
         return collective_round(run, self.M, self.receiver, self.contributors, "random")
@@ -187,12 +183,19 @@ class DealConfig:
 
 @dataclass(frozen=True)
 class DealResult:
-    """Hands as card indices (1..r), plus the public card-label permutation if drawn."""
+    """Hands as card indices (1..r), plus the public card-label permutation if drawn.
+
+    After a dummy dealer consolidated the dummies' cards, ``residual`` is
+    what it still holds and ``served`` its draws for the reals, as
+    (requester name, card) pairs; without a dealer, ``residual`` is None.
+    """
 
     hands: tuple  # per player, sorted tuples of indices
     zero_keeper: str
     quotas: tuple
     permutation: tuple | None = None  # permutation[idx-1] = card label
+    residual: tuple | None = None
+    served: tuple = ()
 
     def labeled_hands(self):
         if self.permutation is None:
@@ -206,9 +209,13 @@ class CardDeal(Protocol):
     """Token-passing deal, optionally composed with the label shuffle.
 
     ``counter_contributors`` names the two real players that synthesize
-    every dummy counter (required when the graph contains dummies).
-    ``shuffle_receiver`` fixes the collective-randomness receiver in
-    dummy mode; in all-real mode the roles rotate around the cycle.
+    every dummy counter (required when the graph contains dummies).  In
+    dummy mode they are also the contributors of the quota lottery and of
+    every shuffle swap, whose receiver is the first dummy; with real
+    players only, those roles rotate around the cycle.  ``consolidate_to``
+    names a dummy dealer that collects the dummies' cards and then serves
+    ``post_draws``, (real player, count) pairs, each card drawn by the
+    same two contributors.
     """
 
     name = "card_deal"
@@ -253,20 +260,15 @@ class CardDeal(Protocol):
 
     @classmethod
     def encode(cls, outcome):
-        if isinstance(outcome, DealerOutcome):
-            body = cls.encode(outcome.deal)
-            body["residual"] = [str(c) for c in outcome.residual]
-            body["served"] = [[name, str(card)] for name, card in outcome.served]
-            return body
-        body = {
-            "hands": [[str(c) for c in hand] for hand in outcome.hands],
-            "zero_keeper": outcome.zero_keeper,
-            "quotas": [str(q) for q in outcome.quotas],
-        }
+        """The hands, with ``labels`` and ``labeled_hands`` if a permutation was drawn,
+        and ``residual`` and ``served`` if a dealer consolidated."""
+        body = {"hands": outcome.hands, "zero_keeper": outcome.zero_keeper,
+                "quotas": outcome.quotas}
         if outcome.permutation is not None:
-            body["labels"] = [str(v) for v in outcome.permutation]
-            body["labeled_hands"] = [[str(c) for c in hand] for hand in outcome.labeled_hands()]
-        return body
+            body.update(labels=outcome.permutation, labeled_hands=outcome.labeled_hands())
+        if outcome.residual is not None:
+            body.update(residual=outcome.residual, served=outcome.served)
+        return super().encode(body)
 
     def default_graph(self, k):
         return build_cycle(self.cfg.k)
@@ -275,10 +277,7 @@ class CardDeal(Protocol):
         k = self.cfg.k
         if g.k != k:
             raise TopologyError(f"deal config names {k} players, graph has {g.k}")
-        for i in range(k):
-            j = (i + 1) % k
-            if not (g.has_edge(i, j) and g.security(i, j) == SECURE):
-                raise TopologyError(f"dealing needs the secure cycle edge ({i},{j})")
+        require_secure(self.name, g, [(i, (i + 1) % k) for i in range(k)])
         dummies = [p.index for p in g.parties if not p.full]
         if self.consolidate_to is not None and self.consolidate_to not in dummies:
             raise TopologyError(f"consolidate_to={self.consolidate_to} is not a dummy party")
@@ -286,12 +285,7 @@ class CardDeal(Protocol):
             cc = self.counter_contributors
             if cc is None or len(cc) != 2:
                 raise TopologyError("dummies present: two counter contributors required")
-            for d in dummies:
-                for c in cc:
-                    if not (g.has_edge(c, d) and g.security(c, d) == SECURE):
-                        raise TopologyError(
-                            f"dummy {d} needs a secure channel from contributor {c}"
-                        )
+            require_secure(self.name, g, [(c, d) for d in dummies for c in cc])
 
     # -- counters ---------------------------------------------------------
 
@@ -414,16 +408,7 @@ class CardDeal(Protocol):
                 card = residual.pop(idx)
                 run.send(dealer, requester, card, "drawn card", kind="token")
                 served.append((run.name(requester), card))
-        return DealerOutcome(result, tuple(residual), tuple(served))
-
-
-@dataclass(frozen=True)
-class DealerOutcome:
-    """Deal result plus the dummy dealer's residual deck and any served draws."""
-
-    deal: DealResult
-    residual: tuple
-    served: tuple
+        return replace(result, residual=tuple(residual), served=tuple(served))
 
 
 # -- graphs and constructions ----------------------------------------------

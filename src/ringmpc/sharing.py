@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 from . import ring as ring_mod
 from .engine import Protocol, Run
-from .errors import ProtocolError, TopologyError
+from .errors import ProtocolError
 from .ring import RingSpec
-from .topology import (ChannelGraph, Party, SECURE, build_cycle, default_parties,
-                       players_subgraph, secure_cycles, single_cycle)
+from .topology import (ChannelGraph, SECURE, build_cycle, hub_graph, players_subgraph, require_hub,
+                       require_secure, secure_cycles, single_cycle)
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,7 @@ class DistributeShares(Protocol):
     """Standalone run of the masking subroutine for one value."""
 
     name = "distribute_shares"
+    result = "summands"
     arity = 1
 
     def __init__(self, ring: RingSpec, initiator: int = 0, k: int = 3):
@@ -69,10 +70,6 @@ class DistributeShares(Protocol):
 
     def params(self):
         return {"initiator": self.initiator, "k": self.k}
-
-    @classmethod
-    def encode(cls, summands):
-        return {"summands": [str(s) for s in summands]}
 
     def default_graph(self, k):
         return build_cycle(self.k)
@@ -108,21 +105,13 @@ class ShareSecret(Protocol):
     def params(self):
         return {"k": self.k}
 
-    @classmethod
-    def encode(cls, outcome):
-        return {"shares": [str(s) for s in outcome.shares]}
-
     def default_graph(self, k):
         return sharing_graph(self.k)
 
     def check_graph(self, g):
         k = self.k
-        if g.k != k + 1:
-            raise TopologyError(f"share_secret_kk with k={k} needs {k + 1} parties (incl. dealer)")
-        single_cycle(self.name, players_subgraph(g, k))
-        for i in range(k):
-            if not (g.has_edge(i, k) and g.security(i, k) == SECURE):
-                raise TopologyError(f"share_secret_kk: dealer needs a secure link to player {i}")
+        require_hub(self.name, g, k)
+        require_secure(self.name, g, [(i, k) for i in range(k)])
 
     def program(self, run: Run):
         R = self.ring
@@ -157,10 +146,7 @@ class ShareSecret(Protocol):
 
 def sharing_graph(k: int) -> ChannelGraph:
     """Player cycle plus a dealer with a secure spoke to every player: 2k channels."""
-    parties = default_parties(k) + [Party(k, "D")]
-    edges = [(i, (i + 1) % k, SECURE) for i in range(k)]
-    edges += [(i, k, SECURE) for i in range(k)]
-    return ChannelGraph(parties, edges)
+    return hub_graph(k, "D", range(k), SECURE)
 
 
 def reconstruct(shares, ring=None):

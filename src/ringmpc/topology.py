@@ -7,7 +7,9 @@ on k vertices the handshaking count forces the secure subgraph to be a
 disjoint union of cycles.  Cycles of length 1 or 2 cannot occur in a
 simple graph, so "2-regular" is the whole acceptance condition; the
 protocols that use a star around a dummy declare their own channel sets
-and are checked against those instead.
+and are checked against those instead, each through ``require_secure``.
+The player cycle with a hub beside it (a dealer, an aggregator) is built
+by ``hub_graph`` and gated by ``require_hub``.
 
 Everything derived from a graph's edges (the sorted edge list, the
 validation verdict, the cycle walk, subgraphs) is computed once and
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ProtocolError, TopologyError
-from .jsonvalues import json_bool, json_field
+from .jsonvalues import json_bool, json_field, json_int, json_list
 
 SECURE = "secure"
 INSECURE = "insecure"
@@ -116,22 +118,34 @@ class ChannelGraph:
         if "cycle" in cfg:
             return build_cycle(json_field(cfg, "cycle"))
         k = json_field(cfg, "k")
-        specs = cfg.get("parties")
+        specs = json_field(cfg, "parties", json_list, None)
         if specs is None:
             parties = default_parties(k)
         else:
+            if len(specs) != k:
+                raise ValueError(f"'k': {k}, but {len(specs)} parties are listed")
             parties = [
                 Party(i, _name(i, s.get("name", f"P{i + 1}")),
                       json_field(s, "full", json_bool, True))
                 for i, s in enumerate(specs)
             ]
-        return cls(parties, [(e[0], e[1], e[2]) for e in cfg.get("edges", [])])
+        return cls(parties, json_field(cfg, "edges", _edges, ()))
 
 
 def _name(i: int, name) -> str:
     if not isinstance(name, str):
         raise ProtocolError(f"party {i} is named {name!r}; a party name is a string")
     return name
+
+
+def _edges(raw) -> list:
+    """(i, j, security) triples from a JSON list of [i, j, security] lists, i and j integers."""
+    edges = []
+    for edge in map(json_list, json_list(raw)):
+        if len(edge) != 3:
+            raise ValueError(f"{edge!r} is not [i, j, security]")
+        edges.append((json_int(edge[0]), json_int(edge[1]), edge[2]))
+    return edges
 
 
 def default_parties(k: int) -> list[Party]:
@@ -146,6 +160,16 @@ def build_cycle(k: int) -> ChannelGraph:
     for i in range(k):  # k distinct secure edges, valid by construction: no add_edge checks
         g._security[i, (i + 1) % k] = g._security[(i + 1) % k, i] = SECURE
     return g
+
+
+def hub_graph(k: int, hub: str, spokes, security: str) -> ChannelGraph:
+    """A secure cycle of players P1..Pk plus the party ``hub`` at index k (a dealer or an
+    aggregator), with a channel of ``security`` to each player in ``spokes``."""
+    if k < 3:
+        raise TopologyError(f"a player cycle with a hub needs at least 3 players, got {k}")
+    parties = default_parties(k) + [Party(k, hub)]
+    edges = [(i, (i + 1) % k, SECURE) for i in range(k)] + [(i, k, security) for i in spokes]
+    return ChannelGraph(parties, edges)
 
 
 def dummy_triangle() -> ChannelGraph:
@@ -172,6 +196,21 @@ def single_cycle(name: str, g: ChannelGraph) -> list[int]:
     if len(cycles) != 1:
         raise TopologyError(f"{name} runs on a single cycle")
     return cycles[0]
+
+
+def require_hub(name: str, g: ChannelGraph, k: int) -> None:
+    """TopologyError naming ``name`` unless ``g`` is k players on one secure cycle (as
+    ``single_cycle`` accepts it) and a hub, party k; the hub's channels are not checked."""
+    if g.k != k + 1:
+        raise TopologyError(f"{name} with k={k} needs {k + 1} parties: {k} players and a hub")
+    single_cycle(name, players_subgraph(g, k))
+
+
+def require_secure(name: str, g: ChannelGraph, pairs) -> None:
+    """TopologyError naming ``name`` at the first of ``pairs`` that is not a secure channel."""
+    for i, j in pairs:
+        if g._security.get((i, j)) != SECURE:
+            raise TopologyError(f"{name} needs a secure channel between parties {i} and {j}")
 
 
 def validate_secure_edges(k: int, pairs) -> tuple[bool, str | None]:

@@ -761,3 +761,43 @@ class TestConfigFieldsAreJsonIntegersAndBooleans:
         result = runner.invoke(main, ["run", write_config(tmp_path, "cfg.json", body)])
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["outcome"]["served"][0][0] == "P1"
+
+
+class TestTopologyEdgesAndPartyCount:
+    """A topology's edges are two integer endpoints and a security, and its k counts its parties.
+
+    Before edges were decoded, the 1.0 endpoint ended in a TypeError traceback
+    (exit 1), and every other config below ran with exit 0: true was read as
+    1, the fourth field was ignored, and "k": 7 ran on three parties.
+    """
+
+    SUM = {"protocol": "secure_sum", "inputs": [3, 5, 7], "seed": 7}
+    TRIANGLE = [[0, 1, "secure"], [1, 2, "secure"], [0, 2, "secure"]]
+
+    CASES = {
+        "float endpoint": ([[0, 1.0, "secure"], *TRIANGLE[1:]], {}, "'edges'"),
+        "bool endpoint": ([TRIANGLE[0], [True, 2, "secure"], TRIANGLE[2]], {}, "'edges'"),
+        "fourth field": ([[0, 1, "secure", 9], *TRIANGLE[1:]], {}, "'edges'"),
+        "edge as a string": (["0,1,secure", *TRIANGLE[1:]], {}, "'edges'"),
+        "k beside three parties": (TRIANGLE, {"k": 7, "parties": [{}, {}, {}]}, "'k'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_run_exits_2_naming_the_field(self, runner, tmp_path, case):
+        edges, fields, named = self.CASES[case]
+        body = dict(self.SUM, topology={"k": 3, "edges": edges, **fields})
+        result = runner.invoke(main, ["run", write_config(tmp_path, "sum.json", body)])
+        assert result.exit_code == 2, result.output
+        assert "bad 'topology'" in result.output and named in result.output
+
+    def test_decimal_string_endpoints_and_k_are_the_integers(self, runner, tmp_path):
+        texts = []
+        strings = [[str(i), str(j), security] for i, j, security in self.TRIANGLE]
+        for k, edges in ((3, self.TRIANGLE), ("3", strings)):
+            out = tmp_path / "sum.jsonl"
+            body = dict(self.SUM, topology={"k": k, "parties": [{}, {}, {}], "edges": edges})
+            result = runner.invoke(main, ["run", write_config(tmp_path, "sum.json", body),
+                                          "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]

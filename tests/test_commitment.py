@@ -48,14 +48,14 @@ class TestCommit3:
         sources = {i: ScriptedSource([0]) for i in range(3)}
         session = commit(Commit3(rr.mod_ring(2)), None, (0, 0, 0), sources=sources)
         for ledger in session.ledgers.values():
-            assert set(ledger.holdings.values()) == {0}
+            assert set(ledger.values()) == {0}
 
     def test_hand_trace_m10(self):
         # n = (3,4,5) with r = (1,2,3) forced: s = (2,2,2)
         sources = {i: ScriptedSource([i + 1]) for i in range(3)}
         session = commit(Commit3(rr.mod_ring(10)), None, (3, 4, 5), sources=sources)
-        assert session.ledgers["P2"].holdings == {"s2": 2, "s3": 2, "r1": 1, "r2": 2}
-        assert session.ledgers["P1"].holdings == {
+        assert session.ledgers["P2"] == {"s2": 2, "s3": 2, "r1": 1, "r2": 2}
+        assert session.ledgers["P1"] == {
             "s1": 2, "s2+s3": 4, "r1": 1, "r1+r2+r3": 6,
         }
 
@@ -66,7 +66,7 @@ class TestCommit3:
             values = tuple(rng.randrange(m) for _ in range(3))
             session = commit(Commit3(rr.mod_ring(m)), None, values, seed=rng.randint(0, 10**6))
             for name, expected in PAPER_INVENTORY.items():
-                assert set(session.ledgers[name].holdings) == expected
+                assert set(session.ledgers[name]) == expected
 
     def test_honest_decommit_recovers_everything(self):
         session = commit(Commit3(rr.mod_ring(10)), None, (3, 4, 5), seed=9)
@@ -121,7 +121,7 @@ class TestCommit2Dummy:
         # n = (3,4), r1 = 1, r2 = 2:  D holds r1+r2 = 3 and s1+s2 = 4, reveals 7
         sources = {0: ScriptedSource([1]), 1: ScriptedSource([2])}
         session = commit(Commit2Dummy(rr.mod_ring(10)), None, (3, 4), sources=sources)
-        assert session.ledgers["D"].holdings == {"r1+r2": 3, "s1+s2": 4}
+        assert session.ledgers["D"] == {"r1+r2": 3, "s1+s2": 4}
         a_learns, b_learns = session.reveal()
         assert (a_learns, b_learns) == (4, 3)
 
@@ -134,7 +134,7 @@ class TestCommit2Dummy:
             for r1, r2 in product(range(2), repeat=2):
                 sources = {0: ScriptedSource([r1]), 1: ScriptedSource([r2])}
                 session = commit(Commit2Dummy(rr.mod_ring(2)), None, (n1, n2), sources=sources)
-                d_labels = set(session.ledgers["D"].holdings)
+                d_labels = set(session.ledgers["D"])
                 assert d_labels == {"r1+r2", "s1+s2"}
                 assert session.reveal() == (n2, n1)
 

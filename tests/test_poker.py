@@ -249,14 +249,14 @@ class TestDummyDealer:
 
     def test_52_card_two_player_17_each(self):
         outcome, t = dummy_dealer_fixed_hands(52, 2, 17, seed=1)
-        sizes = [len(h) for h in outcome.deal.hands]
+        sizes = [len(h) for h in outcome.hands]
         assert sizes[:2] == [17, 17]
         assert len(outcome.residual) == 18
         assert t.draw_counts["D1"] == 0
 
     def test_exact_division_case(self):
         outcome, _ = dummy_dealer_fixed_hands(6, 2, 2, seed=2)
-        assert [len(h) for h in outcome.deal.hands] == [2, 2, 2]
+        assert [len(h) for h in outcome.hands] == [2, 2, 2]
         assert len(outcome.residual) == 2
 
     def test_draw_reduces_residual_by_served_card(self):

@@ -304,7 +304,7 @@ def _gate_cases():
 @pytest.mark.parametrize("case", sorted(_gate_cases()))
 def test_every_channel_gate_rejects_a_graph_short_of_what_it_needs(case):
     protocol, graph = _gate_cases()[case]
-    with pytest.raises(TopologyError):
+    with pytest.raises(TopologyError, match=protocol.name):
         protocol.check_graph(graph)
 
 
