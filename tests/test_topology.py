@@ -3,11 +3,14 @@ import random
 import pytest
 
 import ringmpc.ring as rr
-from ringmpc.arithmetic import SecureSum
+from ringmpc.arithmetic import MillionairesCompare, SecureRating, SecureSum, rating_graph
 from ringmpc.engine import run
 from ringmpc.errors import TopologyError
+from ringmpc.poker import CardDeal, CollectiveRandom, DealConfig
+from ringmpc.sharing import ShareSecret, sharing_graph
 from ringmpc.topology import (
     ChannelGraph,
+    Party,
     build_cycle,
     default_parties,
     dummy_triangle,
@@ -272,11 +275,6 @@ def _changed(g, i, j, security=None):
 
 def _gate_cases():
     """(protocol, graph) per channel gate, each graph one channel or party count short."""
-    from ringmpc.arithmetic import MillionairesCompare, SecureRating, rating_graph
-    from ringmpc.poker import CardDeal, CollectiveRandom, DealConfig
-    from ringmpc.sharing import ShareSecret, sharing_graph
-    from ringmpc.topology import Party
-
     # Three reals and a dummy D on a 4-cycle; contributor 0 reaches D along the
     # cycle, contributor 1 over a spoke.
     dummy_cycle = ChannelGraph(
@@ -309,8 +307,6 @@ def test_every_channel_gate_rejects_a_graph_short_of_what_it_needs(case):
 
 
 def test_the_gate_cases_pass_with_the_missing_channel_restored():
-    from ringmpc.poker import CardDeal, DealConfig
-
     cases = _gate_cases()
     protocol, graph = cases["deal dummy spoke"]
     protocol.check_graph(_changed(graph, 1, 3, "secure"))
