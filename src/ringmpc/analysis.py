@@ -29,8 +29,8 @@ from .engine import (
     Transcript,
     View,
     _entries_for,
+    accept,
     merge_views,
-    start,
 )
 from .errors import BudgetExceeded, ProtocolError
 from .poker import even_quotas
@@ -107,8 +107,8 @@ def _first_inputs(spec: SecrecySpec) -> tuple:
 
 
 def _checked_graph(spec: SecrecySpec) -> ChannelGraph:
-    """The graph every run of ``spec`` uses, once ``engine.start`` has checked it and the arity."""
-    return start(spec.protocol, spec.graph, _first_inputs(spec)).graph
+    """The graph every run of ``spec`` uses, as ``engine.accept`` checks it and the inputs."""
+    return accept(spec.protocol, spec.graph, _first_inputs(spec))
 
 
 def _run_count(spec: SecrecySpec, sites) -> int:
@@ -120,8 +120,8 @@ def enumerate_runs(spec: SecrecySpec):
 
     ``run`` is the finished ``engine.Run``: its ``log`` holds every event,
     and ``run.transcript()`` packages it when a caller wants one.  The
-    inputs' arity and the graph are checked once, as ``engine.start``
-    checks them, on the graph that every run then uses.  The parties share
+    inputs' count and the graph are checked once, by ``engine.accept``;
+    every run then uses the graph it returned.  The parties share
     one script, so a run that draws off the discovered sites is a ``ProtocolError``.
     """
     yield from _runs(spec, _checked_graph(spec))

@@ -18,8 +18,8 @@ from .engine import DummyTriangleProtocol, Protocol, Run
 from .errors import ProtocolError, RingError, TopologyError
 from .jsonvalues import json_field
 from .ring import RingSpec, pure
-from .topology import (ChannelGraph, INSECURE, build_cycle, hub_graph, require_hub, secure_cycles,
-                       single_cycle)
+from .topology import (ChannelGraph, INSECURE, build_cycle, hub_graph, require_hub, require_secure,
+                       secure_cycles, single_cycle)
 
 
 class _CyclePass(Protocol):
@@ -117,7 +117,7 @@ class SecureRating(Protocol):
 
     def __init__(self, ring: RingSpec, k: int):
         super().__init__(ring)
-        self.k = k
+        self.k = self.arity = k
 
     @classmethod
     def from_params(cls, ring, params, inputs):
@@ -132,6 +132,7 @@ class SecureRating(Protocol):
     def check_graph(self, g):
         k = self.k
         require_hub(self.name, g, k)
+        require_secure(self.name, g, [(i, i + 1) for i in range(k - 1)])  # both passes' links
         for endpoint in (0, k - 1):
             if not g.has_edge(endpoint, k):
                 raise TopologyError(f"secure_rating: aggregator unreachable from party {endpoint}")

@@ -24,6 +24,7 @@ from .engine import DummyTriangleProtocol, Protocol, Run, Session
 from .errors import CheatDetected, ProtocolError
 from .jsonvalues import json_list
 from .ring import RingSpec, mod_ring
+from .topology import require_secure
 
 # Verification table for the 3-party reveal phase.  Each reveal message
 # is checked against the committed-phase holdings of the parties that can
@@ -162,8 +163,8 @@ class Commit3(_Commitment):
             "P2": (p2_n1, n2, p2_n3),
             "P3": (p3_n1, p3_n2, n3),
         }
-        for name, triple in recovered.items():
-            r.note(r.graph.party(name).index, "recovered values", triple)
+        for i, triple in enumerate(recovered.values()):  # P1, P2, P3 are parties 0, 1, 2
+            r.note(i, "recovered values", triple)
         return recovered
 
 
@@ -178,6 +179,10 @@ class CommitK(_Commitment):
     """
 
     name = "commit_k"
+
+    def check_graph(self, g):
+        super().check_graph(g)
+        require_secure(self.name, g, [(i, (i + 1) % g.k) for i in range(g.k)])
 
     def program(self, run: Run):
         """Send, and return as the ledgers, prefix j = r_1+...+r_j (P_j to P_{j+1})

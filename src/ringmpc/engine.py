@@ -30,8 +30,8 @@ derived from them.
 Randomness goes through a single ``randrange``-shaped interface, so a
 test can replace a party's generator with a scripted source and
 enumerate the entire noise space of a run exhaustively.  The enumeration
-(``analysis.enumerate_runs``) checks the inputs' arity and the graph
-once, then builds each ``Run`` directly, calls the protocol's
+(``analysis.enumerate_runs``) checks the inputs' count and the graph
+once (``accept``), then builds each ``Run`` directly, calls the protocol's
 ``program`` and yields the finished run, whose log the secrecy check
 reads; an enumerated run builds no transcript.
 """
@@ -483,17 +483,22 @@ def run(protocol: Protocol, graph: ChannelGraph | None = None, inputs=(), seed: 
     return outcome, r.transcript()
 
 
-def start(protocol: Protocol, graph: ChannelGraph | None = None, inputs=(), seed: int = 0,
-          sources=None) -> Run:
-    """A fresh ``Run`` of ``protocol`` on ``graph`` (default: the protocol's own).
-
-    The number of inputs and the graph are checked first, in that order.
-    """
+def accept(protocol: Protocol, graph: ChannelGraph | None, inputs) -> ChannelGraph:
+    """The graph a run of ``protocol`` on ``inputs`` uses, ``graph`` or the protocol's own, once
+    checked: a fixed ``arity`` first, then the graph; without an arity, one input per party."""
     if protocol.arity is not None and len(inputs) != protocol.arity:
         raise ProtocolError(f"{protocol.name} takes {protocol.arity} inputs, got {len(inputs)}")
     g = graph if graph is not None else protocol.default_graph(len(inputs))
     protocol.check_graph(g)
-    return Run(protocol, g, inputs, seed, sources=sources)
+    if protocol.arity is None and len(inputs) != g.k:
+        raise ProtocolError(f"{protocol.name} takes {g.k} inputs, one per party, got {len(inputs)}")
+    return g
+
+
+def start(protocol: Protocol, graph: ChannelGraph | None = None, inputs=(), seed: int = 0,
+          sources=None) -> Run:
+    """A fresh ``Run`` of ``protocol`` on the graph that ``accept`` gives."""
+    return Run(protocol, accept(protocol, graph, inputs), inputs, seed, sources=sources)
 
 
 @dataclass

@@ -429,15 +429,12 @@ def dealer_graph(k: int, d: int) -> ChannelGraph:
     """
     total = k + d
     parties = default_parties(k) + [Party(k + j, f"D{j + 1}", full=False) for j in range(d)]
-    g = ChannelGraph(parties, [(i, (i + 1) % total, SECURE) for i in range(total)])
-    for dummy in range(k, total):
-        for c in (0, 1):
-            if not g.has_edge(c, dummy):
-                g.add_edge(c, dummy, SECURE)
-    for real in range(k):
-        if not g.has_edge(real, k):
-            g.add_edge(real, k, SECURE)
-    return g
+    cycle = [(i, (i + 1) % total) for i in range(total)]
+    spokes = [(c, dummy) for dummy in range(k, total) for c in (0, 1)]
+    spokes += [(real, k) for real in range(k)]
+    # A spoke may be a cycle edge or another spoke: each link is listed once.
+    links = dict.fromkeys((min(i, j), max(i, j)) for i, j in cycle + spokes)
+    return ChannelGraph(parties, [(i, j, SECURE) for i, j in links])
 
 
 def dummy_deal_two_players(m: int, N: int, seed=0):

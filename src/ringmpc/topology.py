@@ -11,14 +11,15 @@ and are checked against those instead, each through ``require_secure``.
 The player cycle with a hub beside it (a dealer, an aggregator) is built
 by ``hub_graph`` and gated by ``require_hub``.
 
-Everything derived from a graph's edges (the sorted edge list, the
-validation verdict, the cycle walk, subgraphs) is computed once and
-memoised on the graph; ``add_edge`` forgets it all.
+A graph is a value: its parties and edges are fixed when it is built, so
+the sorted edge list, the validation verdict and the cycle walk are each
+computed at most once per graph and kept on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ProtocolError, TopologyError
 from .jsonvalues import json_bool, json_field, json_int, json_list
@@ -46,7 +47,7 @@ class ValidationResult:
 
 
 class ChannelGraph:
-    """Undirected channel graph over k parties, each edge secure or insecure."""
+    """Undirected channel graph over k parties, each edge secure or insecure, fixed once built."""
 
     def __init__(self, parties, edges=()):
         self.parties = tuple(parties)
@@ -55,33 +56,21 @@ class ChannelGraph:
         if len({p.name for p in self.parties}) != len(self.parties):
             raise TopologyError("duplicate party names")
         self._security: dict[tuple[int, int], str] = {}  # both orientations of each edge
-        self._memo: dict = {}
+        k = len(self.parties)
         for i, j, security in edges:
-            self.add_edge(i, j, security)
+            if i == j:
+                raise TopologyError(f"self-loop at vertex {i}")
+            if not (0 <= i < k and 0 <= j < k):
+                raise TopologyError(f"edge ({i},{j}) references an unknown vertex")
+            if security not in (SECURE, INSECURE):
+                raise TopologyError(f"bad channel security {security!r}")
+            if (i, j) in self._security:
+                raise TopologyError(f"duplicate edge ({i},{j})")
+            self._security[i, j] = self._security[j, i] = security
 
     @property
     def k(self) -> int:
         return len(self.parties)
-
-    def add_edge(self, i: int, j: int, security: str = SECURE) -> None:
-        if i == j:
-            raise TopologyError(f"self-loop at vertex {i}")
-        if not (0 <= i < self.k and 0 <= j < self.k):
-            raise TopologyError(f"edge ({i},{j}) references an unknown vertex")
-        if security not in (SECURE, INSECURE):
-            raise TopologyError(f"bad channel security {security!r}")
-        if (i, j) in self._security:
-            raise TopologyError(f"duplicate edge ({i},{j})")
-        self._security[i, j] = self._security[j, i] = security
-        self._memo.clear()
-
-    def memo(self, key, compute):
-        """``compute(self)``, evaluated once per ``key`` until the next ``add_edge``."""
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = compute(self)
-            return value
 
     def has_edge(self, i: int, j: int) -> bool:
         return (i, j) in self._security
@@ -94,17 +83,44 @@ class ChannelGraph:
 
     def edges(self) -> tuple:
         """Edges as sorted (i, j, security) triples, deterministic order."""
-        return self.memo("edges", lambda g: tuple(sorted(
-            (i, j, sec) for (i, j), sec in g._security.items() if i < j)))
+        return self._edges
+
+    @cached_property
+    def _edges(self) -> tuple:
+        return tuple(sorted((i, j, sec) for (i, j), sec in self._security.items() if i < j))
+
+    @cached_property
+    def _verdict(self) -> ValidationResult:
+        return ValidationResult(*validate_secure_edges(self.k, self.secure_pairs()))
+
+    @cached_property
+    def _cycles(self) -> tuple:
+        result = validate_topology(self)
+        if not result:
+            raise TopologyError(result.reason)
+        # The edge map holds both orientations, so each vertex lists both its secure neighbours.
+        adj = [[] for _ in range(self.k)]
+        for (i, j), security in self._security.items():
+            if security == SECURE:
+                adj[i].append(j)
+        seen = [False] * self.k
+        cycles = []
+        for start in range(self.k):
+            if seen[start]:
+                continue
+            cycle = [start]
+            seen[start] = True
+            prev, cur = start, min(adj[start])
+            while cur != start:
+                cycle.append(cur)
+                seen[cur] = True
+                a, b = adj[cur]
+                prev, cur = cur, (b if a == prev else a)
+            cycles.append(tuple(cycle))
+        return tuple(cycles)
 
     def secure_pairs(self):
         return [(i, j) for i, j, sec in self.edges() if sec == SECURE]
-
-    def party(self, name: str) -> Party:
-        for p in self.parties:
-            if p.name == name:
-                return p
-        raise TopologyError(f"unknown party {name!r}")
 
     def to_config(self) -> dict:
         return {
@@ -144,6 +160,8 @@ def _edges(raw) -> list:
     for edge in map(json_list, json_list(raw)):
         if len(edge) != 3:
             raise ValueError(f"{edge!r} is not [i, j, security]")
+        if edge[2] not in (SECURE, INSECURE):
+            raise ValueError(f"the security of {edge!r} is not {SECURE!r} or {INSECURE!r}")
         edges.append((json_int(edge[0]), json_int(edge[1]), edge[2]))
     return edges
 
@@ -157,7 +175,9 @@ def build_cycle(k: int) -> ChannelGraph:
     if k < 3:
         raise TopologyError(f"a cycle of secure channels needs at least 3 parties, got {k}")
     g = ChannelGraph(default_parties(k))
-    for i in range(k):  # k distinct secure edges, valid by construction: no add_edge checks
+    # k distinct secure edges, valid by construction, go straight into the edge map: through
+    # the constructor's checks, building and walking a large cycle takes about a fifth longer.
+    for i in range(k):
         g._security[i, (i + 1) % k] = g._security[(i + 1) % k, i] = SECURE
     return g
 
@@ -180,11 +200,8 @@ def dummy_triangle() -> ChannelGraph:
 
 def players_subgraph(g: ChannelGraph, k: int) -> ChannelGraph:
     """The subgraph on parties 0..k-1: the players without the hub (dealer, aggregator) at k."""
-    def build(g):
-        parties = [p for p in g.parties if p.index < k]
-        return ChannelGraph(parties, [(i, j, sec) for i, j, sec in g.edges() if i < k and j < k])
-
-    return g.memo(("players", k), build)
+    parties = [p for p in g.parties if p.index < k]
+    return ChannelGraph(parties, [(i, j, sec) for i, j, sec in g.edges() if i < k and j < k])
 
 
 def single_cycle(name: str, g: ChannelGraph) -> list[int]:
@@ -232,42 +249,15 @@ def validate_secure_edges(k: int, pairs) -> tuple[bool, str | None]:
 
 def validate_topology(g: ChannelGraph) -> ValidationResult:
     """Accept iff the secure subgraph is a disjoint union of cycles of length >= 3."""
-    return g.memo("validation", lambda g: ValidationResult(
-        *validate_secure_edges(g.k, g.secure_pairs())))
+    return g._verdict
 
 
 def secure_cycles(g: ChannelGraph) -> list[list[int]]:
     """The secure components as ordered vertex cycles.
 
-    Each cycle starts at its lowest-index vertex and proceeds toward that
-    vertex's lower-indexed neighbour's opposite, giving a deterministic
-    orientation.  Raises TopologyError if the graph is not a valid cycle
-    cover.
+    Each cycle starts at its lowest-index vertex and proceeds to that
+    vertex's lower-indexed neighbour, giving a deterministic orientation.
+    Raises TopologyError if the graph is not a valid cycle cover.
     """
-    return [list(cycle) for cycle in g.memo("cycles", _walk_cycles)]
+    return [list(cycle) for cycle in g._cycles]
 
-
-def _walk_cycles(g: ChannelGraph) -> tuple:
-    result = validate_topology(g)
-    if not result:
-        raise TopologyError(result.reason)
-    # The edge map holds both orientations, so each vertex lists both its secure neighbours.
-    adj = [[] for _ in range(g.k)]
-    for (i, j), security in g._security.items():
-        if security == SECURE:
-            adj[i].append(j)
-    seen = [False] * g.k
-    cycles = []
-    for start in range(g.k):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        prev, cur = start, min(adj[start])
-        while cur != start:
-            cycle.append(cur)
-            seen[cur] = True
-            a, b = adj[cur]
-            prev, cur = cur, (b if a == prev else a)
-        cycles.append(tuple(cycle))
-    return tuple(cycles)

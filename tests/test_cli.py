@@ -768,7 +768,8 @@ class TestTopologyEdgesAndPartyCount:
 
     Before edges were decoded, the 1.0 endpoint ended in a TypeError traceback
     (exit 1), and every other config below ran with exit 0: true was read as
-    1, the fourth field was ignored, and "k": 7 ran on three parties.
+    1, the fourth field was ignored, and "k": 7 ran on three parties.  A
+    "bogus" security was a topology rejection (exit 3) that named no field.
     """
 
     SUM = {"protocol": "secure_sum", "inputs": [3, 5, 7], "seed": 7}
@@ -779,6 +780,7 @@ class TestTopologyEdgesAndPartyCount:
         "bool endpoint": ([TRIANGLE[0], [True, 2, "secure"], TRIANGLE[2]], {}, "'edges'"),
         "fourth field": ([[0, 1, "secure", 9], *TRIANGLE[1:]], {}, "'edges'"),
         "edge as a string": (["0,1,secure", *TRIANGLE[1:]], {}, "'edges'"),
+        "bogus security": ([TRIANGLE[0], [1, 2, "bogus"], TRIANGLE[2]], {}, "'edges'"),
         "k beside three parties": (TRIANGLE, {"k": 7, "parties": [{}, {}, {}]}, "'k'"),
     }
 
@@ -801,3 +803,46 @@ class TestTopologyEdgesAndPartyCount:
             assert result.exit_code == 0, result.output
             texts.append(out.read_text())
         assert texts[0] == texts[1]
+
+
+class TestInputsAgainstTheGraph:
+    """A protocol without a fixed arity takes one input per party of the graph it accepted.
+
+    Each config below got past the gate before: four inputs on a 3-cycle summed
+    to 6, a topology of no parties summed three inputs to 0, and three inputs on
+    two disjoint triangles ended in an IndexError traceback.
+    """
+
+    TRIANGLES = [[0, 1, "secure"], [1, 2, "secure"], [0, 2, "secure"],
+                 [3, 4, "secure"], [4, 5, "secure"], [3, 5, "secure"]]
+    CASES = {
+        "four inputs on a 3-cycle": (["1", "2", "3", "4"], {"cycle": 3}, 3),
+        "no parties": (["1", "2", "3"], {"k": 0}, 0),
+        "two disjoint triangles": (["1", "2", "3"], {"k": 6, "edges": TRIANGLES}, 6),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_run_exits_2(self, runner, tmp_path, case):
+        inputs, topology, k = self.CASES[case]
+        body = {"protocol": "secure_sum", "inputs": inputs, "topology": topology}
+        out = tmp_path / "sum.jsonl"
+        result = runner.invoke(main, ["run", write_config(tmp_path, "sum.json", body),
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"takes {k} inputs, one per party, got {len(inputs)}" in result.output
+        assert not out.exists()
+
+
+def test_commit3_on_parties_named_x_y_z_runs_reveals_and_replays(runner, tmp_path):
+    """The reveal used to look its ledger roles P1, P2, P3 up as party names: exit 3 at
+    ``unknown party 'P1'``.  The outcome keeps the roles as its keys."""
+    body = {"protocol": "commit3", "inputs": [1, 2, 3], "seed": 3,
+            "ring": {"ring": "Zm", "m": 5},
+            "topology": {"k": 3, "parties": [{"name": "X"}, {"name": "Y"}, {"name": "Z"}],
+                         "edges": [[0, 1, "secure"], [1, 2, "secure"], [0, 2, "secure"]]}}
+    out = str(tmp_path / "xyz.jsonl")
+    result = runner.invoke(main, ["run", write_config(tmp_path, "xyz.json", body), "--out", out])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["outcome"] == {p: ["1", "2", "3"] for p in ("P1", "P2", "P3")}
+    result = runner.invoke(main, ["replay", out])
+    assert result.exit_code == 0 and "verified" in result.output

@@ -14,6 +14,7 @@ from ringmpc.commitment import (
 )
 from ringmpc.engine import ScriptedSource, commit, extract_view, run
 from ringmpc.errors import CheatDetected, PhaseError, ProtocolError
+from ringmpc.topology import ChannelGraph, Party
 
 
 @pytest.mark.parametrize("cls, m", [(Commit3, 2), (Commit3, 3), (Commit2Dummy, 2)])
@@ -72,6 +73,15 @@ class TestCommit3:
         session = commit(Commit3(rr.mod_ring(10)), None, (3, 4, 5), seed=9)
         recovered = session.reveal()
         assert recovered == {name: (3, 4, 5) for name in ("P1", "P2", "P3")}
+
+    def test_recovered_triples_are_noted_at_parties_0_1_2_whatever_their_names(self):
+        graph = ChannelGraph([Party(i, name) for i, name in enumerate("XYZ")],
+                             [(0, 1, "secure"), (1, 2, "secure"), (0, 2, "secure")])
+        session = commit(Commit3(rr.mod_ring(10)), graph, (3, 4, 5), seed=9)
+        session.reveal()
+        notes = [(audience, v) for audience, (label, v), _ in session.run.log
+                 if label == "recovered values"]
+        assert notes == [((i,), (3, 4, 5)) for i in range(3)]
 
     def test_honest_decommit_bits_exhaustive(self):
         for bits in product(range(2), repeat=3):

@@ -5,11 +5,12 @@ import weakref
 import pytest
 
 import ringmpc.ring as rr
-from ringmpc.arithmetic import MillionairesCompare, SecureSum
+from ringmpc.arithmetic import MillionairesCompare, SecureRating, SecureSum
 from ringmpc.commitment import Commit2Dummy, Commit3, CommitK
 from ringmpc.engine import (
     EVERYONE,
     ScriptedSource,
+    accept,
     commit,
     eavesdropper_view,
     extract_view,
@@ -17,7 +18,7 @@ from ringmpc.engine import (
     run,
     start,
 )
-from ringmpc.errors import DummyRandomnessError, ReplayError, TopologyError
+from ringmpc.errors import DummyRandomnessError, ProtocolError, ReplayError, TopologyError
 from ringmpc.topology import ChannelGraph, Party, build_cycle, default_parties
 
 
@@ -40,6 +41,20 @@ def test_path_graph_rejected():
     path = ChannelGraph(default_parties(3), [(0, 1, "secure"), (1, 2, "secure")])
     with pytest.raises(TopologyError):
         run(proto, path, (1, 2, 3), seed=0)
+
+
+def test_accept_checks_a_fixed_arity_then_the_graph_then_one_input_per_party():
+    Z = rr.integers()
+    path = ChannelGraph(default_parties(4), [(0, 1, "secure"), (1, 2, "secure")])
+    with pytest.raises(ProtocolError, match="secure_rating takes 3 inputs, got 4"):
+        accept(SecureRating(Z, 3), path, (1, 2, 3, 4))
+    with pytest.raises(TopologyError):
+        accept(SecureSum(Z), path, (1, 2, 3))
+    with pytest.raises(ProtocolError, match="secure_sum takes 3 inputs, one per party, got 4") as e:
+        accept(SecureSum(Z), build_cycle(3), (1, 2, 3, 4))
+    assert not isinstance(e.value, TopologyError)
+    assert accept(SecureSum(Z), None, (1, 2, 3, 4)).edges() == build_cycle(4).edges()
+    assert accept(SecureRating(Z, 3), None, (1, 2, 3)).k == 4
 
 
 def test_dummy_in_sum_cycle_faults_at_first_draw():

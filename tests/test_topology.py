@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+import ringmpc.engine as engine
 import ringmpc.ring as rr
 from ringmpc.arithmetic import MillionairesCompare, SecureRating, SecureSum, rating_graph
+from ringmpc.commitment import CommitK
 from ringmpc.engine import run
 from ringmpc.errors import TopologyError
 from ringmpc.poker import CardDeal, CollectiveRandom, DealConfig
@@ -69,12 +71,14 @@ def test_validate_rejects_triangle_with_extra_degree():
     assert "degree 3" in result.reason or "degree 1" in result.reason
 
 
+def _cycle_edges(k, security="secure"):
+    return [(i, (i + 1) % k, security) for i in range(k)]
+
+
 def test_duplicate_edge_rejected_at_construction():
-    g = build_cycle(3)
-    with pytest.raises(TopologyError):
-        g.add_edge(0, 1, "secure")
-    with pytest.raises(TopologyError):
-        g.add_edge(1, 0, "insecure")
+    for extra in ((0, 1, "secure"), (1, 0, "insecure")):
+        with pytest.raises(TopologyError, match="duplicate edge"):
+            ChannelGraph(default_parties(3), _cycle_edges(3) + [extra])
 
 
 def test_self_loop_rejected():
@@ -88,12 +92,10 @@ def test_all_cycles_validate(k):
 
 
 def test_insecure_edges_do_not_count_for_the_cycle_cover():
-    g = build_cycle(3)
-    g.add_edge(0, 2, "insecure") if not g.has_edge(0, 2) else None
-    # adding an insecure chord to a 4-cycle leaves it valid
-    g4 = build_cycle(4)
-    g4.add_edge(0, 2, "insecure")
+    # an insecure chord beside a secure 4-cycle leaves it valid
+    g4 = ChannelGraph(default_parties(4), _cycle_edges(4) + [(0, 2, "insecure")])
     assert validate_topology(g4)
+    assert secure_cycles(g4) == [[0, 1, 2, 3]]
 
 
 def test_dummy_triangle_roles():
@@ -115,42 +117,9 @@ def test_config_roundtrip():
     assert ChannelGraph.from_config({"cycle": 4}).to_config() == build_cycle(4).to_config()
 
 
-def test_unknown_party_lookup():
-    with pytest.raises(TopologyError):
-        build_cycle(3).party("Q7")
-
-
-def test_add_edge_forgets_an_accepted_graph():
-    proto = SecureSum(rr.mod_ring(5))
-    g = build_cycle(4)
-    assert secure_cycles(g) == [[0, 1, 2, 3]]
-    run(proto, g, (1, 2, 3, 4), seed=0)
-    g.add_edge(0, 2, "secure")
-    assert (0, 2, "secure") in g.edges()
-    assert not validate_topology(g)
-    with pytest.raises(TopologyError):
-        run(proto, g, (1, 2, 3, 4), seed=0)
-    with pytest.raises(TopologyError):
-        secure_cycles(g)
-
-
-def test_add_edge_can_complete_a_rejected_graph():
-    proto = SecureSum(rr.mod_ring(5))
-    g = ChannelGraph(default_parties(3), [(0, 1, "secure"), (1, 2, "secure")])
-    with pytest.raises(TopologyError):
-        run(proto, g, (1, 2, 3), seed=0)
-    with pytest.raises(TopologyError):
-        secure_cycles(g)
-    g.add_edge(0, 2, "secure")
-    assert secure_cycles(g) == [[0, 1, 2]]
-    total, _ = run(proto, g, (1, 2, 3), seed=0)
-    assert total == 1
-
-
 def test_add_insecure_edge_shows_in_the_edge_list():
-    g = build_cycle(4)
-    before = g.to_config()["edges"]
-    g.add_edge(0, 2, "insecure")
+    before = build_cycle(4).to_config()["edges"]
+    g = ChannelGraph(default_parties(4), _cycle_edges(4) + [(0, 2, "insecure")])
     assert g.to_config()["edges"] == sorted(before + [[0, 2, "insecure"]])
     assert validate_topology(g)
 
@@ -162,12 +131,11 @@ def test_secure_cycles_returns_fresh_lists():
 
 
 def test_an_edge_answers_in_both_orientations():
-    g = ChannelGraph(default_parties(4), [(0, 1, "secure")])
-    with pytest.raises(TopologyError, match="duplicate edge"):
-        g.add_edge(1, 0, "insecure")
-    g.add_edge(3, 1, "insecure")
-    with pytest.raises(TopologyError, match="duplicate edge"):
-        g.add_edge(1, 3)
+    for edges in ([(0, 1, "secure"), (1, 0, "insecure")],
+                  [(0, 1, "secure"), (3, 1, "insecure"), (1, 3, "secure")]):
+        with pytest.raises(TopologyError, match="duplicate edge"):
+            ChannelGraph(default_parties(4), edges)
+    g = ChannelGraph(default_parties(4), [(0, 1, "secure"), (3, 1, "insecure")])
     assert g.has_edge(0, 1) and g.has_edge(1, 0) and g.has_edge(1, 3) and g.has_edge(3, 1)
     assert not g.has_edge(0, 2) and not g.has_edge(2, 0) and not g.has_edge(0, 0)
     assert g.security(0, 1) == g.security(1, 0) == "secure"
@@ -176,17 +144,17 @@ def test_an_edge_answers_in_both_orientations():
         with pytest.raises(TopologyError, match=f"no channel between {i} and {j}"):
             g.security(i, j)
     assert g.edges() == ((0, 1, "secure"), (1, 3, "insecure"))
-    g.add_edge(2, 0, "secure")
+    g = ChannelGraph(default_parties(4), [(0, 1, "secure"), (3, 1, "insecure"), (2, 0, "secure")])
     assert g.edges() == ((0, 1, "secure"), (0, 2, "secure"), (1, 3, "insecure"))
     assert g.to_config()["edges"] == [[0, 1, "secure"], [0, 2, "secure"], [1, 3, "insecure"]]
 
 
 # build_cycle writes its k edges straight into the edge map; it must build the
-# graph that k add_edge calls build.
+# graph that the constructor builds from the same k edges.
 @pytest.mark.parametrize("k", range(3, 41))
 def test_build_cycle_equals_the_graph_of_its_edges(k):
     g = build_cycle(k)
-    want = ChannelGraph(default_parties(k), [(i, (i + 1) % k, "secure") for i in range(k)])
+    want = ChannelGraph(default_parties(k), _cycle_edges(k))
     assert g.edges() == want.edges()
     assert g.to_config() == want.to_config()
     assert validate_topology(g) == validate_topology(want)
@@ -197,12 +165,14 @@ def test_build_cycle_equals_the_graph_of_its_edges(k):
 
 @pytest.mark.parametrize("k", range(4, 41, 6))
 def test_a_chord_added_to_a_built_cycle_fails_validation(k):
-    g = build_cycle(k)
-    assert validate_topology(g) and secure_cycles(g) == [list(range(k))]
-    g.add_edge(0, k // 2, "secure")
+    assert validate_topology(build_cycle(k)) and secure_cycles(build_cycle(k)) == [list(range(k))]
+    g = ChannelGraph(default_parties(k), _cycle_edges(k) + [(0, k // 2, "secure")])
+    assert (0, k // 2, "secure") in g.edges()
     assert not validate_topology(g)
     with pytest.raises(TopologyError):
         secure_cycles(g)
+    with pytest.raises(TopologyError):
+        run(SecureSum(rr.mod_ring(5)), g, tuple(range(k)), seed=0)
 
 
 def _oracle_walk(g):
@@ -296,7 +266,18 @@ def _gate_cases():
         "sharing party count": (ShareSecret(Z, 3), sharing_graph(4)),
         "rating aggregator link": (SecureRating(Z, 3), _changed(rating_graph(3), 0, 3)),
         "rating party count": (SecureRating(Z, 3), rating_graph(4)),
+        "rating player order": (SecureRating(Z, 4), _players_out_of_order()),
+        "commit_k cycle order": (CommitK(rr.mod_ring(5)), _players_out_of_order(hub=False)),
     }
+
+
+def _players_out_of_order(hub=True):
+    """Players 0..3 on the secure cycle 0-2-1-3-0, so 0 and 1 share no channel; with the
+    aggregator B at 4 on insecure spokes from players 0 and 3."""
+    parties = default_parties(4) + ([Party(4, "B")] if hub else [])
+    spokes = [(0, 4, "insecure"), (3, 4, "insecure")] if hub else []
+    return ChannelGraph(parties, [(0, 2, "secure"), (2, 1, "secure"), (1, 3, "secure"),
+                                  (3, 0, "secure")] + spokes)
 
 
 @pytest.mark.parametrize("case", sorted(_gate_cases()))
@@ -313,3 +294,16 @@ def test_the_gate_cases_pass_with_the_missing_channel_restored():
     CardDeal(DealConfig(3, 3, 2)).check_graph(build_cycle(3))
     for protocol, _ in (cases["sharing party count"], cases["rating party count"]):
         protocol.check_graph(protocol.default_graph(0))
+
+
+@pytest.mark.parametrize("case", ["rating player order", "commit_k cycle order"])
+def test_a_gate_rejects_a_cycle_its_program_does_not_send_along(case, monkeypatch):
+    """The gate names the first index-order link missing; no Run is built, so no event is
+    logged (the run used to die mid-program at ``no channel between 0 and 1``)."""
+    protocol, graph = _gate_cases()[case]
+    built = []
+    monkeypatch.setattr(engine, "Run", lambda *args, **kwargs: built.append(args))
+    with pytest.raises(TopologyError, match=f"{protocol.name} needs a secure channel "
+                                            "between parties 0 and 1"):
+        engine.start(protocol, graph, (1, 2, 3, 4))
+    assert built == []

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_view_digests import CONFIGS
 
+import ringmpc.cli as cli
 from ringmpc.cli import execute_config, replay_transcript
 from ringmpc.engine import EVERYONE, _record, parse_header, parse_transcript
 from ringmpc.errors import ProtocolError, ReplayError, TopologyError
@@ -505,3 +506,39 @@ def test_serialize_is_byte_equal_for_random_logs(events):
     _, t = execute_config(_named_sum(ODD_NAMES))
     t = dataclasses.replace(t, log=tuple(events))
     assert t.serialize() == reference_serialize(t)
+
+
+# A faithful labelled 52-card deal written with CRLF line endings: each line equals its
+# counterpart once its carriage return is removed, so replay decodes none of them.
+_LABELLED_DEAL = {"protocol": "card_deal", "inputs": [], "seed": 5,
+                  "params": {"r": 52, "k": 3, "N": 10, "with_labels": True}}
+
+
+def _counted_records(monkeypatch):
+    """The line numbers of the body records replay decodes from now on."""
+    decoded = []
+
+    def record(line, n):
+        decoded.append(n)
+        return _record(line, n)
+
+    monkeypatch.setattr(cli, "_record", record)
+    return decoded
+
+
+def test_a_faithful_crlf_replay_decodes_no_body_line(monkeypatch):
+    _, t = execute_config(_LABELLED_DEAL)
+    text = t.serialize().replace("\n", "\r\n")
+    decoded = _counted_records(monkeypatch)
+    assert replay_transcript(text) == (True, None, "verified")
+    assert decoded == []
+
+
+def test_a_crlf_transcript_with_one_altered_payload_diverges_at_that_seq(monkeypatch):
+    _, t = execute_config(_LABELLED_DEAL)
+    lines = _altered_payload(t.serialize().split("\n"))
+    n = len(lines) // 2
+    decoded = _counted_records(monkeypatch)
+    ok, seq, detail = replay_transcript("\r\n".join(lines))
+    assert (ok, seq, detail) == (False, _seq(lines[n]), f"first divergence at line {n + 1}")
+    assert decoded == [n + 1, n + 1]  # the altered line and its counterpart
