@@ -121,7 +121,10 @@ class SecureRating(Protocol):
 
     @classmethod
     def from_params(cls, ring, params, inputs):
-        return cls(ring, len(inputs))
+        k = json_field(params, "k", default=len(inputs))
+        if k != len(inputs):
+            raise ProtocolError(f"{cls.name}: 'k' is {k}, but {len(inputs)} inputs are given")
+        return cls(ring, k)
 
     def params(self):
         return {"k": self.k}

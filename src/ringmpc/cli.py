@@ -125,9 +125,10 @@ def _compare_body(text: str, want: list):
 
     Message i, the i-th non-blank line after the header, is compared with
     ``want[i]`` and is reported as line i + 2.  A line equal to its
-    counterpart, up to one trailing carriage return, holds the same record,
-    with an integer seq; every other non-blank line is decoded, also after
-    the first divergence, so that a structural fault anywhere is a ReplayError.
+    counterpart once JSON whitespace (space, tab, carriage return) is
+    stripped from both ends holds the same record, with an integer seq;
+    every other non-blank line is decoded, also after the first divergence,
+    so that a structural fault anywhere is a ReplayError.
     """
     lines = text.split("\n")
     start = next(n for n, line in enumerate(lines) if line.strip()) + 1  # after the header
@@ -135,7 +136,7 @@ def _compare_body(text: str, want: list):
     for n in range(start, len(lines)):
         line = lines[n]
         w = want[i] if i < len(want) else None
-        if line.removesuffix("\r") != w:
+        if line.strip(" \t\r") != w:
             if not line.strip():
                 continue
             got = _record(line, n + 1)

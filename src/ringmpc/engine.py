@@ -11,7 +11,9 @@ discipline and evidence:
   both build their events with one helper;
 * each full party owns a deterministic random generator forked from the
   run seed by party index, while a dummy owns none and any draw attempt
-  raises ``DummyRandomnessError``;
+  raises ``DummyRandomnessError``.  ``Run.rand_int`` looks the party's
+  source up on each call, and ``Run.drawer`` once for a function that
+  makes the same draw, as the card deal's counters do hundreds of times;
 * every note, send and broadcast is appended once to an event log,
   tagged with its audience: one party, a sender/receiver pair (plus the
   eavesdropper on an insecure channel), or everyone.  A send or broadcast
@@ -20,12 +22,15 @@ discipline and evidence:
   computed only when someone asks for it, so a broadcast to k parties
   costs one entry, not k.  A logged value is an int, a string or a
   tuple of them, never a list, so that a view is hashable as it stands;
-* every draw is appended once to a list of draw sites.
+* every draw is appended once to a list of draw sites; a noise draw
+  computes its domain size once, in ``RingSpec.sample_noise``.
 
 The log and the draw sites are the only records of a run.  The
 transcript's messages, numbered by their order among the sends and
 broadcasts, its serialized text and its per-party draw counts are all
-derived from them.
+derived from them.  Parsing a transcript decodes each message line with
+one scan of the C JSON scanner; a line the scan does not take whole as a
+record goes through ``json.loads``, whose messages name the fault.
 
 Randomness goes through a single ``randrange``-shaped interface, so a
 test can replace a party's generator with a scripted source and
@@ -41,7 +46,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass, is_dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from json.encoder import encode_basestring_ascii
 from typing import Any, NamedTuple
 
@@ -65,7 +70,8 @@ REVEALED = "revealed"
 
 # One encoder for every transcript line: json.dumps would build a new one per call.
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_RAW_DECODE = json.JSONDecoder().raw_decode
+# The C scanner of json.loads: a value from an index, no whitespace skipped, no end check.
+_SCAN = json.JSONDecoder().scan_once
 _FIELDS = frozenset(("seq", "from", "to", "security", "kind", "payload"))
 
 
@@ -205,16 +211,16 @@ def _encode(value):
 
 
 def _loads(line: str):
-    """``json.loads(line)``: one ``raw_decode`` unless the line is padded or malformed.
+    """``json.loads(line)``: one scan unless the line is padded or malformed.
 
-    Any line the fast path does not take whole goes to ``json.loads``, so
-    exactly its lines are accepted, and its messages name the faults.
+    Any line the scan does not take whole goes to ``json.loads``, so exactly
+    its lines are accepted, and its messages name the faults.
     """
     try:
-        value, end = _RAW_DECODE(line)
+        value, end = _SCAN(line, 0)
         if end == len(line):
             return value
-    except json.JSONDecodeError:
+    except (StopIteration, json.JSONDecodeError):
         pass
     return json.loads(line)
 
@@ -252,12 +258,26 @@ def parse_transcript(text: str) -> tuple[dict, list[dict]]:
     Raises ReplayError for anything structurally unusable; tampered but
     well-formed payloads are left for the replay comparison to flag.
     Line numbers in the errors count every line of the text, blank or not.
+    A body line is decoded by one scan; a line the scan does not take whole
+    as a record, or cannot start, goes to ``_record`` unless it is blank.
     """
-    lines = [(n, ln) for n, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
-    if not lines:
+    lines = text.split("\n")
+    h = next((n for n, line in enumerate(lines) if line.strip()), None)
+    if h is None:
         raise ReplayError("empty transcript")
-    meta = _meta(lines[0][1], lines[0][0])
-    return meta, [_record(ln, n) for n, ln in lines[1:]]
+    meta, records = _meta(lines[h], h + 1), []
+    for n in range(h + 1, len(lines)):
+        line = lines[n]
+        try:
+            rec, end = _SCAN(line, 0)
+            if end == len(line) and type(rec) is dict and _FIELDS <= rec.keys():
+                records.append(rec)
+                continue
+        except (StopIteration, json.JSONDecodeError):
+            if not line.strip():
+                continue
+        records.append(_record(line, n + 1))
+    return meta, records
 
 
 def _record(line: str, n: int) -> dict:
@@ -294,6 +314,33 @@ class ScriptedSource:
         if not 0 <= v < n:
             raise ValueError(f"scripted value {v} outside range({n})")
         return v
+
+
+class _Draws:
+    """A run's sources, one per party (None for a dummy), and its draw sites.
+
+    ``Run.noise`` sets ``party`` and hands the object to ``RingSpec.sample_noise``
+    as the source, so the draw's site is counted with the domain size that
+    ``sample_noise`` computed.
+    """
+
+    __slots__ = ("sources", "sites", "parties", "party")
+
+    def __init__(self, sources: dict, parties):
+        self.sources, self.sites, self.parties = sources, [], parties
+
+    def source(self, party: int, n: int):
+        """The party's source, with one draw over range(n) counted against it."""
+        src = self.sources[party]
+        if src is None:
+            raise DummyRandomnessError(
+                f"dummy party {self.parties[party].name} attempted to draw randomness"
+            )
+        self.sites.append((party, n))
+        return src
+
+    def randrange(self, n: int) -> int:
+        return self.source(self.party, n).randrange(n)
 
 
 class Protocol:
@@ -376,15 +423,16 @@ class Run:
         self.inputs = tuple(inputs)
         self.seed = seed
         self.log: list[tuple] = []  # (audience, (label, value), route) per note, send, broadcast
-        self.draw_sites: list[tuple[int, int]] = []  # (party index, domain size)
-        self._sources = {}
+        srcs = {}
         for p in graph.parties:
             if sources is not None and p.index in sources:
-                self._sources[p.index] = sources[p.index]
+                srcs[p.index] = sources[p.index]
             elif p.full:
-                self._sources[p.index] = random.Random(f"{seed}/{p.index}")
+                srcs[p.index] = random.Random(f"{seed}/{p.index}")
             else:
-                self._sources[p.index] = None
+                srcs[p.index] = None
+        self._draws = _Draws(srcs, graph.parties)
+        self.draw_sites: list[tuple[int, int]] = self._draws.sites  # (party index, domain size)
 
     # -- party helpers -------------------------------------------------
 
@@ -393,27 +441,38 @@ class Run:
 
     # -- randomness ----------------------------------------------------
 
-    def _draw_source(self, party: int, n: int):
-        """The party's source, with one draw over range(n) counted against it."""
-        src = self._sources[party]
-        if src is None:
-            raise DummyRandomnessError(
-                f"dummy party {self.name(party)} attempted to draw randomness"
-            )
-        self.draw_sites.append((party, n))
-        return src
-
     def rand_int(self, party: int, lo: int, hi: int, label: str) -> int:
         """Uniform integer in [lo, hi]."""
         n = hi - lo + 1
-        v = lo + self._draw_source(party, n).randrange(n)
+        v = lo + self._draws.source(party, n).randrange(n)
         self.note(party, label, v)
         return v
 
+    def drawer(self, party: int, lo: int, hi: int, label: str):
+        """``rand_int(party, lo, hi, label)`` as a function of no arguments, the source, the
+        audience and the draw site looked up once, here; each call appends the draw site and
+        the note ``rand_int`` would.  A dummy's drawer raises when it is called, as ``rand_int``
+        does."""
+        n = hi - lo + 1
+        source = self._draws.sources[party]
+        if source is None:
+            return partial(self._draws.source, party, n)
+        randrange, site, audience = source.randrange, (party, n), (party,)
+        count, append = self.draw_sites.append, self.log.append
+
+        def draw() -> int:
+            count(site)
+            v = lo + randrange(n)
+            append((audience, (label, v), None))
+            return v
+
+        return draw
+
     def noise(self, party: int, label: str, require_unit: bool = False) -> int:
         """Draw ring noise for ``party`` and record it in the party's view."""
-        src = self._draw_source(party, self.ring.noise_domain(require_unit))
-        v = self.ring.sample_noise(src, require_unit=require_unit)
+        draws = self._draws
+        draws.party = party
+        v = self.ring.sample_noise(draws, require_unit=require_unit)
         self.log.append(((party,), (label, v), None))
         return v
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 from .engine import Protocol, Run, run
 from .errors import ProtocolError, TopologyError
@@ -62,26 +63,34 @@ def knuth_shuffle(m: int, draw) -> list[int]:
     return perm
 
 
-def collective_round(run: Run, M: int, receiver: int, contributors, label: str,
+def collective_round(run: Run, M: int, receiver: int, channels, label: str,
                      announce: bool = False) -> int:
     """One collective-randomness round: contributors send uniform values mod M.
 
-    The receiver's result is their sum mod M, uniform as long as at least
-    one contributor plays honestly.  With ``announce`` the receiver
-    broadcasts the result (needed whenever the value must be public,
-    e.g. shuffle swaps).
+    ``channels`` pairs each contributor with a ``run.sender`` from it to
+    the receiver, so a deal that plays many rounds over the same channels
+    looks each up once.  The receiver's result is the values' sum mod M,
+    uniform as long as at least one contributor plays honestly.  With
+    ``announce`` the receiver broadcasts the result (needed whenever the
+    value must be public, e.g. shuffle swaps).
     """
     if M < 1:
         raise ProtocolError("modulus must be >= 1")
+    contribution_label, value_label = f"{label} contribution", f"{label} value"
     total = 0
-    for c in contributors:
-        v = run.rand_int(c, 0, M - 1, f"{label} contribution")
-        run.send(c, receiver, v, f"{label} contribution")
+    for c, send in channels:
+        v = run.rand_int(c, 0, M - 1, contribution_label)
+        send(v, contribution_label)
         total = (total + v) % M
-    run.note(receiver, f"{label} value", total)
+    run.note(receiver, value_label, total)
     if announce:
-        run.broadcast(receiver, total, f"{label} value")
+        run.broadcast(receiver, total, value_label)
     return total
+
+
+def _channels(run: Run, contributors, receiver: int) -> list:
+    """(contributor, its sender to ``receiver``) pairs for ``collective_round``."""
+    return [(c, run.sender(c, receiver)) for c in contributors]
 
 
 class CollectiveRandom(Protocol):
@@ -108,7 +117,8 @@ class CollectiveRandom(Protocol):
         require_secure(self.name, g, [(c, self.receiver) for c in self.contributors])
 
     def program(self, run: Run):
-        return collective_round(run, self.M, self.receiver, self.contributors, "random")
+        return collective_round(run, self.M, self.receiver,
+                                _channels(run, self.contributors, self.receiver), "random")
 
 
 def protocol2_roles(i: int, k: int) -> tuple[int, tuple[int, int]]:
@@ -287,12 +297,16 @@ class CardDeal(Protocol):
                 raise TopologyError("dummies present: two counter contributors required")
             require_secure(self.name, g, [(c, d) for d in dummies for c in cc])
 
-    # -- counters ---------------------------------------------------------
+    # -- counters and collective rounds -------------------------------------
 
-    def _fresh_counter(self, run: Run, p: int) -> int:
+    def _counters(self, run: Run) -> list:
+        """One function per player that draws its fresh counter, uniform on 1..N."""
         N = self.cfg.N
-        if run.graph.parties[p].full:
-            return run.rand_int(p, 1, N, "counter")
+        return [run.drawer(p.index, 1, N, "counter") if p.full
+                else partial(self._synthesized_counter, run, p.index) for p in run.graph.parties]
+
+    def _synthesized_counter(self, run: Run, p: int) -> int:
+        N = self.cfg.N
         a, b = self.counter_contributors
         ca = run.rand_int(a, 1, N, "counter share")
         run.send(a, p, ca, "counter share")
@@ -303,34 +317,35 @@ class CardDeal(Protocol):
         run.note(p, "synthesized counter", c)
         return c
 
-    # -- quota resolution --------------------------------------------------
+    def _rounds(self, run: Run) -> list:
+        """(receiver, channels) of the collective rounds, round i playing entry i % len.
+        The first dummy receives from the counter contributors if there are dummies;
+        on reals alone round i engages the triple ``protocol2_roles(i + 1, k)``."""
+        dummies = [p.index for p in run.graph.parties if not p.full]
+        if dummies:
+            roles = [(dummies[0], self.counter_contributors)]
+        else:
+            roles = [protocol2_roles(i + 1, self.cfg.k) for i in range(self.cfg.k)]
+        return [(r, _channels(run, cs, r)) for r, cs in roles]
 
-    def _resolve_quotas(self, run: Run):
+    def _resolve_quotas(self, run: Run, rounds: list):
         cfg = self.cfg
         if cfg.quotas is not None:
             return tuple(cfg.quotas)
         lottery = 0
         if cfg.r % cfg.k:
-            receiver, contributors = self._shuffle_roles(run, 0)
-            lottery = collective_round(run, cfg.k, receiver, contributors, "quota lottery",
-                                       announce=True)
+            lottery = collective_round(run, cfg.k, *rounds[0], "quota lottery", announce=True)
         return even_quotas(cfg.r, cfg.k, lottery)
-
-    def _shuffle_roles(self, run: Run, round_index: int):
-        dummies = [p.index for p in run.graph.parties if not p.full]
-        if dummies:
-            # Reals contribute; the first dummy receives and announces.
-            return dummies[0], self.counter_contributors
-        receiver, contributors = protocol2_roles(round_index + 1, self.cfg.k)
-        return receiver, contributors
 
     # -- the deal ----------------------------------------------------------
 
     def program(self, run: Run):
         cfg = self.cfg
         k, N, final = cfg.k, cfg.N, cfg.r
-        quotas = self._resolve_quotas(run)
-        counters = [self._fresh_counter(run, p) for p in range(k)]
+        rounds = self._rounds(run)
+        quotas = self._resolve_quotas(run, rounds)
+        fresh = self._counters(run)
+        counters = [draw() for draw in fresh]
         # Player p passes the token to p + 1 over the cycle edge of passes[p].
         passes = [run.sender(p, (p + 1) % k, "token") for p in range(k)]
         kept = [[] for _ in range(k)]
@@ -358,9 +373,9 @@ class CardDeal(Protocol):
                         seen = [0] * k
                         if value == final:
                             final_introducer = p
-                    counters[p] = self._fresh_counter(run, p)
+                    counters[p] = fresh[p]()
                 elif cnt == 1:
-                    counters[p] = self._fresh_counter(run, p)
+                    counters[p] = fresh[p]()
             if v == final and final_introducer == p and cnt == N + 1:
                 break  # the final value has made N+1 full circles
             passes[p](value, "token")
@@ -369,22 +384,17 @@ class CardDeal(Protocol):
             if hops >= max_hops:
                 raise ProtocolError("deal failed to terminate within the hop bound")
         hands = tuple(tuple(sorted(h)) for h in kept)
-        permutation = self._draw_permutation(run) if self.with_labels else None
+        permutation = self._draw_permutation(run, rounds) if self.with_labels else None
         result = DealResult(hands, run.name(zero_keeper), quotas, permutation)
         return self._postprocess(run, result)
 
-    def _draw_permutation(self, run: Run):
-        m = self.cfg.r
-        counter = [0]
-
+    def _draw_permutation(self, run: Run, rounds: list):
         def draw(lo, hi):
-            receiver, contributors = self._shuffle_roles(run, counter[0])
-            counter[0] += 1
-            v = collective_round(run, hi - lo + 1, receiver, contributors,
-                                 f"swap {counter[0]}", announce=True)
-            return lo + v
+            # knuth_shuffle's i-th draw is over [i, m]: swap i is round i - 1.
+            return lo + collective_round(run, hi - lo + 1, *rounds[(lo - 1) % len(rounds)],
+                                         f"swap {lo}", announce=True)
 
-        return tuple(knuth_shuffle(m, draw))
+        return tuple(knuth_shuffle(self.cfg.r, draw))
 
     def _postprocess(self, run: Run, result: DealResult):
         if self.consolidate_to is None:
@@ -399,12 +409,12 @@ class CardDeal(Protocol):
             carried[d - 1].extend(load)
         residual = sorted(carried[dealer])
         served = []
+        channels = _channels(run, self.counter_contributors, dealer)
         for requester, count in self.post_draws:
             for _ in range(count):
                 if not residual:
                     raise ProtocolError("dealer has no residual cards left")
-                a, b = self.counter_contributors
-                idx = collective_round(run, len(residual), dealer, (a, b), "deal draw")
+                idx = collective_round(run, len(residual), dealer, channels, "deal draw")
                 card = residual.pop(idx)
                 run.send(dealer, requester, card, "drawn card", kind="token")
                 served.append((run.name(requester), card))

@@ -846,3 +846,33 @@ def test_commit3_on_parties_named_x_y_z_runs_reveals_and_replays(runner, tmp_pat
     assert json.loads(result.output)["outcome"] == {p: ["1", "2", "3"] for p in ("P1", "P2", "P3")}
     result = runner.invoke(main, ["replay", out])
     assert result.exit_code == 0 and "verified" in result.output
+
+
+class TestSecureRatingK:
+    """``secure_rating``'s ``k`` counts its inputs: a ``k`` of 7 beside three inputs used to
+    run on k = 3 with exit 0 and write ``"k": "3"`` into the header."""
+
+    RATING = {"protocol": "secure_rating", "inputs": ["1", "2", "3"], "seed": 4}
+
+    def _run(self, runner, tmp_path, params):
+        body = dict(self.RATING, **({} if params is None else {"params": params}))
+        out = tmp_path / "rating.jsonl"
+        result = runner.invoke(main, ["run", write_config(tmp_path, "rating.json", body),
+                                      "--out", str(out)])
+        return result, out
+
+    def test_a_k_that_disagrees_with_the_inputs_exits_2_naming_k(self, runner, tmp_path):
+        result, out = self._run(runner, tmp_path, {"k": 7})
+        assert result.exit_code == 2, result.output
+        assert "'k' is 7, but 3 inputs are given" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("params", [{"k": 3}, {"k": "3"}, None, {}],
+                             ids=["integer", "decimal string", "no params", "no k"])
+    def test_a_matching_k_or_none_runs_as_before(self, runner, tmp_path, params):
+        result, out = self._run(runner, tmp_path, params)
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["outcome"] == {"total": "6"}
+        assert json.loads(out.read_text().split("\n")[0])["meta"]["params"] == {"k": "3"}
+        result = runner.invoke(main, ["replay", str(out)])
+        assert result.exit_code == 0 and "verified" in result.output

@@ -9,6 +9,7 @@ from ringmpc.arithmetic import MillionairesCompare, SecureRating, SecureSum
 from ringmpc.commitment import Commit2Dummy, Commit3, CommitK
 from ringmpc.engine import (
     EVERYONE,
+    Run,
     ScriptedSource,
     accept,
     commit,
@@ -241,6 +242,64 @@ def test_recorded_draw_bound_is_the_bound_drawn(ring, require_unit):
     for n in range(20):
         r.noise(0, f"noise {n}", require_unit=require_unit)
     assert [n for _, n in r.draw_sites] == src.bounds == [ring.noise_domain(require_unit)] * 20
+
+
+@pytest.mark.parametrize("ring", [rr.integers(5), rr.mod_ring(7), rr.mod_ring(12)],
+                         ids=["Z", "Z_7", "Z_12"])
+@pytest.mark.parametrize("require_unit", [False, True])
+def test_each_noise_draw_computes_its_domain_once(monkeypatch, ring, require_unit):
+    # Run.noise and sample_noise each computed it: two calls per draw.
+    calls = []
+    noise_domain = rr.RingSpec.noise_domain
+
+    def counted(self, require_unit=False):
+        calls.append(require_unit)
+        return noise_domain(self, require_unit)
+
+    monkeypatch.setattr(rr.RingSpec, "noise_domain", counted)
+    r = start(SecureSum(ring), build_cycle(3), (0, 0, 0), seed=5)
+    for n in range(20):
+        r.noise(n % 3, f"noise {n}", require_unit=require_unit)
+    assert calls == [require_unit] * 20
+    assert r.draw_sites == [(n % 3, noise_domain(ring, require_unit)) for n in range(20)]
+
+
+# (party, lo, hi, label) of each draw, in order: the same site drawn again and again,
+# as a deal draws its counters, between draws at other sites.
+_DRAWS = [(0, 1, 10, "counter"), (1, 1, 10, "counter"), (2, 0, 51, "swap 1 contribution"),
+          (0, 1, 10, "counter"), (2, 0, 51, "swap 1 contribution"), (1, 1, 10, "counter"),
+          (0, 1, 10, "counter"), (1, 5, 5, "one value")]
+
+
+def _draw_run(scripted: bool) -> Run:
+    sources = None
+    if scripted:
+        script = ScriptedSource([3, 9, 50, 0, 17, 4, 9, 0])  # one script for every party
+        sources = dict.fromkeys(range(3), script)
+    return Run(SecureSum(rr.integers()), build_cycle(3), (0, 0, 0), seed=11, sources=sources)
+
+
+@pytest.mark.parametrize("scripted", [False, True], ids=["seeded", "scripted"])
+def test_a_drawer_logs_what_rand_int_logs(scripted):
+    by_call = _draw_run(scripted)
+    values = [by_call.rand_int(*draw) for draw in _DRAWS]
+    by_drawer = _draw_run(scripted)
+    drawers = {draw: by_drawer.drawer(*draw) for draw in _DRAWS}
+    assert by_drawer.log == [] and by_drawer.draw_sites == []  # building one draws nothing
+    assert [drawers[draw]() for draw in _DRAWS] == values
+    assert by_drawer.log == by_call.log
+    assert by_drawer.draw_sites == by_call.draw_sites
+    assert by_drawer.transcript().serialize() == by_call.transcript().serialize()
+
+
+def test_a_dummys_drawer_raises_when_called_and_logs_nothing():
+    parties = [Party(0, "P1"), Party(1, "P2", full=False), Party(2, "P3")]
+    g = ChannelGraph(parties, [(0, 1, "secure"), (1, 2, "secure"), (0, 2, "secure")])
+    r = Run(SecureSum(rr.integers()), g, (0, 0, 0), seed=0)
+    draw = r.drawer(1, 1, 10, "counter")
+    with pytest.raises(DummyRandomnessError, match="^dummy party P2 attempted to draw randomness$"):
+        draw()
+    assert r.log == [] and r.draw_sites == []
 
 
 def test_a_run_on_a_reused_graph_does_not_keep_its_protocol_alive():

@@ -85,6 +85,9 @@ def reference_parse(text: str):
             rec = json.loads(ln)
         except json.JSONDecodeError as e:
             raise ReplayError(f"truncated or corrupt transcript at line {n}: {e}") from None
+        if not isinstance(rec, dict):
+            raise ReplayError(f"message record at line {n} is a JSON {type(rec).__name__}, "
+                              "not an object")
         if not {"seq", "from", "to", "security", "kind", "payload"} <= rec.keys():
             raise ReplayError(f"message record at line {n} is missing fields")
         records.append(rec)
@@ -154,6 +157,21 @@ def _corrupt_body_unrunnable_header(lines):
     return lines
 
 
+def _body_line(edit):
+    """Damage that puts ``edit(line)``, a list of lines, in place of the middle message line."""
+    def damage(text):
+        lines = text.split("\n")
+        n = len(lines) // 2
+        return "\n".join(lines[:n] + edit(lines[n]) + lines[n + 1:])
+    return damage
+
+
+def _nan_payload(line):
+    record = json.loads(line)
+    record["payload"] = float("nan")
+    return [json.dumps(record, sort_keys=True, separators=(",", ":"))]
+
+
 DAMAGE = {
     "untouched": lambda text: text,
     "one altered payload": lambda text: _edit(text, _altered_payload),
@@ -169,6 +187,17 @@ DAMAGE = {
     "trailing garbage": lambda text: _edit(text, _garbage_after_line_2),
     "corrupt body under an unrunnable header": lambda text: _edit(
         text, _corrupt_body_unrunnable_header),
+    "a JSON array line": _body_line(lambda line: ["[1, 2]"]),
+    "a JSON number line": _body_line(lambda line: ["5"]),
+    "a JSON string line": _body_line(lambda line: ['"seq"']),
+    "a NaN payload": _body_line(_nan_payload),
+    "a duplicate key": _body_line(lambda line: [line[:-1] + ',"payload":"tampered"}']),
+    "two records on one line": _body_line(lambda line: [line + line]),
+    "a record split across two lines": _body_line(
+        lambda line: [line[:len(line) // 2], line[len(line) // 2:]]),
+    "a byte-order mark in mid-file": _body_line(lambda line: ["\ufeff" + line]),
+    "a vertical-tab line": _body_line(lambda line: ["\x0b", line]),
+    "a no-break-space line": _body_line(lambda line: ["\u00a0", line]),
 }
 
 
@@ -191,8 +220,10 @@ def test_serialize_is_byte_equal_for_every_payload_shape():
 
 
 # Damage that leaves every record as it was: the reference replay compared
-# raw lines and called it a divergence at seq 0; replay compares records.
-FORMATTING_ONLY = {"CRLF line endings", "whitespace-padded lines"}
+# raw lines and called it a divergence; replay compares records.  A line of
+# only "\x0b" or "\u00a0" is blank to str.strip, so both parses skip it.
+FORMATTING_ONLY = {"CRLF line endings", "whitespace-padded lines", "a vertical-tab line",
+                   "a no-break-space line"}
 
 
 @pytest.mark.parametrize("damage", sorted(DAMAGE))
@@ -542,3 +573,46 @@ def test_a_crlf_transcript_with_one_altered_payload_diverges_at_that_seq(monkeyp
     ok, seq, detail = replay_transcript("\r\n".join(lines))
     assert (ok, seq, detail) == (False, _seq(lines[n]), f"first divergence at line {n + 1}")
     assert decoded == [n + 1, n + 1]  # the altered line and its counterpart
+
+
+# Each line padded with JSON whitespace at both ends equals its counterpart once the
+# padding is stripped, so replay decodes none of a faithful transcript's lines.
+PADDINGS = {"space and tab": (" ", "\t"), "tabs and CRLF": ("\t\t", " \r"), "spaces": ("  ", " ")}
+
+
+def _padded(lines, padding):
+    before, after = PADDINGS[padding]
+    return "\n".join(f"{before}{line}{after}" if line else line for line in lines)
+
+
+@pytest.mark.parametrize("padding", sorted(PADDINGS))
+def test_a_faithful_padded_replay_decodes_no_body_line(monkeypatch, padding):
+    _, t = execute_config(_LABELLED_DEAL)
+    text = _padded(t.serialize().split("\n"), padding)
+    decoded = _counted_records(monkeypatch)
+    assert replay_transcript(text) == (True, None, "verified")
+    assert decoded == []
+
+
+@pytest.mark.parametrize("padding", sorted(PADDINGS))
+def test_a_padded_transcript_with_one_altered_payload_diverges_at_that_seq(monkeypatch, padding):
+    _, t = execute_config(_LABELLED_DEAL)
+    lines = _altered_payload(t.serialize().split("\n"))
+    n = len(lines) // 2
+    decoded = _counted_records(monkeypatch)
+    ok, seq, detail = replay_transcript(_padded(lines, padding))
+    assert (ok, seq, detail) == (False, _seq(lines[n]), f"first divergence at line {n + 1}")
+    assert decoded == [n + 1, n + 1]  # the altered line and its counterpart
+
+
+def test_parse_decodes_a_faithful_body_by_scans_alone(monkeypatch):
+    """Every line of a faithful transcript is a whole record to the scan: none goes to
+    ``_record``, and the records are those ``json.loads`` gives."""
+    import ringmpc.engine as engine
+
+    _, t = execute_config(_LABELLED_DEAL)
+    text = t.serialize()
+    fallbacks = []
+    monkeypatch.setattr(engine, "_record", lambda line, n: fallbacks.append(n))
+    assert parse_transcript(text) == reference_parse(text)
+    assert fallbacks == []
