@@ -248,7 +248,7 @@ def test_recorded_draw_bound_is_the_bound_drawn(ring, require_unit):
                          ids=["Z", "Z_7", "Z_12"])
 @pytest.mark.parametrize("require_unit", [False, True])
 def test_each_noise_draw_computes_its_domain_once(monkeypatch, ring, require_unit):
-    # Run.noise and sample_noise each computed it: two calls per draw.
+    # sample_noise computes the domain, and the source the run hands it counts the site.
     calls = []
     noise_domain = rr.RingSpec.noise_domain
 
