@@ -10,8 +10,8 @@ discipline and evidence:
   that sends over it, as the card deal's token does hundreds of times;
   both build their events with one helper;
 * each full party owns a deterministic random generator forked from the
-  run seed by party index, while a dummy owns none and any draw attempt
-  raises ``DummyRandomnessError``.  ``Run.rand_int`` looks the party's
+  run seed by party index, while a dummy owns none, even when ``sources``
+  names it, and any draw attempt raises ``DummyRandomnessError``.  ``Run.rand_int`` looks the party's
   source up on each call, and ``Run.drawer`` once for a function that
   makes the same draw, as the card deal's counters do hundreds of times;
 * every note, send and broadcast is appended once to an event log,
@@ -22,8 +22,10 @@ discipline and evidence:
   computed only when someone asks for it, so a broadcast to k parties
   costs one entry, not k.  A logged value is an int, a string or a
   tuple of them, never a list, so that a view is hashable as it stands;
-* every draw is appended once to a list of draw sites; a noise draw
-  computes its domain size once, in ``RingSpec.sample_noise``.
+* every draw is appended once to a list of draw sites.  A noise draw
+  computes its domain size once: the run draws an index below it from the
+  party's source, and the ring maps the index to an element with
+  ``RingSpec.noise_at``.
 
 The log and the draw sites are the only records of a run.  The
 transcript's messages, numbered by their order among the sends and
@@ -316,33 +318,6 @@ class ScriptedSource:
         return v
 
 
-class _Draws:
-    """A run's sources, one per party (None for a dummy), and its draw sites.
-
-    ``Run.noise`` sets ``party`` and hands the object to ``RingSpec.sample_noise``
-    as the source, so the draw's site is counted with the domain size that
-    ``sample_noise`` computed.
-    """
-
-    __slots__ = ("sources", "sites", "parties", "party")
-
-    def __init__(self, sources: dict, parties):
-        self.sources, self.sites, self.parties = sources, [], parties
-
-    def source(self, party: int, n: int):
-        """The party's source, with one draw over range(n) counted against it."""
-        src = self.sources[party]
-        if src is None:
-            raise DummyRandomnessError(
-                f"dummy party {self.parties[party].name} attempted to draw randomness"
-            )
-        self.sites.append((party, n))
-        return src
-
-    def randrange(self, n: int) -> int:
-        return self.source(self.party, n).randrange(n)
-
-
 class Protocol:
     """One runnable protocol: a name, a ring, a topology contract, and a program.
 
@@ -423,16 +398,14 @@ class Run:
         self.inputs = tuple(inputs)
         self.seed = seed
         self.log: list[tuple] = []  # (audience, (label, value), route) per note, send, broadcast
-        srcs = {}
-        for p in graph.parties:
-            if sources is not None and p.index in sources:
-                srcs[p.index] = sources[p.index]
-            elif p.full:
-                srcs[p.index] = random.Random(f"{seed}/{p.index}")
-            else:
-                srcs[p.index] = None
-        self._draws = _Draws(srcs, graph.parties)
-        self.draw_sites: list[tuple[int, int]] = self._draws.sites  # (party index, domain size)
+        # party index -> its source; a dummy's is None, whatever ``sources`` says
+        self._sources = {
+            p.index: None if not p.full
+            else sources[p.index] if sources is not None and p.index in sources
+            else random.Random(f"{seed}/{p.index}")
+            for p in graph.parties
+        }
+        self.draw_sites: list[tuple[int, int]] = []  # (party index, domain size) per draw
 
     # -- party helpers -------------------------------------------------
 
@@ -441,10 +414,19 @@ class Run:
 
     # -- randomness ----------------------------------------------------
 
+    def _source(self, party: int, n: int):
+        """The party's source, with one draw over range(n) counted against it."""
+        source = self._sources[party]
+        if source is None:
+            raise DummyRandomnessError(
+                f"dummy party {self.name(party)} attempted to draw randomness")
+        self.draw_sites.append((party, n))
+        return source
+
     def rand_int(self, party: int, lo: int, hi: int, label: str) -> int:
         """Uniform integer in [lo, hi]."""
         n = hi - lo + 1
-        v = lo + self._draws.source(party, n).randrange(n)
+        v = lo + self._source(party, n).randrange(n)
         self.note(party, label, v)
         return v
 
@@ -454,9 +436,9 @@ class Run:
         the note ``rand_int`` would.  A dummy's drawer raises when it is called, as ``rand_int``
         does."""
         n = hi - lo + 1
-        source = self._draws.sources[party]
+        source = self._sources[party]
         if source is None:
-            return partial(self._draws.source, party, n)
+            return partial(self._source, party, n)
         randrange, site, audience = source.randrange, (party, n), (party,)
         count, append = self.draw_sites.append, self.log.append
 
@@ -470,9 +452,9 @@ class Run:
 
     def noise(self, party: int, label: str, require_unit: bool = False) -> int:
         """Draw ring noise for ``party`` and record it in the party's view."""
-        draws = self._draws
-        draws.party = party
-        v = self.ring.sample_noise(draws, require_unit=require_unit)
+        ring = self.ring
+        n = ring.noise_domain(require_unit)
+        v = ring.noise_at(self._source(party, n).randrange(n), require_unit)
         self.log.append(((party,), (label, v), None))
         return v
 

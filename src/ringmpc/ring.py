@@ -256,22 +256,29 @@ class RingSpec:
             return self.modulus
         return 2 * self.noise_bound if require_unit else 2 * self.noise_bound + 1
 
+    def noise_at(self, index: int, require_unit: bool = False) -> int:
+        """The noise element that draw ``index`` in ``range(noise_domain(require_unit))`` selects.
+
+        The candidates are indexed in ascending order: the residues of Zm or
+        its units, [-b, b] over Z, or [-b, b] without 0 for a unit draw.
+        """
+        if self.modular:
+            return _unit(self.modulus, index) if require_unit else index
+        b = self.noise_bound
+        if require_unit and index >= b:  # nonzero values of [-b, b]
+            return index - b + 1
+        return index - b
+
     def sample_noise(self, source, require_unit: bool = False) -> int:
         """Draw one noise element from ``source``.
 
         ``source`` needs a ``randrange(n)`` method (``random.Random``
         qualifies, as does the scripted source used for exhaustive
         enumeration).  Exactly one ``randrange(noise_domain(...))`` call
-        is made per sample, drawn over the candidate set directly, so an
+        is made per sample, and ``noise_at`` maps its index, so an
         enumerator can cover the noise space by indexing it.
         """
-        idx = source.randrange(self.noise_domain(require_unit))
-        if self.modular:
-            return _unit(self.modulus, idx) if require_unit else idx
-        b = self.noise_bound
-        if require_unit:  # nonzero values of [-b, b]
-            return idx - b if idx < b else idx - b + 1
-        return idx - b
+        return self.noise_at(source.randrange(self.noise_domain(require_unit)), require_unit)
 
     def elements(self) -> range:
         """Enumerable element domain (modular rings only)."""

@@ -3,7 +3,10 @@
 ``trace`` runs ``program`` on a shallow copy of the protocol whose ``ring``
 is a ``TracedRing``.  The run's inputs and draws are ``Node`` leaves, and
 each ring operation appends one line of Python to the ring's program and
-returns a new ``Node``.  ``TracedRing.compile`` turns a view key and an
+returns a new ``Node``.  The traced ring is every full party's source, so
+a draw's index is a leaf; ``noise_at`` gives the leaf itself as a plain
+draw over Zm and otherwise one node that calls the real ring's
+``noise_at``.  ``TracedRing.compile`` turns a view key and an
 outcome, structures of nodes and plain values, into one function of
 (inputs, draws) with no branch, which gives the values of the view's
 nodes and of the outcome's nodes, and two functions that rebuild the view
@@ -25,7 +28,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 
-from .engine import Run, ScriptedSource
+from .engine import Run
 
 
 class Untraceable(Exception):
@@ -140,12 +143,10 @@ class TracedRing:
     def noise_domain(self, require_unit: bool = False) -> int:
         return self.real.noise_domain(require_unit)
 
-    def sample_noise(self, source, require_unit: bool = False):
-        index = source.randrange(self.noise_domain(require_unit))
+    def noise_at(self, index, require_unit: bool = False):
         if self.modular and not require_unit:
             return index
-        return self._node(f"{self.const(self.real.sample_noise)}({self.const(ScriptedSource)}"
-                          f"(({self.expr(index)},)), {require_unit!r})")
+        return self._node(f"{self.const(self.real.noise_at)}({self.expr(index)}, {require_unit!r})")
 
     def call(self, fn, values):
         """One node for ``fn(ring, *values)``, a function marked ``ring.pure``."""

@@ -30,7 +30,8 @@ from ringmpc.analysis import (
     secrecy_enumeration_check,
     standard_suite,
 )
-from ringmpc.arithmetic import ExampleF1, ExampleF2, SecureProduct, SecureRating, SumOfPowers
+from ringmpc.arithmetic import (ExampleF1, ExampleF2, SecureProduct, SecureRating, SecureSum,
+                                SumOfPowers)
 from ringmpc.commitment import Commit3
 from ringmpc.engine import EAVESDROPPER, Protocol, Run, ScriptedSource
 from ringmpc.errors import BudgetExceeded, RingError
@@ -148,7 +149,8 @@ def test_every_test_spec_compiles_to_the_interpreted_tally(name):
 
 
 def _other_program_specs():
-    """A claim on each other protocol that traces: mul, unit draws, exact_div, a wiretap."""
+    """A claim on each other protocol that traces: mul, unit draws, exact_div, a wiretap, and
+    draws over Z, which map each index to the ring's noise by a call node."""
     return {
         "example_f1": SecrecySpec(
             name="example_f1/Z_3/P2", protocol=ExampleF1(rr.mod_ring(3)),
@@ -170,6 +172,10 @@ def _other_program_specs():
             name=f"sum_of_powers/Z_5/r={r}/P2", protocol=SumOfPowers(rr.mod_ring(5), r),
             input_domains=(range(5),) * 3, observer="P2", observer_inputs=(1,),
             protected=(0, 2), given=lambda _inputs, outcome: outcome) for r in (2, 3)},
+        "secure_sum over Z": SecrecySpec(
+            name="secure_sum/Z/b=2/P2", protocol=SecureSum(rr.integers(2)), graph=build_cycle(3),
+            input_domains=(range(2),) * 3, observer="P2", observer_inputs=(1,),
+            protected=(0, 2), given=lambda inputs, _o: inputs[0] + inputs[2]),
     }
 
 

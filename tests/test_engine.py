@@ -20,7 +20,7 @@ from ringmpc.engine import (
     start,
 )
 from ringmpc.errors import DummyRandomnessError, ProtocolError, ReplayError, TopologyError
-from ringmpc.topology import ChannelGraph, Party, build_cycle, default_parties
+from ringmpc.topology import ChannelGraph, Party, build_cycle, default_parties, dummy_triangle
 
 
 def test_identical_seeds_identical_transcripts():
@@ -248,7 +248,7 @@ def test_recorded_draw_bound_is_the_bound_drawn(ring, require_unit):
                          ids=["Z", "Z_7", "Z_12"])
 @pytest.mark.parametrize("require_unit", [False, True])
 def test_each_noise_draw_computes_its_domain_once(monkeypatch, ring, require_unit):
-    # sample_noise computes the domain, and the source the run hands it counts the site.
+    # Run.noise computes the domain once, counts the site with it and draws its index there.
     calls = []
     noise_domain = rr.RingSpec.noise_domain
 
@@ -299,6 +299,17 @@ def test_a_dummys_drawer_raises_when_called_and_logs_nothing():
     draw = r.drawer(1, 1, 10, "counter")
     with pytest.raises(DummyRandomnessError, match="^dummy party P2 attempted to draw randomness$"):
         draw()
+    assert r.log == [] and r.draw_sites == []
+
+
+def test_a_dummy_named_in_sources_still_draws_nothing():
+    # A dummy owns no source: a scripted one given for it is not used.
+    r = Run(Commit2Dummy(rr.mod_ring(5)), dummy_triangle(), (1, 2), 0,
+            sources={2: ScriptedSource([3, 1])})
+    with pytest.raises(DummyRandomnessError, match="^dummy party D attempted to draw randomness$"):
+        r.noise(2, "noise")
+    with pytest.raises(DummyRandomnessError, match="^dummy party D attempted to draw randomness$"):
+        r.rand_int(2, 1, 4, "counter")
     assert r.log == [] and r.draw_sites == []
 
 

@@ -3,9 +3,11 @@
 2^61 - 1 is a prime below the factorisation bound, so unit draws work;
 2^100 is a prime power (the only prime is 2); 2^127 - 1 is a prime above
 the bound, so protocols that draw no unit still run and a unit draw is a
-typed error (exit 2 from the CLI).
+typed error (exit 2 from the CLI).  Every protocol that takes a ring runs
+and replays through the CLI at 2^61 - 1 and 2^127 - 1.
 """
 
+import inspect
 import json
 import random
 import time
@@ -25,7 +27,7 @@ from ringmpc import (
     commit,
     run,
 )
-from ringmpc.cli import main
+from ringmpc.cli import RUNNERS, main
 from ringmpc.errors import CheatDetected, RingError
 from ringmpc.ring import mod_ring
 
@@ -93,3 +95,66 @@ def test_unit_draw_at_2_127_minus_1_is_a_typed_error(tmp_path):
     assert time.perf_counter() - start < 1
     assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
     assert str(M127) in result.output
+
+
+def _ring_case(name: str, m: int):
+    """(config body, oracle of the printed outcome) of protocol ``name`` over Z_m."""
+    a, b, c = 3, m - 1, m - 7
+    abc = {"inputs": [str(a), str(b), str(c)]}
+
+    def value(v: int) -> str:
+        return str(v % m)
+
+    def sums_to(key: str, total: int):
+        return lambda out: len(out[key]) == 3 and sum(map(int, out[key])) % m == total
+
+    return {
+        "secure_sum": (abc, lambda out: out == {"sum": value(a + b + c)}),
+        "secure_rating": (abc, lambda out: out == {"total": value(a + b + c)}),
+        "secure_product": (abc, lambda out: out == {"product": value(a * b * c)}),
+        "sum_of_powers": ({**abc, "params": {"exponent": 3}},
+                          lambda out: out == {"power_sum": value(a**3 + b**3 + c**3)}),
+        "example_f1": (abc, lambda out: out == {"value": value(a * b + b * c)}),
+        "example_f2": ({**abc, "params": {"g": "square"}},
+                       lambda out: out == {"value": value(a * b + c * c)}),
+        "commit3": (abc, lambda out: out == dict.fromkeys(("P1", "P2", "P3"),
+                                                          [str(a), str(b), str(c)])),
+        "commit2_dummy": ({"inputs": [str(a), str(b)]},
+                          lambda out: out == {"A learns n2": str(b), "B learns n1": str(a)}),
+        "millionaires_compare": ({"inputs": [str(m // 2), str(a)]},
+                                 lambda out: out == {"verdict": POSITIVE}),
+        "ot_dummy": ({"inputs": {"messages": ["10", str(b), str(c)], "indices": [2, 3]}},
+                     lambda out: out == {"retrieved": [str(b), str(c)]}),
+        "share_secret_kk": ({"inputs": [str(b)], "params": {"k": 3}}, sums_to("shares", b)),
+        "distribute_shares": ({"inputs": [str(b)]}, sums_to("summands", b)),
+    }[name]
+
+
+RING_PROTOCOLS = sorted(name for name, cls in RUNNERS.items()
+                        if "ring" in inspect.signature(cls).parameters)
+# A unit draw at 2^127 - 1 is a typed error: these two draw units.
+UNIT_DRAWERS = {"secure_product", "example_f2"}
+
+
+def test_every_protocol_but_the_card_deal_and_the_bitwise_comparison_takes_a_ring():
+    assert set(RUNNERS) - set(RING_PROTOCOLS) == {"card_deal", "millionaires_bitwise"}
+
+
+@pytest.mark.parametrize("m", [M61, M127], ids=["2^61-1", "2^127-1"])
+@pytest.mark.parametrize("name", RING_PROTOCOLS)
+def test_every_ring_protocol_runs_and_replays_at_a_large_modulus(name, m, tmp_path):
+    body, oracle = _ring_case(name, m)
+    cfg, out = tmp_path / "config.json", tmp_path / "t.jsonl"
+    cfg.write_text(json.dumps({"protocol": name, "seed": 7, "ring": {"ring": "Zm", "m": m},
+                               **body}))
+    runner = CliRunner()
+    result = runner.invoke(main, ["run", str(cfg), "--out", str(out)])
+    if m == M127 and name in UNIT_DRAWERS:
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert str(M127) in result.output
+        return
+    assert result.exit_code == 0, result.output
+    printed = json.loads(result.output)
+    assert printed["protocol"] == name and oracle(printed["outcome"])
+    replayed = runner.invoke(main, ["replay", str(out)])
+    assert replayed.exit_code == 0 and replayed.output == "verified\n"

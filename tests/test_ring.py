@@ -106,6 +106,28 @@ def test_scripted_noise_indexes_candidate_set():
     assert got == [-2, -1, 1, 2]
 
 
+def _candidates(R: RingSpec, require_unit: bool) -> list:
+    """The candidate set of one noise draw in ascending order, from the ring's definition."""
+    if R.modular:
+        m = R.modulus
+        return [x for x in range(m) if math.gcd(x, m) == 1] if require_unit else list(range(m))
+    b = R.noise_bound
+    return [x for x in range(-b, b + 1) if x or not require_unit]
+
+
+NOISE_RINGS = [integers(b) for b in (1, 2, 4)] + [mod_ring(m) for m in (2, 5, 6, 12, 30, 210)]
+
+
+@pytest.mark.parametrize("R", NOISE_RINGS, ids=str)
+@pytest.mark.parametrize("require_unit", [False, True], ids=["plain", "unit"])
+def test_noise_at_maps_each_index_to_its_candidate_in_ascending_order(R, require_unit):
+    n = R.noise_domain(require_unit)
+    got = [R.noise_at(i, require_unit) for i in range(n)]
+    assert got == _candidates(R, require_unit)
+    # sample_noise is one draw over the domain, mapped by noise_at
+    assert got == [R.sample_noise(ScriptedSource([i]), require_unit) for i in range(n)]
+
+
 @pytest.mark.parametrize("m", [5, 6])
 def test_add_sub_roundtrip_exhaustive(m):
     R = mod_ring(m)
