@@ -11,9 +11,10 @@ discipline and evidence:
   both build their events with one helper;
 * each full party owns a deterministic random generator forked from the
   run seed by party index, while a dummy owns none, even when ``sources``
-  names it, and any draw attempt raises ``DummyRandomnessError``.  ``Run.rand_int`` looks the party's
-  source up on each call, and ``Run.drawer`` once for a function that
-  makes the same draw, as the card deal's counters do hundreds of times;
+  names it, and any draw attempt raises ``DummyRandomnessError``.
+  ``Run.rand_int`` looks the party's source up on each call, and
+  ``Run.drawer`` once for a function that makes the same draw, as the
+  card deal's counters do hundreds of times;
 * every note, send and broadcast is appended once to an event log,
   tagged with its audience: one party, a sender/receiver pair (plus the
   eavesdropper on an insecure channel), or everyone.  A send or broadcast
