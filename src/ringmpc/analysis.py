@@ -189,13 +189,14 @@ def secrecy_enumeration_check(spec: SecrecySpec) -> SecrecyReport:
 
     The tally comes from the compiled path when the protocol's program
     traces to straight-line code, and from the interpreted path, the
-    reference, otherwise or when a compiled run raises.  Both count the same runs in the same order; the
-    compiled path keys each view by the values of its nodes, which the
-    judge never reads.
+    reference, otherwise or when a compiled run raises.  Both count the
+    same runs in the same order; the compiled path keys each view by the
+    number it gave the view's values at first sight, and the judge reads
+    only the tally, never a view.
     """
     graph = _checked_graph(spec)
-    tally = _compiled_tally(spec, graph)
-    return _judge(spec, tally if tally is not None else _interpreted_tally(spec, graph))
+    compiled = _compiled_tally(spec, graph)
+    return _judge(spec, compiled[0] if compiled is not None else _interpreted_tally(spec, graph))
 
 
 def _interpreted_tally(spec: SecrecySpec, graph: ChannelGraph) -> dict:
@@ -215,23 +216,27 @@ def _interpreted_tally(spec: SecrecySpec, graph: ChannelGraph) -> dict:
     return tally
 
 
-def _compiled_tally(spec: SecrecySpec, graph: ChannelGraph) -> dict | None:
-    """The tally of ``_interpreted_tally``, in plain dicts, from ``_compile``'s functions; or None.
+def _compiled_tally(spec: SecrecySpec, graph: ChannelGraph) -> tuple | None:
+    """(tally, views): ``_interpreted_tally``'s tally in plain dicts, from ``_compile``'s functions.
 
-    Each view is keyed by the values of its nodes, which ``show`` maps back
-    to the interpreted path's view key: every label and constant of the
-    view is the same in every run, so equal values are equal views.  The
-    runs of one input assignment are counted per (view values, outcome
-    leaves) in one pass, and ``given`` and the target are computed once per
-    distinct leaves.  Each key is first seen at the first run that gives
-    it, so the groups and cells keep the interpreted path's order.  None,
-    too, when a run raises.
+    Each distinct tuple of view values gets the next number the first time
+    a run gives it, and every cell is keyed by (number, target): the cells
+    hash one int, not the view's values.  ``views[n]`` holds the values of
+    view n, which ``show`` maps back to the interpreted path's view key:
+    every label and constant of the view is the same in every run, so
+    equal values are equal views.  The runs of one input assignment are
+    counted per (view values, outcome leaves) in one pass, and ``given``
+    and the target are computed once per distinct leaves.  Each key and
+    number is first seen at the first run that gives it, so the groups,
+    cells and views keep the interpreted path's order.  None when the
+    program does not compile, and when a run raises.
     """
     compiled = _compile(spec, graph)
     if compiled is None:
         return None
     evaluate, rebuild, _, sites = compiled
     tally: dict = {}
+    numbers: dict = {}  # the values of a view -> its number, in number order
     given_of, target_of = spec.given_of, spec.target_of
     site_domains = [range(n) for _, n in sites]
     for inputs in product(*spec.input_domains):
@@ -242,15 +247,16 @@ def _compiled_tally(spec: SecrecySpec, graph: ChannelGraph) -> dict | None:
         except Exception:  # the interpreted path raises the fault, in its order
             return None
         for (values, leaves), c in counts.items():
+            n = numbers.setdefault(values, len(numbers))
             claim = claims.get(leaves)
             if claim is None:
                 outcome = rebuild(leaves)
                 claim = claims[leaves] = (tally.setdefault((own, given_of(inputs, outcome)), {}),
                                           target_of(inputs, outcome))
             cells, target = claim
-            cell = values, target
+            cell = n, target
             cells[cell] = cells.get(cell, 0) + c
-    return tally
+    return tally, list(numbers)
 
 
 def _compile(spec: SecrecySpec, graph: ChannelGraph):
@@ -317,7 +323,10 @@ def _judge(spec: SecrecySpec, tally: dict) -> SecrecyReport:
     """The report on ``tally``: group -> count per (view, target), in first-seen order.
 
     A view is anything that stands for one view key and no other; the judge
-    reads no view's content.
+    reads no view's content.  A group whose cells fill its view x target
+    grid and each factorize passes in one pass over its cells; only a group
+    that fails that pass is walked cell by cell over the whole grid, in
+    first-seen order, to name its first counterexample.
     """
     runs_done = sum(sum(cells.values()) for cells in tally.values())
     for key, cells in tally.items():
@@ -335,27 +344,33 @@ def _judge(spec: SecrecySpec, tally: dict) -> SecrecyReport:
                     )
             continue
         # The marginals keep first-seen order, which decides the counterexample reported.
-        view_totals, target_totals = Counter(), Counter()
+        view_totals: dict = {}
+        target_totals: dict = {}
         for (vk, target), c in cells.items():
-            view_totals[vk] += c
-            target_totals[target] += c
+            view_totals[vk] = view_totals.get(vk, 0) + c
+            target_totals[target] = target_totals.get(target, 0) + c
         total = sum(cells.values())
-        # independence: every (view, target) cell must factorize exactly
-        for vk in view_totals:
-            for target in target_totals:
-                c = cells.get((vk, target), 0)
-                if c * total != view_totals[vk] * target_totals[target]:
-                    other = next(t for t in target_totals if t != target) \
-                        if len(target_totals) > 1 else target
-                    return SecrecyReport(
-                        spec.name, False, runs_done,
-                        Counterexample(
-                            key, target, other,
-                            "view distribution differs between target values "
-                            f"(cell count {c}, expected {view_totals[vk]}*"
-                            f"{target_totals[target]}/{total})",
-                        ),
-                    )
+        # Independence: every (view, target) cell, a missing one as 0, must factorize
+        # exactly.  A missing one never does if the present ones do (their products would
+        # sum to less than total**2), so a partial grid skips the pass and is walked.
+        if len(cells) != len(view_totals) * len(target_totals) or not all(
+                c * total == view_totals[vk] * target_totals[target]
+                for (vk, target), c in cells.items()):
+            for vk in view_totals:
+                for target in target_totals:
+                    c = cells.get((vk, target), 0)
+                    if c * total != view_totals[vk] * target_totals[target]:
+                        other = next(t for t in target_totals if t != target) \
+                            if len(target_totals) > 1 else target
+                        return SecrecyReport(
+                            spec.name, False, runs_done,
+                            Counterexample(
+                                key, target, other,
+                                "view distribution differs between target values "
+                                f"(cell count {c}, expected {view_totals[vk]}*"
+                                f"{target_totals[target]}/{total})",
+                            ),
+                        )
         if spec.claim == INDEPENDENT_UNIFORM:
             counts = set(target_totals.values())
             if len(counts) != 1:

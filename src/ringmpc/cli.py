@@ -22,7 +22,7 @@ from . import ring as ring_mod
 from .commitment import COMMIT2_CHECKS, COMMIT3_CHECKS, Commit2Dummy, Commit3, ObliviousTransfer
 from .engine import _record, commit, parse_header, parse_transcript, run
 from .errors import CheatDetected, ProtocolError, ReplayError, TopologyError
-from .jsonvalues import json_int, json_ints
+from .jsonvalues import json_int, json_ints, json_object
 from .poker import CardDeal, DealConfig
 from .topology import ChannelGraph
 
@@ -74,9 +74,12 @@ def decode_config(config):
     if cls is None:
         raise ProtocolError(f"unknown protocol {name!r}; choose from {sorted(RUNNERS)}")
     inputs = _field(config, "inputs", cls.decode_inputs, [] if cls.arity == 0 else _REQUIRED)
-    ring = _field(config, "ring", ring_mod.RingSpec.from_config, {"ring": "Z"})
-    protocol = _field(config, "params", lambda params: cls.from_params(ring, params, inputs), {})
-    graph = _field(config, "topology", ChannelGraph.from_config, None)
+    ring = _field(config, "ring", lambda raw: ring_mod.RingSpec.from_config(json_object(raw)),
+                  {"ring": "Z"})
+    protocol = _field(config, "params",
+                      lambda raw: cls.from_params(ring, json_object(raw), inputs), {})
+    graph = _field(config, "topology", lambda raw: ChannelGraph.from_config(json_object(raw)),
+                   None)
     return protocol, graph, inputs, _field(config, "seed", json_int, 0)
 
 

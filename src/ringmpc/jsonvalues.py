@@ -19,6 +19,13 @@ def json_list(raw) -> list:
     return raw
 
 
+def json_object(raw) -> dict:
+    """``raw`` if it is a JSON object: a list or a string has no fields to read."""
+    if not isinstance(raw, dict):
+        raise TypeError(f"expected a JSON object, not {type(raw).__name__}")
+    return raw
+
+
 def json_int(raw) -> int:
     """``raw`` as an int if it is a JSON integer or a decimal string: a float or a bool is not."""
     if type(raw) is not int and not isinstance(raw, str):

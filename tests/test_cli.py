@@ -625,6 +625,38 @@ def test_subcommand_output_is_pinned(runner, tmp_path, monkeypatch, case):
     assert digests == SUBCOMMAND_PINS[case]
 
 
+class TestRingTopologyAndParamsAreJsonObjects:
+    """A list or a string in place of an object is exit 2 naming the field, not an empty object."""
+
+    SUM = {"protocol": "secure_sum", "inputs": [1, 2, 3], "seed": 7}
+    CASES = [("params", [], "list"), ("params", "abc", "str"), ("ring", "Z", "str"),
+             ("ring", ["Z"], "list"), ("topology", [3], "list"), ("topology", "cycle", "str")]
+
+    @pytest.mark.parametrize("field, value, kind", CASES)
+    def test_run_exits_2_and_writes_no_transcript(self, runner, tmp_path, field, value, kind):
+        out = tmp_path / "sum.jsonl"
+        body = dict(self.SUM, **{field: value})
+        result = runner.invoke(main, ["run", write_config(tmp_path, "sum.json", body),
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert f"bad '{field}': expected a JSON object, not {kind}" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, kind", CASES)
+    def test_replaying_such_a_header_exits_2(self, runner, tmp_path, field, value, kind):
+        out = tmp_path / "sum.jsonl"
+        assert runner.invoke(main, ["run", write_config(tmp_path, "sum.json", self.SUM),
+                                    "--out", str(out)]).exit_code == 0
+        lines = out.read_text().split("\n")
+        head = json.loads(lines[0])
+        head["meta"][field] = value
+        lines[0] = json.dumps(head, sort_keys=True, separators=(",", ":"))
+        out.write_text("\n".join(lines))
+        result = runner.invoke(main, ["replay", str(out)])
+        assert result.exit_code == 2
+        assert f"bad '{field}': expected a JSON object, not {kind}" in result.output
+
+
 class TestIntegersAreJsonIntegersOrDecimalStrings:
     """A float is not truncated and a bool is not read as 0 or 1: either is exit 2."""
 

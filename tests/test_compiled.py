@@ -1,22 +1,26 @@
 """The compiled enumeration path against the interpreted one, which stays the reference.
 
 Each spec is tallied both ways: the two tallies must be equal, with their
-groups and cells in the same first-seen order, and so must the two reports.
-The compiled tally keys each view by the values of its nodes, so its cells
-are compared after ``show`` has rebuilt each view from them.
+groups, cells and views in the same first-seen order, and so must the two
+reports.  The compiled tally keys each view by the number it gave the
+view's values at first sight and returns those values in number order, so
+its cells are compared after ``show`` has rebuilt view n from ``views[n]``.
 """
 
 import dataclasses
 from collections import Counter
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ringmpc.analysis
 import ringmpc.ring as rr
 from ringmpc.analysis import (
     DETERMINED,
+    INDEPENDENT,
     INDEPENDENT_UNIFORM,
     Counterexample,
     SecrecyReport,
@@ -45,28 +49,53 @@ def _ordered(tally):
     return [(group, list(cells.items())) for group, cells in tally.items()]
 
 
-def shown(spec, graph, tally):
-    """A compiled ``tally`` with each cell's view values replaced by ``show``'s view key."""
-    if tally is None:
+def shown(spec, graph, compiled):
+    """A compiled (tally, views) with each cell (n, target) read as (show(views[n]), target).
+
+    Returns (tally, view keys in number order), or None for None.
+    """
+    if compiled is None:
         return None
+    tally, views = compiled
     show = _compile(spec, graph)[2]
-    mapped = {}
-    for group, cells in tally.items():
-        mapped[group] = {(show(values), target): c for (values, target), c in cells.items()}
-        assert len(mapped[group]) == len(cells), "two cells' values show the same view"
-    return mapped
+    keys = [show(values) for values in views]
+    assert len(set(keys)) == len(keys), "two numbers show the same view"
+    assert {n for cells in tally.values() for n, _ in cells} == set(range(len(views)))
+    return {group: {(keys[n], target): c for (n, target), c in cells.items()}
+            for group, cells in tally.items()}, keys
+
+
+def interpreted_path(spec, graph):
+    """(the interpreted tally, its view keys in the order the runs first give them)."""
+    seen = {}
+
+    def recording(observer, graph):
+        view_key = _view_key(observer, graph)
+
+        def recorded(log):
+            view = view_key(log)
+            seen.setdefault(view, None)
+            return view
+        return recorded
+
+    with mock.patch.object(ringmpc.analysis, "_view_key", recording):
+        tally = _interpreted_tally(spec, graph)
+    return tally, list(seen)
 
 
 def both_paths(spec):
-    """(compiled tally through ``shown``, or None; interpreted tally), on the check's graph."""
+    """(compiled (tally, views) through ``shown``, or None; ``interpreted_path``), on the
+    check's graph."""
     graph = _checked_graph(spec)
-    return shown(spec, graph, _compiled_tally(spec, graph)), _interpreted_tally(spec, graph)
+    return shown(spec, graph, _compiled_tally(spec, graph)), interpreted_path(spec, graph)
 
 
 def assert_same_tally(spec, compiled, interpreted):
     assert compiled is not None, f"{spec.name} fell back to the interpreted path"
-    assert _ordered(compiled) == _ordered(interpreted)
-    assert _judge(spec, compiled) == _judge(spec, interpreted)
+    (tally, views), (reference, reference_views) = compiled, interpreted
+    assert _ordered(tally) == _ordered(reference)
+    assert views == reference_views
+    assert _judge(spec, tally) == _judge(spec, reference)
 
 
 STANDARD = standard_suite()
@@ -87,7 +116,7 @@ def dealer_spec(m):
 def test_every_standard_check_its_planted_leak_and_the_dealer_check_compile(spec):
     compiled, interpreted = both_paths(spec)
     assert_same_tally(spec, compiled, interpreted)
-    assert _judge(spec, compiled).ok != spec.name.startswith("planted leak")
+    assert _judge(spec, compiled[0]).ok != spec.name.startswith("planted leak")
 
 
 def test_the_dealer_check_over_z3_compiles():
@@ -195,7 +224,7 @@ def test_a_protocol_that_draws_with_rand_int_is_interpreted():
     spec.target = lambda inputs, _o: inputs[0] * inputs[0] % 3
     compiled, interpreted = both_paths(spec)
     assert compiled is None
-    assert secrecy_enumeration_check(spec) == _judge(spec, interpreted)
+    assert secrecy_enumeration_check(spec) == _judge(spec, interpreted[0])
 
 
 def test_a_secure_product_claim_is_interpreted():
@@ -212,7 +241,7 @@ def test_a_secure_product_claim_is_interpreted():
     compiled, interpreted = both_paths(spec)
     assert compiled is None
     report = secrecy_enumeration_check(spec)
-    assert report == _judge(spec, interpreted)
+    assert report == _judge(spec, interpreted[0])
     assert report.ok and report.runs == 4**3 * 4**3
 
 
@@ -243,7 +272,7 @@ def test_the_first_run_guard_catches_a_type_test():
     compiled, interpreted = both_paths(spec)
     assert compiled is None
     report = secrecy_enumeration_check(spec)
-    assert report == _judge(spec, interpreted)
+    assert report == _judge(spec, interpreted[0])
     assert report.ok and report.runs == 3**3 * 3
 
 
@@ -285,7 +314,7 @@ def test_the_second_guard_point_catches_a_type_test_that_the_first_misses():
     compiled, interpreted = both_paths(spec)
     assert compiled is None
     report = secrecy_enumeration_check(spec)
-    assert report == _judge(spec, interpreted)
+    assert report == _judge(spec, interpreted[0])
     assert not report.ok and report.runs == 3**3 * 3
 
 
@@ -406,14 +435,16 @@ def test_a_view_of_constants_repeats_and_pairs_is_keyed_by_its_values(observer):
                        input_domains=(range(3),) * 2, observer=observer, observer_inputs=own,
                        target=lambda inputs, outcome: (inputs, outcome))
     graph = _checked_graph(spec)
-    compiled, interpreted = _compiled_tally(spec, graph), _interpreted_tally(spec, graph)
+    compiled, interpreted = _compiled_tally(spec, graph), interpreted_path(spec, graph)
     assert_same_tally(spec, shown(spec, graph, compiled), interpreted)
-    for group, cells in compiled.items():
-        assert (len({values for values, _ in cells})
-                == len({view for view, _ in interpreted[group]}))
+    tally, views = compiled
+    for group, cells in tally.items():
+        assert (len({views[n] for n, _ in cells})
+                == len({view for view, _ in interpreted[0][group]}))
     if observer == "P4":
         show = _compile(spec, graph)[2]
-        assert {values for cells in compiled.values() for values, _ in cells} == {()}
+        assert {views[n] for cells in tally.values() for n, _ in cells} == {()}
+        assert views == [()]
         assert show(()) == (("round", 1), ("done", 0))
 
 
@@ -560,6 +591,47 @@ def test_the_judge_equals_the_double_loop_on_a_hand_built_tally(name):
     assert _judge(spec, {key: dict(cells) for key, cells in tally.items()}) == report
 
 
+LABELS = st.one_of(st.integers(0, 3), st.sampled_from(["a", "b", "v1"]))
+
+
+@st.composite
+def random_tallies(draw):
+    """(claim, tally of Counter cells) with 1-3 groups of int or string views and targets.
+
+    A group's cells are a random subset of its view x target grid, in a
+    random order; its counts either factorize over the grid or are drawn
+    at random, so full, partial, equal and unequal grids all occur.
+    """
+    claim = draw(st.sampled_from([INDEPENDENT, INDEPENDENT_UNIFORM, DETERMINED]))
+    tally = {}
+    for g in range(draw(st.integers(1, 3))):
+        views = draw(st.lists(LABELS, min_size=1, max_size=3, unique=True))
+        targets = draw(st.lists(LABELS, min_size=1, max_size=3, unique=True))
+        grid = [(v, t) for v in views for t in targets]
+        if draw(st.booleans()):
+            cells = grid
+        else:
+            cells = draw(st.lists(st.sampled_from(grid), min_size=1, unique=True))
+        if draw(st.booleans()):
+            weight = {x: draw(st.integers(1, 3)) for x in views + targets}
+            counts = [weight[v] * weight[t] for v, t in cells]
+        else:
+            counts = draw(st.lists(st.integers(1, 4), min_size=len(cells), max_size=len(cells)))
+        tally[(g,)] = Counter(dict(zip(cells, counts)))
+    return claim, tally
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(random_tallies())
+def test_the_judge_equals_the_double_loop_on_a_random_tally(case):
+    claim, tally = case
+    spec = SecrecySpec(name="random", protocol=None, input_domains=(), observer="P1",
+                       claim=claim)
+    report = reference_judge(spec, tally)
+    assert _judge(spec, tally) == report
+    assert _judge(spec, {key: dict(cells) for key, cells in tally.items()}) == report
+
+
 # -- random straight-line protocols -------------------------------------------------
 
 
@@ -657,7 +729,7 @@ def test_a_random_straight_line_protocol_compiles_to_the_interpreted_tally(case)
     )
     graph = _checked_graph(spec)
     try:
-        interpreted = _interpreted_tally(spec, graph)
+        interpreted = interpreted_path(spec, graph)
     except RingError as e:
         # a division by a non-unit: the compiled path leaves a fault at the first
         # run to the interpreted path, and raises a later one itself

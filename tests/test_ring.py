@@ -5,7 +5,7 @@ import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringmpc.engine import ScriptedSource
@@ -198,6 +198,16 @@ def test_unit_select_matches_gcd_filter_for_every_small_modulus():
         R = mod_ring(m)
         assert R.noise_domain(True) == len(oracle), m
         assert R.units() == oracle, m
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.integers(2, 3000))
+@example(30030)  # 2*3*5*7*11*13: six distinct primes
+@example(60060)  # the same six primes, two periods of units
+def test_noise_at_selects_the_units_in_ascending_order(m):
+    R = mod_ring(m)
+    got = [R.noise_at(i, True) for i in range(R.noise_domain(True))]
+    assert got == _candidates(R, True)
 
 
 def _units_below(v, primes):
