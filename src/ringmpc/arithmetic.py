@@ -51,26 +51,26 @@ class _CyclePass(Protocol):
         return total
 
     def _one_cycle(self, run: Run, cycle, values, combine, undo):
-        k = len(cycle)
-        unit = self.unit_noise
+        unit, label = self.unit_noise, self.partial_label
+        noise, send, broadcast = run.noise, run.send, run.broadcast
         first = cycle[0]
         # Forward pass: each party folds in its value and fresh noise.
-        noises = {first: run.noise(first, f"n0{first + 1}", require_unit=unit)}
-        m = combine(values[first], noises[first])
-        run.send(first, cycle[1], m, self.partial_label)
-        for pos in range(1, k):
-            p = cycle[pos]
-            noises[p] = run.noise(p, f"n0{p + 1}", require_unit=unit)
-            m = combine(m, combine(values[p], noises[p]))
-            run.send(p, cycle[(pos + 1) % k], m, self.partial_label)
+        noises = [noise(first, f"n0{first + 1}", unit)]
+        m = combine(values[first], noises[0])
+        send(first, cycle[1], m, label)
+        for p, successor in zip(cycle[1:], cycle[2:] + [first]):
+            n = noise(p, f"n0{p + 1}", unit)
+            noises.append(n)
+            m = combine(m, combine(values[p], n))
+            send(p, successor, m, label)
         # The initiator removes its own noise and publishes.
-        masked_total = undo(m, noises[first])
-        run.broadcast(first, masked_total, self.total_label)
+        masked_total = undo(m, noises[0])
+        broadcast(first, masked_total, self.total_label)
         # Everyone else publishes their noise; all unmask.
         noise_total = self.identity
-        for p in cycle[1:]:
-            run.broadcast(p, noises[p], f"noise n0{p + 1}")
-            noise_total = combine(noise_total, noises[p])
+        for p, n in zip(cycle[1:], noises[1:]):
+            broadcast(p, n, f"noise n0{p + 1}")
+            noise_total = combine(noise_total, n)
         return undo(masked_total, noise_total)
 
 

@@ -31,9 +31,12 @@ discipline and evidence:
 The log and the draw sites are the only records of a run.  The
 transcript's messages, numbered by their order among the sends and
 broadcasts, its serialized text and its per-party draw counts are all
-derived from them.  Parsing a transcript decodes each message line with
-one scan of the C JSON scanner; a line the scan does not take whole as a
-record goes through ``json.loads``, whose messages name the fault.
+derived from them.  Serializing writes each message line, and the header's
+topology, its parties and edges, as f-strings with every name quoted once;
+the encoder writes the rest of the header.  Parsing a transcript decodes
+each message line with one scan of the C JSON scanner; a line the scan
+does not take whole as a record goes through ``json.loads``, whose
+messages name the fault.
 
 Randomness goes through a single ``randrange``-shaped interface, so a
 test can replace a party's generator with a scripted source and
@@ -158,21 +161,26 @@ class Transcript:
         return counts
 
     def serialize(self) -> str:
-        head = {
-            "meta": {
-                "protocol": self.protocol,
-                "ring": self.ring,
-                "seed": self.seed,
-                "topology": self.topology,
-                "inputs": _encode(self.inputs),
-                "params": _encode(self.params),
-            }
-        }
-        # Each message line as _JSON writes its fields, every name, kind and security quoted once.
+        # The header's topology is written like each message line: the text _JSON would write,
+        # keys sorted, every name, kind and security quoted once.  _JSON writes the other meta
+        # fields; the topology, the last of them in key order, goes before the closing braces.
         quoted, encode = _Quoted(), _JSON.encode
-        names = {i: quoted[p["name"]] for i, p in enumerate(self.topology["parties"])}
+        topology = self.topology
+        parties = topology["parties"]
+        names = {i: quoted[p["name"]] for i, p in enumerate(parties)}
+        listed = ",".join([f'{{"full":{"true" if p["full"] else "false"},"name":{names[i]}}}'
+                           for i, p in enumerate(parties)])
+        edges = ",".join([f"[{i},{j},{quoted[security]}]" for i, j, security in topology["edges"]])
+        meta = encode({"meta": {
+            "protocol": self.protocol,
+            "ring": self.ring,
+            "seed": self.seed,
+            "inputs": _encode(self.inputs),
+            "params": _encode(self.params),
+        }})
         names[EVERYONE] = quoted[BROADCAST]
-        lines = [encode(head)]
+        lines = [f'{meta[:-2]},"topology":{{"edges":[{edges}],"k":{topology["k"]},'
+                 f'"parties":[{listed}]}}}}}}']
         seq = 0
         for _, (_, payload), route in self.log:
             if route is None:
@@ -209,7 +217,7 @@ def _encode(value):
     if isinstance(value, dict):
         return {k: _encode(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
+        return [str(v) if type(v) is int else _encode(v) for v in value]
     raise TypeError(f"cannot encode {value!r}")
 
 

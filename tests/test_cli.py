@@ -657,6 +657,45 @@ class TestRingTopologyAndParamsAreJsonObjects:
         assert f"bad '{field}': expected a JSON object, not {kind}" in result.output
 
 
+class TestPartySpecsAreJsonObjects:
+    """Each listed party is a JSON object: anything else is exit 2 naming ``parties``.
+
+    Before the specs were decoded, each of these exited 2 with "'str' object
+    has no attribute 'get'" (or 'list', 'int'), which named neither the field
+    nor what it expects.
+    """
+
+    SUM = {"protocol": "secure_sum", "inputs": [1, 2, 3], "seed": 7}
+    TRIANGLE = [[0, 1, "secure"], [1, 2, "secure"], [0, 2, "secure"]]
+    CASES = [(["a", "b", "c"], "str"), ([[], {}, {}], "list"), ([{}, {}, 3], "int")]
+    MESSAGE = "bad 'topology': 'parties': expected a JSON object, not {}"
+
+    @pytest.mark.parametrize("parties, kind", CASES)
+    def test_run_exits_2_naming_parties(self, runner, tmp_path, parties, kind):
+        out = tmp_path / "sum.jsonl"
+        body = dict(self.SUM, topology={"k": 3, "parties": parties, "edges": self.TRIANGLE})
+        result = runner.invoke(main, ["run", write_config(tmp_path, "sum.json", body),
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert self.MESSAGE.format(kind) in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("parties, kind", CASES)
+    def test_replaying_a_header_carrying_such_parties_exits_2(self, runner, tmp_path, parties,
+                                                              kind):
+        out = tmp_path / "sum.jsonl"
+        assert runner.invoke(main, ["run", write_config(tmp_path, "sum.json", self.SUM),
+                                    "--out", str(out)]).exit_code == 0
+        lines = out.read_text().split("\n")
+        head = json.loads(lines[0])
+        head["meta"]["topology"]["parties"] = parties
+        lines[0] = json.dumps(head, sort_keys=True, separators=(",", ":"))
+        out.write_text("\n".join(lines))
+        result = runner.invoke(main, ["replay", str(out)])
+        assert result.exit_code == 2
+        assert self.MESSAGE.format(kind) in result.output
+
+
 class TestIntegersAreJsonIntegersOrDecimalStrings:
     """A float is not truncated and a bool is not read as 0 or 1: either is exit 2."""
 

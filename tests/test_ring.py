@@ -66,6 +66,43 @@ def test_exact_div_errors():
         R6.exact_div(4, 2)  # 2 is not a unit mod 6
 
 
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(m=st.integers(2, 500), x=st.integers(-10**6, 10**6), shift=st.integers(-3, 3))
+def test_exact_div_inverts_mul_by_every_unit_and_refuses_the_rest(m, x, shift):
+    """Over Z_m, a*x divided by a gives x back for every unit a (oracle: gcd(a, m) = 1),
+    also when a is written outside 0..m-1; any other a is a RingError."""
+    R = mod_ring(m)
+    x = R.normalize(x)
+    for a in range(m):
+        written = a + shift * m
+        if math.gcd(a, m) == 1:
+            assert R.exact_div(R.mul(written, x), written) == x
+        else:
+            with pytest.raises(RingError, match="is not a unit modulo"):
+                R.exact_div(R.mul(a, x), written)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(a=st.integers(-10**30, 10**30), x=st.integers(-10**30, 10**30),
+       off=st.integers(1, 10**30))
+@example(a=0, x=5, off=1)
+@example(a=-7, x=-3, off=3)
+def test_exact_div_over_the_integers_inverts_mul_and_refuses_a_remainder(a, x, off):
+    """Over Z, a*x divided by a nonzero a gives x back; a = 0, or an r that a does not
+    divide, is a RingError."""
+    Z = integers()
+    r = Z.mul(a, x)
+    if a == 0:
+        with pytest.raises(RingError, match="division by zero"):
+            Z.exact_div(r, a)
+        return
+    assert Z.exact_div(r, a) == x
+    remainder = off % abs(a)
+    if remainder:
+        with pytest.raises(RingError, match="is not divisible by"):
+            Z.exact_div(r + remainder, a)
+
+
 def test_noise_uniform_over_z2():
     R = mod_ring(2)
     rng = random.Random(42)

@@ -117,6 +117,35 @@ def test_config_roundtrip():
     assert ChannelGraph.from_config({"cycle": 4}).to_config() == build_cycle(4).to_config()
 
 
+def test_a_party_reads_and_prints_as_its_fields():
+    p = Party(0, "P1")
+    assert repr(p) == "Party(index=0, name='P1', full=True)"
+    assert p.full is True and (p.index, p.name) == (0, "P1")
+    assert repr(Party(2, "D", full=False)) == "Party(index=2, name='D', full=False)"
+
+
+def test_a_party_is_immutable():
+    p = Party(0, "P1")
+    for field, value in (("index", 1), ("name", "P2"), ("full", False)):
+        with pytest.raises(AttributeError):
+            setattr(p, field, value)
+    assert p == Party(0, "P1")
+
+
+def test_default_parties_are_the_parties_the_constructor_builds():
+    for k in (0, 1, 3, 17):
+        parties = default_parties(k)
+        assert parties == [Party(i, f"P{i + 1}") for i in range(k)]
+        assert all(type(p) is Party and p.full is True for p in parties)
+
+
+def test_a_graph_refuses_duplicate_party_indices_and_names():
+    with pytest.raises(TopologyError, match="^duplicate party indices$"):
+        ChannelGraph([Party(0, "A"), Party(1, "B"), Party(0, "C")])
+    with pytest.raises(TopologyError, match="^duplicate party names$"):
+        ChannelGraph([Party(0, "A"), Party(1, "B"), Party(2, "A")])
+
+
 def test_add_insecure_edge_shows_in_the_edge_list():
     before = build_cycle(4).to_config()["edges"]
     g = ChannelGraph(default_parties(4), _cycle_edges(4) + [(0, 2, "insecure")])

@@ -20,9 +20,12 @@ from hypothesis import strategies as st
 from test_view_digests import CONFIGS
 
 import ringmpc.cli as cli
+import ringmpc.engine as engine
 from ringmpc.cli import execute_config, replay_transcript
 from ringmpc.engine import EVERYONE, _record, parse_header, parse_transcript
 from ringmpc.errors import ProtocolError, ReplayError, TopologyError
+from ringmpc.ring import RingSpec
+from ringmpc.topology import ChannelGraph
 
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
@@ -537,6 +540,71 @@ def test_serialize_is_byte_equal_for_random_logs(events):
     _, t = execute_config(_named_sum(ODD_NAMES))
     t = dataclasses.replace(t, log=tuple(events))
     assert t.serialize() == reference_serialize(t)
+
+
+# The header's topology is written field by field rather than by the encoder; the stdlib's
+# json.dumps of the same meta is the oracle.
+_NAME_TEXT = st.text(alphabet=st.sampled_from('P1"\\%s\n\t\x00\x1f\x7féЖ漢\u2028'), max_size=5)
+_BIG_INTS = st.one_of(st.integers(-10**30, -1), st.integers(2**64, 2**80), st.integers(-3, 3))
+_PARAM_VALUES = st.one_of(_BIG_INTS, st.lists(_BIG_INTS, max_size=3),
+                          st.lists(st.lists(_BIG_INTS, max_size=2), max_size=2),
+                          _NAME_TEXT, st.booleans(), st.none())
+
+
+@st.composite
+def _headers(draw):
+    """(meta, params): a header's meta as the stdlib writes it, and the params it encodes."""
+    k = draw(st.integers(3, 12))
+    names = draw(st.lists(_NAME_TEXT, min_size=k, max_size=k, unique=True))
+    full = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    edges = draw(st.lists(st.tuples(st.sampled_from(pairs),
+                                    st.sampled_from(["secure", "insecure"])),
+                          unique_by=lambda e: e[0], max_size=2 * k))
+    ring = draw(st.one_of(st.builds(lambda m: {"ring": "Zm", "m": m}, st.integers(2, 2**70)),
+                          st.builds(lambda b: {"ring": "Z", "noise_bound": b},
+                                    st.integers(1, 2**70))))
+    inputs = draw(st.lists(_BIG_INTS, min_size=k, max_size=k))
+    params = draw(st.dictionaries(_NAME_TEXT, _PARAM_VALUES, max_size=3))
+    meta = {
+        "protocol": draw(st.sampled_from(["secure_sum", 'a"b%s\\é'])),
+        "ring": ring,
+        "seed": draw(st.integers(0, 2**40)),
+        "topology": {"k": k,
+                     "parties": [{"full": f, "name": n} for n, f in zip(names, full)],
+                     "edges": sorted([i, j, security] for (i, j), security in edges)},
+        "inputs": [str(v) for v in inputs],
+        "params": _encode(params),
+    }
+    return meta, params
+
+
+class _Named(engine.Protocol):
+    """A protocol of any name and params; its program is never run."""
+
+    def __init__(self, ring, name, params):
+        super().__init__(ring)
+        self.name, self._params = name, params
+
+    def params(self):
+        return self._params
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_headers())
+def test_the_header_line_is_the_stdlib_encoding_of_the_meta(header):
+    meta, params = header
+    protocol = _Named(RingSpec.from_config(meta["ring"]), meta["protocol"], params)
+    graph = ChannelGraph.from_config(meta["topology"])
+    run = engine.Run(protocol, graph, [int(v) for v in meta["inputs"]], meta["seed"])
+    for i in range(graph.k):
+        run.broadcast(i, i, f"b{i}")
+    t = run.transcript()
+    text = t.serialize()
+    assert text.split("\n")[0] == json.dumps({"meta": meta}, sort_keys=True,
+                                             separators=(",", ":"))
+    assert text == reference_serialize(t)
+    assert parse_header(text) == meta
 
 
 # A faithful labelled 52-card deal written with CRLF line endings: each line equals its
