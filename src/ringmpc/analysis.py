@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
-from itertools import product, repeat
+from itertools import product
 from math import prod
 
 from .engine import (
@@ -225,16 +225,17 @@ def _compiled_tally(spec: SecrecySpec, graph: ChannelGraph) -> tuple | None:
     view n, which ``show`` maps back to the interpreted path's view key:
     every label and constant of the view is the same in every run, so
     equal values are equal views.  The runs of one input assignment are
-    counted per (view values, outcome leaves) in one pass, and ``given``
-    and the target are computed once per distinct leaves.  Each key and
-    number is first seen at the first run that gives it, so the groups,
-    cells and views keep the interpreted path's order.  None when the
-    program does not compile, and when a run raises.
+    counted per (view values, outcome leaves) by one call of the compiled
+    kernel's ``count``, and ``given`` and the target are computed once per
+    distinct leaves.  Each key and number is first seen at the first run
+    that gives it, so the groups, cells and views keep the interpreted
+    path's order.  None when the program does not compile, and when a run
+    raises.
     """
     compiled = _compile(spec, graph)
     if compiled is None:
         return None
-    evaluate, rebuild, _, sites = compiled
+    kernel, rebuild, _, sites = compiled
     tally: dict = {}
     numbers: dict = {}  # the values of a view -> its number, in number order
     given_of, target_of = spec.given_of, spec.target_of
@@ -243,7 +244,7 @@ def _compiled_tally(spec: SecrecySpec, graph: ChannelGraph) -> tuple | None:
         own = tuple(inputs[i] for i in spec.observer_inputs)
         claims: dict = {}  # leaves -> (the cells of their group, their target)
         try:
-            counts = Counter(map(evaluate, repeat(inputs), product(*site_domains)))
+            counts = kernel.count(inputs, site_domains)
         except Exception:  # the interpreted path raises the fault, in its order
             return None
         for (values, leaves), c in counts.items():
@@ -260,7 +261,7 @@ def _compiled_tally(spec: SecrecySpec, graph: ChannelGraph) -> tuple | None:
 
 
 def _compile(spec: SecrecySpec, graph: ChannelGraph):
-    """(evaluate, rebuild, show, draw sites) of ``TracedRing.compile``, from one traced run.
+    """(kernel, rebuild, show, draw sites) of ``TracedRing.compile``, from one traced run.
 
     None when the program cannot be traced or compiled, when the observer
     is unknown, when the check is over budget, or when the protocol's own
@@ -269,7 +270,7 @@ def _compile(spec: SecrecySpec, graph: ChannelGraph):
     ``given`` or target.  The first point is the first enumerated run (the
     first inputs, every draw 0); a fault there is left to the interpreted
     path.  The second is the last input assignment with every draw at the
-    top of its domain; a fault there must be the compiled function's fault
+    top of its domain; a fault there must be the kernel's fault there
     too.  The interpreted path then decides, and raises whatever it
     raises, in its own order.  The guard catches a type test such as
     ``isinstance(v, int)``, which a node cannot refuse, whenever its two
@@ -283,7 +284,7 @@ def _compile(spec: SecrecySpec, graph: ChannelGraph):
         ring, traced, outcome = trace(spec.protocol, graph, len(spec.input_domains))
         sites = traced.draw_sites
         view_key = _view_key(spec.observer, graph)
-        evaluate, rebuild, show = ring.compile(view_key(traced.log), outcome)
+        kernel, rebuild, show = ring.compile(view_key(traced.log), outcome)
         if _run_count(spec, sites) > spec.budget:
             return None
         drawers = {party for party, _ in sites}
@@ -296,7 +297,7 @@ def _compile(spec: SecrecySpec, graph: ChannelGraph):
                     spec.target_of(inputs, outcome))
 
         def compiled(inputs, draws):
-            values, leaves = evaluate(inputs, draws)
+            values, leaves = kernel(inputs, draws)
             view = show(values)
             hash((view, leaves))  # the interpreted tally hashes the view's constants too
             outcome = rebuild(leaves)
@@ -316,7 +317,7 @@ def _compile(spec: SecrecySpec, graph: ChannelGraph):
             return None
     except Exception:  # any fault here is for the interpreted path to raise, in its order
         return None
-    return evaluate, rebuild, show, sites
+    return kernel, rebuild, show, sites
 
 
 def _judge(spec: SecrecySpec, tally: dict) -> SecrecyReport:

@@ -9,9 +9,10 @@ discipline and evidence:
   the channel up on each call, and ``Run.sender`` once for a function
   that sends over it, as the card deal's token does hundreds of times;
   both build their events with one helper;
-* each full party owns a deterministic random generator forked from the
-  run seed by party index, while a dummy owns none, even when ``sources``
-  names it, and any draw attempt raises ``DummyRandomnessError``.
+* each full party owns a deterministic random generator seeded from the
+  run seed and its party index at its first draw, while a dummy owns
+  none, even when ``sources`` names it, and any draw attempt raises
+  ``DummyRandomnessError``.
   ``Run.rand_int`` looks the party's source up on each call, and
   ``Run.drawer`` once for a function that makes the same draw, as the
   card deal's counters do hundreds of times;
@@ -397,6 +398,10 @@ class DummyTriangleProtocol(Protocol):
         require_secure(self.name, g, ((0, 1), (0, 2), (1, 2)))
 
 
+# The source of a full party that has not drawn yet.
+_UNSEEDED = object()
+
+
 class Run:
     """Mutable state of one protocol execution."""
 
@@ -407,11 +412,12 @@ class Run:
         self.inputs = tuple(inputs)
         self.seed = seed
         self.log: list[tuple] = []  # (audience, (label, value), route) per note, send, broadcast
-        # party index -> its source; a dummy's is None, whatever ``sources`` says
+        # party index -> its source; a dummy's is None, whatever ``sources`` says, and a full
+        # party's own generator is seeded at its first draw (``_seed``)
         self._sources = {
             p.index: None if not p.full
             else sources[p.index] if sources is not None and p.index in sources
-            else random.Random(f"{seed}/{p.index}")
+            else _UNSEEDED
             for p in graph.parties
         }
         self.draw_sites: list[tuple[int, int]] = []  # (party index, domain size) per draw
@@ -423,9 +429,17 @@ class Run:
 
     # -- randomness ----------------------------------------------------
 
+    def _seed(self, party: int):
+        """The full party's own generator, built at its first draw: a party that never draws
+        costs no seeding, and every draw value is the one of a generator built with the run."""
+        source = self._sources[party] = random.Random(f"{self.seed}/{party}")
+        return source
+
     def _source(self, party: int, n: int):
         """The party's source, with one draw over range(n) counted against it."""
         source = self._sources[party]
+        if source is _UNSEEDED:
+            source = self._seed(party)
         if source is None:
             raise DummyRandomnessError(
                 f"dummy party {self.name(party)} attempted to draw randomness")
@@ -446,6 +460,8 @@ class Run:
         does."""
         n = hi - lo + 1
         source = self._sources[party]
+        if source is _UNSEEDED:
+            source = self._seed(party)
         if source is None:
             return partial(self._source, party, n)
         randrange, site, audience = source.randrange, (party, n), (party,)

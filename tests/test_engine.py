@@ -1,12 +1,13 @@
 import gc
 import random
 import weakref
+from unittest import mock
 
 import pytest
 
 import ringmpc.ring as rr
 from ringmpc.arithmetic import MillionairesCompare, SecureRating, SecureSum
-from ringmpc.commitment import Commit2Dummy, Commit3, CommitK
+from ringmpc.commitment import Commit2Dummy, Commit3, CommitK, ObliviousTransfer
 from ringmpc.engine import (
     EVERYONE,
     Run,
@@ -311,6 +312,19 @@ def test_a_dummy_named_in_sources_still_draws_nothing():
     with pytest.raises(DummyRandomnessError, match="^dummy party D attempted to draw randomness$"):
         r.rand_int(2, 1, 4, "counter")
     assert r.log == [] and r.draw_sites == []
+
+
+def test_an_ot_dummy_run_seeds_only_the_generator_of_the_party_that_draws():
+    # A draws one mask per message; B draws nothing and D is a dummy.
+    proto = ObliviousTransfer(rr.mod_ring(101))
+    with mock.patch.object(random, "Random", wraps=random.Random) as generator:
+        outcome, t = run(proto, None, ((10, 20, 30), (1, 3)), seed=7)
+    assert generator.call_args_list == [mock.call("7/0")]
+    assert outcome.retrieved == (10, 30)
+    assert t.draw_counts == {"A": 3, "B": 0, "D": 0}
+    # the masks are those of a generator built with the run
+    rng = random.Random("7/0")
+    assert t.messages[0].payload == tuple(rng.randrange(101) for _ in range(3))
 
 
 def test_a_run_on_a_reused_graph_does_not_keep_its_protocol_alive():
