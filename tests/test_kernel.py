@@ -28,7 +28,7 @@ from ringmpc.errors import RingError
 from ringmpc.ring import pure
 from ringmpc.topology import ChannelGraph, build_cycle, default_parties
 from ringmpc.tracer import MAX_LOOPS, trace
-from test_compiled import assert_same_tally, interpreted_path, shown
+from test_compiled import assert_same_tally, both_paths
 
 
 def played(spec, graph, sites, inputs, draws):
@@ -50,11 +50,6 @@ class Unlooped:
 
     def __iter__(self):
         raise AssertionError("a draw that no computed value reads was looped")
-
-
-def both_paths(spec):
-    graph = _checked_graph(spec)
-    return shown(spec, graph, _compiled_tally(spec, graph)), interpreted_path(spec, graph)
 
 
 # -- affine forms --------------------------------------------------------------------
