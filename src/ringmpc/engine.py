@@ -413,7 +413,8 @@ class Run:
         self.seed = seed
         self.log: list[tuple] = []  # (audience, (label, value), route) per note, send, broadcast
         # party index -> its source; a dummy's is None, whatever ``sources`` says, and a full
-        # party's own generator is seeded at its first draw (``_seed``)
+        # party's own ``random.Random(f"{seed}/{i}")`` is built at its first draw, in
+        # ``_source`` or ``drawer``, so a party that never draws costs no seeding
         self._sources = {
             p.index: None if not p.full
             else sources[p.index] if sources is not None and p.index in sources
@@ -429,18 +430,12 @@ class Run:
 
     # -- randomness ----------------------------------------------------
 
-    def _seed(self, party: int):
-        """The full party's own generator, built at its first draw: a party that never draws
-        costs no seeding, and every draw value is the one of a generator built with the run."""
-        source = self._sources[party] = random.Random(f"{self.seed}/{party}")
-        return source
-
     def _source(self, party: int, n: int):
         """The party's source, with one draw over range(n) counted against it."""
         source = self._sources[party]
         if source is _UNSEEDED:
-            source = self._seed(party)
-        if source is None:
+            source = self._sources[party] = random.Random(f"{self.seed}/{party}")
+        elif source is None:
             raise DummyRandomnessError(
                 f"dummy party {self.name(party)} attempted to draw randomness")
         self.draw_sites.append((party, n))
@@ -461,8 +456,8 @@ class Run:
         n = hi - lo + 1
         source = self._sources[party]
         if source is _UNSEEDED:
-            source = self._seed(party)
-        if source is None:
+            source = self._sources[party] = random.Random(f"{self.seed}/{party}")
+        elif source is None:
             return partial(self._source, party, n)
         randrange, site, audience = source.randrange, (party, n), (party,)
         count, append = self.draw_sites.append, self.log.append
