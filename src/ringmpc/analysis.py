@@ -499,11 +499,11 @@ def _payload_bits(payload) -> int:
 
 def transmission_stats(t: Transcript) -> TransmissionStats:
     """Message counts, bit totals, and per-value circle counts for a deal."""
-    if t.protocol != "card_deal":
-        raise ProtocolError(f"transmission stats need a card_deal transcript, got {t.protocol!r}")
-    params = t.params
-    r, k = int(params["r"]), int(params["k"])
-    quotas = params.get("quotas")
+    if t.protocol.name != "card_deal":
+        raise ProtocolError(
+            f"transmission stats need a card_deal transcript, got {t.protocol.name!r}")
+    cfg = t.protocol.cfg
+    r, k, quotas = cfg.r, cfg.k, cfg.quotas
     if quotas is None:
         lottery = 0
         if r % k:
@@ -513,7 +513,6 @@ def transmission_stats(t: Transcript) -> TransmissionStats:
                 raise ProtocolError("cannot recover quotas: no lottery broadcast found")
             lottery = int(values[0])
         quotas = even_quotas(r, k, lottery)
-    quotas = [int(q) for q in quotas]
 
     total_bits = sum(_payload_bits(m.payload) for m in t.messages)
     tokens = [(m.frm, int(m.payload)) for m in t.messages if m.kind == "token"
@@ -526,7 +525,7 @@ def transmission_stats(t: Transcript) -> TransmissionStats:
     keeper_of = {v: first_sender[v + 1] for v in range(r) if v + 1 in first_sender}
     circles = {v: -(-hops[v] // k) - 1 for v in range(r) if v in hops}
 
-    names = [p["name"] for p in t.topology["parties"]]
+    names = [p.name for p in t.graph.parties]
     kept_count = {name: 0 for name in names}
     active_players = {0: k}
     for v in range(1, r):

@@ -238,7 +238,7 @@ def _emit(body, transcript, out, indent=None):
 def _reveal(session, tamper, out, indent=None):
     with _exit_codes():
         outcome = session.reveal(tamper)
-    _emit(session.protocol.encode(outcome), session.transcript, out, indent)
+    _emit(session.run.protocol.encode(outcome), session.transcript, out, indent)
 
 
 @click.group()
@@ -327,6 +327,8 @@ def cmd_deal(m, k, n_bound, seed, dummies, per_player, out):
         raise click.UsageError("--dummies auto needs --per-player")
     if dummies == "two-player" and k != 2:
         raise click.UsageError(f"--dummies two-player deals to 2 players, not --players {k}")
+    if dummies == "two-player" and per_player is not None:
+        raise click.UsageError("--dummies two-player deals even hands; it takes no --per-player")
     extra = {}
     with _exit_codes():
         if dummies == "two-player":

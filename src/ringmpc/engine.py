@@ -32,12 +32,14 @@ discipline and evidence:
 The log and the draw sites are the only records of a run.  The
 transcript's messages, numbered by their order among the sends and
 broadcasts, its serialized text and its per-party draw counts are all
-derived from them.  Serializing writes each message line, and the header's
-topology, its parties and edges, as f-strings with every name quoted once;
-the encoder writes the rest of the header.  Parsing a transcript decodes
-each message line with one scan of the C JSON scanner; a line the scan
-does not take whole as a record goes through ``json.loads``, whose
-messages name the fault.
+derived from them.  A transcript keeps the run's protocol, graph, inputs
+and seed themselves, and serializing writes the header from them: the
+protocol's name, ring and ``params()``, the graph's parties and edges.
+Each message line, and the header's topology, are f-strings with every
+name quoted once; the encoder writes the rest of the header.  Parsing a
+transcript decodes each message line with one scan of the C JSON
+scanner; a line the scan does not take whole as a record goes through
+``json.loads``, whose messages name the fault.
 
 Randomness goes through a single ``randrange``-shaped interface, so a
 test can replace a party's generator with a scripted source and
@@ -124,27 +126,25 @@ def merge_views(*views: View) -> View:
 
 @dataclass
 class Transcript:
-    """A run's event log, draw sites and metadata; views and messages are read from the log."""
+    """A run's protocol, graph and inputs, as the run holds them, with its event log and draw
+    sites; views, messages and the serialized header are read from them."""
 
-    protocol: str
-    ring: dict
+    protocol: Protocol
     seed: int
-    topology: dict
+    graph: ChannelGraph
     inputs: Any
-    params: dict
     log: tuple  # (audience, (label, value), route) events, as of when the transcript was taken
     draw_sites: tuple = ()  # ordered (party index, domain size) per draw
 
     @cached_property
     def views(self) -> dict:
         """Party name -> tuple of (label, value), filtered from the log on first access."""
-        parties = self.topology["parties"]
-        return {p["name"]: _entries_for(self.log, i) for i, p in enumerate(parties)}
+        return {p.name: _entries_for(self.log, p.index) for p in self.graph.parties}
 
     @cached_property
     def messages(self) -> tuple:
         """The log's sends and broadcasts, numbered in log order."""
-        names = {i: p["name"] for i, p in enumerate(self.topology["parties"])}
+        names = {p.index: p.name for p in self.graph.parties}
         names[EVERYONE] = BROADCAST
         routed = [(route, entry) for _, entry, route in self.log if route is not None]
         return tuple(
@@ -155,7 +155,7 @@ class Transcript:
     @cached_property
     def draw_counts(self) -> dict:
         """Party name -> number of randomness draws."""
-        names = [p["name"] for p in self.topology["parties"]]
+        names = [p.name for p in self.graph.parties]
         counts = dict.fromkeys(names, 0)
         for party, _ in self.draw_sites:
             counts[names[party]] += 1
@@ -165,22 +165,21 @@ class Transcript:
         # The header's topology is written like each message line: the text _JSON would write,
         # keys sorted, every name, kind and security quoted once.  _JSON writes the other meta
         # fields; the topology, the last of them in key order, goes before the closing braces.
-        quoted, encode = _Quoted(), _JSON.encode
-        topology = self.topology
-        parties = topology["parties"]
-        names = {i: quoted[p["name"]] for i, p in enumerate(parties)}
-        listed = ",".join([f'{{"full":{"true" if p["full"] else "false"},"name":{names[i]}}}'
-                           for i, p in enumerate(parties)])
-        edges = ",".join([f"[{i},{j},{quoted[security]}]" for i, j, security in topology["edges"]])
+        quoted, encode, protocol = _Quoted(), _JSON.encode, self.protocol
+        parties = self.graph.parties
+        names = {p.index: quoted[p.name] for p in parties}
+        listed = ",".join([f'{{"full":{"true" if p.full else "false"},"name":{names[p.index]}}}'
+                           for p in parties])
+        edges = ",".join([f"[{i},{j},{quoted[security]}]" for i, j, security in self.graph.edges()])
         meta = encode({"meta": {
-            "protocol": self.protocol,
-            "ring": self.ring,
+            "protocol": protocol.name,
+            "ring": protocol.ring.to_config(),
             "seed": self.seed,
             "inputs": _encode(self.inputs),
-            "params": _encode(self.params),
+            "params": _encode(protocol.params()),
         }})
         names[EVERYONE] = quoted[BROADCAST]
-        lines = [f'{meta[:-2]},"topology":{{"edges":[{edges}],"k":{topology["k"]},'
+        lines = [f'{meta[:-2]},"topology":{{"edges":[{edges}],"k":{len(parties)},'
                  f'"parties":[{listed}]}}}}}}']
         seq = 0
         for _, (_, payload), route in self.log:
@@ -519,16 +518,8 @@ class Run:
 
     def transcript(self) -> Transcript:
         """A snapshot: events logged after this call do not show in it."""
-        return Transcript(
-            protocol=self.protocol.name,
-            ring=self.ring.to_config(),
-            seed=self.seed,
-            topology=self.graph.to_config(),
-            inputs=self.inputs,
-            params=self.protocol.params(),
-            log=tuple(self.log),
-            draw_sites=tuple(self.draw_sites),
-        )
+        return Transcript(self.protocol, self.seed, self.graph, self.inputs, tuple(self.log),
+                          tuple(self.draw_sites))
 
 
 def run(protocol: Protocol, graph: ChannelGraph | None = None, inputs=(), seed: int = 0,
@@ -566,12 +557,11 @@ def start(protocol: Protocol, graph: ChannelGraph | None = None, inputs=(), seed
 class Session:
     """An open two-phase run: the commit phase has run, the reveal has not.
 
-    ``ledgers`` is what the commit phase's ``program`` returned; the
-    protocol's ``reveal`` reads it and sends the reveal messages on ``run``.
+    ``ledgers`` is what the commit phase's ``program`` returned; the reveal
+    of ``run.protocol`` reads it and sends the reveal messages on ``run``.
     A reveal closes the session, also one that detects a cheat.
     """
 
-    protocol: Protocol
     ledgers: Any
     run: Run
     phase: str = COMMITTED
@@ -584,24 +574,25 @@ class Session:
         """Run the reveal phase; ``tamper`` substitutes reveal payloads by message label."""
         if self.phase != COMMITTED:
             raise PhaseError(
-                f"{self.protocol.name} reveal needs phase {COMMITTED!r}, session is {self.phase!r}"
+                f"{self.run.protocol.name} reveal needs phase {COMMITTED!r}, "
+                f"session is {self.phase!r}"
             )
         self.phase = REVEALED
-        return self.protocol.reveal(self, tamper or {})
+        return self.run.protocol.reveal(self, tamper or {})
 
 
 def commit(protocol: Protocol, graph: ChannelGraph | None = None, inputs=(), seed: int = 0,
            sources=None) -> Session:
     """Run the commit phase of a two-phase ``protocol``; the session reveals later."""
     r = start(protocol, graph, inputs, seed, sources=sources)
-    return Session(protocol, protocol.program(r), r)
+    return Session(protocol.program(r), r)
 
 
 def extract_view(t: Transcript, party: str) -> View:
     """The named party's knowledge: inputs, own noise, incident messages, broadcasts."""
-    for i, p in enumerate(t.topology["parties"]):
-        if p["name"] == party:
-            return View(party, _entries_for(t.log, i))
+    for p in t.graph.parties:
+        if p.name == party:
+            return View(party, _entries_for(t.log, p.index))
     raise KeyError(f"{party!r} did not participate in this run")
 
 

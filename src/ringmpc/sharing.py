@@ -27,8 +27,7 @@ class ShareVector:
     shares: tuple
 
 
-def masked_split_subroutine(run: Run, ring: RingSpec, cycle, initiator_pos: int, value: int,
-                            tag: str):
+def masked_split_subroutine(run: Run, cycle, initiator_pos: int, value: int, tag: str):
     """Split ``value`` into one private summand per cycle player.
 
     The initiator forwards value minus a random mask; every subsequent
@@ -36,7 +35,7 @@ def masked_split_subroutine(run: Run, ring: RingSpec, cycle, initiator_pos: int,
     the initiator's own summand is its mask plus whatever returns.  Only
     masked partial values ever travel.  Returns summands in cycle order.
     """
-    R = ring
+    R = run.ring
     k = len(cycle)
     initiator = cycle[initiator_pos]
     mask = run.noise(initiator, f"{tag} mask of {run.name(initiator)}")
@@ -84,9 +83,7 @@ class DistributeShares(Protocol):
         value = R.normalize(value)
         cycle = secure_cycles(run.graph)[0]
         run.note(self.initiator, "value to split", value)
-        summands = masked_split_subroutine(
-            run, R, cycle, cycle.index(self.initiator), value, "split"
-        )
+        summands = masked_split_subroutine(run, cycle, cycle.index(self.initiator), value, "split")
         return tuple(summands[i] for i in sorted(summands))
 
 
@@ -135,7 +132,7 @@ class ShareSecret(Protocol):
         for i in range(k):
             run.send(dealer, i, pieces[i], f"piece for {run.name(i)}")
             summands = masked_split_subroutine(
-                run, R, cycle, cycle.index(i), pieces[i], f"piece{i + 1}"
+                run, cycle, cycle.index(i), pieces[i], f"piece{i + 1}"
             )
             for j, part in summands.items():
                 totals[j] = R.add(totals[j], part)

@@ -30,7 +30,8 @@ INSECURE = "insecure"
 
 
 class Party(NamedTuple):
-    """A protocol participant.  ``full=False`` marks a dummy with no randomness."""
+    """A protocol participant.  ``index`` is its position among its graph's parties;
+    ``full=False`` marks a dummy with no randomness."""
 
     index: int
     name: str
@@ -51,12 +52,18 @@ class ChannelGraph:
 
     def __init__(self, parties, edges=()):
         self.parties = tuple(parties)
-        if len({p.index for p in self.parties}) != len(self.parties):
-            raise TopologyError("duplicate party indices")
-        if len({p.name for p in self.parties}) != len(self.parties):
+        k = len(self.parties)
+        # A party's index is its position: the engine reads a party by either.
+        indices = [p.index for p in self.parties]
+        if indices != [*range(k)]:
+            if len(set(indices)) != k:
+                raise TopologyError("duplicate party indices")
+            i = next(i for i, index in enumerate(indices) if index != i)
+            raise TopologyError(f"party {self.parties[i].name!r} at position {i} has index "
+                                f"{indices[i]}; a party's index is its position")
+        if len({p.name for p in self.parties}) != k:
             raise TopologyError("duplicate party names")
         self._security: dict[tuple[int, int], str] = {}  # both orientations of each edge
-        k = len(self.parties)
         for i, j, security in edges:
             if i == j:
                 raise TopologyError(f"self-loop at vertex {i}")

@@ -10,6 +10,7 @@ from ringmpc.arithmetic import (
     ExampleF2,
     GREATER,
     LESS,
+    MAX_BIT_WIDTH,
     MillionairesBitwise,
     MillionairesCompare,
     NEGATIVE,
@@ -376,3 +377,12 @@ class TestMillionairesBitwise:
 
         with pytest.raises(ProtocolError):
             run(MillionairesBitwise(3), None, (8, 1))
+
+    def test_a_width_above_the_bound_is_refused_before_any_run(self):
+        from ringmpc.errors import ProtocolError
+
+        assert MillionairesBitwise(MAX_BIT_WIDTH).bit_width == MAX_BIT_WIDTH
+        with pytest.raises(ProtocolError,
+                           match=f"^bit_width {MAX_BIT_WIDTH + 1} is above the bound "
+                                 f"{MAX_BIT_WIDTH}$"):
+            MillionairesBitwise(MAX_BIT_WIDTH + 1)

@@ -262,6 +262,13 @@ class TestDeal:
         assert result.exit_code == 2
         assert "deals to 2 players, not --players 7" in result.output
 
+    def test_a_two_player_deal_with_a_hand_size_exits_2(self, runner):
+        # --per-player was ignored: the deal exited 0 with 2 cards each.
+        result = runner.invoke(main, ["deal", "--cards", "6", "--players", "2",
+                                      "--dummies", "two-player", "--per-player", "3"])
+        assert result.exit_code == 2
+        assert "--dummies two-player deals even hands; it takes no --per-player" in result.output
+
 
 class TestShareReconstruct:
     def test_round_trip(self, runner, tmp_path):
@@ -371,6 +378,26 @@ class TestConfigErrors:
         assert result.exit_code == 2
         assert time.perf_counter() - start < 1
         assert "N=" in result.output and "k=3" in result.output and "r=8" in result.output
+
+    def test_a_comparison_wider_than_the_bound_exits_2_at_once_on_run_and_replay(
+            self, runner, tmp_path):
+        from ringmpc.arithmetic import MAX_BIT_WIDTH
+
+        body = {"protocol": "millionaires_bitwise", "inputs": ["0", "0"],
+                "params": {"bit_width": 4}}
+        out = tmp_path / "bits.jsonl"
+        assert runner.invoke(main, ["run", write_config(tmp_path, "bits.json", body),
+                                    "--out", str(out)]).exit_code == 0
+        text = out.read_text().replace('"bit_width":"4"', f'"bit_width":"{MAX_BIT_WIDTH + 1}"')
+        (tmp_path / "wide.jsonl").write_text(text)
+        body["params"]["bit_width"] = MAX_BIT_WIDTH + 1
+        wide = write_config(tmp_path, "wide.json", body)
+        for args in (["run", wide], ["replay", str(tmp_path / "wide.jsonl")]):
+            start = time.perf_counter()
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, result.output
+            assert time.perf_counter() - start < 1
+            assert f"bit_width {MAX_BIT_WIDTH + 1} is above the bound" in result.output
 
     def test_post_draws_without_a_dealer_exit_2(self, runner, tmp_path):
         # Only a dealer serves post draws; without consolidate_to none would be served.

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import weakref
@@ -12,6 +13,8 @@ from ringmpc.engine import (
     EVERYONE,
     Run,
     ScriptedSource,
+    Session,
+    Transcript,
     accept,
     commit,
     eavesdropper_view,
@@ -29,6 +32,18 @@ def test_identical_seeds_identical_transcripts():
     _, t1 = run(proto, build_cycle(3), (1, 2, 3), seed=7)
     _, t2 = run(proto, build_cycle(3), (1, 2, 3), seed=7)
     assert t1.serialize() == t2.serialize()
+
+
+def test_a_transcript_holds_its_runs_protocol_and_graph():
+    proto, g = SecureSum(rr.integers()), build_cycle(3)
+    _, t = run(proto, g, (1, 2, 3), seed=7)
+    assert t.protocol is proto and t.graph is g
+    assert [f.name for f in dataclasses.fields(Transcript)] == [
+        "protocol", "seed", "graph", "inputs", "log", "draw_sites"]
+
+
+def test_a_session_holds_its_ledgers_run_and_phase():
+    assert [f.name for f in dataclasses.fields(Session)] == ["ledgers", "run", "phase"]
 
 
 def test_different_seed_changes_transcript():

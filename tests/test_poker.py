@@ -276,9 +276,9 @@ class TestDummyDealer:
     def test_every_view_of_a_deal_with_several_dummies_is_hashable(self, m, k, s):
         # the dummies' loads travel as tuples: a logged value is never a list
         _, t = dummy_dealer_fixed_hands(m, k, s, seed=7)
-        assert sum(1 for p in t.topology["parties"] if not p["full"]) >= 2
-        for p in t.topology["parties"]:
-            hash(extract_view(t, p["name"]).key())
+        assert sum(1 for p in t.graph.parties if not p.full) >= 2
+        for p in t.graph.parties:
+            hash(extract_view(t, p.name).key())
 
     def test_served_card_goes_over_a_private_channel(self):
         outcome, t = dummy_dealer_fixed_hands(6, 2, 2, seed=3, post_draws=[(1, 1)])

@@ -58,7 +58,7 @@ class TestSubroutine:
     def test_subroutine_records_its_party_count(self):
         summands, t = run(DistributeShares(rr.integers(), 2, 5), None, (50,), seed=1)
         assert sum(summands) == 50 and len(summands) == 5
-        assert t.params == {"initiator": 2, "k": 5}
+        assert t.protocol.params() == {"initiator": 2, "k": 5}
 
 
 class TestShareSecret:

@@ -11,6 +11,7 @@ from ringmpc.errors import TopologyError
 from ringmpc.poker import CardDeal, CollectiveRandom, DealConfig
 from ringmpc.sharing import ShareSecret, sharing_graph
 from ringmpc.topology import (
+    SECURE,
     ChannelGraph,
     Party,
     build_cycle,
@@ -144,6 +145,17 @@ def test_a_graph_refuses_duplicate_party_indices_and_names():
         ChannelGraph([Party(0, "A"), Party(1, "B"), Party(0, "C")])
     with pytest.raises(TopologyError, match="^duplicate party names$"):
         ChannelGraph([Party(0, "A"), Party(1, "B"), Party(2, "A")])
+
+
+@pytest.mark.parametrize("parties, fault", [
+    # A dummy listed first with index 1: its source was keyed by index, its name by position.
+    ([Party(1, "D", full=False), Party(0, "A"), Party(2, "B")], "'D' at position 0 has index 1"),
+    # No index is a position: the run ended in a bare KeyError.
+    ([Party(5, "A"), Party(6, "B"), Party(7, "C")], "'A' at position 0 has index 5"),
+], ids=["a dummy listed first", "indices 5 to 7"])
+def test_a_graph_refuses_a_party_whose_index_is_not_its_position(parties, fault):
+    with pytest.raises(TopologyError, match=f"^party {fault}; a party's index is its position$"):
+        ChannelGraph(parties, [(0, 1, SECURE), (1, 2, SECURE), (0, 2, SECURE)])
 
 
 def test_add_insecure_edge_shows_in_the_edge_list():

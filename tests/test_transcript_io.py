@@ -47,12 +47,12 @@ def _encode(value):
 def reference_serialize(t) -> str:
     head = {
         "meta": {
-            "protocol": t.protocol,
-            "ring": t.ring,
+            "protocol": t.protocol.name,
+            "ring": t.protocol.ring.to_config(),
             "seed": t.seed,
-            "topology": t.topology,
+            "topology": t.graph.to_config(),
             "inputs": _encode(t.inputs),
-            "params": _encode(t.params),
+            "params": _encode(t.protocol.params()),
         }
     }
     lines = [_JSON.encode(head)]
@@ -208,6 +208,18 @@ DAMAGE = {
 def test_serialize_is_byte_equal(name):
     _, t = execute_config(CONFIGS[name])
     assert t.serialize() == reference_serialize(t)
+
+
+def test_a_run_is_written_and_replayed_without_its_graph_as_a_config(monkeypatch):
+    def to_config(graph):
+        raise AssertionError("the graph was written as a config")
+
+    want = reference_serialize(execute_config(CONFIGS["secure_sum"])[1])
+    monkeypatch.setattr(ChannelGraph, "to_config", to_config)
+    _, t = execute_config(CONFIGS["secure_sum"])
+    text = t.serialize()
+    assert text == want
+    assert replay_transcript(text) == (True, None, "verified")
 
 
 def test_serialize_is_byte_equal_for_every_payload_shape():

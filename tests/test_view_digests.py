@@ -66,8 +66,7 @@ def _digest_text(text: str) -> str:
 def view_digests(config) -> dict:
     """SHA-256 of repr(view entries) for every party of the run and the eavesdropper."""
     _, t = execute_config(config)
-    out = {p["name"]: _digest(extract_view(t, p["name"]).entries)
-           for p in t.topology["parties"]}
+    out = {p.name: _digest(extract_view(t, p.name).entries) for p in t.graph.parties}
     out[EAVESDROPPER] = _digest(eavesdropper_view(t).entries)
     return out
 
@@ -444,7 +443,7 @@ def _session_transcript(name):
 @pytest.mark.parametrize("name", sorted(SESSION_DIGESTS))
 def test_sessions_and_multi_cycle_products_match_recorded_digests(name):
     t = _session_transcript(name)
-    got = {p["name"]: _digest(extract_view(t, p["name"]).entries) for p in t.topology["parties"]}
+    got = {p.name: _digest(extract_view(t, p.name).entries) for p in t.graph.parties}
     got[EAVESDROPPER] = _digest(eavesdropper_view(t).entries)
     got["transcript"] = _digest_text(t.serialize())
     assert got == SESSION_DIGESTS[name]
@@ -496,7 +495,7 @@ OUT_OF_RANGE_DIGESTS = {
 def _out_of_range_transcript(name):
     if name.startswith("dummy_dealer/"):
         outcome, t = dummy_dealer_fixed_hands(32, 3, 5, seed=1, post_draws=[(2, 1), (0, 2)])
-        assert t.params["quotas"] == [5, 5, 5, 6, 6, 5]
+        assert t.protocol.params()["quotas"] == [5, 5, 5, 6, 6, 5]
         assert [who for who, _ in outcome.served] == ["P3", "P1", "P1"]
         return t
     if name.startswith("commit3/"):
@@ -511,7 +510,7 @@ def _out_of_range_transcript(name):
 @pytest.mark.parametrize("name", sorted(OUT_OF_RANGE_DIGESTS))
 def test_dealer_spokes_and_out_of_range_sessions_match_recorded_digests(name):
     t = _out_of_range_transcript(name)
-    got = {p["name"]: _digest(extract_view(t, p["name"]).entries) for p in t.topology["parties"]}
+    got = {p.name: _digest(extract_view(t, p.name).entries) for p in t.graph.parties}
     got[EAVESDROPPER] = _digest(eavesdropper_view(t).entries)
     got["transcript"] = _digest_text(t.serialize())
     assert got == OUT_OF_RANGE_DIGESTS[name]
