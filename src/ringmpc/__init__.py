@@ -8,11 +8,9 @@ checks the hiding claims as exact distribution equalities.
 """
 
 from .analysis import (
-    CoalitionReport,
     SecrecyReport,
     SecrecySpec,
     TransmissionStats,
-    coalition_closure,
     secrecy_enumeration_check,
     standard_suite,
     transmission_stats,

@@ -1,4 +1,4 @@
-"""The exhaustive secrecy check, coalition analysis, and transcript metrics.
+"""The exhaustive secrecy check and transcript metrics.
 
 Each protocol class declares its own claims (``Protocol.claims()``);
 ``standard_suite`` collects those of the registered classes.
@@ -11,6 +11,11 @@ legitimately knows.  Because the protocols are unconditionally secure,
 the check demands *exact* distribution equality, verified by enumerating
 every input assignment and every randomness assignment over a finite
 ring and comparing integer counts; no statistical slack is permitted.
+
+An observer is a party name, ``engine.EAVESDROPPER``, or a tuple of
+names: a coalition whose semi-honest members pool their views after the
+run.  ``engine.view_key`` reads every observer's view from a run's log,
+so what a coalition learns is decided by this check like anything else.
 """
 
 from __future__ import annotations
@@ -20,21 +25,10 @@ from dataclasses import dataclass, replace
 from itertools import product
 from math import prod
 
-from .engine import (
-    EAVESDROPPER,
-    TAPPED,
-    Protocol,
-    Run,
-    ScriptedSource,
-    Transcript,
-    View,
-    _entries_for,
-    accept,
-    merge_views,
-)
+from .engine import Protocol, Run, ScriptedSource, Transcript, accept, view_key
 from .errors import BudgetExceeded, ProtocolError
 from .poker import even_quotas
-from .topology import ChannelGraph, single_cycle
+from .topology import ChannelGraph
 
 INDEPENDENT = "independent"
 INDEPENDENT_UNIFORM = "independent_uniform"
@@ -153,31 +147,6 @@ def _runs(spec: SecrecySpec, graph: ChannelGraph):
             yield inputs, outcome, r
 
 
-def _view_key(observer, graph: ChannelGraph):
-    """A function from a run's log to the observer's ``View.key()``.
-
-    The same filter as ``extract_view`` and ``eavesdropper_view`` on the
-    run's transcript, and the same ``merge_views`` for a coalition, with
-    the observer's party indices looked up once instead of once per run.
-    """
-    index = {p.name: i for i, p in enumerate(graph.parties)}
-
-    def party(name):
-        try:
-            return index[name]
-        except KeyError:
-            raise KeyError(f"{name!r} did not participate in this run") from None
-
-    if observer == EAVESDROPPER:
-        return lambda log: _entries_for(log, TAPPED)
-    if isinstance(observer, tuple):
-        members = [(name, party(name)) for name in observer]
-        return lambda log: merge_views(
-            *(View(name, _entries_for(log, i)) for name, i in members)).key()
-    i = party(observer)
-    return lambda log: _entries_for(log, i)
-
-
 def secrecy_enumeration_check(spec: SecrecySpec) -> SecrecyReport:
     """Exhaustively verify one secrecy claim; exact counts, no tolerance.
 
@@ -202,17 +171,17 @@ def secrecy_enumeration_check(spec: SecrecySpec) -> SecrecyReport:
 def _interpreted_tally(spec: SecrecySpec, graph: ChannelGraph) -> dict:
     """Group -> count per (view key, target), over every run played by the protocol's code."""
     tally: dict = defaultdict(Counter)
-    view_key = None
+    key_of = None
     for inputs, outcome, r in _runs(spec, graph):
         # Looked up after the first run: a budget fault, or a fault of the
         # protocol's in that run, is still reported before an unknown observer.
-        if view_key is None:
-            view_key = _view_key(spec.observer, graph)
+        if key_of is None:
+            key_of = view_key(spec.observer, graph)
         key = (
             tuple(inputs[i] for i in spec.observer_inputs),
             spec.given_of(inputs, outcome),
         )
-        tally[key][view_key(r.log), spec.target_of(inputs, outcome)] += 1
+        tally[key][key_of(r.log), spec.target_of(inputs, outcome)] += 1
     return tally
 
 
@@ -283,8 +252,8 @@ def _compile(spec: SecrecySpec, graph: ChannelGraph):
     try:
         ring, traced, outcome = trace(spec.protocol, graph, len(spec.input_domains))
         sites = traced.draw_sites
-        view_key = _view_key(spec.observer, graph)
-        kernel, rebuild, show = ring.compile(view_key(traced.log), outcome)
+        key_of = view_key(spec.observer, graph)
+        kernel, rebuild, show = ring.compile(key_of(traced.log), outcome)
         if _run_count(spec, sites) > spec.budget:
             return None
         drawers = {party for party, _ in sites}
@@ -293,7 +262,7 @@ def _compile(spec: SecrecySpec, graph: ChannelGraph):
             r = Run(spec.protocol, graph, inputs, seed=0,
                     sources=dict.fromkeys(drawers, ScriptedSource(draws)))
             outcome = spec.protocol.program(r)
-            return (r.draw_sites, view_key(r.log), spec.given_of(inputs, outcome),
+            return (r.draw_sites, key_of(r.log), spec.given_of(inputs, outcome),
                     spec.target_of(inputs, outcome))
 
         def compiled(inputs, draws):
@@ -403,54 +372,6 @@ def suite_by_name(names=None, budget: int = 2_000_000):
     if missing:
         raise ProtocolError(f"unknown secrecy checks: {missing}")
     return [index[n] for n in names]
-
-
-# -- coalitions --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoalitionReport:
-    """What a contiguous coalition can determine from a sum-protocol run.
-
-    ``learns_inputs`` lists input slots whose exact value the coalition
-    pins down (always at least its own); ``learns_complement_sum`` says
-    whether the sum of all non-members' inputs becomes known once the
-    protocol output is public (it always does, by subtraction).
-    """
-
-    coalition: tuple
-    learns_inputs: frozenset
-    learns_complement_sum: bool
-
-
-def coalition_closure(g: ChannelGraph, coalition) -> CoalitionReport:
-    """Closure of a contiguous coalition's knowledge for the sum protocol.
-
-    Members pooled, they always learn each other's inputs and (given the
-    public total) the sum of the others'.  Individual outsider inputs
-    fall only to a coalition of k-1: gluing the members into one vertex
-    reduces the run to a shorter cycle in which the remaining parties'
-    noise still masks everything.  Non-contiguous coalitions are rejected:
-    with only cycle channels, members not adjacent along the cycle cannot
-    pool knowledge undetected.
-    """
-    cycle = single_cycle("coalition analysis", g)
-    k = len(cycle)
-    members = sorted(set(coalition))
-    if not 0 < len(members) < k:
-        raise ProtocolError("coalition must be a proper non-empty subset")
-    positions = sorted(cycle.index(p) for p in members)
-    n = len(positions)
-    # A block is contiguous iff some start position covers it consecutively mod k.
-    pos_set = set(positions)
-    contiguous = any(all((s + t) % k in pos_set for t in range(n)) for s in range(k))
-    if not contiguous:
-        raise ProtocolError("coalition is not contiguous along the cycle")
-    if n == k - 1:
-        learns = frozenset(range(k))
-    else:
-        learns = frozenset(members)
-    return CoalitionReport(tuple(members), learns, True)
 
 
 # -- transcript metrics ------------------------------------------------------

@@ -231,7 +231,9 @@ def _modulus_ring(modulus):
 def _emit(body, transcript, out, indent=None):
     """Print ``body`` as JSON; write the transcript to the file ``out`` if one is named."""
     if out:
-        Path(out).write_text(transcript.serialize())
+        with _exit_codes():
+            text = transcript.serialize()
+        Path(out).write_text(text)
     click.echo(json.dumps(body, indent=indent))
 
 

@@ -20,10 +20,11 @@ discipline and evidence:
   tagged with its audience: one party, a sender/receiver pair (plus the
   eavesdropper on an insecure channel), or everyone.  A send or broadcast
   also carries its route (sender, receiver, security, kind).  A party's
-  view is the log filtered to the events it is in the audience of,
-  computed only when someone asks for it, so a broadcast to k parties
-  costs one entry, not k.  A logged value is an int, a string or a
-  tuple of them, never a list, so that a view is hashable as it stands;
+  view is the log filtered to the events it is in the audience of, by
+  ``view_key``, computed only when someone asks for it, so a broadcast
+  to k parties costs one entry, not k.  A logged value is an int, a
+  string or a tuple of them, never a list, so that a view is hashable
+  as it stands;
 * every draw is appended once to a list of draw sites.  A noise draw
   computes its domain size once: the run draws an index below it from the
   party's source, and the ring maps the index to an element with
@@ -182,14 +183,17 @@ class Transcript:
         lines = [f'{meta[:-2]},"topology":{{"edges":[{edges}],"k":{len(parties)},'
                  f'"parties":[{listed}]}}}}}}']
         seq = 0
-        for _, (_, payload), route in self.log:
-            if route is None:
-                continue
-            frm, to, security, kind = route
-            text = f'"{payload}"' if type(payload) is int else encode(_encode(payload))
-            lines.append(f'{{"from":{names[frm]},"kind":{quoted[kind]},"payload":{text},'
-                         f'"security":{quoted[security]},"seq":{seq},"to":{names[to]}}}')
-            seq += 1
+        try:
+            for _, (_, payload), route in self.log:
+                if route is None:
+                    continue
+                frm, to, security, kind = route
+                text = f'"{payload}"' if type(payload) is int else encode(_encode(payload))
+                lines.append(f'{{"from":{names[frm]},"kind":{quoted[kind]},"payload":{text},'
+                             f'"security":{quoted[security]},"seq":{seq},"to":{names[to]}}}')
+                seq += 1
+        except ValueError as e:
+            raise _unwritable(e) from None
         return "\n".join(lines) + "\n"
 
 
@@ -208,17 +212,25 @@ def _entries_for(log, who: int) -> tuple:
 
 def _encode(value):
     """JSON-safe encoding with arbitrary-precision ints as decimal strings."""
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return value
-    if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [str(v) if type(v) is int else _encode(v) for v in value]
+    try:
+        if isinstance(value, bool) or value is None:
+            return value
+        if isinstance(value, int):
+            return str(value)
+        if isinstance(value, str):
+            return value
+        if isinstance(value, dict):
+            return {k: _encode(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [str(v) if type(v) is int else _encode(v) for v in value]
+    except ValueError as e:
+        raise _unwritable(e) from None
     raise TypeError(f"cannot encode {value!r}")
+
+
+def _unwritable(e: ValueError) -> ProtocolError:
+    """An int longer than Python writes as a decimal (``sys.get_int_max_str_digits``)."""
+    return ProtocolError(f"a value too long to write as a decimal: {e}")
 
 
 def _loads(line: str):
@@ -588,12 +600,35 @@ def commit(protocol: Protocol, graph: ChannelGraph | None = None, inputs=(), see
     return Session(protocol.program(r), r)
 
 
+def view_key(observer, graph: ChannelGraph):
+    """A function from a run's log to the ``View.key()`` of ``observer``, the one observer filter.
+
+    The observer is a party name, ``EAVESDROPPER`` or a tuple of names, a
+    coalition whose members' views ``merge_views`` pools.  Each name is
+    mapped to its party index once, here, and an unknown name is a KeyError.
+    A party named like ``EAVESDROPPER`` is that party.
+    """
+    index = {p.name: p.index for p in graph.parties}
+    if observer == EAVESDROPPER and observer not in index:
+        return lambda log: _entries_for(log, TAPPED)
+
+    def party(name):
+        try:
+            return index[name]
+        except KeyError:
+            raise KeyError(f"{name!r} did not participate in this run") from None
+
+    if isinstance(observer, tuple):
+        members = [(name, party(name)) for name in observer]
+        return lambda log: merge_views(
+            *(View(name, _entries_for(log, i)) for name, i in members)).key()
+    i = party(observer)
+    return lambda log: _entries_for(log, i)
+
+
 def extract_view(t: Transcript, party: str) -> View:
     """The named party's knowledge: inputs, own noise, incident messages, broadcasts."""
-    for p in t.graph.parties:
-        if p.name == party:
-            return View(party, _entries_for(t.log, p.index))
-    raise KeyError(f"{party!r} did not participate in this run")
+    return View(party, view_key(party, t.graph)(t.log))
 
 
 def eavesdropper_view(t: Transcript) -> View:

@@ -225,7 +225,8 @@ class CardDeal(Protocol):
     players only, those roles rotate around the cycle.  ``consolidate_to``
     names a dummy dealer that collects the dummies' cards and then serves
     ``post_draws``, (real player, count) pairs, each card drawn by the
-    same two contributors.
+    same two contributors; ``check_graph`` refuses a requester that is not
+    a real player with a secure channel from the dealer.
     """
 
     name = "card_deal"
@@ -291,6 +292,11 @@ class CardDeal(Protocol):
         dummies = [p.index for p in g.parties if not p.full]
         if self.consolidate_to is not None and self.consolidate_to not in dummies:
             raise TopologyError(f"consolidate_to={self.consolidate_to} is not a dummy party")
+        for requester, _ in self.post_draws:
+            if not (0 <= requester < k and g.parties[requester].full):
+                raise TopologyError(f"post draw to party {requester}: the dealer serves real "
+                                    "players only")
+        require_secure(self.name, g, [(self.consolidate_to, r) for r, _ in self.post_draws])
         if dummies:
             cc = self.counter_contributors
             if cc is None or len(cc) != 2:
@@ -479,9 +485,6 @@ def dummy_dealer_fixed_hands(m: int, k: int, s: int, N: int = 10, seed=0, post_d
         raise ProtocolError(f"infeasible: {m} cards cannot give {k} players {s} each")
     d = dummy_dealer_count(m, s, k)
     quotas = (s,) * k + even_quotas(m - k * s, d, 0)
-    for requester, _ in post_draws:
-        if not 0 <= requester < k:
-            raise ProtocolError("post draws must go to real players")
     proto = CardDeal(
         DealConfig(m, k + d, N, quotas=quotas),
         counter_contributors=(0, 1),

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 from math import prod
 
 import pytest
@@ -8,7 +8,6 @@ from ringmpc.analysis import (
     DETERMINED,
     INDEPENDENT_UNIFORM,
     SecrecySpec,
-    coalition_closure,
     secrecy_enumeration_check,
     standard_suite,
     suite_by_name,
@@ -16,13 +15,13 @@ from ringmpc.analysis import (
 )
 from ringmpc.arithmetic import SecureSum
 from ringmpc.commitment import Commit3
-from ringmpc.engine import EAVESDROPPER, ScriptedSource, extract_view, merge_views, run
+from ringmpc.engine import EAVESDROPPER, ScriptedSource, merge_views, run
 from ringmpc.errors import BudgetExceeded, ProtocolError
 from ringmpc.poker import CardDeal, DealConfig
 from ringmpc.sharing import ShareSecret
 from ringmpc.topology import build_cycle
-from ringmpc.analysis import _view_key, enumerate_runs
-from ringmpc.engine import Protocol, eavesdropper_view
+from ringmpc.analysis import enumerate_runs
+from ringmpc.engine import Protocol, View, eavesdropper_view, view_key
 from ringmpc.topology import ChannelGraph, default_parties
 
 
@@ -143,62 +142,98 @@ class TestSecrecyEnumeration:
             suite_by_name(["no such check"])
 
 
-class TestCoalitionClosure:
-    def test_pair_in_four_learns_no_individual_outsider_input(self):
-        report = coalition_closure(build_cycle(4), (0, 1))
-        assert report.learns_inputs == frozenset({0, 1})
-        assert report.learns_complement_sum
+def gaps(k, members):
+    """The maximal runs of non-members between two members, going round the k-cycle."""
+    start = members[0]
+    found, current = [], []
+    for step in range(1, k + 1):
+        i = (start + step) % k
+        if i in members:
+            if current:
+                found.append(tuple(current))
+            current = []
+        else:
+            current.append(i)
+    return found
 
-    def test_pair_in_three_learns_the_third(self):
-        report = coalition_closure(build_cycle(3), (0, 1))
-        assert report.learns_inputs == frozenset({0, 1, 2})
 
-    def test_four_of_five_learn_the_fifth(self):
-        report = coalition_closure(build_cycle(5), (1, 2, 3, 4))
-        assert report.learns_inputs == frozenset(range(5))
+def coalition_spec(m, k, members, **claim):
+    """A claim about what the pooled views of ``members`` on a secure-sum k-cycle tell."""
+    names = tuple(f"P{i + 1}" for i in members)
+    return SecrecySpec(
+        name=f"sum Z{m} k{k} {'+'.join(names)}",
+        protocol=SecureSum(rr.mod_ring(m)),
+        graph=build_cycle(k),
+        input_domains=tuple(range(m) for _ in range(k)),
+        observer=names,
+        observer_inputs=members,
+        **claim,
+    )
 
-    def test_wraparound_contiguity_accepted(self):
-        report = coalition_closure(build_cycle(5), (4, 0))
-        assert report.learns_inputs == frozenset({0, 4})
 
-    def test_non_contiguous_rejected(self):
-        with pytest.raises(ProtocolError):
-            coalition_closure(build_cycle(5), (0, 2))
+def slot_sum(m, slots):
+    """The target or given: the sum of the inputs in ``slots`` over Z_m."""
+    return lambda inputs, _o: sum(inputs[j] for j in slots) % m
 
-    def test_whole_cycle_rejected(self):
-        with pytest.raises(ProtocolError):
-            coalition_closure(build_cycle(4), (0, 1, 2, 3))
+
+def proper_coalitions(k):
+    return [c for size in range(1, k) for c in combinations(range(k), size)]
+
+
+class TestCoalitionProfile:
+    def test_gaps_run_round_the_cycle(self):
+        assert gaps(5, (0, 2)) == [(1,), (3, 4)]
+        assert gaps(5, (4, 0)) == [(1, 2, 3)]
+        assert gaps(4, (1,)) == [(2, 3, 0)]
+        assert gaps(3, (0, 1, 2)) == []
+
+    @pytest.mark.parametrize("m,k", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 4)])
+    def test_a_coalition_learns_exactly_the_sum_of_each_gap(self, m, k):
+        # apart from its own inputs: nothing beyond the gap sums, and each gap sum exactly
+        for members in proper_coalitions(k):
+            holes = gaps(k, members)
+            outsiders = tuple(j for j in range(k) if j not in members)
+            sums = [slot_sum(m, gap) for gap in holes]
+            only = coalition_spec(m, k, members, protected=outsiders,
+                                  given=lambda inputs, o: tuple(f(inputs, o) for f in sums))
+            assert secrecy_enumeration_check(only).ok, members
+            for gap, total in zip(holes, sums):
+                spec = coalition_spec(m, k, members, target=total, claim=DETERMINED)
+                assert secrecy_enumeration_check(spec).ok, (members, gap)
+
+    def test_a_pair_apart_on_a_five_cycle_learns_the_input_between_them(self):
+        # P1 and P3 are not an arc: pooled after the run, their views pin n2 down
+        learns_n2 = coalition_spec(2, 5, (0, 2), target=slot_sum(2, (1,)), claim=DETERMINED)
+        assert secrecy_enumeration_check(learns_n2).ok
+        only_the_total = coalition_spec(2, 5, (0, 2), protected=(1, 3, 4),
+                                        given=slot_sum(2, (1, 3, 4)))
+        assert not secrecy_enumeration_check(only_the_total).ok
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_agrees_with_brute_force_over_z2(self, k):
         m = 2
         proto = SecureSum(rr.mod_ring(m))
         graph = build_cycle(k)
-        for size in range(1, k):
-            coalition = tuple(range(size))
-            report = coalition_closure(graph, coalition)
+        transcripts = []
+        for inputs in product(range(m), repeat=k):
+            for noise in product(range(m), repeat=k):
+                sources = {i: ScriptedSource([noise[i]]) for i in range(k)}
+                transcripts.append((inputs, run(proto, graph, inputs, seed=0, sources=sources)[1]))
+        for coalition in proper_coalitions(k):
+            names = [f"P{i + 1}" for i in coalition]
             # brute force: group every (inputs x noise) run by the coalition's
             # joint view and see which outsider inputs stay constant per group
             groups = {}
-            for inputs in product(range(m), repeat=k):
-                for noise in product(range(m), repeat=k):
-                    sources = {i: ScriptedSource([noise[i]]) for i in range(k)}
-                    _, t = run(proto, graph, inputs, seed=0, sources=sources)
-                    key = merge_views(
-                        *(extract_view(t, f"P{i + 1}") for i in coalition)
-                    ).key()
-                    groups.setdefault(key, []).append(inputs)
+            for inputs, t in transcripts:
+                key = merge_views(*(View(name, t.views[name]) for name in names)).key()
+                groups.setdefault(key, []).append(inputs)
             outsiders = [j for j in range(k) if j not in coalition]
-            determined_slots = set(coalition)
-            for j in outsiders:
-                if all(len({ins[j] for ins in g}) == 1 for g in groups.values()):
-                    determined_slots.add(j)
-            sum_determined = all(
-                len({sum(ins[j] for j in outsiders) % m for ins in g}) == 1
-                for g in groups.values()
-            )
-            assert determined_slots == set(report.learns_inputs)
-            assert sum_determined == report.learns_complement_sum
+            for target in [(j,) for j in outsiders] + [tuple(outsiders)]:
+                brute = all(len({sum(ins[j] for j in target) % m for ins in g}) == 1
+                            for g in groups.values())
+                spec = coalition_spec(m, k, coalition, target=slot_sum(m, target),
+                                      claim=DETERMINED)
+                assert secrecy_enumeration_check(spec).ok == brute, (coalition, target)
 
 
 class TestTransmissionStats:
@@ -283,12 +318,12 @@ class InsecureRelay(Protocol):
 
 
 def _transcript_view(observer, t):
-    """The observer's view as the transcript gives it."""
+    """The observer's view as the transcript gives it, read without ``view_key``."""
     if observer == EAVESDROPPER:
         return eavesdropper_view(t)
     if isinstance(observer, tuple):
-        return merge_views(*(extract_view(t, name) for name in observer))
-    return extract_view(t, observer)
+        return merge_views(*(View(name, t.views[name]) for name in observer))
+    return View(observer, t.views[observer])
 
 
 # protocol, its input domains, and one observer of each shape
@@ -312,7 +347,7 @@ def test_view_keys_equal_the_transcript_views(case):
     keys = None
     for _inputs, _outcome, r in enumerate_runs(spec):
         if keys is None:
-            keys = [(obs, _view_key(obs, r.graph)) for obs in observers]
+            keys = [(obs, view_key(obs, r.graph)) for obs in observers]
         t = r.transcript()
         for obs, key in keys:
             assert key(r.log) == _transcript_view(obs, t).key()
@@ -325,8 +360,8 @@ def test_insecure_relay_view_keys_see_the_tapped_messages():
     spec = SecrecySpec(name="relay", protocol=InsecureRelay(rr.mod_ring(2)),
                        input_domains=((1,), (0,), (1,)), observer=None)
     [r] = [r for _, _, r in enumerate_runs(spec) if r.log[3][1] == ("r", 1)]
-    assert _view_key(EAVESDROPPER, r.graph)(r.log) == (("masked n1", 0), ("n3+r", 0))
-    assert _view_key(("P2", "P3"), r.graph)(r.log) == (
+    assert view_key(EAVESDROPPER, r.graph)(r.log) == (("masked n1", 0), ("n3+r", 0))
+    assert view_key(("P2", "P3"), r.graph)(r.log) == (
         ("P2:n2", 0), ("P2:masked n1", 0), ("P2:n3+r", 0),
         ("P3:n3", 1), ("P3:r", 1), ("P3:n3+r", 0))
 

@@ -11,6 +11,7 @@ from ringmpc.arithmetic import (
     GREATER,
     LESS,
     MAX_BIT_WIDTH,
+    MAX_POWER_BITS,
     MillionairesBitwise,
     MillionairesCompare,
     NEGATIVE,
@@ -22,7 +23,7 @@ from ringmpc.arithmetic import (
     symmetric_from_power_sums,
 )
 from ringmpc.engine import ScriptedSource, eavesdropper_view, extract_view, run
-from ringmpc.errors import RingError, TopologyError
+from ringmpc.errors import ProtocolError, RingError, TopologyError
 from ringmpc.topology import ChannelGraph, build_cycle, default_parties
 
 B = rr.DEFAULT_NOISE_BOUND  # scripted integer noise value v sits at index v + B
@@ -172,6 +173,18 @@ class TestSumOfPowers:
         # the protocol draws exactly one random element, the initiator's mask
         _, t = run(SumOfPowers(rr.mod_ring(5), 2), build_cycle(4), (1, 2, 3, 4), seed=1)
         assert sum(t.draw_counts.values()) == 1
+
+    def test_powers_over_z_are_bounded_by_exponent_times_input_bits(self):
+        e = MAX_POWER_BITS // 2  # 3 has 2 bits
+        assert run(SumOfPowers(rr.integers(), e), None, (3, 1, 0))[0] == 3**e + 1
+        for exponent, inputs in ((e + 1, (3, 1, 0)), (10**9, (3, 3, 3)),
+                                 (2, (2**MAX_POWER_BITS, 0, 0))):
+            with pytest.raises(ProtocolError, match=f"^exponent {exponent} on inputs of "):
+                run(SumOfPowers(rr.integers(), exponent), None, inputs)
+        # Inputs 0, 1 and -1 have powers of at most one bit; a ring Z_m keeps its powers below m.
+        assert run(SumOfPowers(rr.integers(), 10**9), None, (1, -1, 0))[0] == 2
+        outcome, _ = run(SumOfPowers(rr.mod_ring(7), 10**9), None, (3, 3, 3))
+        assert outcome == 3 * pow(3, 10**9, 7) % 7
 
     def test_random_against_oracle(self):
         rng = random.Random(19)

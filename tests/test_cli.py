@@ -399,6 +399,57 @@ class TestConfigErrors:
             assert time.perf_counter() - start < 1
             assert f"bit_width {MAX_BIT_WIDTH + 1} is above the bound" in result.output
 
+    @pytest.mark.parametrize("case", ["sum parties", "distribute_shares k", "share_secret_kk k"])
+    def test_a_config_above_a_size_bound_exits_2_at_once_on_run_and_replay(
+            self, runner, tmp_path, case):
+        from ringmpc.sharing import MAX_SHARE_PLAYERS
+        from ringmpc.topology import MAX_PARTIES
+
+        def parties_k(meta):  # a graph of default parties: the protocol's own, of k players
+            meta["params"]["k"] = MAX_PARTIES + 1
+            del meta["topology"]
+
+        body, edit, message = {
+            "sum parties": ({"protocol": "secure_sum", "inputs": ["1", "2", "3"]},
+                            lambda meta: meta.update(topology={"cycle": MAX_PARTIES + 1}),
+                            f"a graph of {MAX_PARTIES + 1} parties is above the bound"),
+            "distribute_shares k": ({"protocol": "distribute_shares", "inputs": ["5"]},
+                                    parties_k,
+                                    f"a graph of {MAX_PARTIES + 1} parties is above the bound"),
+            "share_secret_kk k": ({"protocol": "share_secret_kk", "inputs": ["5"]},
+                                  lambda meta: meta["params"].update(k=MAX_SHARE_PLAYERS + 1),
+                                  f"k={MAX_SHARE_PLAYERS + 1} is above the bound"),
+        }[case]
+        out = tmp_path / "small.jsonl"
+        assert runner.invoke(main, ["run", write_config(tmp_path, "small.json", body),
+                                    "--out", str(out)]).exit_code == 0
+        header, body_lines = out.read_text().split("\n", 1)
+        meta = json.loads(header)["meta"]
+        edit(meta)
+        (tmp_path / "big.jsonl").write_text(json.dumps({"meta": meta}) + "\n" + body_lines)
+        for args in (["run", write_config(tmp_path, "big.json", meta)],
+                     ["replay", str(tmp_path / "big.jsonl")]):
+            start = time.perf_counter()
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, result.output
+            assert time.perf_counter() - start < 1
+            assert message in result.output
+
+    def test_a_post_draw_to_a_dummy_exits_3_before_the_deal(self, runner, tmp_path):
+        from ringmpc.poker import dealer_graph
+
+        cfg = write_config(tmp_path, "deal.json", {
+            "protocol": "card_deal", "inputs": [],
+            "params": {"r": 10, "k": 5, "N": 2, "quotas": [2, 2, 2, 2, 2],
+                       "counter_contributors": [0, 1], "consolidate_to": 3,
+                       "post_draws": [[4, 1]]},
+            "topology": dealer_graph(3, 2).to_config(),
+        })
+        result = runner.invoke(main, ["run", cfg])
+        assert result.exit_code == 3
+        assert result.output == ("error: post draw to party 4: the dealer serves real players "
+                                 "only\n")
+
     def test_post_draws_without_a_dealer_exit_2(self, runner, tmp_path):
         # Only a dealer serves post draws; without consolidate_to none would be served.
         cfg = write_config(tmp_path, "deal.json", {
@@ -455,6 +506,39 @@ class TestConfigErrors:
         result = runner.invoke(main, ["replay", str(path)])
         assert result.exit_code == 2
         assert "caller-supplied g" in result.output
+
+
+class TestValuesTooLongToWrite:
+    NINES = "9" * 4300  # the longest int Python writes as a decimal by default
+
+    @pytest.mark.parametrize("body, fault", [
+        ({"protocol": "secure_sum", "inputs": [NINES, NINES, "1"]}, "too long to write"),
+        ({"protocol": "secure_product", "inputs": [NINES, NINES, "1"]}, "too long to write"),
+        ({"protocol": "sum_of_powers", "inputs": ["3", "1", "2"], "params": {"exponent": 10000}},
+         "too long to write"),
+        ({"protocol": "sum_of_powers", "inputs": ["3", "1", "2"],
+          "params": {"exponent": 1000000000}},
+         "exponent 1000000000 on inputs of 2 bits gives powers above the bound"),
+    ], ids=["sum", "product", "powers 10^4", "powers 10^9"])
+    def test_run_exits_2(self, runner, tmp_path, body, fault):
+        start = time.perf_counter()
+        result = runner.invoke(main, ["run", write_config(tmp_path, "big.json", body)])
+        assert result.exit_code == 2, result.output
+        assert time.perf_counter() - start < 1
+        assert fault in result.output
+
+    def test_a_transcript_too_long_to_write_exits_2_and_writes_no_file(self, runner, tmp_path):
+        # The sum, 1, writes; P1's masked input, the nines plus its noise, has 4,301 digits.
+        cfg = write_config(tmp_path, "sum.json", {
+            "protocol": "secure_sum", "inputs": [self.NINES, "-" + self.NINES, "1"], "seed": 1})
+        result = runner.invoke(main, ["run", cfg])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["outcome"] == {"sum": "1"}
+        out = tmp_path / "sum.jsonl"
+        result = runner.invoke(main, ["run", cfg, "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: a value too long to write as a decimal: ")
+        assert not out.exists()
 
 
 class TestCommandInputErrors:

@@ -30,14 +30,13 @@ from ringmpc.analysis import (
     _compiled_tally,
     _interpreted_tally,
     _judge,
-    _view_key,
     secrecy_enumeration_check,
     standard_suite,
 )
 from ringmpc.arithmetic import (ExampleF1, ExampleF2, SecureProduct, SecureRating, SecureSum,
                                 SumOfPowers)
 from ringmpc.commitment import Commit3
-from ringmpc.engine import EAVESDROPPER, Protocol, Run, ScriptedSource
+from ringmpc.engine import EAVESDROPPER, Protocol, Run, ScriptedSource, view_key
 from ringmpc.errors import BudgetExceeded, RingError
 from ringmpc.sharing import DistributeShares, ShareSecret
 from ringmpc.tracer import Untraceable, trace
@@ -70,15 +69,15 @@ def interpreted_path(spec, graph):
     seen = {}
 
     def recording(observer, graph):
-        view_key = _view_key(observer, graph)
+        key_of = view_key(observer, graph)
 
         def recorded(log):
-            view = view_key(log)
+            view = key_of(log)
             seen.setdefault(view, None)
             return view
         return recorded
 
-    with mock.patch.object(ringmpc.analysis, "_view_key", recording):
+    with mock.patch.object(ringmpc.analysis, "view_key", recording):
         tally = _interpreted_tally(spec, graph)
     return tally, list(seen)
 
@@ -300,14 +299,14 @@ def test_the_second_guard_point_catches_a_type_test_that_the_first_misses():
                        input_domains=(range(3),) * 3, observer="P2", observer_inputs=(1,),
                        protected=(0,))
     graph = _checked_graph(spec)
-    view_key = _view_key(spec.observer, graph)
+    key_of = view_key(spec.observer, graph)
     ring, traced, outcome = trace(spec.protocol, graph, 3)
-    evaluate, _, show = ring.compile(view_key(traced.log), outcome)
+    evaluate, _, show = ring.compile(key_of(traced.log), outcome)
 
     def played(inputs, draws):
         r = Run(spec.protocol, graph, inputs, seed=0, sources={0: ScriptedSource(draws)})
         spec.protocol.program(r)
-        return view_key(r.log)
+        return key_of(r.log)
 
     assert show(evaluate((0, 0, 0), (0,))[0]) == played((0, 0, 0), (0,))
     assert show(evaluate((2, 2, 2), (2,))[0]) != played((2, 2, 2), (2,))
@@ -453,7 +452,7 @@ def test_a_view_of_constants_repeats_and_pairs_is_keyed_by_its_values(observer):
 def test_show_gives_the_protocols_own_view_at_every_run(spec):
     graph = _checked_graph(spec)
     evaluate, _, show, sites = _compile(spec, graph)
-    view_key = _view_key(spec.observer, graph)
+    key_of = view_key(spec.observer, graph)
     drawers = {party for party, _ in sites}
     views = {}
     for inputs in product(*spec.input_domains):
@@ -461,7 +460,7 @@ def test_show_gives_the_protocols_own_view_at_every_run(spec):
             r = Run(spec.protocol, graph, inputs, seed=0,
                     sources=dict.fromkeys(drawers, ScriptedSource(draws)))
             spec.protocol.program(r)
-            values, view = evaluate(inputs, draws)[0], view_key(r.log)
+            values, view = evaluate(inputs, draws)[0], key_of(r.log)
             assert show(values) == view
             assert views.setdefault(values, view) == view
     # one view per tuple of values, and one tuple of values per view

@@ -10,7 +10,9 @@ import ringmpc.ring as rr
 from ringmpc.arithmetic import MillionairesCompare, SecureRating, SecureSum
 from ringmpc.commitment import Commit2Dummy, Commit3, CommitK, ObliviousTransfer
 from ringmpc.engine import (
+    EAVESDROPPER,
     EVERYONE,
+    _encode,
     Run,
     ScriptedSource,
     Session,
@@ -22,6 +24,7 @@ from ringmpc.engine import (
     parse_transcript,
     run,
     start,
+    view_key,
 )
 from ringmpc.errors import DummyRandomnessError, ProtocolError, ReplayError, TopologyError
 from ringmpc.topology import ChannelGraph, Party, build_cycle, default_parties, dummy_triangle
@@ -118,6 +121,34 @@ def test_view_of_unknown_party_errors():
     _, t = run(proto, build_cycle(3), (1, 2, 3), seed=0)
     with pytest.raises(KeyError):
         extract_view(t, "P9")
+
+
+def test_extract_view_and_the_checks_share_one_observer_filter():
+    _, t = run(SecureSum(rr.integers()), build_cycle(4), (1, 2, 3, 4), seed=2)
+    for p in t.graph.parties:
+        assert extract_view(t, p.name).entries == t.views[p.name]
+        assert view_key(p.name, t.graph)(t.log) == t.views[p.name]
+    for observer in ("P9", ("P1", "P9")):
+        with pytest.raises(KeyError, match="'P9' did not participate in this run"):
+            view_key(observer, t.graph)
+    with pytest.raises(KeyError, match="'P9' did not participate in this run"):
+        extract_view(t, "P9")
+    # A party may be named like the wiretapper; its name still gives its own view.
+    g = ChannelGraph([Party(0, EAVESDROPPER), Party(1, "B"), Party(2, "C")],
+                     [(0, 1, "secure"), (1, 2, "secure"), (0, 2, "secure")])
+    _, t = run(SecureSum(rr.integers()), g, (1, 2, 3), seed=0)
+    assert extract_view(t, EAVESDROPPER).entries == t.views[EAVESDROPPER]
+
+
+def test_an_int_too_long_to_write_is_a_protocol_error():
+    n = 10**4300 - 1  # 4,300 nines: the longest int Python writes as a decimal by default
+    with pytest.raises(ProtocolError, match="^a value too long to write as a decimal: "):
+        _encode({"sum": [n + 1]})
+    # The outcome, 1, writes; P1's masked input, n plus its noise, has 4,301 digits.
+    outcome, t = run(SecureSum(rr.integers()), build_cycle(3), (n, -n, 1), seed=1)
+    assert outcome == 1 and t.messages[0].payload > n
+    with pytest.raises(ProtocolError, match="^a value too long to write as a decimal: "):
+        t.serialize()
 
 
 def test_commit3_all_zero_trace_view():

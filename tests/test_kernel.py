@@ -20,10 +20,9 @@ from ringmpc.analysis import (
     _compiled_tally,
     _interpreted_tally,
     _judge,
-    _view_key,
     secrecy_enumeration_check,
 )
-from ringmpc.engine import EAVESDROPPER, Protocol, Run, ScriptedSource
+from ringmpc.engine import EAVESDROPPER, Protocol, Run, ScriptedSource, view_key
 from ringmpc.errors import RingError
 from ringmpc.ring import pure
 from ringmpc.topology import ChannelGraph, build_cycle, default_parties
@@ -36,7 +35,7 @@ def played(spec, graph, sites, inputs, draws):
     r = Run(spec.protocol, graph, inputs, seed=0,
             sources=dict.fromkeys({party for party, _ in sites}, ScriptedSource(draws)))
     outcome = spec.protocol.program(r)
-    return _view_key(spec.observer, graph)(r.log), outcome
+    return view_key(spec.observer, graph)(r.log), outcome
 
 
 class Unlooped:

@@ -5,11 +5,12 @@ from itertools import product
 import pytest
 
 from ringmpc.engine import ScriptedSource, extract_view, run, start
-from ringmpc.errors import ProtocolError
+from ringmpc.errors import ProtocolError, TopologyError
 from ringmpc.poker import (
     CardDeal,
     CollectiveRandom,
     DealConfig,
+    dealer_graph,
     dummy_deal_graph,
     dummy_deal_two_players,
     dummy_dealer_count,
@@ -19,7 +20,7 @@ from ringmpc.poker import (
     knuth_shuffle,
     protocol2_roles,
 )
-from ringmpc.topology import build_cycle
+from ringmpc.topology import ChannelGraph, build_cycle
 
 CHI2_999_DF6 = 22.458  # 0.999 quantile of chi-square with 6 degrees of freedom
 
@@ -286,6 +287,39 @@ class TestDummyDealer:
         assert len(served_messages) == 1
         assert served_messages[0].to == "P2"
         assert served_messages[0].security == "secure"
+
+
+def _dealer_deal(post_draws):
+    """A deal to 3 reals with 2 dummies, dummy D1 (index 3) the dealer, serving ``post_draws``."""
+    return CardDeal(DealConfig(10, 5, 2, quotas=(2,) * 5), counter_contributors=(0, 1),
+                    consolidate_to=3, post_draws=post_draws)
+
+
+class TestPostDrawGate:
+    @pytest.mark.parametrize("requester", [4, 99, -1, 3],
+                             ids=["dummy D2", "no such party", "index -1", "the dealer"])
+    def test_the_graph_gate_refuses_a_requester_that_is_not_a_real_player(self, requester):
+        proto = _dealer_deal([(requester, 1)])
+        with pytest.raises(TopologyError, match=f"^post draw to party {requester}: "):
+            proto.check_graph(dealer_graph(3, 2))
+        with pytest.raises(TopologyError, match=f"^post draw to party {requester}: "):
+            start(proto, dealer_graph(3, 2), (), 0)
+
+    def test_a_real_player_without_a_secure_channel_from_the_dealer_is_refused(self):
+        g = dealer_graph(4, 2)
+        g = ChannelGraph(g.parties, [e for e in g.edges() if e[:2] != (2, 4)])
+        proto = CardDeal(DealConfig(12, 6, 2, quotas=(2,) * 6), counter_contributors=(0, 1),
+                         consolidate_to=4, post_draws=[(2, 1)])
+        with pytest.raises(TopologyError, match="secure channel between parties 4 and 2"):
+            proto.check_graph(g)
+
+    def test_every_real_player_is_served(self):
+        outcome, _ = run(_dealer_deal([(0, 1), (1, 1), (2, 1)]), dealer_graph(3, 2), (), 5)
+        assert [name for name, _ in outcome.served] == ["P1", "P2", "P3"]
+
+    def test_the_wrapper_leaves_the_refusal_to_the_gate(self):
+        with pytest.raises(TopologyError, match="^post draw to party 2: "):
+            dummy_dealer_fixed_hands(6, 2, 2, seed=3, post_draws=[(2, 1)])
 
 
 @pytest.mark.parametrize("bound", [2, 3, 50, 301])

@@ -6,6 +6,7 @@ import ringmpc.ring as rr
 from ringmpc.engine import ScriptedSource, extract_view, run
 from ringmpc.errors import ProtocolError, TopologyError
 from ringmpc.sharing import (
+    MAX_SHARE_PLAYERS,
     DistributeShares,
     ShareSecret,
     ShareVector,
@@ -62,6 +63,12 @@ class TestSubroutine:
 
 
 class TestShareSecret:
+    def test_at_most_max_share_players_players(self):
+        assert ShareSecret(rr.integers(), MAX_SHARE_PLAYERS).k == MAX_SHARE_PLAYERS
+        with pytest.raises(ProtocolError, match=f"^k={MAX_SHARE_PLAYERS + 1} is above the "
+                                                f"bound {MAX_SHARE_PLAYERS}$"):
+            ShareSecret(rr.integers(), MAX_SHARE_PLAYERS + 1)
+
     def test_reconstruct_100(self):
         shares, _ = run(ShareSecret(rr.integers(), 3), None, (100,), seed=1)
         assert reconstruct(shares) == 100

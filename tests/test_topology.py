@@ -7,16 +7,18 @@ import ringmpc.ring as rr
 from ringmpc.arithmetic import MillionairesCompare, SecureRating, SecureSum, rating_graph
 from ringmpc.commitment import CommitK
 from ringmpc.engine import run
-from ringmpc.errors import TopologyError
+from ringmpc.errors import ProtocolError, TopologyError
 from ringmpc.poker import CardDeal, CollectiveRandom, DealConfig
 from ringmpc.sharing import ShareSecret, sharing_graph
 from ringmpc.topology import (
+    MAX_PARTIES,
     SECURE,
     ChannelGraph,
     Party,
     build_cycle,
     default_parties,
     dummy_triangle,
+    hub_graph,
     secure_cycles,
     validate_topology,
 )
@@ -138,6 +140,25 @@ def test_default_parties_are_the_parties_the_constructor_builds():
         parties = default_parties(k)
         assert parties == [Party(i, f"P{i + 1}") for i in range(k)]
         assert all(type(p) is Party and p.full is True for p in parties)
+
+
+def test_a_graph_names_at_most_max_parties_parties():
+    assert len(default_parties(MAX_PARTIES)) == MAX_PARTIES
+    assert build_cycle(MAX_PARTIES).k == MAX_PARTIES
+    builders = {
+        "default_parties": default_parties,
+        "build_cycle": build_cycle,
+        "hub_graph": lambda k: hub_graph(k, "D", range(k), SECURE),
+        "from_config cycle": lambda k: ChannelGraph.from_config({"cycle": k}),
+        "from_config k": lambda k: ChannelGraph.from_config({"k": k}),
+    }
+    for name, build in builders.items():
+        with pytest.raises(ProtocolError) as raised:
+            build(MAX_PARTIES + 1)
+        # A config error, exit 2 on the command line, not a rejected topology.
+        assert type(raised.value) is ProtocolError, name
+        assert str(raised.value) == (f"a graph of {MAX_PARTIES + 1} parties is above the "
+                                     f"bound {MAX_PARTIES}"), name
 
 
 def test_a_graph_refuses_duplicate_party_indices_and_names():
