@@ -158,7 +158,7 @@ def secrecy_enumeration_check(spec: SecrecySpec) -> SecrecyReport:
 
     The tally comes from the compiled path when the protocol's program
     traces to straight-line code, and from the interpreted path, the
-    reference, otherwise or when a compiled run raises.  Both count the
+    reference, otherwise or when the compiled pass raises.  Both count the
     same runs in the same order; the compiled path keys each view by the
     number it gave the view's values at first sight, and the judge reads
     only the tally, never a view.
@@ -193,12 +193,13 @@ def _compiled_tally(spec: SecrecySpec, graph: ChannelGraph) -> tuple | None:
     hash one int, not the view's values.  ``views[n]`` holds the values of
     view n, which ``show`` maps back to the interpreted path's view key:
     every label and constant of the view is the same in every run, so
-    equal values are equal views.  The runs of one input assignment are
-    counted per (view values, outcome leaves) by one call of the compiled
-    kernel's ``count``, and ``given`` and the target are computed once per
-    distinct leaves.  Each key and number is first seen at the first run
-    that gives it, so the groups, cells and views keep the interpreted
-    path's order.  None when the program does not compile, and when a run
+    equal values are equal views.  One call of the compiled kernel's
+    ``tally`` counts the runs of one input assignment straight into their
+    cells; its claim rebuilds the outcome and computes ``given`` and the
+    target once per distinct outcome leaves of the call.  Each group, cell
+    and number is first seen at the first run that gives it, so the groups,
+    cells and views keep the interpreted path's order.  None when the
+    program does not compile, and when a run, ``given`` or the target
     raises.
     """
     compiled = _compile(spec, graph)
@@ -211,21 +212,15 @@ def _compiled_tally(spec: SecrecySpec, graph: ChannelGraph) -> tuple | None:
     site_domains = [range(n) for _, n in sites]
     for inputs in product(*spec.input_domains):
         own = tuple(inputs[i] for i in spec.observer_inputs)
-        claims: dict = {}  # leaves -> (the cells of their group, their target)
+
+        def claim(leaves):
+            outcome = rebuild(leaves)
+            return (tally.setdefault((own, given_of(inputs, outcome)), {}),
+                    target_of(inputs, outcome))
         try:
-            counts = kernel.count(inputs, site_domains)
+            kernel.tally(inputs, site_domains, numbers, claim)
         except Exception:  # the interpreted path raises the fault, in its order
             return None
-        for (values, leaves), c in counts.items():
-            n = numbers.setdefault(values, len(numbers))
-            claim = claims.get(leaves)
-            if claim is None:
-                outcome = rebuild(leaves)
-                claim = claims[leaves] = (tally.setdefault((own, given_of(inputs, outcome)), {}),
-                                          target_of(inputs, outcome))
-            cells, target = claim
-            cell = n, target
-            cells[cell] = cells.get(cell, 0) + c
     return tally, list(numbers)
 
 
@@ -293,10 +288,13 @@ def _judge(spec: SecrecySpec, tally: dict) -> SecrecyReport:
     """The report on ``tally``: group -> count per (view, target), in first-seen order.
 
     A view is anything that stands for one view key and no other; the judge
-    reads no view's content.  A group whose cells fill its view x target
-    grid and each factorize passes in one pass over its cells; only a group
-    that fails that pass is walked cell by cell over the whole grid, in
-    first-seen order, to name its first counterexample.
+    reads no view's content.  A group whose cells all hold one count and
+    fill its view x target grid passes at once, without its marginals:
+    every cell is total / (views x targets), and every target's total is
+    the same.  Any other group whose cells fill the grid and each factorize
+    passes in one pass over its cells; only a group that fails that pass is
+    walked cell by cell over the whole grid, in first-seen order, to name
+    its first counterexample.
     """
     runs_done = sum(sum(cells.values()) for cells in tally.values())
     for key, cells in tally.items():
@@ -312,6 +310,10 @@ def _judge(spec: SecrecySpec, tally: dict) -> SecrecyReport:
                         Counterexample(key, a, b,
                                        "one view is compatible with several target values"),
                     )
+            continue
+        # Equal cells that fill the grid factorize, and each target's total is one row's.
+        if len(set(cells.values())) == 1 and len(cells) == (
+                len({vk for vk, _ in cells}) * len({target for _, target in cells})):
             continue
         # The marginals keep first-seen order, which decides the counterexample reported.
         view_totals: dict = {}

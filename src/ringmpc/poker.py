@@ -226,7 +226,8 @@ class CardDeal(Protocol):
     names a dummy dealer that collects the dummies' cards and then serves
     ``post_draws``, (real player, count) pairs, each card drawn by the
     same two contributors; ``check_graph`` refuses a requester that is not
-    a real player with a secure channel from the dealer.
+    a real player with a secure channel from the dealer, and, with fixed
+    quotas, more post draws than the dummies' quotas hold.
     """
 
     name = "card_deal"
@@ -302,6 +303,12 @@ class CardDeal(Protocol):
             if cc is None or len(cc) != 2:
                 raise TopologyError("dummies present: two counter contributors required")
             require_secure(self.name, g, [(c, d) for d in dummies for c in cc])
+        # With fixed quotas the dealer's residual is known before the deal: the dummies' quotas.
+        quotas = self.cfg.quotas
+        if quotas is not None and self.consolidate_to is not None:
+            wanted = sum(count for _, count in self.post_draws if count > 0)
+            if wanted > sum(quotas[d] for d in dummies):
+                raise ProtocolError("dealer has no residual cards left")
 
     # -- counters and collective rounds -------------------------------------
 

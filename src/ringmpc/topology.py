@@ -201,6 +201,9 @@ def build_cycle(k: int) -> ChannelGraph:
     # the constructor's checks, building and walking a large cycle takes about a fifth longer.
     for i in range(k):
         g._security[i, (i + 1) % k] = g._security[(i + 1) % k, i] = SECURE
+    # The edge list is written in its sorted order, so no first ``edges()`` sorts it.
+    g._edges = ((0, 1, SECURE), (0, k - 1, SECURE),
+                *[(i, i + 1, SECURE) for i in range(1, k - 1)])
     return g
 
 

@@ -20,25 +20,33 @@ reads none.  An opaque value used in a form is taken to be an int.
 ``TracedRing.compile`` turns a view key and an outcome, structures of
 nodes and plain values, into a ``Kernel``: one generated function that,
 for one input assignment, loops over the draws' domains in ``product``
-order, the first draw outermost, and counts the runs per (view values,
-outcome values), each a flat tuple of the values of the nodes it holds in
-first-use order, into a dict.  Each node is computed at the depth of the
-last draw it reads, so a value that an inner loop does not change is
-computed once per pass of the outer one, and one that reads no draw once
-per call.  A node is written as its op on its operands, as the program
-made it, unless an operand reads a leaf that its form does not, as when
-the draws cancel out of it; then it is written as its form.  Every opaque
-node is computed, used or not, so a fault it raises in any run is raised.
-A draw that no computed value reads is not looped: its domain's size
-multiplies every count.  The counts and their first-seen order are those
-of counting every run in ``product`` order, whatever the hash seed.  Past
-CPython's 20 nested blocks, the innermost draws are looped as one
-``product``.  Calling the kernel with (x, d) gives its one key at the
-point d; ``show`` rebuilds the view key from the view's values and a
-generated ``rebuild`` the outcome from the outcome's.  Every label and
-constant of the view is the same in every run, so the values of its nodes
-stand for the view: two runs give equal values exactly when they give
-equal views.
+order, the first draw outermost, and counts each run straight into the
+cell of its claim.  The view values and the outcome values are each a
+flat tuple of the values of the nodes the view or the outcome holds, in
+first-use order.  The view is numbered by a dict shared across calls, a
+view first seen taking the next number; the outcome values are handed,
+once per distinct value in a call, to a claim function that returns the
+cells of their group and their target; each run adds its count to cell
+(view number, target).  Each node is computed at the depth of the last
+draw it reads, so a value that an inner loop does not change is computed
+once per pass of the outer one, and one that reads no draw once per
+call; the claim is looked up and the view numbered likewise, at the
+depth of the last draw the outcome or the view reads.  A node is written
+as its op on its operands, as the program made it, unless an operand
+reads a leaf that its form does not, as when the draws cancel out of
+it; then it is written as its form.  Every opaque node is computed, used
+or not, so a fault it raises in any run is raised.  A draw that no
+computed value reads is not looped: its domain's size multiplies every
+count.  The counts, numbers and claims and their first-seen order are
+those of counting every run in ``product`` order, whatever the hash
+seed.  Past CPython's 20 nested blocks, the innermost draws are looped
+as one ``product``.  ``Kernel.count`` runs the same function with one
+dict of cells and the outcome values as the target, and calling the
+kernel with (x, d) gives its one key at the point d; ``show`` rebuilds
+the view key from the view's values and a generated ``rebuild`` the
+outcome from the outcome's.  Every label and constant of the view is the
+same in every run, so the values of its nodes stand for the view: two
+runs give equal values exactly when they give equal views.
 
 A trace is only valid for a program that does the same ring operations
 whatever the values are.  So a node refuses every use that depends on its
@@ -93,15 +101,28 @@ for _name in _VALUE_USES + _OPERATORS + tuple("r" + op for op in _OPERATORS):
 class Kernel:
     """A compiled check's counting kernel, and its value at one point.
 
-    ``count(x, domains)`` returns {(view values, outcome values): runs} over
-    every draw assignment in ``product(*domains)`` at inputs x, in first-seen
-    order.  Calling the kernel with (x, d) gives the one key of the point d.
+    ``tally(x, domains, numbers, claim)`` counts every draw assignment in
+    ``product(*domains)`` at inputs x straight into its cell.  ``numbers``
+    maps the values of each view seen so far to its number, and a view
+    first seen gets the next one.  ``claim(leaves)`` returns (cells, target)
+    for the outcome values ``leaves``; it is called once per distinct leaves
+    of the call, and each run adds its count to ``cells[(number, target)]``.
+    ``count(x, domains)`` is that tally with one dict of cells and the
+    leaves as the target, keyed back by the view's values: {(view values,
+    outcome values): runs}, in first-seen order.  Calling the kernel with
+    (x, d) gives the one key of the point d.
     """
 
-    __slots__ = ("count",)
+    __slots__ = ("tally",)
 
-    def __init__(self, count):
-        self.count = count
+    def __init__(self, tally):
+        self.tally = tally
+
+    def count(self, x, domains) -> dict:
+        numbers, counts = {}, {}
+        self.tally(x, domains, numbers, lambda leaves: (counts, leaves))
+        views = list(numbers)
+        return {(views[n], leaves): c for (n, leaves), c in counts.items()}
 
     def __call__(self, x, d):
         (key,) = self.count(x, [(v,) for v in d])
@@ -272,7 +293,7 @@ class TracedRing:
         return self._reduced(source)
 
     def _kernel(self, values: list, leaves: list) -> str:
-        """The source of ``count(x, d)`` that counts (view values, outcome values)."""
+        """The source of ``tally(x, d, numbers, claim)``, which counts each run into its cell."""
         nodes, forms = self.nodes, self.forms
         # The nodes the kernel computes: those of the view and the outcome, every opaque
         # node, which may raise, and the nodes each is written with; and the leaves they read.
@@ -330,7 +351,23 @@ class TracedRing:
             else:
                 name[ref] = f"v{ref}"
                 body[at].append(f"v{ref} = {source}")
-        lines = ["counts = {}", "get = counts.get"]
+        # The claim is looked up at the level of the deepest leaf the outcome reads, once per
+        # distinct outcome values, and the view is numbered at the level of the view's.
+        claim_at = max((level[r] for r in leaves), default=0)
+        view_at = max((level[r] for r in values), default=0)
+        lines = ["number = numbers.get"]
+        if claim_at:
+            lines.append("claims = {}")
+            body[claim_at] += [f"found = claims.get(leaves := {_tuple(name[r] for r in leaves)})",
+                               "if found is None:",
+                               "    found = claims[leaves] = claim(leaves)",
+                               "cells, target = found"]
+        else:
+            body[0].append(f"cells, target = claim({_tuple(name[r] for r in leaves)})")
+        body[claim_at].append("get = cells.get")
+        body[view_at] += [f"n = number(values := {_tuple(name[r] for r in values)})",
+                          "if n is None:",
+                          "    n = numbers[values] = len(numbers)"]
         if self.inputs:
             lines.append(f"{_tuple(f'v{node.ref}' for node in self.inputs)} = x")
         unlooped = [f"len(d[{i}])" for i, node in enumerate(self.draws) if node.ref not in read]
@@ -347,12 +384,9 @@ class TracedRing:
                         f"product{_tuple(f'd[{i}]' for i, _ in group)}:")
             lines.append("    " * (depth - 1) + loop)
             lines += ["    " * depth + line for line in body[depth]]
-        key = _tuple([_tuple(name[r] for r in values), _tuple(name[r] for r in leaves)])
         inner = "    " * (len(body) - 1)
-        lines += [f"{inner}key = {key}",
-                  f"{inner}counts[key] = get(key, 0) + {'w' if unlooped else 1}"]
-        return ("def count(x, d):\n" + "".join(f"    {line}\n" for line in lines)
-                + "    return counts\n")
+        lines.append(f"{inner}cells[cell] = get(cell := (n, target), 0) + {'w' if unlooped else 1}")
+        return "def tally(x, d, numbers, claim):\n" + "".join(f"    {line}\n" for line in lines)
 
     def compile(self, view, outcome):
         """(kernel, rebuild, show): the compiled view and outcome of the traced run.
@@ -360,8 +394,8 @@ class TracedRing:
         ``kernel(x, d)`` returns (values, leaves) at inputs x and draws d:
         the values of the nodes ``view`` holds and of those ``outcome``
         holds, each a flat tuple in first-use order, hashable where an
-        outcome may not be; ``kernel.count`` counts them over whole draw
-        domains.  ``show(values)`` returns ``view`` and ``rebuild(leaves)``
+        outcome may not be; ``kernel.tally`` counts whole draw domains into
+        cells.  ``show(values)`` returns ``view`` and ``rebuild(leaves)``
         returns ``outcome``, each with every node's value in place.
         """
         values, leaves = list(_refs(view)), list(_refs(outcome))
@@ -375,7 +409,7 @@ class TracedRing:
             env = dict(zip(values, shown))
             return _filled(view, lambda node: env[node.ref])
 
-        return Kernel(namespace["count"]), namespace["rebuild"], show
+        return Kernel(namespace["tally"]), namespace["rebuild"], show
 
 
 def _rebuilt(kind) -> bool:

@@ -450,6 +450,22 @@ class TestConfigErrors:
         assert result.output == ("error: post draw to party 4: the dealer serves real players "
                                  "only\n")
 
+    def test_more_post_draws_than_the_residual_exit_2_before_the_deal(self, runner, tmp_path,
+                                                                      monkeypatch):
+        from ringmpc.poker import CardDeal, dealer_graph
+
+        cfg = write_config(tmp_path, "deal.json", {
+            "protocol": "card_deal", "inputs": [],
+            "params": {"r": 10, "k": 5, "N": 2, "quotas": [2, 2, 2, 2, 2],
+                       "counter_contributors": [0, 1], "consolidate_to": 3,
+                       "post_draws": [[0, 99]]},
+            "topology": dealer_graph(3, 2).to_config(),
+        })
+        monkeypatch.setattr(CardDeal, "program", lambda self, run: pytest.fail("the deal ran"))
+        result = runner.invoke(main, ["run", cfg])
+        assert result.exit_code == 2
+        assert result.output == "error: dealer has no residual cards left\n"
+
     def test_post_draws_without_a_dealer_exit_2(self, runner, tmp_path):
         # Only a dealer serves post draws; without consolidate_to none would be served.
         cfg = write_config(tmp_path, "deal.json", {

@@ -4,6 +4,7 @@ The interpreted path stays the reference: a kernel's counts, their order
 and every fault a run raises must be the interpreted path's.
 """
 
+import dataclasses
 from itertools import product
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import ringmpc.ring as rr
 from ringmpc.analysis import (
+    INDEPENDENT_UNIFORM,
     Counterexample,
     SecrecyReport,
     SecrecySpec,
@@ -22,12 +24,13 @@ from ringmpc.analysis import (
     _judge,
     secrecy_enumeration_check,
 )
+from ringmpc.commitment import Commit3
 from ringmpc.engine import EAVESDROPPER, Protocol, Run, ScriptedSource, view_key
 from ringmpc.errors import RingError
 from ringmpc.ring import pure
 from ringmpc.topology import ChannelGraph, build_cycle, default_parties
 from ringmpc.tracer import MAX_LOOPS, trace
-from test_compiled import assert_same_tally, both_paths
+from test_compiled import GRID, assert_same_tally, both_paths, dealer_spec, reference_judge
 
 
 def played(spec, graph, sites, inputs, draws):
@@ -355,3 +358,123 @@ def test_a_planted_leak_beside_a_weighted_draw_fails_with_the_counterexample_of_
                        "view distribution differs between target values "
                        "(cell count 27, expected 27*27/81)"))
     assert secrecy_enumeration_check(spec) == _judge(spec, _interpreted_tally(spec, graph))
+
+
+# -- the claim looked up inside the kernel ---------------------------------------------------
+
+
+class SumsTwoDraws(Protocol):
+    """P1 masks n1 for P2 with r, and P2 masks n2 for P3 with s; the outcome r + s reads both
+    draws, so the claim on it is looked up in the innermost loop."""
+
+    name = "sums_two_draws"
+    arity = 3
+
+    def program(self, run):
+        R = self.ring
+        n1, n2, _ = run.note_inputs()
+        r, s = run.noise(0, "r"), run.noise(1, "s")
+        run.send(0, 1, R.add(n1, r), "masked n1")
+        run.send(1, 2, R.add(n2, s), "masked n2")
+        return R.add(r, s)
+
+
+def sums_two_draws_spec(**claim):
+    return SecrecySpec(name="sums two draws", protocol=SumsTwoDraws(rr.mod_ring(3)),
+                       input_domains=(range(3),) * 3, observer="P3", observer_inputs=(2,),
+                       protected=(0,), **claim)
+
+
+def test_an_outcome_read_from_the_draws_is_claimed_in_the_loop_once_per_distinct_value():
+    spec = sums_two_draws_spec(target=lambda _inputs, outcome: outcome)
+    kernel, _, _, sites = _compile(spec, _checked_graph(spec))
+    claimed = []
+
+    def claim(leaves):
+        claimed.append(leaves)
+        return {}, leaves
+    kernel.tally((1, 2, 0), [range(n) for _, n in sites], {}, claim)
+    # nine runs, three outcomes: each is claimed once, at the first run that gives it
+    assert claimed == [(0,), (1,), (2,)]
+
+
+DRAWN_CLAIMS = {
+    "the sum of two draws as the target": sums_two_draws_spec(
+        target=lambda _inputs, outcome: outcome),
+    "the sum of two draws as given": sums_two_draws_spec(given=lambda _inputs, outcome: outcome),
+    "a commit3 target on P1's ledger share": SecrecySpec(
+        name="commit3/Z_3/P2 on s1", protocol=Commit3(rr.mod_ring(3)),
+        input_domains=(range(3),) * 3, observer="P2", observer_inputs=(1,),
+        target=lambda _inputs, outcome: (outcome["P1"]["s1"], outcome["P3"]["r1+r2"])),
+    "the dealer check's first share as given": dataclasses.replace(
+        dealer_spec(2), given=lambda _inputs, outcome: outcome.shares[0],
+        target=lambda _inputs, outcome: outcome.shares[1:]),
+}
+
+
+@pytest.mark.parametrize("name", DRAWN_CLAIMS)
+def test_a_claim_on_a_drawn_outcome_counts_as_the_interpreted_tally(name):
+    spec = DRAWN_CLAIMS[name]
+    assert_same_tally(spec, *both_paths(spec))
+
+
+@pytest.mark.parametrize("where", ["target", "given"])
+def test_a_claim_that_raises_on_some_outcome_raises_the_interpreted_error(where):
+    def refuses_two(_inputs, outcome):
+        if outcome == 2:
+            raise ValueError(f"no {where} at outcome {outcome}")
+        return outcome
+
+    spec = sums_two_draws_spec(**{where: refuses_two})
+    graph = _checked_graph(spec)
+    # Neither guard point meets the fault (r + s is 0 and 1 there), so the kernel is built ...
+    assert _compile(spec, graph) is not None
+    # ... and its claim raises in the loop, so the interpreted path decides.
+    assert _compiled_tally(spec, graph) is None
+    with pytest.raises(ValueError) as interpreted:
+        _interpreted_tally(spec, graph)
+    with pytest.raises(ValueError) as checked:
+        secrecy_enumeration_check(spec)
+    assert str(checked.value) == str(interpreted.value) == f"no {where} at outcome 2"
+
+
+# -- the judge's one-step pass -------------------------------------------------------------
+
+
+class Cells(dict):
+    """A group's cells that note whether the judge read their items, as its general pass does."""
+
+    items_read = False
+
+    def items(self):
+        self.items_read = True
+        return super().items()
+
+
+def test_only_a_group_of_equal_cells_that_fill_the_grid_passes_in_one_step():
+    spec = SecrecySpec(name="hand-built", protocol=None, input_domains=(), observer="P1",
+                       claim=INDEPENDENT_UNIFORM)
+    equal = Cells(GRID)
+    unequal = Cells({("v1", "a"): 2, ("v1", "b"): 2, ("v2", "a"): 1, ("v2", "b"): 1})
+    tally = {(0,): equal, (1,): unequal}
+    assert _judge(spec, tally) == SecrecyReport("hand-built", True, 4 + 6)
+    assert _judge(spec, tally) == reference_judge(spec, {g: dict(c) for g, c in tally.items()})
+    assert not equal.items_read
+    assert unequal.items_read  # a passing group of unequal cells takes the general pass
+
+
+def test_equal_cells_that_do_not_fill_the_grid_fail_with_the_interpreted_counterexample():
+    spec = SecrecySpec(name="leak beside a weight", protocol=LeaksBesideAWeight(rr.mod_ring(3)),
+                       input_domains=(range(3),) * 3, observer="P3", observer_inputs=(2,),
+                       protected=(0,))
+    graph = _checked_graph(spec)
+    tally, _ = _compiled_tally(spec, graph)
+    cells = next(iter(tally.values()))
+    # P3 sees n1 in the clear: one view per target, each cell 27 runs, the grid's diagonal
+    assert set(cells.values()) == {27} and len(cells) == 3
+    report = _judge(spec, tally)
+    assert report == _judge(spec, _interpreted_tally(spec, graph))
+    assert report == reference_judge(spec, _interpreted_tally(spec, graph))
+    assert report.counterexample == Counterexample(
+        ((0,), None), (0,), (1,),
+        "view distribution differs between target values (cell count 27, expected 27*27/81)")

@@ -317,6 +317,30 @@ class TestPostDrawGate:
         outcome, _ = run(_dealer_deal([(0, 1), (1, 1), (2, 1)]), dealer_graph(3, 2), (), 5)
         assert [name for name, _ in outcome.served] == ["P1", "P2", "P3"]
 
+    @pytest.mark.parametrize("post_draws", [[(0, 99)], [(0, 2), (1, 3)], [(2, 5), (0, -1)]])
+    def test_more_post_draws_than_the_dummies_quotas_are_refused_before_the_deal(
+            self, post_draws):
+        # D1 and D2 keep 2 cards each, so the dealer's residual is 4 cards
+        proto = _dealer_deal(post_draws)
+        with pytest.raises(ProtocolError, match="^dealer has no residual cards left$") as caught:
+            proto.check_graph(dealer_graph(3, 2))
+        assert not isinstance(caught.value, TopologyError)
+        with pytest.raises(ProtocolError, match="^dealer has no residual cards left$"):
+            start(proto, dealer_graph(3, 2), (), 0)  # no run is started
+
+    @pytest.mark.parametrize("post_draws", [[(0, 4)], [(0, 2), (1, 1), (2, 1)], [(0, 4), (1, -3)]])
+    def test_the_whole_residual_is_served(self, post_draws):
+        outcome, _ = run(_dealer_deal(post_draws), dealer_graph(3, 2), (), 5)
+        assert len(outcome.served) == 4 and outcome.residual == ()
+
+    def test_without_fixed_quotas_the_residual_is_refused_after_the_deal(self):
+        proto = CardDeal(DealConfig(10, 5, 2), counter_contributors=(0, 1), consolidate_to=3,
+                         post_draws=[(0, 99)])
+        r = start(proto, dealer_graph(3, 2), (), 0)
+        with pytest.raises(ProtocolError, match="^dealer has no residual cards left$"):
+            proto.program(r)
+        assert any(route is not None and route[3] == "token" for _, _, route in r.log)
+
     def test_the_wrapper_leaves_the_refusal_to_the_gate(self):
         with pytest.raises(TopologyError, match="^post draw to party 2: "):
             dummy_dealer_fixed_hands(6, 2, 2, seed=3, post_draws=[(2, 1)])

@@ -225,6 +225,13 @@ def test_build_cycle_equals_the_graph_of_its_edges(k):
     assert all(g.security(j, i) == "secure" for i, j, _ in want.edges())
 
 
+@pytest.mark.parametrize("k", [3, 4, 5, 300, 1001])
+def test_a_built_cycle_writes_its_edges_in_sorted_order(k):
+    g = build_cycle(k)
+    assert "_edges" in vars(g)  # written by build_cycle: no first edges() sorts them
+    assert g.edges() == tuple(sorted((i, j, s) for (i, j), s in g._security.items() if i < j))
+
+
 @pytest.mark.parametrize("k", range(4, 41, 6))
 def test_a_chord_added_to_a_built_cycle_fails_validation(k):
     assert validate_topology(build_cycle(k)) and secure_cycles(build_cycle(k)) == [list(range(k))]
