@@ -61,13 +61,13 @@ class SecrecySpec:
     graph: ChannelGraph | None = None
     budget: int = 2_000_000
 
-    def target_of(self, inputs, outcome):
-        if self.target is not None:
-            return self.target(inputs, outcome)
-        return tuple(inputs[i] for i in self.protected)
-
-    def given_of(self, inputs, outcome):
-        return self.given(inputs, outcome) if self.given is not None else None
+    def cell_of(self, inputs, outcome):
+        """The (group, target) a run counts into: the group is (the observer's own inputs,
+        ``given``), and ``given`` is computed before the target."""
+        given = self.given(inputs, outcome) if self.given is not None else None
+        target = (self.target(inputs, outcome) if self.target is not None
+                  else tuple(inputs[i] for i in self.protected))
+        return (tuple(inputs[i] for i in self.observer_inputs), given), target
 
 
 @dataclass(frozen=True)
@@ -177,11 +177,8 @@ def _interpreted_tally(spec: SecrecySpec, graph: ChannelGraph) -> dict:
         # protocol's in that run, is still reported before an unknown observer.
         if key_of is None:
             key_of = view_key(spec.observer, graph)
-        key = (
-            tuple(inputs[i] for i in spec.observer_inputs),
-            spec.given_of(inputs, outcome),
-        )
-        tally[key][key_of(r.log), spec.target_of(inputs, outcome)] += 1
+        group, target = spec.cell_of(inputs, outcome)
+        tally[group][key_of(r.log), target] += 1
     return tally
 
 
@@ -193,53 +190,56 @@ def _compiled_tally(spec: SecrecySpec, graph: ChannelGraph) -> tuple | None:
     hash one int, not the view's values.  ``views[n]`` holds the values of
     view n, which ``show`` maps back to the interpreted path's view key:
     every label and constant of the view is the same in every run, so
-    equal values are equal views.  One call of the compiled kernel's
-    ``tally`` counts the runs of one input assignment straight into their
-    cells; its claim rebuilds the outcome and computes ``given`` and the
-    target once per distinct outcome leaves of the call.  Each group, cell
-    and number is first seen at the first run that gives it, so the groups,
-    cells and views keep the interpreted path's order.  None when the
-    program does not compile, and when a run, ``given`` or the target
-    raises.
+    equal values are equal views.  One call of the compiled ``tally``
+    counts the runs of one input assignment straight into their cells,
+    with ``_claim``'s claim.  Each group, cell and number is first seen at
+    the first run that gives it, so the groups, cells and views keep the
+    interpreted path's order.  None when the program does not compile, and
+    when a run, ``given`` or the target raises.
     """
     compiled = _compile(spec, graph)
     if compiled is None:
         return None
-    kernel, rebuild, _, sites = compiled
-    tally: dict = {}
+    tally, rebuild, _, sites = compiled
+    groups: dict = {}
     numbers: dict = {}  # the values of a view -> its number, in number order
-    given_of, target_of = spec.given_of, spec.target_of
     site_domains = [range(n) for _, n in sites]
     for inputs in product(*spec.input_domains):
-        own = tuple(inputs[i] for i in spec.observer_inputs)
-
-        def claim(leaves):
-            outcome = rebuild(leaves)
-            return (tally.setdefault((own, given_of(inputs, outcome)), {}),
-                    target_of(inputs, outcome))
         try:
-            kernel.tally(inputs, site_domains, numbers, claim)
+            tally(inputs, site_domains, numbers, _claim(spec, rebuild, groups, inputs))
         except Exception:  # the interpreted path raises the fault, in its order
             return None
-    return tally, list(numbers)
+    return groups, list(numbers)
+
+
+def _claim(spec: SecrecySpec, rebuild, groups: dict, inputs):
+    """The claim of the compiled ``tally`` at ``inputs``: for a run's outcome values, the
+    cells of its group in ``groups`` and its target, from the outcome that ``rebuild`` makes."""
+
+    def claim(leaves):
+        group, target = spec.cell_of(inputs, rebuild(leaves))
+        return groups.setdefault(group, {}), target
+    return claim
 
 
 def _compile(spec: SecrecySpec, graph: ChannelGraph):
-    """(kernel, rebuild, show, draw sites) of ``TracedRing.compile``, from one traced run.
+    """(tally, rebuild, show, draw sites) of ``TracedRing.compile``, from one traced run.
 
-    None when the program cannot be traced or compiled, when the observer
-    is unknown, when the check is over budget, or when the protocol's own
-    code, played at two points, differs from the compiled functions there
-    in its draw sites, its whole view key (``show`` of the view's values),
-    ``given`` or target.  The first point is the first enumerated run (the
-    first inputs, every draw 0); a fault there is left to the interpreted
-    path.  The second is the last input assignment with every draw at the
-    top of its domain; a fault there must be the kernel's fault there
-    too.  The interpreted path then decides, and raises whatever it
-    raises, in its own order.  The guard catches a type test such as
-    ``isinstance(v, int)``, which a node cannot refuse, whenever its two
-    branches give different views or outcomes at either point: the test
-    goes the same way at every run.
+    None when the program cannot be traced or compiled, when the check is
+    over budget, which is known from the trace alone, when the observer is
+    unknown, or when the protocol's own code, played at two points,
+    differs from the compiled functions there in its draw sites, its whole
+    view key (``show`` of the view's values), group or target.  At each
+    point ``tally`` counts the one run over one-value domains, with the
+    claim ``_compiled_tally`` passes.  The first point is the first
+    enumerated run (the first inputs, every draw 0); a fault there is left
+    to the interpreted path.  The second is the last input assignment with
+    every draw at the top of its domain; a fault there must be the
+    compiled fault there too.  The interpreted path then decides, and
+    raises whatever it raises, in its own order.  The guard catches a type
+    test such as ``isinstance(v, int)``, which a node cannot refuse,
+    whenever its two branches give different views or outcomes at either
+    point: the test goes the same way at every run.
     """
     # Imported here: of all the package's callers, only a secrecy check needs the tracer.
     from .tracer import trace
@@ -247,26 +247,26 @@ def _compile(spec: SecrecySpec, graph: ChannelGraph):
     try:
         ring, traced, outcome = trace(spec.protocol, graph, len(spec.input_domains))
         sites = traced.draw_sites
-        key_of = view_key(spec.observer, graph)
-        kernel, rebuild, show = ring.compile(key_of(traced.log), outcome)
         if _run_count(spec, sites) > spec.budget:
             return None
+        key_of = view_key(spec.observer, graph)
+        tally, rebuild, show = ring.compile(key_of(traced.log), outcome)
         drawers = {party for party, _ in sites}
 
         def played(inputs, draws):
             r = Run(spec.protocol, graph, inputs, seed=0,
                     sources=dict.fromkeys(drawers, ScriptedSource(draws)))
             outcome = spec.protocol.program(r)
-            return (r.draw_sites, key_of(r.log), spec.given_of(inputs, outcome),
-                    spec.target_of(inputs, outcome))
+            return (r.draw_sites, key_of(r.log), *spec.cell_of(inputs, outcome))
 
         def compiled(inputs, draws):
-            values, leaves = kernel(inputs, draws)
+            groups, numbers = {}, {}
+            tally(inputs, [(d,) for d in draws], numbers, _claim(spec, rebuild, groups, inputs))
+            (values,), ((group, cells),) = numbers, groups.items()
+            ((_, target),) = cells
             view = show(values)
-            hash((view, leaves))  # the interpreted tally hashes the view's constants too
-            outcome = rebuild(leaves)
-            return (sites, view, spec.given_of(inputs, outcome),
-                    spec.target_of(inputs, outcome))
+            hash(view)  # the interpreted tally hashes the view's constants too
+            return sites, view, group, target
 
         def raised(play, inputs, draws):
             try:
@@ -281,7 +281,7 @@ def _compile(spec: SecrecySpec, graph: ChannelGraph):
             return None
     except Exception:  # any fault here is for the interpreted path to raise, in its order
         return None
-    return kernel, rebuild, show, sites
+    return tally, rebuild, show, sites
 
 
 def _judge(spec: SecrecySpec, tally: dict) -> SecrecyReport:

@@ -65,10 +65,27 @@ def _field(config: dict, key: str, decode, default=_REQUIRED):
         raise ProtocolError(f"bad {key!r}: {e}") from None
 
 
+# The fields of a run config, which a transcript header writes.
+FIELDS = ("protocol", "inputs", "ring", "params", "topology", "seed")
+
+
+def _known(raw, fields, where: str = "") -> None:
+    """Refuse a key of ``raw``, a decoded JSON object or None, that is not in ``fields``."""
+    for key in raw or ():
+        if key not in fields:
+            raise ProtocolError(f"unknown field {key!r}{where}")
+
+
 def decode_config(config):
-    """(protocol, graph, inputs, seed) from a run config or a transcript header."""
+    """(protocol, graph, inputs, seed) from a run config or a transcript header.
+
+    A field outside ``FIELDS``, a ring field that ``RingSpec.to_config``
+    does not write and a params field that ``Protocol.params`` does not
+    write are each refused: no field is ignored.
+    """
     if not isinstance(config, dict):
         raise ProtocolError(f"a config is a JSON object, not {type(config).__name__}")
+    _known(config, FIELDS)
     name = config.get("protocol")
     cls = RUNNERS.get(name) if isinstance(name, str) else None
     if cls is None:
@@ -78,6 +95,8 @@ def decode_config(config):
                   {"ring": "Z"})
     protocol = _field(config, "params",
                       lambda raw: cls.from_params(ring, json_object(raw), inputs), {})
+    _known(config.get("ring"), ring.to_config(), " in 'ring'")
+    _known(config.get("params"), protocol.params(), " in 'params'")
     graph = _field(config, "topology", lambda raw: ChannelGraph.from_config(json_object(raw)),
                    None)
     return protocol, graph, inputs, _field(config, "seed", json_int, 0)

@@ -225,9 +225,10 @@ class CardDeal(Protocol):
     players only, those roles rotate around the cycle.  ``consolidate_to``
     names a dummy dealer that collects the dummies' cards and then serves
     ``post_draws``, (real player, count) pairs, each card drawn by the
-    same two contributors; ``check_graph`` refuses a requester that is not
-    a real player with a secure channel from the dealer, and, with fixed
-    quotas, more post draws than the dummies' quotas hold.
+    same two contributors; a count below 0 is refused, and ``check_graph``
+    refuses a requester that is not a real player with a secure channel
+    from the dealer, and more post draws than the dummies' quotas hold
+    after any outcome of the quota lottery.
     """
 
     name = "card_deal"
@@ -243,6 +244,8 @@ class CardDeal(Protocol):
         self.post_draws = tuple(post_draws)
         if self.post_draws and consolidate_to is None:
             raise ProtocolError("post_draws are served by a dealer: set consolidate_to")
+        if any(count < 0 for _, count in self.post_draws):
+            raise ProtocolError("a post draw count must be at least 0")
 
     @classmethod
     def from_params(cls, ring, params, inputs):
@@ -303,11 +306,14 @@ class CardDeal(Protocol):
             if cc is None or len(cc) != 2:
                 raise TopologyError("dummies present: two counter contributors required")
             require_secure(self.name, g, [(c, d) for d in dummies for c in cc])
-        # With fixed quotas the dealer's residual is known before the deal: the dummies' quotas.
-        quotas = self.cfg.quotas
-        if quotas is not None and self.consolidate_to is not None:
-            wanted = sum(count for _, count in self.post_draws if count > 0)
-            if wanted > sum(quotas[d] for d in dummies):
+        # The dealer's residual is the dummies' quotas: fixed, or even ones after the quota
+        # lottery, if k does not divide r.  A request above every lottery outcome's is refused.
+        if self.consolidate_to is not None:
+            cfg = self.cfg
+            outcomes = [cfg.quotas] if cfg.quotas is not None else [
+                even_quotas(cfg.r, k, lottery) for lottery in range(k if cfg.r % k else 1)]
+            if sum(count for _, count in self.post_draws) > max(
+                    sum(quotas[d] for d in dummies) for quotas in outcomes):
                 raise ProtocolError("dealer has no residual cards left")
 
     # -- counters and collective rounds -------------------------------------

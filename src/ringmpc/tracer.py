@@ -18,7 +18,7 @@ a value reads; where the draws cancel, as in a secure sum's output, it
 reads none.  An opaque value used in a form is taken to be an int.
 
 ``TracedRing.compile`` turns a view key and an outcome, structures of
-nodes and plain values, into a ``Kernel``: one generated function that,
+nodes and plain values, into one generated function, ``tally``, that,
 for one input assignment, loops over the draws' domains in ``product``
 order, the first draw outermost, and counts each run straight into the
 cell of its claim.  The view values and the outcome values are each a
@@ -40,11 +40,10 @@ computed value reads is not looped: its domain's size multiplies every
 count.  The counts, numbers and claims and their first-seen order are
 those of counting every run in ``product`` order, whatever the hash
 seed.  Past CPython's 20 nested blocks, the innermost draws are looped
-as one ``product``.  ``Kernel.count`` runs the same function with one
-dict of cells and the outcome values as the target, and calling the
-kernel with (x, d) gives its one key at the point d; ``show`` rebuilds
-the view key from the view's values and a generated ``rebuild`` the
-outcome from the outcome's.  Every label and constant of the view is the
+as one ``product``; over domains of one value each, ``tally`` counts
+the one run at that point.  ``show`` rebuilds the view key from the
+view's values and a generated ``rebuild`` the outcome from the
+outcome's.  Every label and constant of the view is the
 same in every run, so the values of its nodes stand for the view: two
 runs give equal values exactly when they give equal views.
 
@@ -54,7 +53,7 @@ value: truth, comparison, hashing, conversion to an int or a string, and
 plain arithmetic on either side raise ``Untraceable``, and so does the
 traced ring's ``is_unit``.  A helper that branches on a value can still be
 traced if it is marked ``ring.pure``: the trace records one call of it,
-and the kernel calls it with numbers and the real ring.
+and ``tally`` calls it with numbers and the real ring.
 """
 
 from __future__ import annotations
@@ -96,37 +95,6 @@ _OPERATORS = ("add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "divm
               "lshift", "rshift", "and", "or", "xor")
 for _name in _VALUE_USES + _OPERATORS + tuple("r" + op for op in _OPERATORS):
     setattr(Node, f"__{_name}__", Node._refuse)
-
-
-class Kernel:
-    """A compiled check's counting kernel, and its value at one point.
-
-    ``tally(x, domains, numbers, claim)`` counts every draw assignment in
-    ``product(*domains)`` at inputs x straight into its cell.  ``numbers``
-    maps the values of each view seen so far to its number, and a view
-    first seen gets the next one.  ``claim(leaves)`` returns (cells, target)
-    for the outcome values ``leaves``; it is called once per distinct leaves
-    of the call, and each run adds its count to ``cells[(number, target)]``.
-    ``count(x, domains)`` is that tally with one dict of cells and the
-    leaves as the target, keyed back by the view's values: {(view values,
-    outcome values): runs}, in first-seen order.  Calling the kernel with
-    (x, d) gives the one key of the point d.
-    """
-
-    __slots__ = ("tally",)
-
-    def __init__(self, tally):
-        self.tally = tally
-
-    def count(self, x, domains) -> dict:
-        numbers, counts = {}, {}
-        self.tally(x, domains, numbers, lambda leaves: (counts, leaves))
-        views = list(numbers)
-        return {(views[n], leaves): c for (n, leaves), c in counts.items()}
-
-    def __call__(self, x, d):
-        (key,) = self.count(x, [(v,) for v in d])
-        return key
 
 
 class TracedRing:
@@ -389,14 +357,19 @@ class TracedRing:
         return "def tally(x, d, numbers, claim):\n" + "".join(f"    {line}\n" for line in lines)
 
     def compile(self, view, outcome):
-        """(kernel, rebuild, show): the compiled view and outcome of the traced run.
+        """(tally, rebuild, show): the compiled view and outcome of the traced run.
 
-        ``kernel(x, d)`` returns (values, leaves) at inputs x and draws d:
-        the values of the nodes ``view`` holds and of those ``outcome``
-        holds, each a flat tuple in first-use order, hashable where an
-        outcome may not be; ``kernel.tally`` counts whole draw domains into
-        cells.  ``show(values)`` returns ``view`` and ``rebuild(leaves)``
-        returns ``outcome``, each with every node's value in place.
+        ``tally(x, domains, numbers, claim)`` counts every draw assignment
+        in ``product(*domains)`` at inputs x straight into its cell.  The
+        view values and the outcome values of a run are the values of the
+        nodes ``view`` holds and of those ``outcome`` holds, each a flat
+        tuple in first-use order.  ``numbers`` maps the view values seen so
+        far to their view's number, and a view first seen gets the next
+        one.  ``claim(leaves)`` returns (cells, target) for the outcome
+        values ``leaves``; it is called once per distinct leaves of the
+        call, and each run adds its count to ``cells[(number, target)]``.
+        ``show(values)`` returns ``view`` and ``rebuild(leaves)`` returns
+        ``outcome``, each with every node's value in place.
         """
         values, leaves = list(_refs(view)), list(_refs(outcome))
         source = (self._kernel(values, leaves)
@@ -409,7 +382,7 @@ class TracedRing:
             env = dict(zip(values, shown))
             return _filled(view, lambda node: env[node.ref])
 
-        return Kernel(namespace["tally"]), namespace["rebuild"], show
+        return namespace["tally"], namespace["rebuild"], show
 
 
 def _rebuilt(kind) -> bool:

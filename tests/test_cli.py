@@ -784,6 +784,81 @@ class TestRingTopologyAndParamsAreJsonObjects:
         assert f"bad '{field}': expected a JSON object, not {kind}" in result.output
 
 
+class TestUnknownFields:
+    """A config field that the decoder does not read is exit 2 naming it, not ignored."""
+
+    CASES = {
+        "bitwidth": ({"protocol": "millionaires_bitwise", "inputs": [3, 2],
+                      "params": {"bitwidth": 2}}, "'bitwidth' in 'params'"),
+        "withlabels": ({"protocol": "card_deal", "inputs": [],
+                        "params": {"r": 3, "k": 3, "N": 2, "withlabels": True}},
+                       "'withlabels' in 'params'"),
+        "rating K": ({"protocol": "secure_rating", "inputs": [1, 2, 3], "params": {"K": 3}},
+                     "'K' in 'params'"),
+        "example_f2 G": ({"protocol": "example_f2", "inputs": [3, 5, 7],
+                          "params": {"g": "square", "G": "square"}}, "'G' in 'params'"),
+        "Zm noise_bound": ({"protocol": "secure_sum", "inputs": [1, 2, 3],
+                            "ring": {"ring": "Zm", "m": 7, "noise_bound": 3}},
+                           "'noise_bound' in 'ring'"),
+        "seeds": ({"protocol": "secure_sum", "inputs": [1, 2, 3], "seeds": 5}, "'seeds'"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_run_exits_2_naming_the_field_and_writes_no_transcript(self, runner, tmp_path, case):
+        body, field = self.CASES[case]
+        out = tmp_path / "run.jsonl"
+        result = runner.invoke(main, ["run", write_config(tmp_path, "run.json", body),
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.output == f"error: unknown field {field}\n"
+        assert not out.exists()
+
+    def test_a_params_field_of_a_protocol_without_its_own_decoder_exits_2(self, runner,
+                                                                          tmp_path):
+        body = {"protocol": "secure_sum", "inputs": [1, 2, 3], "params": {"k": 3}}
+        result = runner.invoke(main, ["run", write_config(tmp_path, "run.json", body)])
+        assert result.exit_code == 2
+        assert "'k'" in result.output
+
+    def test_every_field_a_header_writes_is_known(self, runner, tmp_path):
+        out = tmp_path / "deal.jsonl"
+        assert runner.invoke(main, ["deal", "--cards", "12", "--players", "2",
+                                    "--per-player", "3", "--seed", "7",
+                                    "--out", str(out)]).exit_code == 0
+        meta = json.loads(out.read_text().split("\n")[0])["meta"]
+        assert runner.invoke(main, ["run", write_config(tmp_path, "deal.json", meta)]
+                             ).exit_code == 0
+        assert runner.invoke(main, ["replay", str(out)]).exit_code == 0
+
+    def test_replaying_a_header_with_an_unknown_field_exits_2(self, runner, tmp_path):
+        out = tmp_path / "sum.jsonl"
+        body = {"protocol": "secure_sum", "inputs": [1, 2, 3], "seed": 7}
+        assert runner.invoke(main, ["run", write_config(tmp_path, "sum.json", body),
+                                    "--out", str(out)]).exit_code == 0
+        lines = out.read_text().split("\n")
+        head = json.loads(lines[0])
+        head["meta"]["seeds"] = 5
+        lines[0] = json.dumps(head, sort_keys=True, separators=(",", ":"))
+        out.write_text("\n".join(lines))
+        result = runner.invoke(main, ["replay", str(out)])
+        assert result.exit_code == 2
+        assert "unknown field 'seeds'" in result.output
+
+
+def test_a_negative_post_draw_count_exits_2(runner, tmp_path):
+    from ringmpc.poker import dealer_graph
+
+    cfg = write_config(tmp_path, "deal.json", {
+        "protocol": "card_deal", "inputs": [],
+        "params": {"r": 10, "k": 5, "N": 2, "counter_contributors": [0, 1],
+                   "consolidate_to": 3, "post_draws": [[0, -5]]},
+        "topology": dealer_graph(3, 2).to_config(),
+    })
+    result = runner.invoke(main, ["run", cfg])
+    assert result.exit_code == 2
+    assert "a post draw count must be at least 0" in result.output
+
+
 class TestPartySpecsAreJsonObjects:
     """Each listed party is a JSON object: anything else is exit 2 naming ``parties``.
 

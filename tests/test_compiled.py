@@ -39,7 +39,7 @@ from ringmpc.commitment import Commit3
 from ringmpc.engine import EAVESDROPPER, Protocol, Run, ScriptedSource, view_key
 from ringmpc.errors import BudgetExceeded, RingError
 from ringmpc.sharing import DistributeShares, ShareSecret
-from ringmpc.tracer import Untraceable, trace
+from ringmpc.tracer import TracedRing, Untraceable, trace
 from ringmpc.topology import ChannelGraph, build_cycle, default_parties
 from test_analysis import (PLANTED, CountedSum, InsecureRelay, _schedule_spec, sum_spec)
 
@@ -62,6 +62,21 @@ def shown(spec, graph, compiled):
     assert {n for cells in tally.values() for n, _ in cells} == set(range(len(views)))
     return {group: {(keys[n], target): c for (n, target), c in cells.items()}
             for group, cells in tally.items()}, keys
+
+
+def tallied(tally, x, domains):
+    """{(view values, outcome values): runs} of the compiled ``tally`` at inputs x over the
+    draw ``domains``, in first-seen order."""
+    numbers, cells = {}, {}
+    tally(x, domains, numbers, lambda leaves: (cells, leaves))
+    views = list(numbers)
+    return {(views[n], leaves): c for (n, leaves), c in cells.items()}
+
+
+def at_point(tally, x, d):
+    """(view values, outcome values) of the one run of ``tally`` at inputs x and draws d."""
+    (key,) = tallied(tally, x, [(v,) for v in d])
+    return key
 
 
 def interpreted_path(spec, graph):
@@ -123,11 +138,11 @@ def test_the_dealer_check_over_z3_compiles():
     # tallies are compared on the Z_2 claim above, and test_dealer_ignorance_z3
     # checks this claim's report, which the compiled path now gives.
     spec = dealer_spec(3)
-    evaluate, rebuild, show, sites = _compile(spec, _checked_graph(spec))
+    tally, rebuild, show, sites = _compile(spec, _checked_graph(spec))
     # the dealer's two pieces, then each player's re-split, starting at that player
     assert sites == [(3, 3)] * 2 + [(i % 3, 3) for start in range(3)
                                     for i in range(start, start + 3)]
-    values, leaves = evaluate((2,), (1,) * 11)
+    values, leaves = at_point(tally, (2,), (1,) * 11)
     view = show(values)
     outcome = rebuild(leaves)
     assert view[:4] == (("secret", 2), ("dealer piece 1", 1), ("dealer piece 2", 1),
@@ -301,15 +316,15 @@ def test_the_second_guard_point_catches_a_type_test_that_the_first_misses():
     graph = _checked_graph(spec)
     key_of = view_key(spec.observer, graph)
     ring, traced, outcome = trace(spec.protocol, graph, 3)
-    evaluate, _, show = ring.compile(key_of(traced.log), outcome)
+    tally, _, show = ring.compile(key_of(traced.log), outcome)
 
     def played(inputs, draws):
         r = Run(spec.protocol, graph, inputs, seed=0, sources={0: ScriptedSource(draws)})
         spec.protocol.program(r)
         return key_of(r.log)
 
-    assert show(evaluate((0, 0, 0), (0,))[0]) == played((0, 0, 0), (0,))
-    assert show(evaluate((2, 2, 2), (2,))[0]) != played((2, 2, 2), (2,))
+    assert show(at_point(tally, (0, 0, 0), (0,))[0]) == played((0, 0, 0), (0,))
+    assert show(at_point(tally, (2, 2, 2), (2,))[0]) != played((2, 2, 2), (2,))
     compiled, interpreted = both_paths(spec)
     assert compiled is None
     report = secrecy_enumeration_check(spec)
@@ -327,6 +342,17 @@ def test_over_budget_with_an_unknown_observer_raises_budget_exceeded():
     assert _compiled_tally(spec, graph) is None
     with pytest.raises(BudgetExceeded):
         _interpreted_tally(spec, graph)
+
+
+@pytest.mark.parametrize("budget", [63, 64])
+def test_an_over_budget_check_is_refused_from_its_trace_before_it_compiles(budget):
+    spec = sum_spec(2, 3, 0)
+    spec.budget = budget  # the check needs 64 runs
+    graph = _checked_graph(spec)
+    with mock.patch.object(TracedRing, "compile", autospec=True,
+                           side_effect=TracedRing.compile) as compiled:
+        assert (_compile(spec, graph) is None) == (budget < 64)
+    assert compiled.called == (budget >= 64)
 
 
 class DividesByInput(Protocol):
@@ -451,7 +477,7 @@ def test_a_view_of_constants_repeats_and_pairs_is_keyed_by_its_values(observer):
     "secure_sum/Z_2/k=3/P1 ")), dealer_spec(2)], ids=lambda s: s.name)
 def test_show_gives_the_protocols_own_view_at_every_run(spec):
     graph = _checked_graph(spec)
-    evaluate, _, show, sites = _compile(spec, graph)
+    tally, _, show, sites = _compile(spec, graph)
     key_of = view_key(spec.observer, graph)
     drawers = {party for party, _ in sites}
     views = {}
@@ -460,7 +486,7 @@ def test_show_gives_the_protocols_own_view_at_every_run(spec):
             r = Run(spec.protocol, graph, inputs, seed=0,
                     sources=dict.fromkeys(drawers, ScriptedSource(draws)))
             spec.protocol.program(r)
-            values, view = evaluate(inputs, draws)[0], key_of(r.log)
+            values, view = at_point(tally, inputs, draws)[0], key_of(r.log)
             assert show(values) == view
             assert views.setdefault(values, view) == view
     # one view per tuple of values, and one tuple of values per view

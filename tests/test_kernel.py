@@ -30,7 +30,8 @@ from ringmpc.errors import RingError
 from ringmpc.ring import pure
 from ringmpc.topology import ChannelGraph, build_cycle, default_parties
 from ringmpc.tracer import MAX_LOOPS, trace
-from test_compiled import GRID, assert_same_tally, both_paths, dealer_spec, reference_judge
+from test_compiled import (GRID, assert_same_tally, at_point, both_paths, dealer_spec, tallied,
+                           reference_judge)
 
 
 def played(spec, graph, sites, inputs, draws):
@@ -101,10 +102,10 @@ def test_an_opaque_value_outside_the_view_and_the_outcome_is_computed_in_every_r
     spec = SecrecySpec(name="masked P3", protocol=Masked(rr.mod_ring(5)),
                        input_domains=(range(5),) * 3, observer="P3", observer_inputs=(2,),
                        protected=(0,), given=lambda inputs, _o: (inputs[0] + inputs[1]) % 5)
-    kernel = _compile(spec, _checked_graph(spec))[0]
-    assert list(kernel.count((1, 2, 3), [range(5)] * 2).values()) == [25]
+    tally = _compile(spec, _checked_graph(spec))[0]
+    assert list(tallied(tally, (1, 2, 3), [range(5)] * 2).values()) == [25]
     with pytest.raises(AssertionError, match="was looped"):
-        kernel.count((1, 2, 3), [Unlooped(5)] * 2)
+        tallied(tally, (1, 2, 3), [Unlooped(5)] * 2)
     assert_same_tally(spec, *both_paths(spec))
 
 
@@ -135,19 +136,19 @@ def test_a_kernel_past_the_nesting_limit_loops_its_innermost_draws_as_one_produc
     graph = _checked_graph(spec)
     compiled = _compile(spec, graph)
     assert compiled is not None  # not left to the interpreted path
-    kernel, rebuild, show, sites = compiled
+    tally, rebuild, show, sites = compiled
     assert len(sites) == ManyDraws.DRAWS > MAX_LOOPS
     for inputs, draws in [((1, 2, 0), tuple(i % 3 for i in range(25))),
                           ((2, 0, 1), (2,) * 25), ((0, 1, 2), (1, 0) * 12 + (2,))]:
-        values, leaves = kernel(inputs, draws)
+        values, leaves = at_point(tally, inputs, draws)
         assert (show(values), rebuild(leaves)) == played(spec, graph, sites, inputs, draws)
     # the counts over a few whole domains are those of every point, in product order
     domains = [range(1)] * 19 + [range(2)] * 3 + [range(3)] * 3
     points = {}
     for draws in product(*domains):
-        key = kernel((1, 1, 1), draws)
+        key = at_point(tally, (1, 1, 1), draws)
         points[key] = points.get(key, 0) + 1
-    assert list(kernel.count((1, 1, 1), domains).items()) == list(points.items())
+    assert list(tallied(tally, (1, 1, 1), domains).items()) == list(points.items())
 
 
 # -- random affine programs against the reference ----------------------------------------
@@ -349,8 +350,8 @@ def test_a_planted_leak_beside_a_weighted_draw_fails_with_the_counterexample_of_
                        input_domains=(range(3),) * 3, observer="P3", observer_inputs=(2,),
                        protected=(0,))
     graph = _checked_graph(spec)
-    kernel = _compile(spec, graph)[0]
-    assert list(kernel.count((1, 0, 2), [Unlooped(3)] * 2).values()) == [9]
+    tally = _compile(spec, graph)[0]
+    assert list(tallied(tally, (1, 0, 2), [Unlooped(3)] * 2).values()) == [9]
     assert_same_tally(spec, *both_paths(spec))
     assert secrecy_enumeration_check(spec) == SecrecyReport(
         "leak beside a weight", False, 3**3 * 3**2,
@@ -387,13 +388,13 @@ def sums_two_draws_spec(**claim):
 
 def test_an_outcome_read_from_the_draws_is_claimed_in_the_loop_once_per_distinct_value():
     spec = sums_two_draws_spec(target=lambda _inputs, outcome: outcome)
-    kernel, _, _, sites = _compile(spec, _checked_graph(spec))
+    tally, _, _, sites = _compile(spec, _checked_graph(spec))
     claimed = []
 
     def claim(leaves):
         claimed.append(leaves)
         return {}, leaves
-    kernel.tally((1, 2, 0), [range(n) for _, n in sites], {}, claim)
+    tally((1, 2, 0), [range(n) for _, n in sites], {}, claim)
     # nine runs, three outcomes: each is claimed once, at the first run that gives it
     assert claimed == [(0,), (1,), (2,)]
 

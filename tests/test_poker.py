@@ -317,7 +317,7 @@ class TestPostDrawGate:
         outcome, _ = run(_dealer_deal([(0, 1), (1, 1), (2, 1)]), dealer_graph(3, 2), (), 5)
         assert [name for name, _ in outcome.served] == ["P1", "P2", "P3"]
 
-    @pytest.mark.parametrize("post_draws", [[(0, 99)], [(0, 2), (1, 3)], [(2, 5), (0, -1)]])
+    @pytest.mark.parametrize("post_draws", [[(0, 99)], [(0, 2), (1, 3)], [(2, 5), (0, 0)]])
     def test_more_post_draws_than_the_dummies_quotas_are_refused_before_the_deal(
             self, post_draws):
         # D1 and D2 keep 2 cards each, so the dealer's residual is 4 cards
@@ -328,18 +328,45 @@ class TestPostDrawGate:
         with pytest.raises(ProtocolError, match="^dealer has no residual cards left$"):
             start(proto, dealer_graph(3, 2), (), 0)  # no run is started
 
-    @pytest.mark.parametrize("post_draws", [[(0, 4)], [(0, 2), (1, 1), (2, 1)], [(0, 4), (1, -3)]])
+    @pytest.mark.parametrize("post_draws", [[(0, 4)], [(0, 2), (1, 1), (2, 1)], [(0, 4), (1, 0)]])
     def test_the_whole_residual_is_served(self, post_draws):
         outcome, _ = run(_dealer_deal(post_draws), dealer_graph(3, 2), (), 5)
         assert len(outcome.served) == 4 and outcome.residual == ()
 
-    def test_without_fixed_quotas_the_residual_is_refused_after_the_deal(self):
-        proto = CardDeal(DealConfig(10, 5, 2), counter_contributors=(0, 1), consolidate_to=3,
-                         post_draws=[(0, 99)])
-        r = start(proto, dealer_graph(3, 2), (), 0)
+    @pytest.mark.parametrize("r, post_draws", [(10, [(0, 99)]), (10, [(0, 5)]),
+                                               (11, [(0, 6)]), (11, [(0, 3), (2, 3)])])
+    def test_without_fixed_quotas_a_request_above_every_lottery_outcome_is_refused_before_the_deal(
+            self, r, post_draws):
+        # 5 players: with r = 10 every quota is 2, with r = 11 the lottery's player holds 3,
+        # so dummies D1 and D2 hold 4 cards, or 5 when the lottery picks one of them
+        proto = CardDeal(DealConfig(r, 5, 2), counter_contributors=(0, 1), consolidate_to=3,
+                         post_draws=post_draws)
         with pytest.raises(ProtocolError, match="^dealer has no residual cards left$"):
-            proto.program(r)
+            proto.check_graph(dealer_graph(3, 2))
+        with pytest.raises(ProtocolError, match="^dealer has no residual cards left$"):
+            start(proto, dealer_graph(3, 2), (), 0)  # no run is started
+
+    @pytest.mark.parametrize("seed, lottery", [(0, 1), (2, 2), (3, 3), (8, 4)])
+    def test_a_request_that_fits_only_some_lottery_outcomes_is_refused_after_the_deal(
+            self, seed, lottery):
+        proto = CardDeal(DealConfig(11, 5, 2), counter_contributors=(0, 1), consolidate_to=3,
+                         post_draws=[(0, 5)])
+        proto.check_graph(dealer_graph(3, 2))
+        r = start(proto, dealer_graph(3, 2), (), seed)
+        if lottery in (3, 4):  # a dummy holds the third card: the residual is 5
+            outcome = proto.program(r)
+            assert len(outcome.served) == 5 and outcome.residual == ()
+        else:
+            with pytest.raises(ProtocolError, match="^dealer has no residual cards left$"):
+                proto.program(r)
+        assert [value for _, (label, value), _ in r.log
+                if label == "quota lottery value"][0] == lottery
         assert any(route is not None and route[3] == "token" for _, _, route in r.log)
+
+    @pytest.mark.parametrize("post_draws", [[(0, -1)], [(0, 2), (1, -5)]])
+    def test_a_negative_post_draw_count_is_refused_when_the_deal_is_built(self, post_draws):
+        with pytest.raises(ProtocolError, match="^a post draw count must be at least 0$"):
+            _dealer_deal(post_draws)
 
     def test_the_wrapper_leaves_the_refusal_to_the_gate(self):
         with pytest.raises(TopologyError, match="^post draw to party 2: "):
