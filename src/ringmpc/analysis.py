@@ -192,38 +192,55 @@ def _compiled_tally(spec: SecrecySpec, graph: ChannelGraph) -> tuple | None:
     every label and constant of the view is the same in every run, so
     equal values are equal views.  One call of the compiled ``tally``
     counts the runs of one input assignment straight into their cells,
-    with ``_claim``'s claim.  Each group, cell and number is first seen at
-    the first run that gives it, so the groups, cells and views keep the
-    interpreted path's order.  None when the program does not compile, and
-    when a run, ``given`` or the target raises.
+    with ``_claim``'s claim, which it looks up once per distinct values of
+    the outcome nodes the claim reads: once per call for a claim on the
+    inputs alone.  Each group, cell and number is first seen at the first
+    run that gives it, so the groups, cells and views keep the interpreted
+    path's order.  None when the program does not compile, and when a run,
+    ``given`` or the target raises, or the claim reads an outcome node that
+    it did not read at the first inputs.
     """
     compiled = _compile(spec, graph)
     if compiled is None:
         return None
-    tally, rebuild, _, sites = compiled
+    tally, fill, _, sites = compiled
     groups: dict = {}
     numbers: dict = {}  # the values of a view -> its number, in number order
     site_domains = [range(n) for _, n in sites]
     for inputs in product(*spec.input_domains):
         try:
-            tally(inputs, site_domains, numbers, _claim(spec, rebuild, groups, inputs))
+            tally(inputs, site_domains, numbers, _claim(spec, fill, groups, inputs))
         except Exception:  # the interpreted path raises the fault, in its order
             return None
     return groups, list(numbers)
 
 
-def _claim(spec: SecrecySpec, rebuild, groups: dict, inputs):
-    """The claim of the compiled ``tally`` at ``inputs``: for a run's outcome values, the
-    cells of its group in ``groups`` and its target, from the outcome that ``rebuild`` makes."""
+def _claim(spec: SecrecySpec, fill, groups: dict, inputs):
+    """The claim of the compiled ``tally`` at ``inputs``: for the values of the outcome nodes
+    that the claim reads, the cells of its group in ``groups`` and its target, from the
+    outcome that ``fill`` makes.
+
+    Every other node of that outcome is left in place, so a claim that reads
+    one at these inputs raises ``Untraceable`` or cannot hash its cell, and
+    the check is left to the interpreted path.  A claim that reads no node
+    gets the traced outcome itself at every call: like the lookup once per
+    distinct values, this takes ``given`` and the target to be functions of
+    their arguments that change neither.
+    """
 
     def claim(leaves):
-        group, target = spec.cell_of(inputs, rebuild(leaves))
+        group, target = spec.cell_of(inputs, fill(leaves))
         return groups.setdefault(group, {}), target
     return claim
 
 
 def _compile(spec: SecrecySpec, graph: ChannelGraph):
-    """(tally, rebuild, show, draw sites) of ``TracedRing.compile``, from one traced run.
+    """(tally, fill, show, draw sites) of ``TracedRing.compile``, from one traced run.
+
+    The claim reads the outcome nodes that ``spec.cell_of`` returns at the
+    first inputs and the traced outcome: none for a claim on the inputs
+    alone.  A claim that uses a node's value there raises ``Untraceable``
+    and reads every node of the outcome.
 
     None when the program cannot be traced or compiled, when the check is
     over budget, which is known from the trace alone, when the observer is
@@ -242,15 +259,19 @@ def _compile(spec: SecrecySpec, graph: ChannelGraph):
     point: the test goes the same way at every run.
     """
     # Imported here: of all the package's callers, only a secrecy check needs the tracer.
-    from .tracer import trace
+    from .tracer import Untraceable, _refs, trace
 
     try:
         ring, traced, outcome = trace(spec.protocol, graph, len(spec.input_domains))
         sites = traced.draw_sites
         if _run_count(spec, sites) > spec.budget:
             return None
+        try:
+            read = _refs(spec.cell_of(_first_inputs(spec), outcome))
+        except Untraceable:  # the claim reads values
+            read = _refs(outcome)
         key_of = view_key(spec.observer, graph)
-        tally, rebuild, show = ring.compile(key_of(traced.log), outcome)
+        tally, fill, show = ring.compile(key_of(traced.log), outcome, read)
         drawers = {party for party, _ in sites}
 
         def played(inputs, draws):
@@ -261,7 +282,7 @@ def _compile(spec: SecrecySpec, graph: ChannelGraph):
 
         def compiled(inputs, draws):
             groups, numbers = {}, {}
-            tally(inputs, [(d,) for d in draws], numbers, _claim(spec, rebuild, groups, inputs))
+            tally(inputs, [(d,) for d in draws], numbers, _claim(spec, fill, groups, inputs))
             (values,), ((group, cells),) = numbers, groups.items()
             ((_, target),) = cells
             view = show(values)
@@ -281,7 +302,7 @@ def _compile(spec: SecrecySpec, graph: ChannelGraph):
             return None
     except Exception:  # any fault here is for the interpreted path to raise, in its order
         return None
-    return tally, rebuild, show, sites
+    return tally, fill, show, sites
 
 
 def _judge(spec: SecrecySpec, tally: dict) -> SecrecyReport:

@@ -20,7 +20,7 @@ import click
 from . import analysis, arithmetic, poker, sharing
 from . import ring as ring_mod
 from .commitment import COMMIT2_CHECKS, COMMIT3_CHECKS, Commit2Dummy, Commit3, ObliviousTransfer
-from .engine import _record, commit, parse_header, parse_transcript, run
+from .engine import _known, _record, commit, parse_header, parse_transcript, run
 from .errors import CheatDetected, ProtocolError, ReplayError, TopologyError
 from .jsonvalues import json_int, json_ints, json_object
 from .poker import CardDeal, DealConfig
@@ -68,12 +68,8 @@ def _field(config: dict, key: str, decode, default=_REQUIRED):
 # The fields of a run config, which a transcript header writes.
 FIELDS = ("protocol", "inputs", "ring", "params", "topology", "seed")
 
-
-def _known(raw, fields, where: str = "") -> None:
-    """Refuse a key of ``raw``, a decoded JSON object or None, that is not in ``fields``."""
-    for key in raw or ():
-        if key not in fields:
-            raise ProtocolError(f"unknown field {key!r}{where}")
+# The fields of a verify spec file.
+SPEC_FIELDS = ("checks", "budget")
 
 
 def decode_config(config):
@@ -306,6 +302,7 @@ def cmd_verify(spec_path, budget, list_only):
     if spec_path:
         spec_cfg = _load(spec_path, "spec file")
         with _exit_codes():
+            _known(spec_cfg, SPEC_FIELDS)
             names = _field(spec_cfg, "checks", _check_names, None)
             budget = _field(spec_cfg, "budget", _json_int, budget)
             if names == []:

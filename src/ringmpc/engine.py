@@ -57,6 +57,7 @@ import json
 import random
 from dataclasses import asdict, dataclass, is_dataclass
 from functools import cached_property, partial
+from inspect import signature
 from json.encoder import encode_basestring_ascii
 from typing import Any, NamedTuple
 
@@ -317,6 +318,13 @@ def _record(line: str, n: int) -> dict:
     return rec
 
 
+def _known(raw, fields, where: str = "") -> None:
+    """Refuse a key of ``raw``, a decoded JSON object or None, that is not in ``fields``."""
+    for key in raw or ():
+        if key not in fields:
+            raise ProtocolError(f"unknown field {key!r}{where}")
+
+
 class ScriptedSource:
     """Randomness source that replays prescribed draw indices.
 
@@ -364,6 +372,9 @@ class Protocol:
 
     @classmethod
     def from_params(cls, ring: RingSpec, params: dict, inputs: tuple) -> "Protocol":
+        """The protocol whose constructor takes each key of ``params`` after the ring."""
+        if params:
+            _known(params, tuple(signature(cls).parameters)[1:], " in 'params'")
         return cls(ring, **{key: json_field(params, key) for key in params})
 
     def params(self) -> dict:

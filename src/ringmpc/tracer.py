@@ -17,35 +17,38 @@ arithmetic on a value that is neither an int nor a node.  A form tells exactly w
 a value reads; where the draws cancel, as in a secure sum's output, it
 reads none.  An opaque value used in a form is taken to be an int.
 
-``TracedRing.compile`` turns a view key and an outcome, structures of
-nodes and plain values, into one generated function, ``tally``, that,
-for one input assignment, loops over the draws' domains in ``product``
-order, the first draw outermost, and counts each run straight into the
-cell of its claim.  The view values and the outcome values are each a
-flat tuple of the values of the nodes the view or the outcome holds, in
-first-use order.  The view is numbered by a dict shared across calls, a
-view first seen taking the next number; the outcome values are handed,
-once per distinct value in a call, to a claim function that returns the
-cells of their group and their target; each run adds its count to cell
-(view number, target).  Each node is computed at the depth of the last
-draw it reads, so a value that an inner loop does not change is computed
-once per pass of the outer one, and one that reads no draw once per
-call; the claim is looked up and the view numbered likewise, at the
-depth of the last draw the outcome or the view reads.  A node is written
-as its op on its operands, as the program made it, unless an operand
-reads a leaf that its form does not, as when the draws cancel out of
-it; then it is written as its form.  Every opaque node is computed, used
-or not, so a fault it raises in any run is raised.  A draw that no
+``TracedRing.compile`` turns a view key, an outcome, both structures of
+nodes and plain values, and the outcome nodes that a claim reads into
+one generated function, ``tally``, that, for one input assignment, loops
+over the draws' domains in ``product`` order, the first draw outermost,
+and counts each run straight into the cell of its claim.  The view
+values are a flat tuple of the values of the nodes the view holds, in
+first-use order, and the read values one of the read nodes' values.
+The view is numbered by a dict shared across calls, a view first seen
+taking the next number; the read values are handed, once per distinct
+value in a call, to a claim function that returns the cells of their
+group and their target; each run adds its count to cell (view number,
+target).  Each node is computed at the depth of the last draw it reads,
+so a value that an inner loop does not change is computed once per pass
+of the outer one, and one that reads no draw once per call; the claim is
+looked up and the view numbered likewise, at the depth of the last draw
+the read nodes or the view read.  A claim that reads no node, as one on the
+inputs alone, is looked up once per call.  A node is written as its op
+on its operands, as the program made it, unless an operand reads a leaf
+that its form does not, as when the draws cancel out of it; then it is
+written as its form.  Every opaque node is computed, used or not, so a
+fault it raises in any run is raised; an outcome node that neither the
+view, the claim nor an opaque node reads is not.  A draw that no
 computed value reads is not looped: its domain's size multiplies every
 count.  The counts, numbers and claims and their first-seen order are
 those of counting every run in ``product`` order, whatever the hash
 seed.  Past CPython's 20 nested blocks, the innermost draws are looped
-as one ``product``; over domains of one value each, ``tally`` counts
-the one run at that point.  ``show`` rebuilds the view key from the
-view's values and a generated ``rebuild`` the outcome from the
-outcome's.  Every label and constant of the view is the
-same in every run, so the values of its nodes stand for the view: two
-runs give equal values exactly when they give equal views.
+as one ``product``; over domains of one value each, ``tally`` counts the
+one run at that point.  ``show`` fills the view key with the view's
+values, and ``fill`` the outcome with the read values, leaving every
+other node in place.  Every label and constant of the view is the same
+in every run, so the values of its nodes stand for the view: two runs
+give equal values exactly when they give equal views.
 
 A trace is only valid for a program that does the same ring operations
 whatever the values are.  So a node refuses every use that depends on its
@@ -128,7 +131,7 @@ class TracedRing:
         return name
 
     def expr(self, value, name) -> str:
-        """Python source that rebuilds ``value``, each node written as ``name(node)``."""
+        """Python source of the operand ``value``, each node written as ``name(node)``."""
         kind = type(value)
         if kind is Node:
             return name(value)
@@ -138,14 +141,7 @@ class TracedRing:
             return _tuple(self.expr(v, name) for v in value)
         if kind is list:
             return "[" + ", ".join(self.expr(v, name) for v in value) + "]"
-        if kind is dict:
-            return "{" + ", ".join(f"{self.expr(k, name)}: {self.expr(v, name)}"
-                                   for k, v in value.items()) + "}"
-        if _rebuilt(kind):
-            return f"{self.const(kind)}(" + ", ".join(
-                f"{f.name}={self.expr(getattr(value, f.name), name)}"
-                for f in dataclasses.fields(kind)) + ")"
-        raise Untraceable(f"cannot rebuild a {kind.__name__}")
+        raise Untraceable(f"cannot write a {kind.__name__} as source")
 
     # -- the ring ------------------------------------------------------------
 
@@ -263,8 +259,9 @@ class TracedRing:
     def _kernel(self, values: list, leaves: list) -> str:
         """The source of ``tally(x, d, numbers, claim)``, which counts each run into its cell."""
         nodes, forms = self.nodes, self.forms
-        # The nodes the kernel computes: those of the view and the outcome, every opaque
-        # node, which may raise, and the nodes each is written with; and the leaves they read.
+        # The nodes the kernel computes: those of the view and those the claim reads, every
+        # opaque node, which may raise, and the nodes each is written with; and the leaves
+        # they read.
         # An affine node is written as its op on its operands, as the program made it, unless
         # an operand reads a leaf that its form does not, as when draws cancel out of it; then
         # it is written as its form.  Operands come before their node, so one pass from the
@@ -319,8 +316,8 @@ class TracedRing:
             else:
                 name[ref] = f"v{ref}"
                 body[at].append(f"v{ref} = {source}")
-        # The claim is looked up at the level of the deepest leaf the outcome reads, once per
-        # distinct outcome values, and the view is numbered at the level of the view's.
+        # The claim is looked up at the level of the deepest leaf of the nodes it reads, once
+        # per distinct values of those, and the view is numbered at the level of the view's.
         claim_at = max((level[r] for r in leaves), default=0)
         view_at = max((level[r] for r in values), default=0)
         lines = ["number = numbers.get"]
@@ -356,33 +353,29 @@ class TracedRing:
         lines.append(f"{inner}cells[cell] = get(cell := (n, target), 0) + {'w' if unlooped else 1}")
         return "def tally(x, d, numbers, claim):\n" + "".join(f"    {line}\n" for line in lines)
 
-    def compile(self, view, outcome):
-        """(tally, rebuild, show): the compiled view and outcome of the traced run.
+    def compile(self, view, outcome, read):
+        """(tally, fill, show): the compiled view of the traced run, and its claim on ``read``.
 
         ``tally(x, domains, numbers, claim)`` counts every draw assignment
         in ``product(*domains)`` at inputs x straight into its cell.  The
-        view values and the outcome values of a run are the values of the
-        nodes ``view`` holds and of those ``outcome`` holds, each a flat
-        tuple in first-use order.  ``numbers`` maps the view values seen so
-        far to their view's number, and a view first seen gets the next
-        one.  ``claim(leaves)`` returns (cells, target) for the outcome
-        values ``leaves``; it is called once per distinct leaves of the
-        call, and each run adds its count to ``cells[(number, target)]``.
-        ``show(values)`` returns ``view`` and ``rebuild(leaves)`` returns
-        ``outcome``, each with every node's value in place.
+        view values and the read values of a run are the values of the
+        nodes ``view`` holds and of the outcome's nodes ``read`` names,
+        each a flat tuple, the view's in first-use order.  ``numbers`` maps
+        the view values seen so far to their view's number, and a view
+        first seen gets the next one.  ``claim(leaves)`` returns (cells,
+        target) for the read values ``leaves``; it is called once per
+        distinct leaves of the call, and each run adds its count to
+        ``cells[(number, target)]``.  An outcome node that ``read`` does
+        not name is not computed.  ``show(values)`` returns ``view`` with
+        every node's value in place, and ``fill(leaves)`` returns
+        ``outcome`` with the read values in place and every other node
+        left as it is.
         """
-        values, leaves = list(_refs(view)), list(_refs(outcome))
-        source = (self._kernel(values, leaves)
-                  + f"def rebuild(leaves):\n    {_tuple(f'v{r}' for r in leaves)} = leaves\n"
-                  + f"    return {self.expr(outcome, _name)}\n")
+        values, leaves = list(_refs(view)), list(read)
+        source = self._kernel(values, leaves)
         namespace = dict(self.consts, product=product)
         exec(source, namespace)
-
-        def show(shown):
-            env = dict(zip(values, shown))
-            return _filled(view, lambda node: env[node.ref])
-
-        return namespace["tally"], namespace["rebuild"], show
+        return namespace["tally"], _filler(outcome, leaves), _filler(view, values)
 
 
 def _rebuilt(kind) -> bool:
@@ -409,15 +402,23 @@ def _filled(value, fill):
     raise Untraceable(f"cannot rebuild a {kind.__name__}")
 
 
+def _filler(value, refs: list):
+    """A function of the values of the nodes ``refs`` that returns ``value`` with each of them
+    in place, and every other node left as it is: ``value`` itself when ``refs`` is empty."""
+    if not refs:
+        return lambda _shown: value
+
+    def fill(shown):
+        env = dict(zip(refs, shown))
+        return _filled(value, lambda node: env.get(node.ref, node))
+    return fill
+
+
 def _refs(value) -> dict:
     """The refs of the nodes that ``value`` holds, in first-use order, as a dict's keys."""
     found: dict = {}
     _filled(value, lambda node: found.setdefault(node.ref))
     return found
-
-
-def _name(node: Node) -> str:
-    return f"v{node.ref}"
 
 
 def _tuple(items) -> str:

@@ -210,6 +210,14 @@ class TestVerify:
         assert line.startswith(f"FAIL  {spec.name}  (16 runs): ")
         assert f"targets {ce.target_a!r} vs {ce.target_b!r}" in line
 
+    @pytest.mark.parametrize("field", ["budgte", "check", "x"])
+    def test_an_unknown_spec_file_field_exits_2_naming_it(self, runner, tmp_path, field):
+        spec = write_config(tmp_path, "spec.json", {
+            "checks": ["commit2_dummy/Z_2/D learns only n1+n2"], field: 1})
+        result = runner.invoke(main, ["verify", "--spec", spec])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: unknown field {field!r}\n"
+
     @pytest.mark.parametrize("checks", [[["a"]], [{"x": 1}], "abc", 5, ["ok", 1]])
     def test_checks_that_are_not_a_list_of_strings_exit_2(self, runner, tmp_path, checks):
         spec = write_config(tmp_path, "spec.json", {"checks": checks})
@@ -819,6 +827,48 @@ class TestUnknownFields:
         result = runner.invoke(main, ["run", write_config(tmp_path, "run.json", body)])
         assert result.exit_code == 2
         assert "'k'" in result.output
+
+    # A config of each protocol that decodes its params with ``Protocol.from_params``.
+    DEFAULT_DECODED = {
+        "secure_sum": {"inputs": [1, 2, 3]},
+        "secure_product": {"inputs": [1, 2, 3], "ring": {"ring": "Zm", "m": 7}},
+        "sum_of_powers": {"inputs": [1, 2, 3], "params": {"exponent": 2}},
+        "example_f1": {"inputs": [1, 2, 3]},
+        "commit3": {"inputs": [1, 2, 3], "ring": {"ring": "Zm", "m": 5}},
+        "commit2_dummy": {"inputs": [1, 2], "ring": {"ring": "Zm", "m": 5}},
+        "millionaires_compare": {"inputs": [3, 2], "ring": {"ring": "Zm", "m": 11}},
+        "ot_dummy": {"inputs": {"messages": [4, 7, 1], "indices": [2]}},
+        "share_secret_kk": {"inputs": [5], "params": {"k": 3}},
+        "distribute_shares": {"inputs": [5], "params": {"initiator": 0, "k": 3}},
+    }
+
+    def test_the_default_decoded_protocols_are_the_ten_without_their_own_decoder(self):
+        from ringmpc.cli import RUNNERS
+        from ringmpc.engine import Protocol
+
+        assert list(self.DEFAULT_DECODED) == [
+            name for name, cls in RUNNERS.items()
+            if cls.from_params.__func__ is Protocol.from_params.__func__]
+
+    @pytest.mark.parametrize("name", DEFAULT_DECODED)
+    def test_an_unknown_params_field_of_a_default_decoded_protocol_exits_2_naming_it(
+            self, runner, tmp_path, name):
+        body = {"protocol": name, **self.DEFAULT_DECODED[name]}
+        assert runner.invoke(main, ["run", write_config(tmp_path, "ok.json", body)]
+                             ).exit_code == 0
+        out = tmp_path / "run.jsonl"
+        body["params"] = {**body.get("params", {}), "x": 1}
+        result = runner.invoke(main, ["run", write_config(tmp_path, "run.json", body),
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.output == "error: unknown field 'x' in 'params'\n"
+        assert not out.exists()
+
+    def test_the_ring_is_not_a_params_field(self, runner, tmp_path):
+        body = {"protocol": "secure_sum", "inputs": [1, 2, 3], "params": {"ring": "Z"}}
+        result = runner.invoke(main, ["run", write_config(tmp_path, "run.json", body)])
+        assert result.exit_code == 2
+        assert result.output == "error: unknown field 'ring' in 'params'\n"
 
     def test_every_field_a_header_writes_is_known(self, runner, tmp_path):
         out = tmp_path / "deal.jsonl"

@@ -138,16 +138,83 @@ def test_the_dealer_check_over_z3_compiles():
     # tallies are compared on the Z_2 claim above, and test_dealer_ignorance_z3
     # checks this claim's report, which the compiled path now gives.
     spec = dealer_spec(3)
-    tally, rebuild, show, sites = _compile(spec, _checked_graph(spec))
+    tally, fill, show, sites = _compile(spec, _checked_graph(spec))
     # the dealer's two pieces, then each player's re-split, starting at that player
     assert sites == [(3, 3)] * 2 + [(i % 3, 3) for start in range(3)
                                     for i in range(start, start + 3)]
     values, leaves = at_point(tally, (2,), (1,) * 11)
     view = show(values)
-    outcome = rebuild(leaves)
+    outcome = fill(leaves)
     assert view[:4] == (("secret", 2), ("dealer piece 1", 1), ("dealer piece 2", 1),
                         ("dealer piece 3", 0))
     assert sum(outcome.shares) % 3 == 2
+
+
+def counted_cell_of(calls):
+    """A ``SecrecySpec.cell_of`` that appends the inputs of each call to ``calls``."""
+    cell_of = SecrecySpec.cell_of
+
+    def counted(self, inputs, outcome):
+        calls.append(inputs)
+        return cell_of(self, inputs, outcome)
+    return mock.patch.object(SecrecySpec, "cell_of", counted)
+
+
+@pytest.mark.parametrize("spec", STANDARD + PLANTED_LEAKS, ids=lambda s: s.name)
+def test_a_claim_on_the_inputs_is_looked_up_once_per_input_assignment(spec):
+    graph = _checked_graph(spec)
+    calls = []
+    with counted_cell_of(calls):
+        compiled = _compiled_tally(spec, graph)
+    first = tuple(d[0] for d in spec.input_domains)
+    last = tuple(d[-1] for d in spec.input_domains)
+    # the trace's call, the guard's played and compiled runs at its two points, then one
+    # call per input assignment, in enumeration order
+    assert calls == [first, first, first, last, last, *product(*spec.input_domains)]
+    assert_same_tally(spec, shown(spec, graph, compiled), interpreted_path(spec, graph))
+
+
+def distribute_spec(target):
+    return SecrecySpec(name="distribute_shares/Z_3/P2", protocol=DistributeShares(rr.mod_ring(3)),
+                       input_domains=(range(3),), observer="P2", protected=(0,), target=target)
+
+
+@pytest.mark.parametrize("spec, guarded", [
+    # the first inputs read no node, and the last read the first share: the guard differs
+    (dataclasses.replace(dealer_spec(2), target=lambda inputs, o: o.shares[0] if inputs[0] else 0),
+     True),
+    # only the middle input reads a summand, which neither guard point meets
+    (distribute_spec(lambda inputs, o: o[0] if inputs[0] == 1 else 0), False),
+], ids=["at the last inputs", "at the middle input"])
+def test_a_target_that_reads_the_outcome_at_some_inputs_only_is_interpreted(spec, guarded):
+    graph = _checked_graph(spec)
+    assert (_compile(spec, graph) is None) == guarded
+    compiled, interpreted = both_paths(spec)
+    assert compiled is None
+    assert secrecy_enumeration_check(spec) == _judge(spec, interpreted[0])
+
+
+@pytest.mark.parametrize("spec", [
+    distribute_spec(lambda _inputs, o: (o[0] + o[1]) % 3),
+    dataclasses.replace(sum_spec(3, 3, 1), given=lambda inputs, o: (o - inputs[1]) % 3),
+], ids=["a sum of two summands", "the sum less the observer's input"])
+def test_a_claim_that_computes_on_an_outcome_value_compiles(spec):
+    assert_same_tally(spec, *both_paths(spec))
+
+
+def test_the_dealer_check_compiles_with_its_target_reading_the_shares():
+    spec = dealer_spec(2)
+    tally, fill, _, sites = _compile(spec, _checked_graph(spec))
+    claimed = []
+
+    def claim(leaves):
+        claimed.append(leaves)
+        return {}, leaves
+    tally((1,), [range(n) for _, n in sites], {}, claim)
+    # the four share vectors that sum to the secret 1 over Z_2, each claimed once
+    assert sorted(claimed) == [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)]
+    assert [fill(leaves).shares for leaves in claimed] == claimed
+    assert_same_tally(spec, *both_paths(spec))
 
 
 def _test_analysis_specs():
@@ -316,7 +383,7 @@ def test_the_second_guard_point_catches_a_type_test_that_the_first_misses():
     graph = _checked_graph(spec)
     key_of = view_key(spec.observer, graph)
     ring, traced, outcome = trace(spec.protocol, graph, 3)
-    tally, _, show = ring.compile(key_of(traced.log), outcome)
+    tally, _, show = ring.compile(key_of(traced.log), outcome, {})
 
     def played(inputs, draws):
         r = Run(spec.protocol, graph, inputs, seed=0, sources={0: ScriptedSource(draws)})

@@ -131,17 +131,17 @@ class ManyDraws(Protocol):
 def test_a_kernel_past_the_nesting_limit_loops_its_innermost_draws_as_one_product():
     # 3**28 runs: far over any budget to enumerate, but the kernel is built all the same
     spec = SecrecySpec(name="many draws", protocol=ManyDraws(rr.mod_ring(3)),
-                       input_domains=(range(3),) * 3, observer="P3", protected=(0,),
-                       budget=3**28)
+                       input_domains=(range(3),) * 3, observer="P3",
+                       target=lambda inputs, outcome: (inputs[0], outcome), budget=3**28)
     graph = _checked_graph(spec)
     compiled = _compile(spec, graph)
     assert compiled is not None  # not left to the interpreted path
-    tally, rebuild, show, sites = compiled
+    tally, fill, show, sites = compiled
     assert len(sites) == ManyDraws.DRAWS > MAX_LOOPS
     for inputs, draws in [((1, 2, 0), tuple(i % 3 for i in range(25))),
                           ((2, 0, 1), (2,) * 25), ((0, 1, 2), (1, 0) * 12 + (2,))]:
         values, leaves = at_point(tally, inputs, draws)
-        assert (show(values), rebuild(leaves)) == played(spec, graph, sites, inputs, draws)
+        assert (show(values), fill(leaves)) == played(spec, graph, sites, inputs, draws)
     # the counts over a few whole domains are those of every point, in product order
     domains = [range(1)] * 19 + [range(2)] * 3 + [range(3)] * 3
     points = {}
