@@ -194,7 +194,9 @@ def _compiled_tally(spec: SecrecySpec, graph: ChannelGraph) -> tuple | None:
     counts the runs of one input assignment straight into their cells,
     with ``_claim``'s claim, which it looks up once per distinct values of
     the outcome nodes the claim reads: once per call for a claim on the
-    inputs alone.  Each group, cell and number is first seen at the first
+    inputs alone.  Each draw's domain is whole, so a draw that every
+    counted value reads only through a draw looped inside it is counted
+    as a weight.  Each group, cell and number is first seen at the first
     run that gives it, so the groups, cells and views keep the interpreted
     path's order.  None when the program does not compile, and when a run,
     ``given`` or the target raises, or the claim reads an outcome node that

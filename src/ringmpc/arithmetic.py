@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import ring as ring_mod
 from .analysis import SecrecySpec
-from .engine import DummyTriangleProtocol, Protocol, Run
+from .engine import DummyTriangleProtocol, Protocol, Run, TriangleProtocol
 from .errors import ProtocolError, RingError, TopologyError
 from .jsonvalues import json_field
 from .ring import RingSpec, pure
@@ -273,7 +273,7 @@ def symmetric_from_power_sums(power_sums, ring: RingSpec | None = None):
     return tuple(e[1:])
 
 
-class ExampleF1(Protocol):
+class ExampleF1(TriangleProtocol):
     """f(n1,n2,n3) = n1*n2 + n2*n3 on a 3-cycle without forming either product.
 
     The middle party circulates a mask, receives back mask + n3 + n1,
@@ -307,7 +307,7 @@ G_FUNCS = {
 }
 
 
-class ExampleF2(Protocol):
+class ExampleF2(TriangleProtocol):
     """f(n1,n2,n3) = n1*n2 + g(n3): multiplicative masking, two directions.
 
     Both masks are sampled invertible so the two exact divisions always

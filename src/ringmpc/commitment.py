@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import SecrecySpec
-from .engine import DummyTriangleProtocol, Protocol, Run, Session
+from .engine import DummyTriangleProtocol, Protocol, Run, Session, TriangleProtocol
 from .errors import CheatDetected, ProtocolError
 from .jsonvalues import json_list
 from .ring import RingSpec, mod_ring
@@ -59,7 +59,7 @@ def _split_inputs(run: Run):
     return n, r, s
 
 
-class Commit3(_Commitment):
+class Commit3(_Commitment, TriangleProtocol):
     """The 3-party scheme over Z_m."""
 
     name = "commit3"

@@ -55,9 +55,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, partial
-from inspect import signature
 from json.encoder import encode_basestring_ascii
 from typing import Any, NamedTuple
 
@@ -374,7 +373,9 @@ class Protocol:
     def from_params(cls, ring: RingSpec, params: dict, inputs: tuple) -> "Protocol":
         """The protocol whose constructor takes each key of ``params`` after the ring."""
         if params:
-            _known(params, tuple(signature(cls).parameters)[1:], " in 'params'")
+            code = cls.__init__.__code__  # its names: self, ring, then the params
+            _known(params, code.co_varnames[2:code.co_argcount + code.co_kwonlyargcount],
+                   " in 'params'")
         return cls(ring, **{key: json_field(params, key) for key in params})
 
     def params(self) -> dict:
@@ -387,9 +388,10 @@ class Protocol:
     @classmethod
     def encode(cls, outcome) -> dict:
         """The outcome as JSON, every integer a decimal string: a dataclass by its fields,
-        a dict as itself, anything else under the key ``result``."""
+        a dict as itself, anything else under the key ``result``.  A field that holds a
+        dataclass cannot be written."""
         if is_dataclass(outcome):
-            outcome = asdict(outcome)
+            outcome = {f.name: getattr(outcome, f.name) for f in fields(outcome)}
         return _encode(outcome if isinstance(outcome, dict) else {cls.result: outcome})
 
     @classmethod
@@ -408,16 +410,25 @@ class Protocol:
         raise NotImplementedError
 
 
-class DummyTriangleProtocol(Protocol):
-    """A protocol between A, B and a dummy D, all three pairwise linked securely."""
+class TriangleProtocol(Protocol):
+    """A protocol between exactly three parties, all three pairwise linked securely; ``roles``
+    names them in the refusal of any other graph."""
 
-    def default_graph(self, k: int) -> ChannelGraph:
-        return dummy_triangle()
+    roles = "three parties"
 
     def check_graph(self, g: ChannelGraph) -> None:
         if g.k != 3:
-            raise TopologyError(f"{self.name} runs between A, B and a dummy")
+            raise TopologyError(f"{self.name} runs between {self.roles}")
         require_secure(self.name, g, ((0, 1), (0, 2), (1, 2)))
+
+
+class DummyTriangleProtocol(TriangleProtocol):
+    """A protocol between A, B and a dummy D, all three pairwise linked securely."""
+
+    roles = "A, B and a dummy"
+
+    def default_graph(self, k: int) -> ChannelGraph:
+        return dummy_triangle()
 
 
 # The source of a full party that has not drawn yet.

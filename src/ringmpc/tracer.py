@@ -40,13 +40,20 @@ written as its form.  Every opaque node is computed, used or not, so a
 fault it raises in any run is raised; an outcome node that neither the
 view, the claim nor an opaque node reads is not.  A draw that no
 computed value reads is not looped: its domain's size multiplies every
-count.  The counts, numbers and claims and their first-seen order are
-those of counting every run in ``product`` order, whatever the hash
-seed.  Past CPython's 20 nested blocks, the innermost draws are looped
-as one ``product``; over domains of one value each, ``tally`` counts the
-one run at that point.  ``show`` fills the view key with the view's
-values, and ``fill`` the outcome with the read values, leaving every
-other node in place.  Every label and constant of the view is the same
+count.  Over Zm, neither is a draw e that every root, a view node, a
+read node or an opaque node's operand, reads only through a kept draw j
+looped inside it: e's coefficient is k times j's in each root's form,
+for one k.  Each value of e then repeats the sweep at e's first value
+with j shifted by k times e, a bijection of j's domain range(m), so e
+is bound to its first value and its domain's size multiplies every
+count; ``tally`` raises if j's domain is any other while e's holds more
+than one value.  The counts, numbers and claims and their first-seen
+order are those of counting every run in ``product`` order, whatever
+the hash seed.  Past CPython's 20 nested blocks, the innermost draws
+are looped as one ``product``; over domains of one value each,
+``tally`` counts the one run at that point.  ``show`` fills the view
+key with the view's values, and ``fill`` the outcome with the read
+values, leaving every other node in place.  Every label and constant of the view is the same
 in every run, so the values of its nodes stand for the view: two runs
 give equal values exactly when they give equal views.
 
@@ -63,7 +70,8 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-from itertools import product
+from itertools import chain, product
+from math import gcd
 
 from .engine import Run
 
@@ -288,9 +296,12 @@ class TracedRing:
                 chained.add(ref)
                 needed.update(args)
         looped = [(i, node.ref) for i, node in enumerate(self.draws) if node.ref in read]
+        absorbed = self._absorbed(looped, [*values, *leaves, *chain.from_iterable(uses.values())])
+        looped = [(i, ref) for i, ref in looped if i not in absorbed]
         # Level 0 is the kernel's top, level i the body of the i-th loop.  Each node is
         # computed at the level of the deepest leaf it reads.
         level = {node.ref: 0 for node in self.inputs}
+        level.update((self.draws[i].ref, 0) for i in absorbed)
         level.update((ref, 1 + min(n, MAX_LOOPS - 1)) for n, (_, ref) in enumerate(looped))
         name = {ref: f"v{ref}" for ref in level}
         body: list[list[str]] = [[] for _ in range(min(len(looped), MAX_LOOPS) + 1)]
@@ -335,7 +346,13 @@ class TracedRing:
                           "    n = numbers[values] = len(numbers)"]
         if self.inputs:
             lines.append(f"{_tuple(f'v{node.ref}' for node in self.inputs)} = x")
-        unlooped = [f"len(d[{i}])" for i, node in enumerate(self.draws) if node.ref not in read]
+        for i, j in absorbed.items():
+            lines += [f"if len(d[{i}]) > 1 and d[{j}] != range({self.modulus}):",
+                      f"    raise ValueError('draw {i} is absorbed into draw {j}, whose domain "
+                      f"is not range({self.modulus})')",
+                      f"v{self.draws[i].ref} = d[{i}][0]"]
+        unlooped = [f"len(d[{i}])" for i, node in enumerate(self.draws)
+                    if node.ref not in read or i in absorbed]
         if unlooped:
             lines.append(f"w = {' * '.join(unlooped)}")
         lines += body[0]
@@ -353,11 +370,44 @@ class TracedRing:
         lines.append(f"{inner}cells[cell] = get(cell := (n, target), 0) + {'w' if unlooped else 1}")
         return "def tally(x, d, numbers, claim):\n" + "".join(f"    {line}\n" for line in lines)
 
+    def _absorbed(self, looped: list, roots: list) -> dict:
+        """Looped draw index -> the kept looped draw, inside it, that it is absorbed into.
+
+        Walking from the innermost draw outward, draw e is absorbed into a
+        kept draw j looped inside it, over range(m), when in the form of
+        every root e's coefficient is k times j's, for one k read off a root
+        where j's is a unit: every root then reads r_e only through r_j +
+        k * r_e, and each value of r_e repeats the sweep at r_e = d[e][0]
+        with r_j shifted by a bijection.
+        """
+        if not self.modular:
+            return {}
+        m, forms = self.modulus, self.forms
+        terms = [{ref: 1} if forms[ref] is None else forms[ref][1] for ref in roots]
+        absorbed, kept = {}, []
+        for e, e_ref in reversed(looped):
+            for j, ref in kept:
+                if self.nodes[ref][1] != (m,):
+                    continue
+                unit = next((t for t in terms if gcd(t.get(ref, 0), m) == 1), None)
+                if unit is None:
+                    continue
+                k = unit.get(e_ref, 0) * pow(unit[ref], -1, m)
+                if all((t.get(e_ref, 0) - k * t.get(ref, 0)) % m == 0 for t in terms):
+                    absorbed[e] = j
+                    break
+            else:
+                kept.append((e, e_ref))
+        return absorbed
+
     def compile(self, view, outcome, read):
         """(tally, fill, show): the compiled view of the traced run, and its claim on ``read``.
 
         ``tally(x, domains, numbers, claim)`` counts every draw assignment
-        in ``product(*domains)`` at inputs x straight into its cell.  The
+        in ``product(*domains)`` at inputs x straight into its cell.  Each
+        domain is the draw's whole domain, ``range(n)``, or one value; a
+        draw absorbed into another raises ``ValueError`` where the other's
+        domain is not whole and its own is not one value.  The
         view values and the read values of a run are the values of the
         nodes ``view`` holds and of the outcome's nodes ``read`` names,
         each a flat tuple, the view's in first-use order.  ``numbers`` maps

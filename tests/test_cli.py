@@ -1156,6 +1156,36 @@ class TestInputsAgainstTheGraph:
         assert not out.exists()
 
 
+class TestThreeInputGate:
+    """``example_f1``, ``example_f2`` and ``commit3`` run between exactly three parties, all
+    three linked securely, and refuse any other graph before the run.  Before, three inputs
+    on two disjoint triangles ran with exit 0 while P4-P6 stayed idle, and ``commit3`` on a
+    4-cycle stopped mid-run at ``no channel between 2 and 0``."""
+
+    TOPOLOGIES = {
+        "two disjoint triangles": ({"k": 6, "edges": TestInputsAgainstTheGraph.TRIANGLES},
+                                   "runs between three parties"),
+        "a 4-cycle": ({"cycle": 4}, "runs between three parties"),
+        "a triangle with an insecure edge": (
+            {"k": 3, "edges": [[0, 1, "secure"], [1, 2, "secure"], [0, 2, "insecure"]]},
+            "needs a secure channel between parties 0 and 2"),
+    }
+
+    @pytest.mark.parametrize("protocol", ["example_f1", "example_f2", "commit3"])
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+    def test_any_graph_but_a_secure_triangle_exits_3_before_the_run(self, runner, tmp_path,
+                                                                    protocol, topology):
+        graph, message = self.TOPOLOGIES[topology]
+        body = {"protocol": protocol, "inputs": ["1", "2", "3"],
+                "ring": {"ring": "Zm", "m": 5}, "topology": graph}
+        out = tmp_path / "run.jsonl"
+        result = runner.invoke(main, ["run", write_config(tmp_path, "run.json", body),
+                                      "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert result.output == f"error: {protocol} {message}\n"
+        assert not out.exists()
+
+
 def test_commit3_on_parties_named_x_y_z_runs_reveals_and_replays(runner, tmp_path):
     """The reveal used to look its ledger roles P1, P2, P3 up as party names: exit 3 at
     ``unknown party 'P1'``.  The outcome keeps the roles as its keys."""

@@ -30,8 +30,8 @@ from ringmpc.errors import RingError
 from ringmpc.ring import pure
 from ringmpc.topology import ChannelGraph, build_cycle, default_parties
 from ringmpc.tracer import MAX_LOOPS, trace
-from test_compiled import (GRID, assert_same_tally, at_point, both_paths, dealer_spec, tallied,
-                           reference_judge)
+from test_compiled import (GRID, STANDARD, assert_same_tally, at_point, both_paths, dealer_spec,
+                           tallied, reference_judge)
 
 
 def played(spec, graph, sites, inputs, draws):
@@ -253,9 +253,53 @@ def affine_lines(draw):
     return m, arity, steps, observer, draw(st.booleans())
 
 
+@st.composite
+def masked_lines(draw):
+    """(m, arity, steps, observer, concede?) of a program that adds to an input a multiple of
+    one random sum of its 2-3 draws, now and then plus one draw alone, and shows each result
+    to P3, who draws none: the shape in which a draw is read only through a draw looped inside
+    it."""
+    m = draw(st.integers(2, 8))
+    arity = draw(st.integers(1, 2 if m ** 4 <= MAX_RUNS else 1))
+    count = draw(st.integers(2, 3 if m ** (arity + 3) <= MAX_RUNS else 2))
+    steps = [("draw", draw(st.integers(0, 1))) for _ in range(count)]
+    draws, n = range(arity, arity + count), arity + count
+    for v in draws:
+        steps.append(("scale", v, draw(st.integers(0, m - 1)), draw(st.booleans())))
+        if v > arity:
+            steps.append(("add", n - 1, n))
+            n += 1
+        n += 1
+    mask = n - 1
+    for _ in range(draw(st.integers(1, 3))):
+        steps.append(("scale", mask, draw(st.integers(1, m)), True))
+        if draw(st.integers(0, 3)) == 0:
+            steps.append(("add", n, draw(st.sampled_from(draws))))
+            n += 1
+        steps.append(("add", draw(st.integers(0, arity - 1)), n))
+        n += 2
+        frm = draw(st.integers(0, 1))
+        steps.append(draw(st.sampled_from([("send", frm, 2, n - 1), ("note", 2, n - 1),
+                                           ("broadcast", frm, n - 1)])))
+    observer = draw(st.sampled_from([2, EAVESDROPPER]))
+    return m, arity, steps, observer, draw(st.booleans())
+
+
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(affine_lines())
 def test_a_random_affine_program_counts_as_the_interpreted_tally(case):
+    assert_same_tally(*affine_check(case))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(masked_lines())
+def test_a_random_masked_program_counts_as_the_interpreted_tally(case):
+    assert_same_tally(*affine_check(case))
+
+
+def affine_check(case):
+    """(spec, compiled, interpreted) of ``AffineLine`` on one drawn case, through
+    ``both_paths``."""
     m, arity, steps, observer, concede = case
     if observer == EAVESDROPPER:
         own, name = (), EAVESDROPPER
@@ -272,7 +316,7 @@ def test_a_random_affine_program_counts_as_the_interpreted_tally(case):
         given=(lambda inputs, _o: sum(inputs[i] for i in others) % m) if concede else None,
         target=None if concede else (lambda inputs, outcome: (inputs[others[0]], outcome)),
     )
-    assert_same_tally(spec, *both_paths(spec))
+    return spec, *both_paths(spec)
 
 
 # -- faults and verdicts -------------------------------------------------------------------
@@ -437,6 +481,124 @@ def test_a_claim_that_raises_on_some_outcome_raises_the_interpreted_error(where)
     with pytest.raises(ValueError) as checked:
         secrecy_enumeration_check(spec)
     assert str(checked.value) == str(interpreted.value) == f"no {where} at outcome 2"
+
+
+# -- a draw absorbed into a draw looped inside it -------------------------------------------
+
+
+class Watched:
+    """The draw domain range(n), noting whether the kernel looped over it or read a value."""
+
+    def __init__(self, n):
+        self.values, self.looped, self.read = range(n), False, False
+
+    def __len__(self):
+        return len(self.values)
+
+    def __iter__(self):
+        self.looped = True
+        return iter(self.values)
+
+    def __getitem__(self, i):
+        self.read = True
+        return self.values[i]
+
+    def __eq__(self, other):
+        return self.values == other
+
+
+def absorbed_draws(spec) -> tuple:
+    """The draws of the compiled ``spec`` that its tally reads without looping over them."""
+    tally, _, _, sites = _compile(spec, _checked_graph(spec))
+    domains = [Watched(n) for _, n in sites]
+    tallied(tally, tuple(d[0] for d in spec.input_domains), domains)
+    return tuple(i for i, d in enumerate(domains) if d.read and not d.looped)
+
+
+# The masks that every value the observer sees reads only through a later mask: r1 in the
+# millionaires' D (n1+r1+r2, n2+r1+r2) and commit2_dummy's D, and in commit3 the r that P1
+# and P3 see only inside a running sum.
+ABSORBED = {
+    "commit3/Z_2/P1 learns only n2+n3": (1,),
+    "commit3/Z_2/P3 learns only n1+n2": (0,),
+    "commit3/Z_3/P1 learns only n2+n3": (1,),
+    "commit3/Z_3/P3 learns only n1+n2": (0,),
+    "commit2_dummy/Z_2/D learns only n1+n2": (0,),
+    "millionaires/Z_11/D learns only n1-n2": (0,),
+}
+
+
+@pytest.mark.parametrize("spec", STANDARD, ids=lambda s: s.name)
+def test_each_standard_check_absorbs_exactly_its_pinned_draws(spec):
+    assert absorbed_draws(spec) == ABSORBED.get(spec.name, ())
+
+
+class ShiftedMasks(Protocol):
+    """P1 draws r and P2 draws s, r first unless ``s_first``; P3 gets n1 + 2r + s and
+    n2 + 6r + 3s, which read r only through the mask 2r + s and so tell P3 n2 - 3*n1.
+    With ``product``, P3 also gets r*s, an opaque value whose operands read r alone."""
+
+    name = "shifted_masks"
+    arity = 3
+
+    def __init__(self, ring, s_first=False, product=False):
+        super().__init__(ring)
+        self.s_first, self.product = s_first, product
+
+    def program(self, run):
+        R = self.ring
+        n1, n2, _ = run.note_inputs()
+        if self.s_first:
+            s, r = run.noise(1, "s"), run.noise(0, "r")
+        else:
+            r, s = run.noise(0, "r"), run.noise(1, "s")
+        run.send(0, 2, R.add(n1, R.add(R.mul(2, r), s)), "n1 + 2r + s")
+        run.send(1, 2, R.add(n2, R.add(R.mul(6, r), R.mul(s, 3))), "n2 + 6r + 3s")
+        if self.product:
+            run.send(0, 2, R.mul(r, s), "r*s")
+        return R.add(n1, n2)
+
+
+def shifted_spec(m, s_first=False, given=True, product=False):
+    return SecrecySpec(
+        name=f"shifted masks/Z_{m}", protocol=ShiftedMasks(rr.mod_ring(m), s_first, product),
+        input_domains=(range(m),) * 3, observer="P3", observer_inputs=(2,), protected=(0, 1),
+        given=(lambda inputs, _o: (inputs[1] - 3 * inputs[0]) % m) if given else None)
+
+
+@pytest.mark.parametrize("m, s_first, product, absorbed", [
+    (4, False, False, (0,)),  # r, outermost, shifts s by 2r: 2 is no unit of Z_4, but 1 is
+    (5, False, False, (0,)),
+    (4, True, False, ()),  # r's only candidate, s, lies outside it; s is no 2 times r in Z_4
+    (5, True, False, (0,)),  # but in Z_5 it is 3 times r's coefficient: s is absorbed into r
+    (5, False, True, ()),  # r*s reads r apart from s
+], ids=["r outer over Z_4", "r outer over Z_5", "r inner over Z_4", "r inner over Z_5",
+        "r outer beside r*s"])
+def test_a_draw_read_only_through_an_inner_draw_counts_as_the_interpreted_tally(
+        m, s_first, product, absorbed):
+    spec = shifted_spec(m, s_first, product=product)
+    assert absorbed_draws(spec) == absorbed
+    assert_same_tally(spec, *both_paths(spec))
+    assert secrecy_enumeration_check(spec).ok != product
+    # Without the concession P3 learns n2 - 3*n1: the counterexample is the interpreted one.
+    planted = shifted_spec(m, s_first, given=False, product=product)
+    assert_same_tally(planted, *both_paths(planted))
+    report = secrecy_enumeration_check(planted)
+    assert not report.ok
+    assert report == _judge(planted, _interpreted_tally(planted, _checked_graph(planted)))
+
+
+def test_a_tally_over_part_of_an_absorbers_domain_raises_unless_the_absorbed_draw_is_fixed():
+    spec = shifted_spec(5)
+    tally = _compile(spec, _checked_graph(spec))[0]
+    with pytest.raises(ValueError, match=r"draw 0 is absorbed into draw 1, whose domain is not "
+                                         r"range\(5\)"):
+        tallied(tally, (1, 2, 3), [range(5), (0,)])
+    with pytest.raises(ValueError, match="absorbed"):
+        tallied(tally, (1, 2, 3), [range(5), range(4)])
+    # one value of the absorbed draw is one run, as at the guard's points
+    assert tallied(tally, (1, 2, 3), [(3,), (4,)]) == {((3, (1 + 6 + 4) % 5, (2 + 18 + 12) % 5),
+                                                        ()): 1}
 
 
 # -- the judge's one-step pass -------------------------------------------------------------

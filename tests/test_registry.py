@@ -5,6 +5,7 @@ one per registered protocol.
 """
 
 import copy
+import inspect
 
 import pytest
 from test_view_digests import CONFIGS
@@ -32,6 +33,15 @@ def test_from_params_rebuilds_a_byte_identical_run(name):
     _, original = run(protocol, graph, inputs, seed)
     _, rebuilt = run(clone, graph, inputs, seed)
     assert rebuilt.serialize() == original.serialize()
+
+
+@pytest.mark.parametrize("name", sorted(RUNNERS))
+def test_from_params_reads_the_constructors_parameter_names(name):
+    # the names after self and ring, as inspect.signature gives them after the ring
+    cls = RUNNERS[name]
+    code = cls.__init__.__code__
+    assert code.co_varnames[2:code.co_argcount + code.co_kwonlyargcount] == tuple(
+        inspect.signature(cls).parameters)[1:]
 
 
 MALFORMED = [None, -1, 0, 7, "x", [], [1], [[1, 2]], [None], {}, {"a": 1}, True, 1.5]
