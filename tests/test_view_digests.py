@@ -1,7 +1,7 @@
 """Every observer's view is pinned by a digest taken before the event-log engine.
 
 One fixed config per CLI protocol, plus a secure sum over Z_5 on two
-disjoint cycles, is run through ``execute_config``; the SHA-256 of each
+disjoint cycles and one on a 6-cycle out of index order, is run through ``execute_config``; the SHA-256 of each
 party's view entries and of the eavesdropper's view must equal the
 recorded digest.  Any change to what the engine shows an observer, or in
 what order, changes a digest.  The SHA-256 of every config's serialized
@@ -20,6 +20,10 @@ from ringmpc.commitment import Commit2Dummy, Commit3, CommitK
 from ringmpc.engine import EAVESDROPPER, commit, eavesdropper_view, extract_view
 from ringmpc.poker import dummy_deal_two_players, dummy_dealer_fixed_hands
 from ringmpc.ring import mod_ring
+
+# One secure 6-cycle whose walk from P1 is P1, P3, P5, P2, P6, P4: not the index order.
+SIX_CYCLE = {"k": 6, "edges": [[0, 2, "secure"], [2, 4, "secure"], [4, 1, "secure"],
+                               [1, 5, "secure"], [5, 3, "secure"], [3, 0, "secure"]]}
 
 CONFIGS = {
     "card_deal": {"protocol": "card_deal", "inputs": [], "seed": 11,
@@ -51,6 +55,10 @@ CONFIGS = {
         "ring": {"ring": "Zm", "m": 5},
         "topology": {"k": 6, "edges": [[0, 1, "secure"], [1, 2, "secure"], [0, 2, "secure"],
                                        [3, 4, "secure"], [4, 5, "secure"], [3, 5, "secure"]]},
+    },
+    "secure_sum/Z_5/6-cycle out of order": {
+        "protocol": "secure_sum", "inputs": [1, 2, 3, 4, 0, 2], "seed": 5,
+        "ring": {"ring": "Zm", "m": 5}, "topology": SIX_CYCLE,
     },
 }
 
@@ -158,6 +166,15 @@ DIGESTS = {
         "P6": "ec05ff828a7989df9c9a5ee7fe1f3f16f3e6d4e54b4a23f66fd31394b12a6312",
         "eavesdropper": "f5e455bb7c8f17049fe61c3a6047ee4d86479891219e7362984c2fb3d2704322",
     },
+    "secure_sum/Z_5/6-cycle out of order": {
+        "P1": "9b2ca4224788c8c8c632534b897bf5acdd2ea3187d4d0d5503a4e51c6310b60e",
+        "P2": "c20b8e4709395b88014ef84c6079ddec8879139dff410de87174076fada53ad5",
+        "P3": "3d77cbb6facb1bc5815ec4bd8f435b039e0a1da1ebc4f3e156dc3d70d757e396",
+        "P4": "b2c059cd8bd97eef6b2631014e0f31decf537390e6ff20c97f6e570b78e1e157",
+        "P5": "ba6ebb387777bd1daaeffc13c50cb57c7360a78c0340ba3f740ba1397dd4d1ae",
+        "P6": "f177abad140aa9e8aad3434acfcd9b7081900c79c486bca50462f06ef574fe81",
+        "eavesdropper": "9366c3b361f37661df81e5f12029cf587b0d977a4fbcc310f23b85992621fe9b",
+    },
     "share_secret_kk": {
         "D": "09bf307a2e68364483822e53a078dc0039986fadd335eabdbfe641ba4ae66bb2",
         "P1": "b099ba34a109564149015c58848413fa8e04dc49a3fad8a5e2cc20a664e997f5",
@@ -197,6 +214,8 @@ TRANSCRIPT_DIGESTS = {
     "secure_sum": "4e9a3a53b1b3b808ccdbfca40565e0a9786b3fd7641ba8b08b7c54e032a8df34",
     "secure_sum/Z_5/two cycles":
         "9d62a3008a68887c085b9c70159d27352685445f1843b960d4afcb197c4e537b",
+    "secure_sum/Z_5/6-cycle out of order":
+        "86d71c5fecf37dc99728294b025b3cb094bc07acca024400504f2172beea55a7",
     "share_secret_kk": "08b7f2ea8c8d2a20746e52eb32320e9d8b31a50ee6d8e4942908cecce5d7eb31",
     "sum_of_powers": "00a60d081b4252c506a6c3011f59a8270f5b52838c44d6f9af6f9a8c0514baa7",
     # Recorded before each message line was written as one f-string: a header
@@ -365,6 +384,8 @@ OUTCOME_DIGESTS = {
     "secure_sum": "695e4fa0a408af53de93c71894044739ae7dbe8f8fa0f28eae024a0bfeb62cb3",
     "secure_sum/Z_5/two cycles":
         "1a43b0a8ab358475e04f1ee3b8bb6cf6b727038df8de51d7e89f3be69dc51539",
+    "secure_sum/Z_5/6-cycle out of order":
+        "1a43b0a8ab358475e04f1ee3b8bb6cf6b727038df8de51d7e89f3be69dc51539",
     "share_secret_kk": "1ad1e4a6abb0598782f5d12e9b0d300e257bf72f7a6b3bd27bb42fe93523bfeb",
     "sum_of_powers": "2504dc4acd36fbc316cc5ab35c13ccce75114e93859f170eb9356ec9a90868e7",
 }
@@ -393,7 +414,8 @@ def test_every_config_has_a_run_output_pin():
 # Runs that no pin above covers, recorded before the cycle pass, the input
 # notes and CommitK's ledgers were each written once: a commit_k session at
 # k = 4 and k = 5, committed then revealed, and a secure product over Z_101
-# on two disjoint triangles.
+# on two disjoint triangles; and, recorded on that later engine, the same
+# product on the 6-cycle out of index order.
 TWO_TRIANGLES = {"k": 6, "edges": [[0, 1, "secure"], [1, 2, "secure"], [0, 2, "secure"],
                                    [3, 4, "secure"], [4, 5, "secure"], [3, 5, "secure"]]}
 SESSION_DIGESTS = {
@@ -424,6 +446,16 @@ SESSION_DIGESTS = {
         "eavesdropper": "4f5db43e9db8e5e5ccffe8831ea6c97918992f650892c4e8d0b75b3bd0fdc1c2",
         "transcript": "b94032f11a3c388564370158f6b3950a527bd98e3eadf5ab41c87d9aba4cc8c6",
     },
+    "secure_product/Z_101/6-cycle out of order": {
+        "P1": "fe28b73f3eab5d2b2286cf6b65c90c64d646b4334b161f319a6ed67794ff463d",
+        "P2": "9aa6f2349dfc32b0fc095095bba273388e00421edcb11c50f831166130e51ae8",
+        "P3": "26f972c70ae85f061f4b6d0b11c7a96365c43c7be9ded1dd54eae24580025363",
+        "P4": "3e1e36b5ac641aa9a7673009ce81626ea91044c1e47eae04a9339d98e5ef0116",
+        "P5": "9cc96572253ca212a28c94e7416dbe131b61443b4e6c1e6c5bcfcf76cba80205",
+        "P6": "3fd742347b285535480df4352681acdaf005c007350f0f3bf337427353e8d813",
+        "eavesdropper": "3f251a734124cfa80260e0c83e66eeb1656251472984e2e0690aa76325b7222d",
+        "transcript": "261f6f14507e400f4598d476df75fde15bbb1c0767edd4484266620b254ac88f",
+    },
 }
 
 
@@ -433,8 +465,9 @@ def _session_transcript(name):
         session = commit(CommitK(mod_ring(7)), None, values, seed=13)
         assert session.reveal() == tuple(values)
         return session.transcript
+    topology = TWO_TRIANGLES if name.endswith("/two cycles") else SIX_CYCLE
     config = {"protocol": "secure_product", "inputs": [2, 3, 4, 5, 6, 7], "seed": 5,
-              "ring": {"ring": "Zm", "m": 101}, "topology": TWO_TRIANGLES}
+              "ring": {"ring": "Zm", "m": 101}, "topology": topology}
     outcome, t = execute_config(config)
     assert outcome == {"product": "91"}  # 2*3*4 * 5*6*7 = 5040 = 91 mod 101
     return t
