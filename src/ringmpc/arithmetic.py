@@ -19,16 +19,16 @@ from .errors import ProtocolError, RingError, TopologyError
 from .jsonvalues import json_field
 from .ring import RingSpec, pure
 from .topology import (ChannelGraph, INSECURE, build_cycle, hub_graph, require_hub, require_secure,
-                       secure_cycles, single_cycle)
+                       single_cycle)
 
 
 class _CyclePass(Protocol):
-    """Noised forward pass around each secure cycle, masked total published, then unmasking.
+    """Noised forward pass around the secure cycle, masked total published, then unmasking.
 
-    Works on any disjoint union of secure cycles covering all parties; the
-    outcome combines the cycles' results.  A subclass supplies the operation
-    and its inverse (``ops``), the identity, unit noise or not, and the
-    labels ``partial_label`` and ``total_label``.
+    Runs on the one secure cycle through every party that the default
+    ``check_graph`` accepts.  A subclass supplies the operation and its
+    inverse (``ops``), the identity, unit noise or not, and the labels
+    ``partial_label`` and ``total_label``.
     """
 
     identity = 0
@@ -45,20 +45,14 @@ class _CyclePass(Protocol):
         values = run.note_inputs()
         self.check_inputs(values)
         combine, undo = self.ops()
-        total = self.identity
-        for cycle in secure_cycles(run.graph):
-            total = combine(total, self._one_cycle(run, cycle, values, combine, undo))
-        return total
-
-    def _one_cycle(self, run: Run, cycle, values, combine, undo):
         unit, label = self.unit_noise, self.partial_label
         noise, send, broadcast = run.noise, run.send, run.broadcast
-        first = cycle[0]
+        first, *rest = single_cycle(self.name, run.graph)
         # Forward pass: each party folds in its value and fresh noise.
         noises = [noise(first, f"n0{first + 1}", unit)]
         m = combine(values[first], noises[0])
-        send(first, cycle[1], m, label)
-        for p, successor in zip(cycle[1:], cycle[2:] + [first]):
+        send(first, rest[0], m, label)
+        for p, successor in zip(rest, rest[1:] + [first]):
             n = noise(p, f"n0{p + 1}", unit)
             noises.append(n)
             m = combine(m, combine(values[p], n))
@@ -68,14 +62,14 @@ class _CyclePass(Protocol):
         broadcast(first, masked_total, self.total_label)
         # Everyone else publishes their noise; all unmask.
         noise_total = self.identity
-        for p, n in zip(cycle[1:], noises[1:]):
+        for p, n in zip(rest, noises[1:]):
             broadcast(p, n, f"noise n0{p + 1}")
             noise_total = combine(noise_total, n)
         return undo(masked_total, noise_total)
 
 
 class SecureSum(_CyclePass):
-    """Masked sum around each cycle; the outcome is the sum of the cycles' subtotals."""
+    """Masked sum around the secure cycle; each party learns only the others' total."""
 
     name = "secure_sum"
     result = "sum"
@@ -218,13 +212,10 @@ class SumOfPowers(Protocol):
     def params(self):
         return {"exponent": self.exponent}
 
-    def check_graph(self, g):
-        single_cycle(self.name, g)
-
     def program(self, run: Run):
         R = self.ring
         r = self.exponent
-        cycle = secure_cycles(run.graph)[0]
+        cycle = single_cycle(self.name, run.graph)
         values = run.note_inputs()
         if not R.modular:
             widest = max((abs(v).bit_length() for v in values if abs(v) > 1), default=0)

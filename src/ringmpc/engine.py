@@ -64,7 +64,7 @@ from .errors import DummyRandomnessError, PhaseError, ProtocolError, ReplayError
 from .jsonvalues import json_field, json_ints
 from .ring import RingSpec, integers
 from .topology import (ChannelGraph, INSECURE, build_cycle, dummy_triangle, require_secure,
-                       validate_topology)
+                       single_cycle)
 
 BROADCAST = "*"
 EAVESDROPPER = "eavesdropper"
@@ -355,7 +355,9 @@ class Protocol:
     description; the CLI's ``run`` and ``replay`` use only its hooks.
     ``from_params`` inverts ``params``; ``arity`` and ``decode_inputs``
     check and decode the inputs; ``default_graph(k)``, a secure k-cycle
-    unless overridden, serves when no graph is given; ``encode`` gives the
+    unless overridden, serves when no graph is given, and ``check_graph``
+    accepts, unless overridden, one secure cycle through every party
+    (``topology.single_cycle``); ``encode`` gives the
     outcome as JSON; a two-phase protocol defines ``reveal(session,
     tamper)``, which follows ``program`` as its commit phase; ``claims()``
     gives the protocol's exhaustive secrecy claims (``analysis.SecrecySpec``).
@@ -402,9 +404,7 @@ class Protocol:
         return build_cycle(k)
 
     def check_graph(self, g: ChannelGraph) -> None:
-        result = validate_topology(g)
-        if not result:
-            raise TopologyError(f"{self.name}: {result.reason}")
+        single_cycle(self.name, g)
 
     def program(self, run: "Run"):
         raise NotImplementedError

@@ -17,7 +17,7 @@ from .engine import Protocol, Run
 from .errors import ProtocolError
 from .ring import RingSpec
 from .topology import (ChannelGraph, SECURE, build_cycle, hub_graph, players_subgraph, require_hub,
-                       require_secure, secure_cycles, single_cycle)
+                       require_secure, single_cycle)
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class DistributeShares(Protocol):
         R = self.ring
         (value,) = run.inputs
         value = R.normalize(value)
-        cycle = secure_cycles(run.graph)[0]
+        cycle = single_cycle(self.name, run.graph)
         run.note(self.initiator, "value to split", value)
         summands = masked_split_subroutine(run, cycle, cycle.index(self.initiator), value, "split")
         return tuple(summands[i] for i in sorted(summands))
@@ -134,7 +134,7 @@ class ShareSecret(Protocol):
             rest = R.sub(rest, piece)
         pieces.append(rest)
         run.note(dealer, f"dealer piece {k}", rest)
-        cycle = secure_cycles(players_subgraph(run.graph, k))[0]
+        cycle = single_cycle(self.name, players_subgraph(run.graph, k))
         totals = {i: 0 for i in range(k)}
         # Loop: piece i goes to player i, who re-splits it around the cycle.
         for i in range(k):

@@ -1,13 +1,16 @@
-"""Parties, channel graphs, and the cycle-cover validity gate.
+"""Parties, channel graphs, and the single-cycle validity gate.
 
 The cycle protocols only hide anything if every participant has secure
 degree exactly 2: a vertex of degree 0 leaks to everybody, a vertex of
 degree 1 leaks to its single neighbour, and with exactly k secure edges
 on k vertices the handshaking count forces the secure subgraph to be a
-disjoint union of cycles.  Cycles of length 1 or 2 cannot occur in a
-simple graph, so "2-regular" is the whole acceptance condition; the
-protocols that use a star around a dummy declare their own channel sets
-and are checked against those instead, each through ``require_secure``.
+disjoint union of cycles, each of length 3 or more in a simple graph
+(``validate_topology``).  That is not enough: on two or more cycles every
+party, and a wiretapper, learns each cycle's subtotal, a partial sum.  So
+``single_cycle``, the default gate of a protocol, also requires one cycle
+through every party.  The protocols that use a star around a dummy
+declare their own channel sets and are checked against those instead,
+each through ``require_secure``.
 The player cycle with a hub beside it (a dealer, an aggregator) is built
 by ``hub_graph`` and gated by ``require_hub``.
 
@@ -101,30 +104,21 @@ class ChannelGraph:
         return ValidationResult(*validate_secure_edges(self.k, self.secure_pairs()))
 
     @cached_property
-    def _cycles(self) -> tuple:
-        result = validate_topology(self)
-        if not result:
-            raise TopologyError(result.reason)
+    def _cycle(self) -> tuple:
+        """The secure walk from party 0 back to it, toward its lower-indexed neighbour; every
+        party must have secure degree 2.  A walk shorter than k means more than one cycle."""
         # The edge map holds both orientations, so each vertex lists both its secure neighbours.
         adj = [[] for _ in range(self.k)]
         for (i, j), security in self._security.items():
             if security == SECURE:
                 adj[i].append(j)
-        seen = [False] * self.k
-        cycles = []
-        for start in range(self.k):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = True
-            prev, cur = start, min(adj[start])
-            while cur != start:
-                cycle.append(cur)
-                seen[cur] = True
-                a, b = adj[cur]
-                prev, cur = cur, (b if a == prev else a)
-            cycles.append(tuple(cycle))
-        return tuple(cycles)
+        cycle = [0]
+        prev, cur = 0, min(adj[0])
+        while cur:
+            cycle.append(cur)
+            a, b = adj[cur]
+            prev, cur = cur, (b if a == prev else a)
+        return tuple(cycle)
 
     def secure_pairs(self):
         return [(i, j) for i, j, sec in self.edges() if sec == SECURE]
@@ -229,15 +223,15 @@ def players_subgraph(g: ChannelGraph, k: int) -> ChannelGraph:
     return ChannelGraph(parties, [(i, j, sec) for i, j, sec in g.edges() if i < k and j < k])
 
 
-def single_cycle(name: str, g: ChannelGraph) -> list[int]:
-    """The one secure cycle of ``g``; TopologyError naming ``name`` unless there is exactly one."""
+def single_cycle(name: str, g: ChannelGraph) -> tuple[int, ...]:
+    """The one secure cycle through every party of ``g``, walked from party 0 toward its
+    lower-indexed neighbour; TopologyError naming ``name`` unless there is exactly one."""
     result = validate_topology(g)
     if not result:
         raise TopologyError(f"{name}: {result.reason}")
-    cycles = secure_cycles(g)
-    if len(cycles) != 1:
+    if not g.k or len(g._cycle) != g.k:
         raise TopologyError(f"{name} runs on a single cycle")
-    return cycles[0]
+    return g._cycle
 
 
 def require_hub(name: str, g: ChannelGraph, k: int) -> None:
@@ -275,14 +269,3 @@ def validate_secure_edges(k: int, pairs) -> tuple[bool, str | None]:
 def validate_topology(g: ChannelGraph) -> ValidationResult:
     """Accept iff the secure subgraph is a disjoint union of cycles of length >= 3."""
     return g._verdict
-
-
-def secure_cycles(g: ChannelGraph) -> list[list[int]]:
-    """The secure components as ordered vertex cycles.
-
-    Each cycle starts at its lowest-index vertex and proceeds to that
-    vertex's lower-indexed neighbour, giving a deterministic orientation.
-    Raises TopologyError if the graph is not a valid cycle cover.
-    """
-    return [list(cycle) for cycle in g._cycles]
-

@@ -50,11 +50,13 @@ class TestSecureSum:
             assert run(SecureSum(rr.mod_ring(7)), None, values)[0] == sum(values) % 7
 
     def test_disjoint_cycle_union(self):
+        # Each triangle's subtotal would be public, a partial sum: refused before the run.
         edges = [(0, 1, "secure"), (1, 2, "secure"), (0, 2, "secure"),
                  (3, 4, "secure"), (4, 5, "secure"), (3, 5, "secure")]
         g = ChannelGraph(default_parties(6), edges)
         values = [1, 2, 3, 10, 20, 30]
-        assert run(SecureSum(), g, values)[0] == 66
+        with pytest.raises(TopologyError, match="^secure_sum runs on a single cycle$"):
+            run(SecureSum(), g, values)
 
     def test_path_rejected(self):
         path = ChannelGraph(default_parties(3), [(0, 1, "secure"), (1, 2, "secure")])

@@ -1133,26 +1133,29 @@ class TestInputsAgainstTheGraph:
 
     Each config below got past the gate before: four inputs on a 3-cycle summed
     to 6, a topology of no parties summed three inputs to 0, and three inputs on
-    two disjoint triangles ended in an IndexError traceback.
+    two disjoint triangles ended in an IndexError traceback.  The last two are
+    no single cycle, and the gate now refuses them before it counts the inputs.
     """
 
     TRIANGLES = [[0, 1, "secure"], [1, 2, "secure"], [0, 2, "secure"],
                  [3, 4, "secure"], [4, 5, "secure"], [3, 5, "secure"]]
     CASES = {
-        "four inputs on a 3-cycle": (["1", "2", "3", "4"], {"cycle": 3}, 3),
-        "no parties": (["1", "2", "3"], {"k": 0}, 0),
-        "two disjoint triangles": (["1", "2", "3"], {"k": 6, "edges": TRIANGLES}, 6),
+        "four inputs on a 3-cycle": (["1", "2", "3", "4"], {"cycle": 3}, 2,
+                                     "takes 3 inputs, one per party, got 4"),
+        "no parties": (["1", "2", "3"], {"k": 0}, 3, "secure_sum runs on a single cycle"),
+        "two disjoint triangles": (["1", "2", "3"], {"k": 6, "edges": TRIANGLES}, 3,
+                                   "secure_sum runs on a single cycle"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_run_exits_2(self, runner, tmp_path, case):
-        inputs, topology, k = self.CASES[case]
+    def test_run_is_refused(self, runner, tmp_path, case):
+        inputs, topology, status, message = self.CASES[case]
         body = {"protocol": "secure_sum", "inputs": inputs, "topology": topology}
         out = tmp_path / "sum.jsonl"
         result = runner.invoke(main, ["run", write_config(tmp_path, "sum.json", body),
                                       "--out", str(out)])
-        assert result.exit_code == 2, result.output
-        assert f"takes {k} inputs, one per party, got {len(inputs)}" in result.output
+        assert result.exit_code == status, result.output
+        assert message in result.output
         assert not out.exists()
 
 

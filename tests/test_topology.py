@@ -19,7 +19,7 @@ from ringmpc.topology import (
     default_parties,
     dummy_triangle,
     hub_graph,
-    secure_cycles,
+    single_cycle,
     validate_topology,
 )
 
@@ -58,11 +58,20 @@ def test_validate_rejects_path():
 
 
 def test_validate_accepts_two_disjoint_triangles():
+    # Every vertex has secure degree 2, but the protocols' gate wants one cycle through all.
     edges = [(0, 1, "secure"), (1, 2, "secure"), (0, 2, "secure"),
              (3, 4, "secure"), (4, 5, "secure"), (3, 5, "secure")]
     g = ChannelGraph(default_parties(6), edges)
     assert validate_topology(g)
-    assert secure_cycles(g) == [[0, 1, 2], [3, 4, 5]]
+    with pytest.raises(TopologyError, match="^two triangles runs on a single cycle$"):
+        single_cycle("two triangles", g)
+
+
+def test_a_graph_of_no_parties_is_no_single_cycle():
+    g = ChannelGraph([])
+    assert validate_topology(g)
+    with pytest.raises(TopologyError, match="^nobody runs on a single cycle$"):
+        single_cycle("nobody", g)
 
 
 def test_validate_rejects_triangle_with_extra_degree():
@@ -98,7 +107,7 @@ def test_insecure_edges_do_not_count_for_the_cycle_cover():
     # an insecure chord beside a secure 4-cycle leaves it valid
     g4 = ChannelGraph(default_parties(4), _cycle_edges(4) + [(0, 2, "insecure")])
     assert validate_topology(g4)
-    assert secure_cycles(g4) == [[0, 1, 2, 3]]
+    assert single_cycle("g4", g4) == (0, 1, 2, 3)
 
 
 def test_dummy_triangle_roles():
@@ -108,9 +117,9 @@ def test_dummy_triangle_roles():
     assert validate_topology(g)
 
 
-def test_secure_cycles_orientation_deterministic():
+def test_single_cycle_orientation_deterministic():
     g = build_cycle(5)
-    assert secure_cycles(g) == [[0, 1, 2, 3, 4]]
+    assert single_cycle("g", g) == (0, 1, 2, 3, 4)
 
 
 def test_config_roundtrip():
@@ -186,10 +195,10 @@ def test_add_insecure_edge_shows_in_the_edge_list():
     assert validate_topology(g)
 
 
-def test_secure_cycles_returns_fresh_lists():
+def test_single_cycle_cannot_be_changed_by_its_caller():
     g = build_cycle(3)
-    secure_cycles(g)[0].append(99)
-    assert secure_cycles(g) == [[0, 1, 2]]
+    assert isinstance(single_cycle("g", g), tuple)
+    assert single_cycle("g", g) == (0, 1, 2)
 
 
 def test_an_edge_answers_in_both_orientations():
@@ -221,7 +230,7 @@ def test_build_cycle_equals_the_graph_of_its_edges(k):
     assert g.to_config() == want.to_config()
     assert validate_topology(g) == validate_topology(want)
     assert validate_topology(g)
-    assert secure_cycles(g) == secure_cycles(want) == [list(range(k))]
+    assert single_cycle("g", g) == single_cycle("want", want) == tuple(range(k))
     assert all(g.security(j, i) == "secure" for i, j, _ in want.edges())
 
 
@@ -234,12 +243,12 @@ def test_a_built_cycle_writes_its_edges_in_sorted_order(k):
 
 @pytest.mark.parametrize("k", range(4, 41, 6))
 def test_a_chord_added_to_a_built_cycle_fails_validation(k):
-    assert validate_topology(build_cycle(k)) and secure_cycles(build_cycle(k)) == [list(range(k))]
+    assert validate_topology(build_cycle(k)) and single_cycle("g", build_cycle(k)) == tuple(range(k))
     g = ChannelGraph(default_parties(k), _cycle_edges(k) + [(0, k // 2, "secure")])
     assert (0, k // 2, "secure") in g.edges()
     assert not validate_topology(g)
-    with pytest.raises(TopologyError):
-        secure_cycles(g)
+    with pytest.raises(TopologyError, match="^g: vertex 0 has secure degree 3, "):
+        single_cycle("g", g)
     with pytest.raises(TopologyError):
         run(SecureSum(rr.mod_ring(5)), g, tuple(range(k)), seed=0)
 
@@ -298,10 +307,18 @@ def _shuffled_cycle_cover(rng):
 
 def test_cycle_walk_matches_the_sorted_walk_on_shuffled_cycle_covers():
     rng = random.Random(20261019)
+    covers = {1: 0, "more": 0}
     for _ in range(300):
         g = _shuffled_cycle_cover(rng)
         assert validate_topology(g)
-        assert secure_cycles(g) == _oracle_walk(g)
+        cycles = _oracle_walk(g)
+        if len(cycles) == 1:
+            assert single_cycle("g", g) == tuple(cycles[0])
+        else:
+            with pytest.raises(TopologyError, match="^g runs on a single cycle$"):
+                single_cycle("g", g)
+        covers[1 if len(cycles) == 1 else "more"] += 1
+    assert min(covers.values()) >= 50, covers
 
 
 def _changed(g, i, j, security=None):

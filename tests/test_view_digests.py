@@ -1,12 +1,12 @@
 """Every observer's view is pinned by a digest taken before the event-log engine.
 
-One fixed config per CLI protocol, plus a secure sum over Z_5 on two
-disjoint cycles and one on a 6-cycle out of index order, is run through ``execute_config``; the SHA-256 of each
-party's view entries and of the eavesdropper's view must equal the
-recorded digest.  Any change to what the engine shows an observer, or in
-what order, changes a digest.  The SHA-256 of every config's serialized
-transcript is pinned too, as is that of runs at two composite moduli, and
-so is what ``ringmpc run`` prints for every config.
+One fixed config per CLI protocol, plus a secure sum over Z_5 on a
+6-cycle out of index order, is run through ``execute_config``; the
+SHA-256 of each party's view entries and of the eavesdropper's view must
+equal the recorded digest.  Any change to what the engine shows an
+observer, or in what order, changes a digest.  The SHA-256 of every
+config's serialized transcript is pinned too, as is that of runs at two
+composite moduli, and so is what ``ringmpc run`` prints for every config.
 """
 
 import hashlib
@@ -50,12 +50,6 @@ CONFIGS = {
                         "params": {"k": 3}},
     "sum_of_powers": {"protocol": "sum_of_powers", "inputs": [1, 2, 3], "seed": 11,
                       "params": {"exponent": 3}},
-    "secure_sum/Z_5/two cycles": {
-        "protocol": "secure_sum", "inputs": [1, 2, 3, 4, 0, 2], "seed": 5,
-        "ring": {"ring": "Zm", "m": 5},
-        "topology": {"k": 6, "edges": [[0, 1, "secure"], [1, 2, "secure"], [0, 2, "secure"],
-                                       [3, 4, "secure"], [4, 5, "secure"], [3, 5, "secure"]]},
-    },
     "secure_sum/Z_5/6-cycle out of order": {
         "protocol": "secure_sum", "inputs": [1, 2, 3, 4, 0, 2], "seed": 5,
         "ring": {"ring": "Zm", "m": 5}, "topology": SIX_CYCLE,
@@ -157,15 +151,6 @@ DIGESTS = {
         "P4": "25a372033bc60318874c45cba4e8b44d94f30a10d14840db3737cbc756c81ebc",
         "eavesdropper": "be759f726ab28abcf5059834d4181703e7aa9d5f08c29366eec42d58baad4a0f",
     },
-    "secure_sum/Z_5/two cycles": {
-        "P1": "fb7df84f47ed4e8dee1c7dfbbcc88a9aa323c1ea80efcb0ae414a20d469d01e8",
-        "P2": "f0fad502b737fac1c868b9c9999e78974d9c19e95a0eb70de5b34dddfecda207",
-        "P3": "70c870dd8732d9f97ec181fa71f55e42e89a057da64faabd374b2866dd1fd9d6",
-        "P4": "686fb866bf4f872e298d7130e8f2de7594b85315e6758ac8160564e80cc75a0d",
-        "P5": "3493d8328bd7ab682c0a5220125efbef6f7bc9016514c6814d821eedfecfabce",
-        "P6": "ec05ff828a7989df9c9a5ee7fe1f3f16f3e6d4e54b4a23f66fd31394b12a6312",
-        "eavesdropper": "f5e455bb7c8f17049fe61c3a6047ee4d86479891219e7362984c2fb3d2704322",
-    },
     "secure_sum/Z_5/6-cycle out of order": {
         "P1": "9b2ca4224788c8c8c632534b897bf5acdd2ea3187d4d0d5503a4e51c6310b60e",
         "P2": "c20b8e4709395b88014ef84c6079ddec8879139dff410de87174076fada53ad5",
@@ -212,8 +197,6 @@ TRANSCRIPT_DIGESTS = {
     "secure_product": "cf064e2d0a3c462f1e51ee48b54f67f5033c4834a435906c0dd1b4bc08933fb4",
     "secure_rating": "e793942b8b5dced1e2cbfa7f493a1c2c5993b54f0a601cbde21db0e06e99091a",
     "secure_sum": "4e9a3a53b1b3b808ccdbfca40565e0a9786b3fd7641ba8b08b7c54e032a8df34",
-    "secure_sum/Z_5/two cycles":
-        "9d62a3008a68887c085b9c70159d27352685445f1843b960d4afcb197c4e537b",
     "secure_sum/Z_5/6-cycle out of order":
         "86d71c5fecf37dc99728294b025b3cb094bc07acca024400504f2172beea55a7",
     "share_secret_kk": "08b7f2ea8c8d2a20746e52eb32320e9d8b31a50ee6d8e4942908cecce5d7eb31",
@@ -382,8 +365,6 @@ OUTCOME_DIGESTS = {
     "secure_product": "1d83f8899536301c079edcda55b69c58b64bed255a5087779d40315206b3e3c6",
     "secure_rating": "0b679c119c6e3db49eb280e009ecd10d5b6cff41a289a0c044e0e71309837fda",
     "secure_sum": "695e4fa0a408af53de93c71894044739ae7dbe8f8fa0f28eae024a0bfeb62cb3",
-    "secure_sum/Z_5/two cycles":
-        "1a43b0a8ab358475e04f1ee3b8bb6cf6b727038df8de51d7e89f3be69dc51539",
     "secure_sum/Z_5/6-cycle out of order":
         "1a43b0a8ab358475e04f1ee3b8bb6cf6b727038df8de51d7e89f3be69dc51539",
     "share_secret_kk": "1ad1e4a6abb0598782f5d12e9b0d300e257bf72f7a6b3bd27bb42fe93523bfeb",
@@ -411,13 +392,11 @@ def test_every_config_has_a_run_output_pin():
     assert set(CONFIGS) <= set(OUTCOME_DIGESTS)
 
 
-# Runs that no pin above covers, recorded before the cycle pass, the input
-# notes and CommitK's ledgers were each written once: a commit_k session at
-# k = 4 and k = 5, committed then revealed, and a secure product over Z_101
-# on two disjoint triangles; and, recorded on that later engine, the same
-# product on the 6-cycle out of index order.
-TWO_TRIANGLES = {"k": 6, "edges": [[0, 1, "secure"], [1, 2, "secure"], [0, 2, "secure"],
-                                   [3, 4, "secure"], [4, 5, "secure"], [3, 5, "secure"]]}
+# Runs that no pin above covers: a commit_k session at k = 4 and k = 5,
+# committed then revealed, recorded before the cycle pass, the input notes
+# and CommitK's ledgers were each written once; and a secure product over
+# Z_101 on the 6-cycle out of index order, recorded while the cycle pass
+# still walked every cycle of a graph.
 SESSION_DIGESTS = {
     "commit_k/Z_7/k=4": {
         "P1": "24f0f22c63afdc9052bdca7f0474f8bafe0372062dcb4ab49315aa8b4ff5f356",
@@ -435,16 +414,6 @@ SESSION_DIGESTS = {
         "P5": "6bc29b4c012ab41207112dc321bf6b4a19b9652f506767a5cfae361645f1921c",
         "eavesdropper": "f025061b5c94240ce92a4f9461151b463b511cbaf92a24b31abb749b40c0ca82",
         "transcript": "1e694af1ce5ebcdfb23266e735d664f9888906f865b535e234b4119dfdde3acb",
-    },
-    "secure_product/Z_101/two cycles": {
-        "P1": "8440d1c5b8cdccc39ba70fb03d79b5a178fa2be715a4b9ee653081daa60f258c",
-        "P2": "b2efbec511c41e49d3e1a155ecd5d8e1ea117235a4bb380f3fbf0b7c55aa2ae6",
-        "P3": "e16fe8aa19876467cfdbe2f4086c1658540257ec18b6afd7e08cfab22c8d46a3",
-        "P4": "5bb4376c5d71b0f46dc8ba2b2dec933ad022052eb77b1a26d9bddd137cbab0cf",
-        "P5": "b9081c8a82d61bacf42b997919d7f8ee6d32e2c4d195ffc07760e8380854e4ac",
-        "P6": "4cff11e3faf7c86d01de645c561b99a2e0a82efaed975923f042c9a2dc767a3a",
-        "eavesdropper": "4f5db43e9db8e5e5ccffe8831ea6c97918992f650892c4e8d0b75b3bd0fdc1c2",
-        "transcript": "b94032f11a3c388564370158f6b3950a527bd98e3eadf5ab41c87d9aba4cc8c6",
     },
     "secure_product/Z_101/6-cycle out of order": {
         "P1": "fe28b73f3eab5d2b2286cf6b65c90c64d646b4334b161f319a6ed67794ff463d",
@@ -465,21 +434,48 @@ def _session_transcript(name):
         session = commit(CommitK(mod_ring(7)), None, values, seed=13)
         assert session.reveal() == tuple(values)
         return session.transcript
-    topology = TWO_TRIANGLES if name.endswith("/two cycles") else SIX_CYCLE
-    config = {"protocol": "secure_product", "inputs": [2, 3, 4, 5, 6, 7], "seed": 5,
-              "ring": {"ring": "Zm", "m": 101}, "topology": topology}
-    outcome, t = execute_config(config)
+    outcome, t = execute_config(dict(TWO_CYCLES["secure_product/Z_101/two cycles"],
+                                     topology=SIX_CYCLE))
     assert outcome == {"product": "91"}  # 2*3*4 * 5*6*7 = 5040 = 91 mod 101
     return t
 
 
 @pytest.mark.parametrize("name", sorted(SESSION_DIGESTS))
-def test_sessions_and_multi_cycle_products_match_recorded_digests(name):
+def test_sessions_and_products_match_recorded_digests(name):
     t = _session_transcript(name)
     got = {p.name: _digest(extract_view(t, p.name).entries) for p in t.graph.parties}
     got[EAVESDROPPER] = _digest(eavesdropper_view(t).entries)
     got["transcript"] = _digest_text(t.serialize())
     assert got == SESSION_DIGESTS[name]
+
+
+# Two disjoint secure triangles: every party, and a wiretapper, would learn each
+# triangle's subtotal, so both cycle protocols refuse the graph before the run.
+# These two runs were pinned here while the cycle pass walked every cycle.
+TWO_TRIANGLES = {"k": 6, "edges": [[0, 1, "secure"], [1, 2, "secure"], [0, 2, "secure"],
+                                   [3, 4, "secure"], [4, 5, "secure"], [3, 5, "secure"]]}
+TWO_CYCLES = {
+    "secure_sum/Z_5/two cycles": {"protocol": "secure_sum", "inputs": [1, 2, 3, 4, 0, 2],
+                                  "seed": 5, "ring": {"ring": "Zm", "m": 5},
+                                  "topology": TWO_TRIANGLES},
+    "secure_product/Z_101/two cycles": {"protocol": "secure_product",
+                                        "inputs": [2, 3, 4, 5, 6, 7], "seed": 5,
+                                        "ring": {"ring": "Zm", "m": 101},
+                                        "topology": TWO_TRIANGLES},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_CYCLES))
+def test_two_cycle_runs_exit_3_before_the_run(tmp_path, name):
+    config, path, out = TWO_CYCLES[name], tmp_path / "config.json", tmp_path / "run.jsonl"
+    path.write_text(json.dumps(config))
+    result = CliRunner().invoke(main, ["run", str(path), "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert result.output == f"error: {config['protocol']} runs on a single cycle\n"
+    assert not out.exists()
+    # the same inputs run on the pinned 6-cycle
+    path.write_text(json.dumps(dict(config, topology=SIX_CYCLE)))
+    assert CliRunner().invoke(main, ["run", str(path)]).exit_code == 0
 
 
 def test_dummy_dealer_transcript_matches_recorded_digest():
