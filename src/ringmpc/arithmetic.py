@@ -274,6 +274,7 @@ class ExampleF1(TriangleProtocol):
 
     name = "example_f1"
     arity = 3
+    draws_for = (1,)
 
     def program(self, run: Run):
         R = self.ring
@@ -308,6 +309,7 @@ class ExampleF2(TriangleProtocol):
 
     name = "example_f2"
     arity = 3
+    draws_for = (0, 2)
 
     def __init__(self, ring: RingSpec, g_func, g_name: str = "custom"):
         super().__init__(ring)

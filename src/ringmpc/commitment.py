@@ -64,6 +64,7 @@ class Commit3(_Commitment, TriangleProtocol):
 
     name = "commit3"
     arity = 3
+    draws_for = (0, 1, 2)
 
     @classmethod
     def claims(cls):
@@ -325,6 +326,7 @@ class ObliviousTransfer(DummyTriangleProtocol):
 
     name = "ot_dummy"
     arity = 2
+    draws_for = (0,)
 
     @classmethod
     def decode_inputs(cls, raw):

@@ -412,20 +412,28 @@ class Protocol:
 
 class TriangleProtocol(Protocol):
     """A protocol between exactly three parties, all three pairwise linked securely; ``roles``
-    names them in the refusal of any other graph."""
+    names them in the refusal of any other graph.  A subclass declares in ``draws_for`` the
+    parties its program draws randomness for, and a graph that makes one of them a dummy is
+    refused too."""
 
     roles = "three parties"
+    draws_for: tuple[int, ...]
 
     def check_graph(self, g: ChannelGraph) -> None:
         if g.k != 3:
             raise TopologyError(f"{self.name} runs between {self.roles}")
         require_secure(self.name, g, ((0, 1), (0, 2), (1, 2)))
+        for i in self.draws_for:
+            if not g.parties[i].full:
+                raise TopologyError(
+                    f"{self.name} draws randomness for {g.parties[i].name}, which is a dummy")
 
 
 class DummyTriangleProtocol(TriangleProtocol):
     """A protocol between A, B and a dummy D, all three pairwise linked securely."""
 
     roles = "A, B and a dummy"
+    draws_for = (0, 1)
 
     def default_graph(self, k: int) -> ChannelGraph:
         return dummy_triangle()

@@ -1189,6 +1189,53 @@ class TestThreeInputGate:
         assert not out.exists()
 
 
+class TestDummyThatDraws:
+    """A three-party protocol declares the parties its program draws randomness for, and its
+    gate refuses a graph that makes one of them a dummy.  Before, ``commit3`` and
+    ``example_f2`` with D a dummy, and ``millionaires_compare`` with A a dummy, stopped
+    mid-run at ``dummy party ... attempted to draw randomness`` with exit 2."""
+
+    TRIANGLE = [[0, 1, "secure"], [1, 2, "secure"], [0, 2, "secure"]]
+
+    @staticmethod
+    def body(protocol, inputs, names, dummies, ring=None):
+        parties = [{"name": name, "full": name not in dummies} for name in names]
+        body = {"protocol": protocol, "inputs": inputs, "seed": 3,
+                "topology": {"k": 3, "parties": parties, "edges": TestDummyThatDraws.TRIANGLE}}
+        return dict(body, ring=ring) if ring else body
+
+    CASES = {
+        "commit3 with D a dummy": ("commit3", ["1", "2", "3"], "ABD", "D", "D"),
+        "example_f2 with D a dummy": ("example_f2", ["2", "3", "4"], "ABD", "D", "D"),
+        "millionaires_compare with A a dummy": ("millionaires_compare", ["7", "3"], "ABD",
+                                                "AD", "A"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_a_dummy_the_program_draws_for_exits_3_before_the_run(self, runner, tmp_path,
+                                                                   case):
+        protocol, inputs, names, dummies, drawer = self.CASES[case]
+        body = self.body(protocol, inputs, names, dummies, {"ring": "Zm", "m": 11})
+        out = tmp_path / "run.jsonl"
+        result = runner.invoke(main, ["run", write_config(tmp_path, "run.json", body),
+                                      "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert result.output == (f"error: {protocol} draws randomness for {drawer}, "
+                                 "which is a dummy\n")
+        assert not out.exists()
+
+    def test_example_f1_draws_only_for_its_middle_party_and_runs_with_d_a_dummy(self, runner,
+                                                                                tmp_path):
+        body = self.body("example_f1", ["2", "3", "4"], "ABD", "D")
+        out = str(tmp_path / "f1.jsonl")
+        result = runner.invoke(main, ["run", write_config(tmp_path, "f1.json", body),
+                                      "--out", out])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["outcome"] == {"value": "18"}  # 2*3 + 3*4
+        result = runner.invoke(main, ["replay", out])
+        assert result.exit_code == 0, result.output
+
+
 def test_commit3_on_parties_named_x_y_z_runs_reveals_and_replays(runner, tmp_path):
     """The reveal used to look its ledger roles P1, P2, P3 up as party names: exit 3 at
     ``unknown party 'P1'``.  The outcome keeps the roles as its keys."""

@@ -15,7 +15,7 @@ from ringmpc.analysis import standard_suite
 from ringmpc.arithmetic import ExampleF2, SecureSum
 from ringmpc.cli import RUNNERS, decode_config, execute_config, replay_transcript
 from ringmpc.commitment import ObliviousTransfer
-from ringmpc.engine import run
+from ringmpc.engine import TriangleProtocol, run
 from ringmpc.errors import ProtocolError, ReplayError
 
 
@@ -42,6 +42,14 @@ def test_from_params_reads_the_constructors_parameter_names(name):
     code = cls.__init__.__code__
     assert code.co_varnames[2:code.co_argcount + code.co_kwonlyargcount] == tuple(
         inspect.signature(cls).parameters)[1:]
+
+
+@pytest.mark.parametrize("name", sorted(name for name, cls in RUNNERS.items()
+                                         if issubclass(cls, TriangleProtocol)))
+def test_a_triangle_protocol_declares_the_parties_it_draws_for(name):
+    # its gate refuses a dummy among them, so the declaration must name every party that draws
+    _, transcript = execute_config(CONFIGS[name])
+    assert {party for party, _ in transcript.draw_sites} == set(RUNNERS[name].draws_for)
 
 
 MALFORMED = [None, -1, 0, 7, "x", [], [1], [[1, 2]], [None], {}, {"a": 1}, True, 1.5]
