@@ -13,16 +13,17 @@ from ringmpc.analysis import (
     suite_by_name,
     transmission_stats,
 )
-from ringmpc.arithmetic import SecureSum
+from ringmpc.arithmetic import SecureProduct, SecureSum
 from ringmpc.commitment import Commit3
 from ringmpc.engine import EAVESDROPPER, ScriptedSource, merge_views, run
-from ringmpc.errors import BudgetExceeded, ProtocolError
+from ringmpc.errors import BudgetExceeded, ProtocolError, TopologyError
 from ringmpc.poker import CardDeal, DealConfig
 from ringmpc.sharing import ShareSecret
 from ringmpc.topology import build_cycle
 from ringmpc.analysis import enumerate_runs
 from ringmpc.engine import Protocol, View, eavesdropper_view, view_key
-from ringmpc.topology import ChannelGraph, default_parties
+from ringmpc.topology import (SECURE, ChannelGraph, default_parties, validate_secure_edges,
+                              validate_topology)
 
 
 def sum_spec(m, k, observer_index, given=True):
@@ -234,6 +235,140 @@ class TestCoalitionProfile:
                 spec = coalition_spec(m, k, coalition, target=slot_sum(m, target),
                                       claim=DETERMINED)
                 assert secrecy_enumeration_check(spec).ok == brute, (coalition, target)
+
+
+# -- the channel gate follows from the claims ------------------------------------
+
+
+def cycle_covers(k):
+    """Every graph on k parties whose secure edges give each party secure degree 2."""
+    for pairs in combinations(combinations(range(k), 2), k):
+        if validate_secure_edges(k, pairs)[0]:
+            yield ChannelGraph(default_parties(k), [(i, j, SECURE) for i, j in pairs])
+
+
+def walk_each_cycle(g):
+    """The secure cycles of a cycle cover, each walked from its lowest party toward that
+    party's lower-indexed neighbour."""
+    adj = {v: [] for v in range(g.k)}
+    for i, j in g.secure_pairs():
+        adj[i].append(j)
+        adj[j].append(i)
+    seen, cycles = set(), []
+    for start in range(g.k):
+        if start in seen:
+            continue
+        cycle, prev, cur = [start], start, min(adj[start])
+        while cur != start:
+            cycle.append(cur)
+            prev, cur = cur, next(v for v in adj[cur] if v != prev)
+        seen.update(cycle)
+        cycles.append(cycle)
+    return cycles
+
+
+class EachCycle:
+    """A cycle pass as it ran on a disjoint union of secure cycles before the single-cycle
+    gate: on each cycle in turn, the noised forward pass, then the masked subtotal and every
+    other noise published, so that each cycle's subtotal is public."""
+
+    def check_graph(self, g):
+        result = validate_topology(g)
+        if not result:
+            raise TopologyError(result.reason)
+
+    def program(self, run):
+        values = run.note_inputs()
+        combine, undo = self.ops()
+        total = self.identity
+        for first, *rest in walk_each_cycle(run.graph):
+            noises = [run.noise(first, f"n0{first + 1}", self.unit_noise)]
+            m = combine(values[first], noises[0])
+            run.send(first, rest[0], m, self.partial_label)
+            for p, successor in zip(rest, rest[1:] + [first]):
+                noises.append(run.noise(p, f"n0{p + 1}", self.unit_noise))
+                m = combine(m, combine(values[p], noises[-1]))
+                run.send(p, successor, m, self.partial_label)
+            masked_total = undo(m, noises[0])
+            run.broadcast(first, masked_total, self.total_label)
+            noise_total = self.identity
+            for p, n in zip(rest, noises[1:]):
+                run.broadcast(p, n, f"noise n0{p + 1}")
+                noise_total = combine(noise_total, n)
+            total = combine(total, undo(masked_total, noise_total))
+        return total
+
+
+class EachCycleSum(EachCycle, SecureSum):
+    pass
+
+
+class EachCycleProduct(EachCycle, SecureProduct):
+    pass
+
+
+def cycle_claims(protocol, g, domain, fold):
+    """Each party learns only ``fold`` of the others' inputs, and the eavesdropper only
+    ``fold`` of every input."""
+    everyone = tuple(range(g.k))
+    specs = []
+    for i in everyone:
+        others = tuple(j for j in everyone if j != i)
+        specs.append(SecrecySpec(
+            name=f"P{i + 1} learns only the others' total", protocol=protocol, graph=g,
+            input_domains=(domain,) * g.k, observer=f"P{i + 1}", observer_inputs=(i,),
+            protected=others, given=lambda inputs, _o, others=others: fold(inputs, others)))
+    specs.append(SecrecySpec(
+        name="the eavesdropper learns only the total", protocol=protocol, graph=g,
+        input_domains=(domain,) * g.k, observer=EAVESDROPPER, protected=everyone,
+        given=lambda inputs, _o: fold(inputs, everyone)))
+    return specs
+
+
+def z2_sum(inputs, slots):
+    return sum(inputs[j] for j in slots) % 2
+
+
+def z3_product(inputs, slots):
+    return prod(inputs[j] for j in slots) % 3
+
+
+class TestTheGateFollowsFromTheClaims:
+    """A graph of secure degree 2 everywhere is accepted exactly when every party and the
+    eavesdropper learn only the total there: on two or more cycles, each cycle's subtotal is
+    public, and the gate refuses the graph."""
+
+    def test_the_sum_gate_accepts_exactly_the_graphs_whose_claims_all_pass(self):
+        ring, counts = rr.mod_ring(2), []
+        for k in range(3, 7):
+            graphs = list(cycle_covers(k))
+            counts.append(len(graphs))
+            for g in graphs:
+                try:
+                    SecureSum(ring).check_graph(g)
+                    accepted = True
+                except TopologyError as e:
+                    assert str(e) == "secure_sum runs on a single cycle"
+                    accepted = False
+                if accepted:  # the reference pass is the protocol's own on one cycle
+                    inputs, seed = tuple(range(k)), k
+                    assert (run(EachCycleSum(ring), g, inputs, seed)[1].serialize() ==
+                            run(SecureSum(ring), g, inputs, seed)[1].serialize())
+                verdicts = [secrecy_enumeration_check(spec).ok
+                            for spec in cycle_claims(EachCycleSum(ring), g, range(2), z2_sum)]
+                assert verdicts == [accepted] * (k + 1), (g.edges(), verdicts)
+        assert counts == [1, 3, 12, 70]
+
+    def test_a_product_party_on_two_triangles_learns_more_than_the_others_product(self):
+        edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+        g = ChannelGraph(default_parties(6), [(i, j, SECURE) for i, j in edges])
+        with pytest.raises(TopologyError, match="^secure_product runs on a single cycle$"):
+            SecureProduct(rr.mod_ring(3)).check_graph(g)
+        p1 = cycle_claims(EachCycleProduct(rr.mod_ring(3)), g, (1, 2), z3_product)[0]
+        assert not secrecy_enumeration_check(p1).ok
+        # on one 6-cycle the protocol itself keeps the claim
+        p1 = cycle_claims(SecureProduct(rr.mod_ring(3)), build_cycle(6), (1, 2), z3_product)[0]
+        assert secrecy_enumeration_check(p1).ok
 
 
 class TestTransmissionStats:
