@@ -269,17 +269,6 @@ class RingSpec:
             return index - b + 1
         return index - b
 
-    def sample_noise(self, source, require_unit: bool = False) -> int:
-        """Draw one noise element from ``source``.
-
-        ``source`` needs a ``randrange(n)`` method (``random.Random``
-        qualifies, as does the scripted source used for exhaustive
-        enumeration).  Exactly one ``randrange(noise_domain(...))`` call
-        is made per sample, and ``noise_at`` maps its index, so an
-        enumerator can cover the noise space by indexing it.
-        """
-        return self.noise_at(source.randrange(self.noise_domain(require_unit)), require_unit)
-
     def elements(self) -> range:
         """Enumerable element domain (modular rings only)."""
         if not self.modular:

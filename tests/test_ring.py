@@ -13,6 +13,12 @@ from ringmpc.errors import RingError
 from ringmpc.ring import FACTOR_BOUND, MAX_PRIMES, RingSpec, integers, mod_ring
 
 
+def noise_draw(R: RingSpec, source, require_unit: bool = False) -> int:
+    """One noise draw as ``engine.Run.noise`` makes it: one ``randrange`` over the ring's noise
+    domain, whose index ``noise_at`` maps to an element."""
+    return R.noise_at(source.randrange(R.noise_domain(require_unit)), require_unit)
+
+
 def test_add_over_integers():
     Z = integers()
     assert Z.add(3, 5) == 8
@@ -106,7 +112,7 @@ def test_exact_div_over_the_integers_inverts_mul_and_refuses_a_remainder(a, x, o
 def test_noise_uniform_over_z2():
     R = mod_ring(2)
     rng = random.Random(42)
-    ones = sum(R.sample_noise(rng) for _ in range(10_000))
+    ones = sum(noise_draw(R, rng) for _ in range(10_000))
     assert 0.48 <= ones / 10_000 <= 0.52
 
 
@@ -115,31 +121,31 @@ def test_unit_noise_over_z6_stays_in_units():
     assert R.units() == (1, 5)
     rng = random.Random(3)
     for _ in range(200):
-        assert R.sample_noise(rng, require_unit=True) in (1, 5)
+        assert noise_draw(R, rng, require_unit=True) in (1, 5)
 
 
 def test_unit_noise_over_small_integers():
     Z = integers(noise_bound=1)
     rng = random.Random(5)
-    values = {Z.sample_noise(rng, require_unit=True) for _ in range(100)}
+    values = {noise_draw(Z, rng, require_unit=True) for _ in range(100)}
     assert values == {-1, 1}
 
 
 def test_noise_bounds_over_integers():
     Z = integers(noise_bound=4)
     rng = random.Random(9)
-    values = {Z.sample_noise(rng) for _ in range(2000)}
+    values = {noise_draw(Z, rng) for _ in range(2000)}
     assert values == set(range(-4, 5))
 
 
 def test_scripted_noise_indexes_candidate_set():
     R = mod_ring(6)
     # indices address the unit tuple (1, 5)
-    assert R.sample_noise(ScriptedSource([0]), require_unit=True) == 1
-    assert R.sample_noise(ScriptedSource([1]), require_unit=True) == 5
+    assert noise_draw(R, ScriptedSource([0]), require_unit=True) == 1
+    assert noise_draw(R, ScriptedSource([1]), require_unit=True) == 5
     Z = integers(noise_bound=2)
     # nonzero candidates in order: -2, -1, 1, 2
-    got = [Z.sample_noise(ScriptedSource([i]), require_unit=True) for i in range(4)]
+    got = [noise_draw(Z, ScriptedSource([i]), require_unit=True) for i in range(4)]
     assert got == [-2, -1, 1, 2]
 
 
@@ -161,8 +167,8 @@ def test_noise_at_maps_each_index_to_its_candidate_in_ascending_order(R, require
     n = R.noise_domain(require_unit)
     got = [R.noise_at(i, require_unit) for i in range(n)]
     assert got == _candidates(R, require_unit)
-    # sample_noise is one draw over the domain, mapped by noise_at
-    assert got == [R.sample_noise(ScriptedSource([i]), require_unit) for i in range(n)]
+    # a draw is one randrange over the domain, mapped by noise_at
+    assert got == [noise_draw(R, ScriptedSource([i]), require_unit) for i in range(n)]
 
 
 @pytest.mark.parametrize("m", [5, 6])
@@ -270,7 +276,7 @@ def test_unit_select_at_large_composites(m):
     assert R.noise_domain(True) == phi
 
     def select(i):
-        return R.sample_noise(ScriptedSource([i]), require_unit=True)
+        return noise_draw(R, ScriptedSource([i]), require_unit=True)
 
     rng = random.Random(m)
     indices = [0, 1, phi - 2, phi - 1] + [rng.randrange(phi) for _ in range(200)]
@@ -287,12 +293,13 @@ def test_unit_draw_above_the_factor_bound_raises_at_once(m):
     R = mod_ring(m)
     start = time.perf_counter()
     for draw in (lambda: R.noise_domain(True),
-                 lambda: R.sample_noise(random.Random(0), require_unit=True)):
+                 lambda: noise_draw(R, random.Random(0), require_unit=True)):
         with pytest.raises(RingError, match=f"{m}.*{FACTOR_BOUND}"):
             draw()
     assert time.perf_counter() - start < 1
     # Nothing else needs the factors.
-    assert R.exact_div(R.mul(5, 7), 5) == 7 and R.is_unit(5) and R.sample_noise(random.Random(0)) < m
+    assert R.exact_div(R.mul(5, 7), 5) == 7 and R.is_unit(5)
+    assert noise_draw(R, random.Random(0)) < m
 
 
 def test_unit_draw_with_too_many_distinct_primes_raises():
