@@ -2,6 +2,7 @@ from itertools import combinations, product
 from math import prod
 
 import pytest
+from test_topology import _oracle_walk
 
 import ringmpc.ring as rr
 from ringmpc.analysis import (
@@ -247,26 +248,6 @@ def cycle_covers(k):
             yield ChannelGraph(default_parties(k), [(i, j, SECURE) for i, j in pairs])
 
 
-def walk_each_cycle(g):
-    """The secure cycles of a cycle cover, each walked from its lowest party toward that
-    party's lower-indexed neighbour."""
-    adj = {v: [] for v in range(g.k)}
-    for i, j in g.secure_pairs():
-        adj[i].append(j)
-        adj[j].append(i)
-    seen, cycles = set(), []
-    for start in range(g.k):
-        if start in seen:
-            continue
-        cycle, prev, cur = [start], start, min(adj[start])
-        while cur != start:
-            cycle.append(cur)
-            prev, cur = cur, next(v for v in adj[cur] if v != prev)
-        seen.update(cycle)
-        cycles.append(cycle)
-    return cycles
-
-
 class EachCycle:
     """A cycle pass as it ran on a disjoint union of secure cycles before the single-cycle
     gate: on each cycle in turn, the noised forward pass, then the masked subtotal and every
@@ -281,7 +262,7 @@ class EachCycle:
         values = run.note_inputs()
         combine, undo = self.ops()
         total = self.identity
-        for first, *rest in walk_each_cycle(run.graph):
+        for first, *rest in _oracle_walk(run.graph):
             noises = [run.noise(first, f"n0{first + 1}", self.unit_noise)]
             m = combine(values[first], noises[0])
             run.send(first, rest[0], m, self.partial_label)

@@ -1195,29 +1195,27 @@ class TestDummyThatDraws:
     ``example_f2`` with D a dummy, and ``millionaires_compare`` with A a dummy, stopped
     mid-run at ``dummy party ... attempted to draw randomness`` with exit 2."""
 
-    TRIANGLE = [[0, 1, "secure"], [1, 2, "secure"], [0, 2, "secure"]]
-
     @staticmethod
-    def body(protocol, inputs, names, dummies, ring=None):
-        parties = [{"name": name, "full": name not in dummies} for name in names]
-        body = {"protocol": protocol, "inputs": inputs, "seed": 3,
-                "topology": {"k": 3, "parties": parties, "edges": TestDummyThatDraws.TRIANGLE}}
-        return dict(body, ring=ring) if ring else body
+    def body(protocol, inputs, dummies):
+        """A run over Z_11 on parties A, B and D, all linked securely, ``dummies`` not full."""
+        parties = [{"name": name, "full": name not in dummies} for name in "ABD"]
+        return {"protocol": protocol, "inputs": inputs, "seed": 3, "ring": {"ring": "Zm", "m": 11},
+                "topology": {"k": 3, "parties": parties,
+                             "edges": [[0, 1, "secure"], [1, 2, "secure"], [0, 2, "secure"]]}}
 
     CASES = {
-        "commit3 with D a dummy": ("commit3", ["1", "2", "3"], "ABD", "D", "D"),
-        "example_f2 with D a dummy": ("example_f2", ["2", "3", "4"], "ABD", "D", "D"),
-        "millionaires_compare with A a dummy": ("millionaires_compare", ["7", "3"], "ABD",
-                                                "AD", "A"),
+        "commit3 with D a dummy": ("commit3", ["1", "2", "3"], "D", "D"),
+        "example_f2 with D a dummy": ("example_f2", ["2", "3", "4"], "D", "D"),
+        "millionaires_compare with A a dummy": ("millionaires_compare", ["7", "3"], "AD", "A"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_a_dummy_the_program_draws_for_exits_3_before_the_run(self, runner, tmp_path,
                                                                    case):
-        protocol, inputs, names, dummies, drawer = self.CASES[case]
-        body = self.body(protocol, inputs, names, dummies, {"ring": "Zm", "m": 11})
+        protocol, inputs, dummies, drawer = self.CASES[case]
         out = tmp_path / "run.jsonl"
-        result = runner.invoke(main, ["run", write_config(tmp_path, "run.json", body),
+        result = runner.invoke(main, ["run", write_config(tmp_path, "run.json",
+                                                          self.body(protocol, inputs, dummies)),
                                       "--out", str(out)])
         assert result.exit_code == 3, result.output
         assert result.output == (f"error: {protocol} draws randomness for {drawer}, "
@@ -1226,12 +1224,12 @@ class TestDummyThatDraws:
 
     def test_example_f1_draws_only_for_its_middle_party_and_runs_with_d_a_dummy(self, runner,
                                                                                 tmp_path):
-        body = self.body("example_f1", ["2", "3", "4"], "ABD", "D")
+        body = self.body("example_f1", ["2", "3", "4"], "D")
         out = str(tmp_path / "f1.jsonl")
         result = runner.invoke(main, ["run", write_config(tmp_path, "f1.json", body),
                                       "--out", out])
         assert result.exit_code == 0, result.output
-        assert json.loads(result.output)["outcome"] == {"value": "18"}  # 2*3 + 3*4
+        assert json.loads(result.output)["outcome"] == {"value": "7"}  # 2*3 + 3*4 mod 11
         result = runner.invoke(main, ["replay", out])
         assert result.exit_code == 0, result.output
 

@@ -243,7 +243,8 @@ def test_a_built_cycle_writes_its_edges_in_sorted_order(k):
 
 @pytest.mark.parametrize("k", range(4, 41, 6))
 def test_a_chord_added_to_a_built_cycle_fails_validation(k):
-    assert validate_topology(build_cycle(k)) and single_cycle("g", build_cycle(k)) == tuple(range(k))
+    assert validate_topology(build_cycle(k))
+    assert single_cycle("g", build_cycle(k)) == tuple(range(k))
     g = ChannelGraph(default_parties(k), _cycle_edges(k) + [(0, k // 2, "secure")])
     assert (0, k // 2, "secure") in g.edges()
     assert not validate_topology(g)
